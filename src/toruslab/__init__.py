@@ -65,6 +65,7 @@ from toruslab.markov import (
     ConstructionInvalid,
     CylinderTable,
     InsufficientSamples,
+    Itineraries,
     LocationFailure,
     MarkovPartition,
     OrbitSource,
@@ -74,6 +75,7 @@ from toruslab.markov import (
     entropy_count_bound_check,
     entropy_rate_estimate,
     entropy_tables,
+    itineraries,
     itinerary,
     locate,
     partition_entropy,

@@ -41,9 +41,18 @@ class Verdict(str, Enum):
 
 
 def default_threads() -> int:
+    """Worker count from $TORUSLAB_THREADS (a positive integer), else the
+    CPU count."""
     env = os.environ.get(THREADS_ENV_VAR)
     if env:
-        return max(1, int(env))
+        try:
+            n = int(env)
+        except ValueError:
+            n = 0
+        if n < 1:
+            raise ValueError(f"{THREADS_ENV_VAR}={env!r} is not a positive "
+                             "integer")
+        return n
     return os.cpu_count() or 1
 
 

@@ -12,6 +12,7 @@ axes.  Points are kept in the canonical representative [0, 1)^2.
 
 from __future__ import annotations
 
+import array
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -205,23 +206,25 @@ class HyperbolicToralMap:
         if n < 1:
             raise ValueError("orbit length must be >= 1")
         p = wrap(np.asarray(point, dtype=float).reshape(2))
-        out = np.empty((n, 2))
+        # interleaved x, y doubles: array.array stores them unboxed and one
+        # frombuffer wraps them without a copy
+        buf = array.array("d", bytes(16 * n))
         a00 = float(self.matrix[0, 0]); a01 = float(self.matrix[0, 1])
         a10 = float(self.matrix[1, 0]); a11 = float(self.matrix[1, 1])
         x, y = float(p[0]), float(p[1])
         if self.is_linear:
-            for i in range(n):
-                out[i, 0] = x
-                out[i, 1] = y
+            for i in range(0, 2 * n, 2):
+                buf[i] = x
+                buf[i + 1] = y
                 x, y = (a00 * x + a01 * y) % 1.0, (a10 * x + a11 * y) % 1.0
         else:
             amp = self.amplitude
             terms = [(float(c[0]), float(c[1]), float(k[0]), float(k[1]))
                      for c, k in zip(self._coeffs, self._freqs)]
             sin = math.sin
-            for i in range(n):
-                out[i, 0] = x
-                out[i, 1] = y
+            for i in range(0, 2 * n, 2):
+                buf[i] = x
+                buf[i + 1] = y
                 px = py = 0.0
                 for c0, c1, k0, k1 in terms:
                     s = sin(TWO_PI * (k0 * x + k1 * y))
@@ -229,6 +232,7 @@ class HyperbolicToralMap:
                     py += c1 * s
                 x, y = ((a00 * x + a01 * y + amp * px) % 1.0,
                         (a10 * x + a11 * y + amp * py) % 1.0)
+        out = np.frombuffer(buf).reshape(n, 2)
         # mod of a float already in [0,1) is itself, so only the seeds needed
         # wrapping; still guard the pathological 1.0 case
         out[out >= 1.0] = 0.0

@@ -104,19 +104,21 @@ class AcceptanceSuite:
         """Cylinder tables of the 1e7 reference orbit at depths 1..13."""
         if self._leb_tables is None:
             src = OrbitSource(ORBIT_SEED_POINT, REFERENCE_ORBIT_LENGTH)
-            self._leb_tables = markov_mod.entropy_tables(
-                self.cat, self.partition, src, list(range(1, 14)))
+            stream = markov_mod.itineraries(self.cat, self.partition, src, 13)
+            self._leb_tables = markov_mod.entropy_tables(stream,
+                                                         list(range(1, 14)))
         return self._leb_tables
 
     def leb_entropy_estimate(self):
-        """Largest adequate depth among 1..13 for the reference orbit."""
-        tables = self.leb_tables()
-        best = None
-        for d in sorted(tables):
-            t = tables[d]
-            if t.total >= markov_mod.ADEQUACY_FACTOR * len(t.counts):
-                best = (d, markov_mod.partition_entropy(t) / d)
-        return best
+        """(depth, H/depth) at the largest adequate depth among 1..13 for the
+        reference orbit."""
+        est = markov_mod.entropy_rate_estimate(self.leb_tables())
+        return est.depth_used, est.h_est
+
+    def cylinder_table(self, source, n: int):
+        """Depth-n cylinder table of a source under the cat map."""
+        stream = markov_mod.itineraries(self.cat, self.partition, source, n)
+        return markov_mod.cylinder_frequencies(stream, n)
 
     def dirac_sweep(self):
         if self._dirac_sweep is None:
@@ -298,16 +300,17 @@ class AcceptanceSuite:
         part = self.partition
         c = _Checks()
         src = OrbitSource(ORBIT_SEED_POINT, 2_000_000)
-        margin = markov_mod.entropy_count_bound_check(self.cat, part, src,
-                                                      0.1, 10)
+        margin = markov_mod.entropy_count_bound_check(
+            part, self.cylinder_table(src, 10), 0.1)
         c.add("lebesgue margin", margin >= -0.05,
               f"{margin:+.4f} >= -0.05 (declared statistical tolerance)")
         fixed = markov_mod.entropy_count_bound_check(
-            self.cat, part, DiscreteMeasure.dirac((0.0, 0.0)), 0.1, 10)
+            part, self.cylinder_table(DiscreteMeasure.dirac((0.0, 0.0)), 10),
+            0.1)
         c.add("fixed-point margin", fixed >= 0.0, f"{fixed:+.4f} >= 0")
         per2 = markov_mod.entropy_count_bound_check(
-            self.cat, part, DiscreteMeasure(self.cat.orbit(PERIOD2_POINT, 2)),
-            0.2, 8)
+            part, self.cylinder_table(
+                DiscreteMeasure(self.cat.orbit(PERIOD2_POINT, 2)), 8), 0.2)
         c.add("period-2 margin", per2 >= 0.0, f"{per2:+.4f} >= 0")
         dt = time.time() - t0
         return CriterionResult(7, "cylinder-count-bound", c.passed,
@@ -317,7 +320,6 @@ class AcceptanceSuite:
         """Entropy estimates never exceed the unstable integral by more
         than 0.05."""
         t0 = time.time()
-        part = self.partition
         c = _Checks()
         depth, h_leb = self.leb_entropy_estimate()
         i_leb = lyap_mod.unstable_integral(self.cat, LEBESGUE,
@@ -328,7 +330,7 @@ class AcceptanceSuite:
                                  ("period-2", PERIOD2_POINT, 2),
                                  ("period-3", PERIOD3_POINT, 3)):
             atoms = DiscreteMeasure(self.cat.orbit(pt, period))
-            table = markov_mod.cylinder_frequencies(self.cat, part, atoms, 12)
+            table = self.cylinder_table(atoms, 12)
             h = markov_mod.partition_entropy(table) / 12
             integral = lyap_mod.unstable_integral(self.cat, atoms)
             c.add(name, h <= integral + 0.05,
@@ -341,10 +343,9 @@ class AcceptanceSuite:
         """Mixture entropy is affine: the half-and-half mixture violates the
         entropy formula by half the unstable integral."""
         t0 = time.time()
-        part = self.partition
         tables = self.leb_tables()
-        dirac_table = markov_mod.cylinder_frequencies(
-            self.cat, part, DiscreteMeasure.dirac((0.0, 0.0)), 12)
+        dirac_table = self.cylinder_table(DiscreteMeasure.dirac((0.0, 0.0)),
+                                          12)
         merged = markov_mod.weighted_merge([tables[12], dirac_table],
                                            [0.5, 0.5])
         h_mix = markov_mod.partition_entropy(merged) / 12
@@ -387,9 +388,10 @@ class AcceptanceSuite:
         c.add("verdict", verdict is Verdict.CONSISTENT_WITH_ZERO,
               f"{verdict.value}, slopes "
               + ", ".join(f"{e.slope:+.5f}" for e in sweep.estimates))
+        stream = markov_mod.itineraries(
+            pert, self.partition, OrbitSource(ORBIT_SEED_POINT, 1_000_000), 12)
         est = markov_mod.entropy_rate_estimate(
-            pert, self.partition, OrbitSource(ORBIT_SEED_POINT, 1_000_000),
-            range(1, 13))
+            markov_mod.entropy_tables(stream, range(1, 13)))
         non_exact = not pert.is_linear
         c.add("non-exact-partition flag", non_exact, str(non_exact))
         integral = lyap_mod.unstable_integral(pert, proxy)

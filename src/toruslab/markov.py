@@ -16,15 +16,19 @@ is returned.  Because every image stripe is a single crossing, depth-n
 cylinders correspond one-to-one to admissible symbol words and their number
 can be counted exactly by transition-matrix powers.
 
-Cylinder tables built from a common start set are exactly shift-consistent:
-marginalizing a depth-n table over its last symbol reproduces the depth-(n-1)
-table.
+A cylinder source (orbit, grid or atoms) is walked and located once by
+`itineraries`; `entropy_tables` reduces that symbol stream to tables of sorted
+int64 base-k word codes with int64 counts, building each depth's codes from
+the previous depth's with one multiply-add.  Words are decoded to tuples only
+on request (`CylinderTable.words`).  Cylinder tables built from a common start
+set are exactly shift-consistent: marginalizing a depth-n table over its last
+symbol reproduces the depth-(n-1) table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -386,50 +390,83 @@ def itinerary(map: HyperbolicToralMap, partition: MarkovPartition, point,
 
 @dataclass
 class CylinderTable:
-    """Empirical distribution over depth-n cylinders (itinerary words)."""
+    """Empirical distribution over depth-n cylinders (itinerary words).
+
+    Word w = (s_0, ..., s_{n-1}) has code sum s_j k^(n-1-j), so sorted codes
+    are words in lexicographic order.  codes holds the observed codes in
+    increasing order, counts the int64 count of each; `words()` decodes to
+    tuples on request.  rounded_mass is the count mass that integer rounding
+    moved when the table came from weighted_merge (0 for counted tables).
+    """
     depth: int
-    counts: Dict[Itinerary, int]
-    total: int
+    k: int
+    codes: np.ndarray
+    counts: np.ndarray
+    rounded_mass: float = 0.0
+    total: int = field(init=False)
+
+    def __post_init__(self):
+        self.total = int(self.counts.sum())
+
+    def words(self) -> list[Itinerary]:
+        """Observed words as symbol tuples, in code order."""
+        powers = self.k ** np.arange(self.depth - 1, -1, -1, dtype=np.int64)
+        digits = (self.codes[:, None] // powers) % self.k
+        return [tuple(w) for w in digits.tolist()]
 
     def marginal(self) -> "CylinderTable":
         """Drop the last symbol: the exact depth-(n-1) table for the same
         start set."""
-        out: Dict[Itinerary, int] = {}
-        for word, c in self.counts.items():
-            key = word[:-1]
-            out[key] = out.get(key, 0) + c
-        return CylinderTable(depth=self.depth - 1, counts=out,
-                             total=self.total)
+        codes, counts = _sum_runs(self.codes // self.k, self.counts)
+        return CylinderTable(self.depth - 1, self.k, codes, counts)
 
 
-def _symbol_windows(symbols: np.ndarray, depth: int, n_starts: int,
-                    k: int) -> CylinderTable:
-    """Table of length-`depth` windows at starts 0..n_starts-1."""
-    codes = np.zeros(n_starts, dtype=np.int64)
-    for j in range(depth):
-        codes = codes * k + symbols[j:j + n_starts]
-    vals, cnts = np.unique(codes, return_counts=True)
-    counts: Dict[Itinerary, int] = {}
-    for v, c in zip(vals.tolist(), cnts.tolist()):
-        word = []
-        for _ in range(depth):
-            word.append(v % k)
-            v //= k
-        counts[tuple(reversed(word))] = c
-    return CylinderTable(depth=depth, counts=counts, total=int(cnts.sum()))
+def _sum_runs(codes: np.ndarray, counts: np.ndarray):
+    """Sorted codes with repeats -> (unique codes, summed counts)."""
+    if len(codes) == 0:
+        return codes, counts
+    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+    return codes[starts], np.add.reduceat(counts, starts)
 
 
-def _source_symbols(map: HyperbolicToralMap, partition: MarkovPartition,
-                    source: CylinderSource, max_depth: int):
-    """(symbols, n_starts, layout): layout 'orbit' gives a 1-d symbol stream,
-    'columns' a (max_depth, N) array of per-start itineraries."""
+@dataclass(frozen=True)
+class Itineraries:
+    """Partition symbols of every start of a walked cylinder source.
+
+    Orbit source: `symbols` is the 1-d symbol stream of the orbit, and start
+    t reads symbols[t:].  Grid or atom source: `symbols` has shape
+    (depth, N) and column i is the itinerary of start i.
+    """
+    symbols: np.ndarray
+    k: int
+
+    def rows(self, depth: int):
+        """First `depth` symbols of every start that has that many: row j
+        holds symbol j of each start.  An orbit stream of length L gives
+        starts 0..L-depth."""
+        have = len(self.symbols)
+        if depth > have:
+            raise ValueError(f"itineraries hold {have} symbols per start, "
+                             f"depth {depth} requested")
+        if self.symbols.ndim == 2:
+            return self.symbols[:depth]
+        n_starts = have - depth + 1
+        return [self.symbols[j:j + n_starts] for j in range(depth)]
+
+
+def itineraries(map: HyperbolicToralMap, partition: MarkovPartition,
+                source: CylinderSource, max_depth: int) -> Itineraries:
+    """Walk and locate a cylinder source once, for tables up to max_depth.
+
+    An orbit source is walked over its whole length; grid and atom sources
+    are stepped max_depth - 1 times.
+    """
     if isinstance(source, OrbitSource):
         if source.length < max_depth:
             raise ValueError("orbit shorter than requested depth")
         orbit = map.orbit(np.asarray(source.point, dtype=float),
                           source.length)
-        symbols = locate(partition, orbit)
-        return symbols, source.length - max_depth + 1, "orbit"
+        return Itineraries(locate(partition, orbit), partition.k)
     if isinstance(source, SampleGrid):
         starts = source.chunk(0, source.size,
                               source._offsets() if source.jitter else None)
@@ -447,80 +484,76 @@ def _source_symbols(map: HyperbolicToralMap, partition: MarkovPartition,
         cols[j] = locate(partition, x)
         if j + 1 < max_depth:
             x = map.step(x)
-    return cols, len(starts), "columns"
+    return Itineraries(cols, partition.k)
 
 
-def entropy_tables(map: HyperbolicToralMap, partition: MarkovPartition,
-                   source: CylinderSource,
+def entropy_tables(stream: Itineraries,
                    depths: Sequence[int]) -> Dict[int, CylinderTable]:
-    """Cylinder tables at several depths from one shared start set."""
+    """Cylinder tables at several depths from one shared start set.
+
+    Every table counts the same starts: for an orbit stream of length L,
+    starts 0..L-max(depths).  Depth-d codes are built from the depth-(d-1)
+    codes with one multiply-add.
+    """
     depths = sorted(set(int(d) for d in depths))
     if depths[0] < 1:
         raise ValueError("depths must be >= 1")
-    max_depth = depths[-1]
-    symbols, n_starts, layout = _source_symbols(map, partition, source,
-                                                max_depth)
+    if stream.k ** depths[-1] > np.iinfo(np.int64).max:
+        raise ValueError(f"depth {depths[-1]} overflows int64 word codes")
     out = {}
-    for d in depths:
-        if layout == "orbit":
-            out[d] = _symbol_windows(symbols, d, n_starts, partition.k)
+    codes = None
+    for d, row in enumerate(stream.rows(depths[-1]), start=1):
+        if codes is None:
+            codes = row.astype(np.int64)
         else:
-            flat = symbols[:d].T.copy()
-            codes = np.zeros(n_starts, dtype=np.int64)
-            for j in range(d):
-                codes = codes * partition.k + flat[:, j]
+            codes *= stream.k
+            codes += row
+        if d in depths:
             vals, cnts = np.unique(codes, return_counts=True)
-            counts: Dict[Itinerary, int] = {}
-            for v, c in zip(vals.tolist(), cnts.tolist()):
-                word = []
-                for _ in range(d):
-                    word.append(v % partition.k)
-                    v //= partition.k
-                counts[tuple(reversed(word))] = c
-            out[d] = CylinderTable(depth=d, counts=counts,
-                                   total=int(cnts.sum()))
+            out[d] = CylinderTable(d, stream.k, vals,
+                                   cnts.astype(np.int64, copy=False))
     return out
 
 
-def cylinder_frequencies(map: HyperbolicToralMap, partition: MarkovPartition,
-                         source: CylinderSource, n: int) -> CylinderTable:
+def cylinder_frequencies(stream: Itineraries, n: int) -> CylinderTable:
     """Empirical cylinder distribution at depth n."""
-    return entropy_tables(map, partition, source, [n])[n]
+    return entropy_tables(stream, [n])[n]
 
 
 def weighted_merge(tables: Sequence[CylinderTable],
                    weights: Sequence[float]) -> CylinderTable:
     """Mixture table: counts rescaled so component masses match the weights.
 
-    Counts stay integers (rounded); every surviving itinerary was observed in
-    some component.
+    Counts stay integers (each rescaled count rounded half to even); the
+    merged table's rounded_mass is the summed |rounded - rescaled| over all
+    component counts.  Every surviving itinerary was observed in some
+    component.
     """
     if len(tables) != len(weights):
         raise ValueError("one weight per table")
     if abs(sum(weights) - 1.0) > 1e-9:
         raise ValueError("weights must sum to 1")
-    depth = tables[0].depth
-    if any(t.depth != depth for t in tables):
-        raise ValueError("tables must share a depth")
+    depth, k = tables[0].depth, tables[0].k
+    if any(t.depth != depth or t.k != k for t in tables):
+        raise ValueError("tables must share a depth and an alphabet")
     base = max(t.total for t in tables)
-    out: Dict[Itinerary, int] = {}
-    total = 0
-    for t, w in zip(tables, weights):
-        scale = w * base / t.total
-        for word, c in t.counts.items():
-            add = int(round(c * scale))
-            if add > 0:
-                out[word] = out.get(word, 0) + add
-                total += add
-    return CylinderTable(depth=depth, counts=out, total=total)
+    scaled = [t.counts * (w * base / t.total) for t, w in zip(tables, weights)]
+    rounded = [np.rint(s) for s in scaled]
+    moved = float(sum(np.abs(r - s).sum() for r, s in zip(rounded, scaled)))
+    codes = np.concatenate([t.codes for t in tables])
+    counts = np.concatenate(rounded).astype(np.int64)
+    keep = counts > 0
+    codes, counts = codes[keep], counts[keep]
+    order = np.argsort(codes)
+    codes, counts = _sum_runs(codes[order], counts[order])
+    return CylinderTable(depth, k, codes, counts, rounded_mass=moved)
 
 
 def partition_entropy(table: CylinderTable) -> float:
     """Plug-in entropy -sum p log p (natural log, 0 log 0 = 0)."""
     if table.total <= 0:
         raise ValueError("table is empty")
-    c = np.array(list(table.counts.values()), dtype=float)
-    pr = c / table.total
+    pr = table.counts / table.total
     return float(-np.sum(pr * np.log(pr)))
 
 
@@ -533,10 +566,8 @@ class EntropyRateResult:
     adequacy_factor: int = ADEQUACY_FACTOR
 
 
-def entropy_rate_estimate(map: HyperbolicToralMap,
-                          partition: MarkovPartition,
-                          source: CylinderSource,
-                          n_range: Sequence[int]) -> EntropyRateResult:
+def entropy_rate_estimate(tables: Dict[int, CylinderTable]
+                          ) -> EntropyRateResult:
     """Entropy rate from plug-in cylinder entropies.
 
     A depth is adequate when the sample count is at least ADEQUACY_FACTOR
@@ -544,7 +575,6 @@ def entropy_rate_estimate(map: HyperbolicToralMap,
     deepest adequate depth and the whole (depth, H/depth) sequence is
     retained.
     """
-    tables = entropy_tables(map, partition, source, n_range)
     seq = []
     best = None
     for d in sorted(tables):
@@ -557,7 +587,7 @@ def entropy_rate_estimate(map: HyperbolicToralMap,
             best = (d, h_over_n)
     if best is None:
         raise InsufficientSamples(
-            f"no depth in {list(n_range)} meets the {ADEQUACY_FACTOR}x "
+            f"no depth in {sorted(tables)} meets the {ADEQUACY_FACTOR}x "
             "sample-adequacy rule")
     return EntropyRateResult(h_est=best[1], depth_used=best[0], sequence=seq)
 
@@ -591,11 +621,10 @@ def cylinder_count_rate(partition: MarkovPartition,
                       counts=[(n, counts[n]) for n in ns])
 
 
-def entropy_count_bound_check(map: HyperbolicToralMap,
-                              partition: MarkovPartition,
-                              source: CylinderSource, epsilon: float, n: int,
+def entropy_count_bound_check(partition: MarkovPartition,
+                              table: CylinderTable, epsilon: float,
                               k0_range: Sequence[int] = range(1, 15)) -> float:
-    """Margin of the cylinder-counting entropy bound.
+    """Margin of the cylinder-counting entropy bound on a depth-n table.
 
     A is the smallest union of depth-n cylinders with empirical mass above
     1 - epsilon (largest counts first).  Returns
@@ -606,18 +635,12 @@ def entropy_count_bound_check(map: HyperbolicToralMap,
     """
     if not 0 < epsilon < 0.25:
         raise ValueError("epsilon must be in (0, 1/4)")
-    table = cylinder_frequencies(map, partition, source, n)
+    n = table.depth
     h = partition_entropy(table)
     k0 = cylinder_count_rate(partition, k0_range).k0_est
-    counts = sorted(table.counts.values(), reverse=True)
+    mass = np.cumsum(np.sort(table.counts)[::-1])
     need = (1.0 - epsilon) * table.total
-    mass = 0
-    taken = 0
-    for c in counts:
-        mass += c
-        taken += 1
-        if mass > need:
-            break
+    taken = min(int(np.searchsorted(mass, need, side="right")) + 1, len(mass))
     lhs = math.log(taken)
     rhs = (h - n * k0 * epsilon + epsilon * math.log(epsilon)
            + (1.0 - epsilon) * math.log(1.0 - epsilon))

@@ -176,8 +176,13 @@ def _run_entropy(cfg: ExperimentConfig) -> dict:
         raise ValueError("the Markov partition is built for the cat matrix "
                          "[[2,1],[1,1]]")
     source = _entropy_source(cfg)
-    est = markov_mod.entropy_rate_estimate(cfg.map, part, source,
-                                           cfg.entropy["depths"])
+    depths = cfg.entropy["depths"]
+    bc = cfg.entropy.get("bound_check")
+    # one walk of the source serves the entropy tables and the bound table
+    stream = markov_mod.itineraries(
+        cfg.map, part, source, max(depths + ([bc["depth"]] if bc else [])))
+    est = markov_mod.entropy_rate_estimate(
+        markov_mod.entropy_tables(stream, depths))
     rates = markov_mod.cylinder_count_rate(part, cfg.entropy["count_depths"])
     out = {
         "h_est": est.h_est,
@@ -193,10 +198,10 @@ def _run_entropy(cfg: ExperimentConfig) -> dict:
                       "expansion": part.expansion},
         "non_exact_partition": not cfg.map.is_linear,
     }
-    bc = cfg.entropy.get("bound_check")
     if bc:
         margin = markov_mod.entropy_count_bound_check(
-            cfg.map, part, source, bc["epsilon"], bc["depth"])
+            part, markov_mod.cylinder_frequencies(stream, bc["depth"]),
+            bc["epsilon"])
         out["bound_check"] = {**bc, "margin": margin,
                               "ok": margin >= -bc["tolerance"]}
     return out
@@ -238,6 +243,8 @@ def _run_residuals(cfg: ExperimentConfig, stages: dict,
         out["unstable_integral"] = integral
     if a_est is not None and h_est is not None and integral is not None:
         out["rate_residual"] = basin_mod.rate_residual(a_est, h_est, integral)
+        # the eps of final_slope: the smallest eps with a rate estimate
+        out["rate_residual_epsilon"] = basin_st["rates"][-1]["epsilon"]
         out["a_est"] = a_est
     return out
 

@@ -5,10 +5,13 @@ One test per criterion; each prints its PASS/FAIL line.  Heavy artifacts
 session-scoped suite.  Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
+import numpy as np
 import pytest
 
 from toruslab.basin import RateEstimate, SweepResult
 from toruslab.experiments import AcceptanceSuite
+from toruslab.markov import weighted_merge
+from toruslab.weakstar import DiscreteMeasure
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +63,20 @@ def test_criterion_09_mixture_affinity(suite):
 
 def test_criterion_10_perturbed_robustness(suite):
     _check(suite.criterion_10())
+
+
+def test_criterion_09_merge_reports_rounding(suite):
+    """Criterion 9's half/half merge: halving the reference orbit's depth-12
+    counts rounds every odd count by 1/2 (half to even); the Dirac count is
+    rescaled to half the orbit's even start count exactly."""
+    leb = suite.leb_tables()[12]
+    dirac = suite.cylinder_table(DiscreteMeasure.dirac((0.0, 0.0)), 12)
+    merged = weighted_merge([leb, dirac], [0.5, 0.5])
+    odd = int(np.count_nonzero(leb.counts % 2))
+    assert leb.total % 2 == 0
+    assert merged.rounded_mass == 0.5 * odd
+    assert odd > 0
+    assert abs(merged.total - leb.total) <= merged.rounded_mass
 
 
 def _dirac_sweep(slopes):

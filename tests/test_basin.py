@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toruslab.basin import (InsufficientData, BasinCurve, SampleGrid, Verdict,
-                            basin_curve, basin_membership,
-                            basin_volume_estimate, curve_sweep, epsilon_sweep,
-                            pesin_defect, rate_estimate, rate_residual,
+from toruslab.basin import (THREADS_ENV_VAR, InsufficientData, BasinCurve,
+                            SampleGrid, Verdict, basin_curve, basin_membership,
+                            basin_volume_estimate, curve_sweep,
+                            default_threads, epsilon_sweep, pesin_defect,
+                            rate_estimate, rate_residual,
                             weak_pseudo_physical_verdict)
 from toruslab.weakstar import (LEBESGUE, DiscreteMeasure, TestFunctionFamily,
                                empirical_measure, moments,
@@ -242,3 +243,22 @@ class TestGrid:
         pts = g.chunk(0, 16)
         assert np.allclose(pts[0], [0.125, 0.125])
         assert np.allclose(pts[-1], [0.875, 0.875])
+
+
+class TestDefaultThreads:
+    def test_env_value_used(self, monkeypatch):
+        monkeypatch.setenv(THREADS_ENV_VAR, "3")
+        assert default_threads() == 3
+
+    def test_unset_or_empty_uses_cpu_count(self, monkeypatch):
+        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+        assert default_threads() >= 1
+        monkeypatch.setenv(THREADS_ENV_VAR, "")
+        assert default_threads() >= 1
+
+    @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-1", "-8"])
+    def test_bad_value_named(self, monkeypatch, value):
+        monkeypatch.setenv(THREADS_ENV_VAR, value)
+        with pytest.raises(ValueError) as info:
+            default_threads()
+        assert f"{THREADS_ENV_VAR}={value!r}" in str(info.value)

@@ -9,6 +9,9 @@ import pytest
 
 from toruslab.config import (ConfigInvalid, config_hash, load_config,
                              moment_vector_for_target, parse_config)
+from toruslab.markov import (cat_map_partition, cylinder_frequencies,
+                             entropy_count_bound_check, entropy_rate_estimate,
+                             entropy_tables, itineraries)
 from toruslab.runner import check_expectations, report, run, MissingRecord
 
 
@@ -127,20 +130,31 @@ class TestRunner:
         fails = check_expectations(rec, {"verdict": "negative_rate"})
         assert fails and "verdict" in fails[0]
 
-    def test_dirac_residual_pipeline(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def dirac_record(self, tmp_path_factory):
         cfg = parse_config(minimal_config(
-            tmp_path, label="dirac-mini",
+            tmp_path_factory.mktemp("dirac"), label="dirac-mini",
             target={"kind": "dirac", "point": [0.0, 0.0]},
             basin={"epsilons": [0.2, 0.1], "n_values": list(range(4, 11)),
                    "window": [4, 10], "min_hits": 5},
             grid={"resolution": 128}))
-        rec = run(cfg, threads=1)
-        res = rec["stages"]["residuals"]
+        return run(cfg, threads=1)
+
+    def test_dirac_residual_pipeline(self, dirac_record):
+        res = dirac_record["stages"]["residuals"]
         assert res["h_est"] == 0.0
         assert res["h_est_source"] == "point_mass_exact"
         assert abs(res["unstable_integral"]
                    - math.log((3 + math.sqrt(5)) / 2)) < 1e-9
         assert "rate_residual" in res
+
+    def test_rate_residual_names_its_epsilon(self, dirac_record):
+        # the residual is measured at the smallest eps of the sweep
+        res = dirac_record["stages"]["residuals"]
+        rates = dirac_record["stages"]["basin"]["rates"]
+        assert [r["epsilon"] for r in rates] == [0.2, 0.1]
+        assert res["rate_residual_epsilon"] == 0.1
+        assert res["a_est"] == rates[-1]["slope"]
 
     def test_entropy_stage_with_bound_check(self, tmp_path):
         cfg = parse_config(minimal_config(
@@ -159,6 +173,34 @@ class TestRunner:
         assert abs(dict((r["depth"], r["rate"])
                         for r in ent["count_rates"])[14]
                    - 0.9624236501192069) <= 0.09624236501192069
+
+
+    @pytest.mark.parametrize("source, depths, bound_depth", [
+        ({"kind": "orbit", "point": [0.2137214321, 0.5721347123],
+          "length": 200000}, list(range(1, 9)), 10),
+        ({"kind": "grid", "resolution": 64}, [1, 2, 3, 4], 6),
+    ], ids=["orbit", "grid"])
+    def test_entropy_stage_matches_standalone_calls(self, tmp_path, source,
+                                                    depths, bound_depth):
+        # the runner walks its source once; its numbers must equal separate
+        # walks for the tables and for the depth-n bound table, bit for bit
+        cfg = parse_config(minimal_config(
+            tmp_path, label="ent-walk", basin=None,
+            entropy={"source": source, "depths": depths,
+                     "bound_check": {"epsilon": 0.1, "depth": bound_depth}}))
+        ent = run(cfg, threads=1)["stages"]["entropy"]
+        part = cat_map_partition()
+        src = cfg.entropy["source"]
+        table = cylinder_frequencies(
+            itineraries(cfg.map, part, src, bound_depth), bound_depth)
+        assert (ent["bound_check"]["margin"]
+                == entropy_count_bound_check(part, table, 0.1))
+        est = entropy_rate_estimate(entropy_tables(
+            itineraries(cfg.map, part, src, max(depths)), depths))
+        assert ent["sequence"] == [
+            {"depth": d, "h_over_n": h, "observed": obs, "adequate": ok}
+            for d, h, obs, ok in est.sequence]
+        assert ent["h_est"] == est.h_est
 
 
 class TestReport:

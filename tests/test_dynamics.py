@@ -123,7 +123,44 @@ class TestDifferential:
             assert float(np.max(np.abs(fd - D[:, :, axis]))) < 1e-6
 
 
+def reference_orbit(m, point, n):
+    """Element-by-element copy of the scalar orbit loop; HyperbolicToralMap
+    .orbit must return exactly these floats."""
+    out = np.empty((n, 2))
+    a00, a01 = float(m.matrix[0, 0]), float(m.matrix[0, 1])
+    a10, a11 = float(m.matrix[1, 0]), float(m.matrix[1, 1])
+    p = wrap(np.asarray(point, dtype=float).reshape(2))
+    x, y = float(p[0]), float(p[1])
+    terms = [(float(c[0]), float(c[1]), float(k[0]), float(k[1]))
+             for c, k in zip(m._coeffs, m._freqs)] if not m.is_linear else []
+    for i in range(n):
+        out[i, 0] = x
+        out[i, 1] = y
+        if m.is_linear:
+            x, y = (a00 * x + a01 * y) % 1.0, (a10 * x + a11 * y) % 1.0
+            continue
+        px = py = 0.0
+        for c0, c1, k0, k1 in terms:
+            s = math.sin(2.0 * math.pi * (k0 * x + k1 * y))
+            px += c0 * s
+            py += c1 * s
+        x, y = ((a00 * x + a01 * y + m.amplitude * px) % 1.0,
+                (a10 * x + a11 * y + m.amplitude * py) % 1.0)
+    out[out >= 1.0] = 0.0
+    return out
+
+
 class TestOrbit:
+    @pytest.mark.parametrize("amplitude", [0.0, 0.005])
+    @pytest.mark.parametrize("point", [(0.2137214321, 0.5721347123),
+                                       (1.25, -0.5), (0.0, 0.0)])
+    def test_bit_identical_to_reference_loop(self, amplitude, point):
+        m = HyperbolicToralMap([[2, 1], [1, 1]], amplitude,
+                               [((1.0, 0.0), (0, 1))] if amplitude else ())
+        got = m.orbit(point, 20_000)
+        assert got.dtype == np.float64 and got.shape == (20_000, 2)
+        assert np.array_equal(got, reference_orbit(m, point, 20_000))
+
     def test_single(self, cat):
         o = cat.orbit([0.3, 0.4], 1)
         assert o.shape == (1, 2)

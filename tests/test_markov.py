@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from toruslab.basin import SampleGrid
-from toruslab.markov import (ADEQUACY_FACTOR, CylinderTable,
-                             InsufficientSamples, OrbitSource,
-                             cylinder_count_rate, cylinder_frequencies,
-                             entropy_count_bound_check, entropy_rate_estimate,
-                             entropy_tables, itinerary, locate,
+from toruslab.markov import (CylinderTable, InsufficientSamples,
+                             OrbitSource, cylinder_count_rate,
+                             cylinder_frequencies, entropy_count_bound_check,
+                             entropy_rate_estimate, entropy_tables,
+                             itineraries, itinerary, locate,
                              partition_entropy, weighted_merge)
 from toruslab.weakstar import DiscreteMeasure
 
@@ -104,98 +104,203 @@ class TestItinerary:
             assert full[1:] == tail
 
 
+def walk_table(m, partition, source, n):
+    return cylinder_frequencies(itineraries(m, partition, source, n), n)
+
+
+def walk_tables(m, partition, source, depths):
+    return entropy_tables(itineraries(m, partition, source, max(depths)),
+                          depths)
+
+
+def as_dict(table):
+    return dict(zip(table.words(), table.counts.tolist()))
+
+
+def make_table(depth, counts, k=5):
+    """Table from a {word: count} dict, for hand-built cases."""
+    codes = [sum(s * k ** (depth - 1 - j) for j, s in enumerate(w))
+             for w in counts]
+    order = np.argsort(codes)
+    return CylinderTable(depth, k, np.array(codes, dtype=np.int64)[order],
+                         np.array(list(counts.values()),
+                                  dtype=np.int64)[order])
+
+
+def reference_tables(m, partition, source, depths):
+    """{depth: {word: count}} from the element-wise base-k code and tuple
+    decode loop, in code order; independent of CylinderTable."""
+    k, top = partition.k, max(depths)
+    if isinstance(source, OrbitSource):
+        sym = locate(partition, m.orbit(source.point, source.length))
+        n_starts = len(sym) - top + 1
+        rows = [sym[j:j + n_starts] for j in range(top)]
+    else:
+        x = (source.chunk(0, source.size) if isinstance(source, SampleGrid)
+             else source.atoms)
+        rows = []
+        for j in range(top):
+            rows.append(locate(partition, x))
+            x = m.step(x)
+    out = {}
+    for d in depths:
+        codes = np.zeros(len(rows[0]), dtype=np.int64)
+        for j in range(d):
+            codes = codes * k + rows[j]
+        vals, cnts = np.unique(codes, return_counts=True)
+        counts = {}
+        for v, c in zip(vals.tolist(), cnts.tolist()):
+            word = []
+            for _ in range(d):
+                word.append(v % k)
+                v //= k
+            counts[tuple(reversed(word))] = c
+        out[d] = counts
+    return out
+
+
 class TestCylinderTables:
     def test_dirac_single_cylinder(self, cat, partition):
-        t = cylinder_frequencies(cat, partition,
-                                 DiscreteMeasure.dirac((0.0, 0.0)), 6)
-        assert t.counts == {(0,) * 6: 1}
+        t = walk_table(cat, partition, DiscreteMeasure.dirac((0.0, 0.0)), 6)
+        assert as_dict(t) == {(0,) * 6: 1}
         assert partition_entropy(t) == 0.0
 
     def test_grid_depth1_matches_areas(self, cat, partition):
         g = 256
-        t = cylinder_frequencies(cat, partition, SampleGrid(resolution=g), 1)
+        t = as_dict(walk_table(cat, partition, SampleGrid(resolution=g), 1))
+        total = sum(t.values())
         for i, a in enumerate(partition.areas):
-            assert abs(t.counts[(i,)] / t.total - a) < 2.0 / g
+            assert abs(t[(i,)] / total - a) < 2.0 / g
 
     def test_observed_at_most_admissible(self, cat, partition):
-        tables = entropy_tables(cat, partition,
-                                OrbitSource(SEED_POINT, 100_000),
-                                [1, 2, 3, 4, 5, 6])
+        tables = walk_tables(cat, partition,
+                             OrbitSource(SEED_POINT, 100_000),
+                             [1, 2, 3, 4, 5, 6])
         counts = dict(cylinder_count_rate(partition, range(1, 7)).counts)
         for d, t in tables.items():
             assert len(t.counts) <= counts[d]
 
     def test_shift_consistency_exact(self, cat, partition):
-        tables = entropy_tables(cat, partition,
-                                OrbitSource(SEED_POINT, 50_000), [7, 8])
-        assert tables[8].marginal().counts == tables[7].counts
+        tables = walk_tables(cat, partition,
+                             OrbitSource(SEED_POINT, 50_000), [7, 8])
+        assert as_dict(tables[8].marginal()) == as_dict(tables[7])
+        assert np.array_equal(tables[8].marginal().codes, tables[7].codes)
+        assert np.array_equal(tables[8].marginal().counts, tables[7].counts)
 
     def test_shift_consistency_grid_source(self, cat, partition):
-        tables = entropy_tables(cat, partition, SampleGrid(resolution=64),
-                                [3, 4])
-        assert tables[4].marginal().counts == tables[3].counts
+        tables = walk_tables(cat, partition, SampleGrid(resolution=64),
+                             [3, 4])
+        assert as_dict(tables[4].marginal()) == as_dict(tables[3])
+        assert np.array_equal(tables[4].marginal().codes, tables[3].codes)
 
     def test_nonuniform_weights_rejected(self, cat, partition):
         mu = DiscreteMeasure(np.array([[0.1, 0.1], [0.6, 0.7]]),
                              np.array([0.25, 0.75]))
         with pytest.raises(ValueError, match="uniform"):
-            cylinder_frequencies(cat, partition, mu, 3)
+            walk_table(cat, partition, mu, 3)
+
+    @pytest.mark.parametrize("source", [
+        OrbitSource(SEED_POINT, 20_000),
+        SampleGrid(resolution=48),
+        DiscreteMeasure(np.random.default_rng(7).random((3000, 2))),
+    ], ids=["orbit", "grid", "atoms"])
+    def test_words_match_reference_decoder(self, cat, partition, source):
+        depths = list(range(1, 9))
+        tables = walk_tables(cat, partition, source, depths)
+        ref = reference_tables(cat, partition, source, depths)
+        for d in depths:
+            t = tables[d]
+            assert t.words() == list(ref[d])
+            assert t.counts.tolist() == list(ref[d].values())
+            assert t.total == sum(ref[d].values())
+            assert np.all(np.diff(t.codes) > 0)
+
+    def test_one_walk_serves_every_depth(self, cat, partition):
+        # tables of one walk equal tables of separate walks that stop at the
+        # requested depth (orbit windows at starts 0..L-max(depths))
+        for source in (OrbitSource(SEED_POINT, 5_000),
+                       SampleGrid(resolution=32)):
+            stream = itineraries(cat, partition, source, 9)
+            for n in (3, 6, 9):
+                t = cylinder_frequencies(stream, n)
+                alone = walk_table(cat, partition, source, n)
+                assert np.array_equal(t.codes, alone.codes)
+                assert np.array_equal(t.counts, alone.counts)
+        with pytest.raises(ValueError, match="depth 10"):
+            cylinder_frequencies(itineraries(cat, partition,
+                                             SampleGrid(resolution=8), 9), 10)
+
+    def test_code_overflow_rejected(self, cat, partition):
+        stream = itineraries(cat, partition, OrbitSource(SEED_POINT, 100), 30)
+        with pytest.raises(ValueError, match="int64"):
+            entropy_tables(stream, [28])
+
+    def test_words_of_hand_built_table(self):
+        t = make_table(3, {(4, 0, 2): 1, (0, 1, 0): 2})
+        assert t.codes.tolist() == [5, 102]
+        assert t.words() == [(0, 1, 0), (4, 0, 2)]
+        assert t.total == 3
 
 
 class TestEntropy:
     def test_single_cylinder_zero(self):
-        t = CylinderTable(depth=3, counts={(0, 0, 0): 17}, total=17)
+        t = make_table(3, {(0, 0, 0): 17})
         assert partition_entropy(t) == 0.0
 
     def test_uniform_log_m(self):
-        t = CylinderTable(depth=2, counts={(0, 0): 5, (0, 1): 5, (1, 0): 5},
-                          total=15)
+        t = make_table(2, {(0, 0): 5, (0, 1): 5, (1, 0): 5})
+        assert t.total == 15
         assert abs(partition_entropy(t) - math.log(3)) < 1e-15
 
     def test_entropy_le_log_observed(self, cat, partition):
-        t = cylinder_frequencies(cat, partition,
-                                 OrbitSource(SEED_POINT, 30_000), 6)
+        t = walk_table(cat, partition, OrbitSource(SEED_POINT, 30_000), 6)
         assert partition_entropy(t) <= math.log(len(t.counts)) + 1e-12
 
     def test_grid_depth1_entropy_matches_areas(self, cat, partition):
-        t = cylinder_frequencies(cat, partition, SampleGrid(resolution=512), 1)
+        t = walk_table(cat, partition, SampleGrid(resolution=512), 1)
         exact = -sum(a * math.log(a) for a in partition.areas)
         assert abs(partition_entropy(t) - exact) < 1e-3
 
     def test_rate_estimate_dirac_zero(self, cat, partition):
-        est = entropy_rate_estimate(cat, partition,
-                                    OrbitSource((0.0, 0.0), 2000),
-                                    range(1, 9))
+        est = entropy_rate_estimate(walk_tables(
+            cat, partition, OrbitSource((0.0, 0.0), 2000), range(1, 9)))
         assert est.h_est == 0.0
 
     def test_rate_estimate_leb_short(self, cat, partition):
-        est = entropy_rate_estimate(cat, partition,
-                                    OrbitSource(SEED_POINT, 300_000),
-                                    range(4, 9))
+        est = entropy_rate_estimate(walk_tables(
+            cat, partition, OrbitSource(SEED_POINT, 300_000), range(4, 9)))
         assert est.depth_used == 8
         assert abs(est.h_est - LOG_LAMBDA) < 0.15
 
     def test_adjacent_depths_stable(self, cat, partition):
-        est = entropy_rate_estimate(cat, partition,
-                                    OrbitSource(SEED_POINT, 300_000),
-                                    range(4, 9))
+        est = entropy_rate_estimate(walk_tables(
+            cat, partition, OrbitSource(SEED_POINT, 300_000), range(4, 9)))
         rates = [h for _, h, _, ok in est.sequence if ok]
         assert max(abs(a - b) for a, b in zip(rates, rates[1:])) < 0.05
 
     def test_inadequate_raises(self, cat, partition):
         with pytest.raises(InsufficientSamples):
-            entropy_rate_estimate(cat, partition,
-                                  OrbitSource(SEED_POINT, 120), [10])
+            entropy_rate_estimate(walk_tables(
+                cat, partition, OrbitSource(SEED_POINT, 120), [10]))
 
     def test_weighted_merge_halves(self, cat, partition):
-        leb = cylinder_frequencies(cat, partition,
-                                   OrbitSource(SEED_POINT, 20_000), 4)
-        dirac = cylinder_frequencies(cat, partition,
-                                     DiscreteMeasure.dirac((0.0, 0.0)), 4)
+        leb = walk_table(cat, partition, OrbitSource(SEED_POINT, 20_000), 4)
+        dirac = walk_table(cat, partition, DiscreteMeasure.dirac((0.0, 0.0)),
+                           4)
         mix = weighted_merge([leb, dirac], [0.5, 0.5])
-        share = mix.counts[(0, 0, 0, 0)] / mix.total
-        assert abs(share - (0.5 + 0.5 * leb.counts.get((0, 0, 0, 0), 0)
+        share = as_dict(mix)[(0, 0, 0, 0)] / mix.total
+        assert abs(share - (0.5 + 0.5 * as_dict(leb).get((0, 0, 0, 0), 0)
                             / leb.total)) < 1e-3
+
+    def test_weighted_merge_reports_rounding(self):
+        a = make_table(2, {(0, 0): 3, (0, 1): 1, (1, 0): 4})
+        b = make_table(2, {(0, 1): 1})
+        mix = weighted_merge([a, b], [0.25, 0.75])
+        # a scaled by 1/4: 0.75, 0.25, 1.0 -> 1, 0, 1; b by 6: exact
+        assert as_dict(mix) == {(0, 0): 1, (0, 1): 6, (1, 0): 1}
+        assert mix.rounded_mass == 0.25 + 0.25
+        assert abs(mix.total - a.total) <= mix.rounded_mass
+        assert a.rounded_mass == 0.0
 
 
 class TestCountRates:
@@ -223,27 +328,48 @@ class TestCountRates:
 
 class TestCountBound:
     def test_fixed_point_nonnegative(self, cat, partition):
-        m = entropy_count_bound_check(cat, partition,
-                                      DiscreteMeasure.dirac((0.0, 0.0)),
-                                      0.1, 8)
+        m = entropy_count_bound_check(
+            partition,
+            walk_table(cat, partition, DiscreteMeasure.dirac((0.0, 0.0)), 8),
+            0.1)
         assert m >= 0.0
 
     def test_full_cover_case(self, cat, partition):
         # tiny epsilon forces A to cover nearly everything observed:
         # log #A >= H always
-        m = entropy_count_bound_check(cat, partition,
-                                      OrbitSource(SEED_POINT, 50_000),
-                                      0.01, 5)
+        m = entropy_count_bound_check(
+            partition,
+            walk_table(cat, partition, OrbitSource(SEED_POINT, 50_000), 5),
+            0.01)
         assert m >= 0.0
 
     def test_lebesgue_margin(self, cat, partition):
-        m = entropy_count_bound_check(cat, partition,
-                                      OrbitSource(SEED_POINT, 500_000),
-                                      0.1, 8)
+        m = entropy_count_bound_check(
+            partition,
+            walk_table(cat, partition, OrbitSource(SEED_POINT, 500_000), 8),
+            0.1)
         assert m >= -0.05
 
     def test_epsilon_domain(self, cat, partition):
         with pytest.raises(ValueError):
-            entropy_count_bound_check(cat, partition,
-                                      DiscreteMeasure.dirac((0.0, 0.0)),
-                                      0.3, 5)
+            entropy_count_bound_check(
+                partition,
+                walk_table(cat, partition,
+                           DiscreteMeasure.dirac((0.0, 0.0)), 5),
+                0.3)
+
+    def test_cover_matches_greedy_loop(self, cat, partition):
+        # #A from the sorted cumulative sum equals the largest-first loop
+        t = walk_table(cat, partition, OrbitSource(SEED_POINT, 50_000), 6)
+        k0 = cylinder_count_rate(partition, range(1, 15)).k0_est
+        h = partition_entropy(t)
+        for eps in (0.01, 0.1, 0.2):
+            mass = taken = 0
+            for c in sorted(t.counts.tolist(), reverse=True):
+                mass += c
+                taken += 1
+                if mass > (1.0 - eps) * t.total:
+                    break
+            want = math.log(taken) - (h - 6 * k0 * eps + eps * math.log(eps)
+                                      + (1 - eps) * math.log(1 - eps))
+            assert entropy_count_bound_check(partition, t, eps) == want
