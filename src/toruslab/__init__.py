@@ -51,9 +51,7 @@ from toruslab.basin import (
     RateEstimate,
     SampleGrid,
     Verdict,
-    basin_curve,
     basin_membership,
-    basin_volume_estimate,
     curve_sweep,
     epsilon_sweep,
     pesin_defect,

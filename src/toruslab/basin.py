@@ -7,6 +7,13 @@ jittered inside cells with a seeded generator); membership is evaluated by
 accumulating the test-function sums along each orbit, so a single traversal
 of length max(n) yields every requested n and every epsilon at once.
 
+The chunk kernel keeps one complex (F, N) array of running mode sums per
+chunk of N start points: each step adds e^(2 pi i k.x) for the family's F
+frequencies, built from a power table with no trig call per frequency (see
+`weakstar`), and weak* distances are formed only at the requested n.  CHUNK
+start points keep that array and the per-step temporaries within a few MB,
+so they stay in cache; it is a fixed constant, not a setting.
+
 Work is split into fixed-size chunks of start points that are independent of
 the worker count; hit counters are integers merged by addition, so counts are
 bit-identical for any thread count.
@@ -26,7 +33,7 @@ import numpy as np
 from toruslab.dynamics import HyperbolicToralMap
 from toruslab.weakstar import MomentVector, TestFunctionFamily
 
-CHUNK = 1 << 17
+CHUNK = 1 << 13
 THREADS_ENV_VAR = "TORUSLAB_THREADS"
 
 
@@ -130,19 +137,19 @@ class SweepResult:
 
 
 def _accumulate_hits(map: HyperbolicToralMap, points: np.ndarray,
-                     target: np.ndarray, weights: np.ndarray,
-                     epsilons: Sequence[float], n_values: Sequence[int],
+                     target: np.ndarray, epsilons: Sequence[float],
+                     n_values: Sequence[int],
                      family: TestFunctionFamily) -> np.ndarray:
     """Hit counts for one chunk, shape (n_eps, n_rows)."""
     hits = np.zeros((len(epsilons), len(n_values)), dtype=np.int64)
-    sums = np.zeros((len(points), family.truncation))
+    sums = family.zero_sums(len(points))
     x = points
     row = 0
     n_max = n_values[-1]
     for n in range(1, n_max + 1):
         family.accumulate(x, sums)
         if n == n_values[row]:
-            dist = np.abs(sums / n - target) @ weights
+            dist = family.sum_distances(sums, n, target)
             for ei, eps in enumerate(epsilons):
                 hits[ei, row] = int(np.count_nonzero(dist < eps))
             row += 1
@@ -150,6 +157,11 @@ def _accumulate_hits(map: HyperbolicToralMap, points: np.ndarray,
                 break
         x = map.step(x)
     return hits
+
+
+def _check_epsilon(eps: float) -> None:
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"epsilon must be finite and > 0, got {eps!r}")
 
 
 def curve_sweep(map: HyperbolicToralMap, target: MomentVector,
@@ -165,18 +177,20 @@ def curve_sweep(map: HyperbolicToralMap, target: MomentVector,
     if n_values[0] < 1:
         raise ValueError("n_values must be >= 1")
     epsilons = [float(e) for e in epsilons]
+    if not epsilons:
+        raise ValueError("epsilons must be non-empty")
+    for eps in epsilons:
+        _check_epsilon(eps)
     workers = threads if threads is not None else default_threads()
     offsets = grid._offsets() if grid.jitter else None
     tvals = target.values
-    w = family.weights
 
     spans = [(i, min(i + CHUNK, grid.size))
              for i in range(0, grid.size, CHUNK)]
 
     def work(span):
         pts = grid.chunk(span[0], span[1], offsets)
-        return _accumulate_hits(map, pts, tvals, w, epsilons, n_values,
-                                family)
+        return _accumulate_hits(map, pts, tvals, epsilons, n_values, family)
 
     if workers > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -191,23 +205,6 @@ def curve_sweep(map: HyperbolicToralMap, target: MomentVector,
             for ei, eps in enumerate(epsilons)]
 
 
-def basin_curve(map: HyperbolicToralMap, target: MomentVector, epsilon: float,
-                n_values: Sequence[int], grid: SampleGrid,
-                family: TestFunctionFamily,
-                threads: int | None = None) -> BasinCurve:
-    return curve_sweep(map, target, [epsilon], n_values, grid, family,
-                       threads)[0]
-
-
-def basin_volume_estimate(map: HyperbolicToralMap, target: MomentVector,
-                          epsilon: float, n: int, grid: SampleGrid,
-                          family: TestFunctionFamily,
-                          threads: int | None = None):
-    """(fraction, hits, samples) for a single n."""
-    curve = basin_curve(map, target, epsilon, [n], grid, family, threads)
-    return curve.fractions()[0], int(curve.hits[0]), curve.samples
-
-
 def basin_membership(map: HyperbolicToralMap, point, target: MomentVector,
                      epsilon: float, n: int,
                      family: TestFunctionFamily) -> bool:
@@ -215,11 +212,9 @@ def basin_membership(map: HyperbolicToralMap, point, target: MomentVector,
     the empirical measure is never materialized."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
+    _check_epsilon(epsilon)
     pts = np.asarray(point, dtype=float).reshape(1, 2)
-    hits = _accumulate_hits(map, pts, target.values, family.weights,
-                            [epsilon], [n], family)
+    hits = _accumulate_hits(map, pts, target.values, [epsilon], [n], family)
     return bool(hits[0, 0])
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -173,7 +174,16 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     basin = raw.get("basin")
     if basin is not None:
-        eps = [float(e) for e in _require(basin, "epsilons", "basin")]
+        try:
+            eps = [float(e) for e in _require(basin, "epsilons", "basin")]
+        except (TypeError, ValueError) as exc:
+            raise ConfigInvalid("basin.epsilons", str(exc)) from exc
+        if not eps:
+            raise ConfigInvalid("basin.epsilons", "must be non-empty")
+        bad = [e for e in eps if not (math.isfinite(e) and e > 0)]
+        if bad:
+            raise ConfigInvalid("basin.epsilons",
+                                f"must be finite and > 0, got {bad[0]!r}")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ConfigInvalid("basin.epsilons",
                                 "must be strictly decreasing")

@@ -10,6 +10,17 @@ The family separates measures on the torus (the moments are exactly the
 Fourier coefficients), hence metrizes weak* convergence; distances computed
 at different K agree to the tail bound but are only comparable at fixed K, so
 the truncation and enumeration version are stamped into every result record.
+
+Every mode is evaluated without a trig call per frequency: with
+z_c = e^(2 pi i x_c) from one complex exponential per coordinate, the power
+table z_c^a, a = -kmax..kmax (kmax the largest max-norm among the family's
+frequencies, 2 for K=33), gives e^(2 pi i k.x) = z_1^k1 z_2^k2 as one complex
+product per frequency.  Mode values are kept as complex (F, N) arrays, one
+row per frequency and contiguous in the points.  Transposed to (N, F) and
+viewed as float64, each point's row reads cos, sin, cos, sin, ... in the
+family's mode order, so its first K-1 entries are the trig modes for odd and
+even K alike.  `phi_values` and the basin kernel's running sums
+(`zero_sums`, `accumulate`, `sum_distances`) share this evaluator.
 """
 
 from __future__ import annotations
@@ -23,6 +34,7 @@ from toruslab.dynamics import TWO_PI, HyperbolicToralMap, wrap
 FAMILY_VERSION = "fourier-maxnorm-lex-v1"
 DEFAULT_TRUNCATION = 33
 ATOM_MERGE_TOL = 1e-12
+_PHI_ROWS = 1 << 13
 
 
 class FamilyMismatch(ValueError):
@@ -53,12 +65,14 @@ class TestFunctionFamily:
             raise ValueError("truncation must be >= 1")
         self.truncation = int(truncation)
         self.version = FAMILY_VERSION
-        n_modes = self.truncation - 1
         # mode i >= 1 uses frequency vector (i-1)//2; even offset cos, odd sin
-        self._freqs = _enumerate_frequencies((n_modes + 1) // 2)
-        self._is_cos = np.arange(n_modes) % 2 == 0
+        freqs = _enumerate_frequencies(self.truncation // 2)
+        self._kmax = int(np.abs(freqs).max(initial=0))
+        # columns of each frequency's two factors in the flattened power
+        # table [z_1^-kmax .. z_1^kmax, z_2^-kmax .. z_2^kmax]
+        self._pairs = [(k1 + self._kmax, k2 + 3 * self._kmax + 1)
+                       for k1, k2 in freqs.tolist()]
         self.weights = 2.0 ** -np.arange(self.truncation)
-        self._paired = n_modes % 2 == 0  # every frequency carries cos and sin
 
     def __eq__(self, other):
         return (isinstance(other, TestFunctionFamily)
@@ -74,45 +88,71 @@ class TestFunctionFamily:
     def tail_bound(self) -> float:
         return 2.0 ** (1 - self.truncation)
 
+    def _add_modes(self, p: np.ndarray, sums: np.ndarray) -> None:
+        """Add e^(2 pi i k.x) at each of the N points p, for every frequency
+        k of the family, into the row for k of the complex (F, N) `sums`.
+
+        The power table holds z_c^a, a = -kmax..kmax, for both coordinates;
+        each mode is one product of two of its rows.  Rows are contiguous in
+        the points, and the temporaries are the table plus one row."""
+        if not self._pairs:
+            return
+        k = self._kmax
+        pw = np.empty((2, 2 * k + 1, len(p)), dtype=complex)
+        np.exp(p.T * (1j * TWO_PI), out=pw[:, k + 1])
+        pw[:, k] = 1.0
+        for a in range(2, k + 1):
+            np.multiply(pw[:, k + a - 1], pw[:, k + 1], out=pw[:, k + a])
+        # |z| = 1, so z^-a is the conjugate of z^a
+        np.conjugate(pw[:, k + 1:], out=pw[:, k - 1::-1])
+        pw = pw.reshape(-1, len(p))
+        mode = np.empty(len(p), dtype=complex)
+        for j, (a, b) in enumerate(self._pairs):
+            np.multiply(pw[a], pw[b], out=mode)
+            sums[j] += mode
+
+    def _trig_modes(self, sums: np.ndarray) -> np.ndarray:
+        """The complex (F, N) sums as (N, K-1) floats in mode order: a row of
+        the transposed sums viewed as float64 reads cos, sin, cos, sin, ..."""
+        return (np.ascontiguousarray(sums.T).view(np.float64)
+                [:, :self.truncation - 1])
+
     def phi_values(self, points) -> np.ndarray:
         """phi_i at each point, shape (N, K)."""
         p = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.empty((p.shape[0], self.truncation))
         out[:, 0] = 1.0
-        self._trig_into(p, out[:, 1:], accumulate=False)
+        # row blocks keep the complex temporaries cache-sized on long atom
+        # lists; the output is the only array of full length
+        for i in range(0, len(p), _PHI_ROWS):
+            rows = p[i:i + _PHI_ROWS]
+            modes = self.zero_sums(len(rows))
+            self._add_modes(rows, modes)
+            block = out[i:i + _PHI_ROWS, 1:]
+            np.multiply(self._trig_modes(modes), 0.5, out=block)
+            block += 0.5
         return out
 
-    def accumulate(self, points, sums) -> None:
-        """Add phi_i(points) into the running sums array (N, K) in place."""
-        p = np.asarray(points, dtype=float)
-        sums[:, 0] += 1.0
-        self._trig_into(p, sums[:, 1:], accumulate=True)
+    def zero_sums(self, npoints: int) -> np.ndarray:
+        """Empty running sums for `accumulate`: complex (F, npoints), one
+        row per frequency."""
+        return np.zeros((len(self._pairs), npoints), dtype=complex)
 
-    def _trig_into(self, p, block, accumulate: bool) -> None:
-        n_modes = self.truncation - 1
-        if n_modes == 0:
-            return
-        phases = TWO_PI * (p @ self._freqs.T.astype(float))
-        if self._paired:
-            c = 0.5 + 0.5 * np.cos(phases)
-            s = 0.5 + 0.5 * np.sin(phases)
-            if accumulate:
-                block[:, 0::2] += c
-                block[:, 1::2] += s
-            else:
-                block[:, 0::2] = c
-                block[:, 1::2] = s
-        else:
-            idx_cos = np.flatnonzero(self._is_cos)
-            idx_sin = np.flatnonzero(~self._is_cos)
-            c = 0.5 + 0.5 * np.cos(phases[:, idx_cos // 2])
-            s = 0.5 + 0.5 * np.sin(phases[:, idx_sin // 2])
-            if accumulate:
-                block[:, idx_cos] += c
-                block[:, idx_sin] += s
-            else:
-                block[:, idx_cos] = c
-                block[:, idx_sin] = s
+    def accumulate(self, points, sums) -> None:
+        """Add e^(2 pi i k.x) at each point, for every frequency k of the
+        family, into the running sums from `zero_sums` in place."""
+        self._add_modes(np.asarray(points, dtype=float), sums)
+
+    def sum_distances(self, sums, n: int, target) -> np.ndarray:
+        """dist* from the mean over n accumulated steps to the target moment
+        values, one per point of `sums`.  Mean phi_0 is exactly 1 and a mean
+        trig mode is 1/2 + (1/2n) times the summed cos or sin."""
+        t = np.asarray(target, dtype=float)
+        dev = self._trig_modes(sums) * (0.5 / n)
+        dev += 0.5
+        dev -= t[1:]
+        np.abs(dev, out=dev)
+        return dev @ self.weights[1:] + self.weights[0] * abs(1.0 - t[0])
 
     def lebesgue_moments(self) -> np.ndarray:
         """Exact integrals: 1 for phi_0, 1/2 for every trig mode."""

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toruslab.basin import (THREADS_ENV_VAR, InsufficientData, BasinCurve,
-                            SampleGrid, Verdict, basin_curve, basin_membership,
-                            basin_volume_estimate, curve_sweep,
-                            default_threads, epsilon_sweep, pesin_defect,
-                            rate_estimate, rate_residual,
-                            weak_pseudo_physical_verdict)
+from toruslab.basin import (CHUNK, THREADS_ENV_VAR, InsufficientData,
+                            BasinCurve, SampleGrid, Verdict, _accumulate_hits,
+                            basin_membership, curve_sweep, default_threads,
+                            epsilon_sweep, pesin_defect, rate_estimate,
+                            rate_residual, weak_pseudo_physical_verdict)
+from toruslab.dynamics import TWO_PI, HyperbolicToralMap
 from toruslab.weakstar import (LEBESGUE, DiscreteMeasure, TestFunctionFamily,
-                               empirical_measure, moments,
-                               weak_star_distance)
+                               _enumerate_frequencies, empirical_measure,
+                               moments, weak_star_distance)
 
 LOG_CAT = math.log((3.0 + math.sqrt(5.0)) / 2.0)
 
@@ -55,14 +55,16 @@ class TestMembership:
 
 class TestVolumeEstimate:
     def test_huge_epsilon_full(self, cat, family, leb_target):
-        frac, hits, samples = basin_volume_estimate(
-            cat, leb_target, 2.1, 3, SampleGrid(resolution=32), family)
-        assert frac == 1.0 and hits == samples == 1024
+        curve, = curve_sweep(cat, leb_target, [2.1], [3],
+                             SampleGrid(resolution=32), family)
+        assert curve.fractions()[0] == 1.0
+        assert curve.hits[0] == curve.samples == 1024
 
     def test_dirac_n1_matches_fine_grid(self, cat, family, dirac_target):
         # coarse fraction vs an independent finer brute-force of the same set
-        coarse, _, _ = basin_volume_estimate(
-            cat, dirac_target, 0.1, 1, SampleGrid(resolution=256), family)
+        curve, = curve_sweep(cat, dirac_target, [0.1], [1],
+                             SampleGrid(resolution=256), family)
+        coarse = curve.fractions()[0]
         xs = (np.arange(1024) + 0.5) / 1024
         gx, gy = np.meshgrid(xs, xs, indexing="ij")
         pts = np.column_stack([gx.ravel(), gy.ravel()])
@@ -72,15 +74,15 @@ class TestVolumeEstimate:
         assert abs(coarse - fine) < 0.002
 
     def test_lebesgue_high_fraction(self, cat, family, leb_target):
-        frac, _, _ = basin_volume_estimate(
-            cat, leb_target, 0.1, 300, SampleGrid(resolution=128), family)
-        assert frac >= 0.99
+        curve, = curve_sweep(cat, leb_target, [0.1], [300],
+                             SampleGrid(resolution=128), family)
+        assert curve.fractions()[0] >= 0.99
 
 
 class TestCurves:
     def test_huge_epsilon_rows_full(self, cat, family, leb_target):
-        curve = basin_curve(cat, leb_target, 2.1, [1, 3, 5],
-                            SampleGrid(resolution=32), family)
+        curve, = curve_sweep(cat, leb_target, [2.1], [1, 3, 5],
+                             SampleGrid(resolution=32), family)
         assert np.all(curve.hits == curve.samples)
 
     def test_epsilon_domination(self, cat, family, dirac_target):
@@ -91,8 +93,8 @@ class TestCurves:
         assert np.all(c2.hits <= c1.hits)
 
     def test_dirac_hits_decay(self, cat, family, dirac_target):
-        curve = basin_curve(cat, dirac_target, 0.1, list(range(4, 11)),
-                            SampleGrid(resolution=512), family)
+        curve, = curve_sweep(cat, dirac_target, [0.1], list(range(4, 11)),
+                             SampleGrid(resolution=512), family)
         assert np.all(np.diff(curve.hits) < 0)
         # fractions cannot grow exponentially: slope at most noise above 0
         est = rate_estimate(curve, (4, 10))
@@ -107,24 +109,45 @@ class TestCurves:
             assert est.slope == 0.0 and est.stderr == 0.0
 
     def test_thread_count_determinism(self, cat, family, leb_target):
-        grid = SampleGrid(resolution=512)
+        # a partial last chunk and more chunks than two workers
+        g = math.isqrt(5 * CHUNK // 2) + 1
+        grid = SampleGrid(resolution=g)
+        assert grid.size % CHUNK and grid.size > 2 * CHUNK
         ns = [5, 10]
-        h1 = curve_sweep(cat, leb_target, [0.2], ns, grid, family,
-                         threads=1)[0].hits
-        h3 = curve_sweep(cat, leb_target, [0.2], ns, grid, family,
-                         threads=3)[0].hits
-        assert np.array_equal(h1, h3)
+        h1, h2, h3 = (curve_sweep(cat, leb_target, [0.2], ns, grid, family,
+                                  threads=t)[0].hits for t in (1, 2, 3))
+        assert np.array_equal(h1, h2) and np.array_equal(h1, h3)
+        ref = _ref_accumulate_hits(cat, grid.chunk(0, grid.size),
+                                   leb_target.values, [0.2], ns, family)
+        assert np.array_equal(h1, ref[0])
 
     def test_jitter_deterministic(self, cat, family, leb_target):
         grid = SampleGrid(resolution=64, jitter=True, seed=99)
-        a = basin_curve(cat, leb_target, 0.3, [5], grid, family).hits
-        b = basin_curve(cat, leb_target, 0.3, [5], grid, family).hits
+        a = curve_sweep(cat, leb_target, [0.3], [5], grid, family)[0].hits
+        b = curve_sweep(cat, leb_target, [0.3], [5], grid, family)[0].hits
         assert np.array_equal(a, b)
 
     def test_bad_n_values(self, cat, family, leb_target):
         with pytest.raises(ValueError):
-            basin_curve(cat, leb_target, 0.2, [5, 5],
+            curve_sweep(cat, leb_target, [0.2], [5, 5],
                         SampleGrid(resolution=16), family)
+
+    @pytest.mark.parametrize("epsilons, message", [
+        ([], "non-empty"),
+        ([float("nan")], "nan"),
+        ([float("inf")], "inf"),
+        ([0.2, -0.1], "-0.1"),
+        ([0.0], "0.0"),
+    ])
+    def test_bad_epsilons_named(self, cat, family, leb_target, epsilons,
+                                message):
+        with pytest.raises(ValueError, match=message):
+            curve_sweep(cat, leb_target, epsilons, [5],
+                        SampleGrid(resolution=16), family)
+        if epsilons:
+            with pytest.raises(ValueError, match=message):
+                basin_membership(cat, (0.3, 0.7), leb_target, epsilons[-1],
+                                 5, family)
 
 
 class TestRateEstimate:
@@ -262,3 +285,108 @@ class TestDefaultThreads:
         with pytest.raises(ValueError) as info:
             default_threads()
         assert f"{THREADS_ENV_VAR}={value!r}" in str(info.value)
+
+
+# -- reference kernel -------------------------------------------------------
+# The trig evaluator and chunk kernel the power-table kernel replaced, kept
+# as the reference: hit tables must match it exactly, phi_values to 1e-14.
+
+def _ref_trig_into(family, p, block, accumulate):
+    n_modes = family.truncation - 1
+    if n_modes == 0:
+        return
+    freqs = _enumerate_frequencies((n_modes + 1) // 2)
+    is_cos = np.arange(n_modes) % 2 == 0
+    phases = TWO_PI * (p @ freqs.T.astype(float))
+    if n_modes % 2 == 0:
+        c = 0.5 + 0.5 * np.cos(phases)
+        s = 0.5 + 0.5 * np.sin(phases)
+        if accumulate:
+            block[:, 0::2] += c
+            block[:, 1::2] += s
+        else:
+            block[:, 0::2] = c
+            block[:, 1::2] = s
+    else:
+        idx_cos = np.flatnonzero(is_cos)
+        idx_sin = np.flatnonzero(~is_cos)
+        c = 0.5 + 0.5 * np.cos(phases[:, idx_cos // 2])
+        s = 0.5 + 0.5 * np.sin(phases[:, idx_sin // 2])
+        if accumulate:
+            block[:, idx_cos] += c
+            block[:, idx_sin] += s
+        else:
+            block[:, idx_cos] = c
+            block[:, idx_sin] = s
+
+
+def _ref_phi_values(family, points):
+    p = np.atleast_2d(np.asarray(points, dtype=float))
+    out = np.empty((p.shape[0], family.truncation))
+    out[:, 0] = 1.0
+    _ref_trig_into(family, p, out[:, 1:], accumulate=False)
+    return out
+
+
+def _ref_accumulate_hits(map, points, target, epsilons, n_values, family):
+    hits = np.zeros((len(epsilons), len(n_values)), dtype=np.int64)
+    sums = np.zeros((len(points), family.truncation))
+    x = points
+    row = 0
+    for n in range(1, n_values[-1] + 1):
+        sums[:, 0] += 1.0
+        _ref_trig_into(family, x, sums[:, 1:], accumulate=True)
+        if n == n_values[row]:
+            dist = np.abs(sums / n - target) @ family.weights
+            for ei, eps in enumerate(epsilons):
+                hits[ei, row] = int(np.count_nonzero(dist < eps))
+            row += 1
+            if row == len(n_values):
+                break
+        x = map.step(x)
+    return hits
+
+
+TRUNCATIONS = [1, 2, 8, 33, 34, 65]
+PERTURBED = HyperbolicToralMap([[2, 1], [1, 1]], 0.005,
+                               [((1.0, 0.0), (0, 1))])
+
+
+class TestKernelReference:
+    @pytest.mark.parametrize("truncation", TRUNCATIONS + [200])
+    def test_phi_values_match_trig(self, truncation, rng):
+        family = TestFunctionFamily(truncation)
+        pts = np.concatenate([rng.random((3000, 2)),
+                              [[0.0, 0.0], [0.5, 0.25], [1 - 1e-12, 0.75]]])
+        new = family.phi_values(pts)
+        ref = _ref_phi_values(family, pts)
+        assert new.shape == ref.shape
+        assert np.max(np.abs(new - ref)) <= 1e-14
+
+    @pytest.mark.parametrize("truncation", TRUNCATIONS)
+    @pytest.mark.parametrize("map_name", ["cat", "perturbed"])
+    @pytest.mark.parametrize("target_kind",
+                             ["lebesgue", "dirac", "empirical_orbit",
+                              "unnormalized"])
+    def test_hits_match_trig_kernel(self, cat, truncation, map_name,
+                                    target_kind):
+        map = cat if map_name == "cat" else PERTURBED
+        family = TestFunctionFamily(truncation)
+        orbit = empirical_measure(map, (0.1, 0.2), 2000)
+        measure = {"lebesgue": LEBESGUE,
+                   "dirac": DiscreteMeasure.dirac((0.0, 0.0)),
+                   "empirical_orbit": orbit,
+                   "unnormalized": orbit}[target_kind]
+        target = moments(measure, family).values
+        if target_kind == "unnormalized":
+            # moment vector off the probability simplex: m_0 = 0.98 != 1
+            target = 0.98 * target
+        grid = SampleGrid(resolution=24, jitter=True, seed=7)
+        pts = grid.chunk(0, grid.size, grid._offsets())
+        epsilons = [0.3, 0.1, 0.05, 0.03]
+        ns = [1, 3, 8, 20, 40]
+        ref = _ref_accumulate_hits(map, pts, target, epsilons, ns, family)
+        new = _accumulate_hits(map, pts, target, epsilons, ns, family)
+        assert np.array_equal(new, ref)
+        if truncation >= 8:
+            assert np.any((ref > 0) & (ref < grid.size))

@@ -42,6 +42,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid, match="decreasing"):
             parse_config(cfg)
 
+    @pytest.mark.parametrize("epsilons, message", [
+        ([], "non-empty"),
+        ([float("nan")], "nan"),
+        ([float("inf")], "inf"),
+        ([-0.1], "-0.1"),
+        ([0.2, 0.0], "0.0"),
+        ("0.1", "basin.epsilons"),
+    ])
+    def test_bad_epsilons_named(self, tmp_path, epsilons, message):
+        cfg = minimal_config(tmp_path)
+        cfg["basin"]["epsilons"] = epsilons
+        with pytest.raises(ConfigInvalid, match=message) as info:
+            parse_config(cfg)
+        assert info.value.field_path == "basin.epsilons"
+
     def test_mixture_weights_must_sum(self, tmp_path):
         cfg = minimal_config(tmp_path, target={
             "kind": "mixture",
