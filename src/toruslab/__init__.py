@@ -38,7 +38,6 @@ from toruslab.weakstar import (
 from toruslab.lyapunov import (
     DegenerateCocycle,
     LyapunovSpectrum,
-    UnstableSample,
     birkhoff_unstable_average,
     log_unstable_jacobian,
     lyapunov_spectrum_qr,

@@ -139,6 +139,18 @@ def target_measure(target: TargetSpec, map: HyperbolicToralMap):
     raise ValueError(target.kind)
 
 
+def _parse_point(value, path: str) -> tuple[float, float]:
+    try:
+        point = tuple(float(v) for v in value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(
+            path, f"must be two finite numbers: {exc}") from exc
+    if len(point) != 2 or not all(math.isfinite(v) for v in point):
+        raise ConfigInvalid(path,
+                            f"must be two finite numbers, got {value!r}")
+    return point
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigInvalid("$", "config must be a JSON object")
@@ -250,10 +262,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
         "warmup": int(lyap.get("warmup", 60)),
         "quad_grid": int(lyap.get("quad_grid", 512)),
         "qr_steps": int(lyap.get("qr_steps", 10000)),
-        "qr_point": tuple(float(v) for v in lyap.get("qr_point",
-                                                     (0.2, 0.7))),
+        "qr_point": _parse_point(lyap.get("qr_point", (0.2, 0.7)),
+                                 "lyapunov.qr_point"),
         "enabled": bool(lyap) or basin is not None,
     }
+    for key, least in (("warmup", 1), ("quad_grid", 1), ("qr_steps", 100)):
+        if lyapunov[key] < least:
+            raise ConfigInvalid(f"lyapunov.{key}",
+                                f"must be >= {least}, got {lyapunov[key]}")
 
     threads = raw.get("threads")
     return ExperimentConfig(

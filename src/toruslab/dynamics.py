@@ -27,6 +27,9 @@ TWO_PI = 2.0 * math.pi
 INVERSE_TOL = 1e-12
 INVERSE_MAX_ITER = 100
 
+# start vector of the unstable-direction warmup (see _seed_vector)
+_SEED_VECTOR = np.array([1.0, 0.6180339887498949])
+
 
 class IterationDivergence(RuntimeError):
     """Inverse fixed-point iteration failed to reach tolerance."""
@@ -270,6 +273,46 @@ def _grid_points(resolution: int) -> np.ndarray:
     return np.column_stack([gx.ravel(), gy.ravel()])
 
 
+def _seed_vector(map: HyperbolicToralMap) -> np.ndarray:
+    """Fixed generic start vector, rotated once if it lies on the stable
+    direction, where pushing it forward would not turn it toward the
+    unstable one (the stable direction of [[1, -1], [-1, 2]] is
+    (1, 0.618...))."""
+    v = _SEED_VECTOR
+    if abs(v[0] * map.v_s[1] - v[1] * map.v_s[0]) < 1e-12:
+        c, s = math.cos(0.5), math.sin(0.5)
+        v = np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
+    return v
+
+
+def unstable_warmup(map: HyperbolicToralMap, points,
+                    warmup_n: int) -> np.ndarray:
+    """Unit vectors close to the unstable direction at each point, (N, 2).
+
+    A fixed seed vector is pushed forward by Df along the last warmup_n
+    steps of the backward orbit that ends at each point, renormalized after
+    every step; alignment is exponential with rate (lam_s/lam_u)^2 per step.
+    For a linear map Df is A at every point, so the vectors do not depend on
+    the point: they are computed once, for the first point, with no inverse
+    steps, and broadcast.  The result is a read-only array.
+    """
+    points = np.asarray(points, dtype=float)
+    if map.is_linear:
+        start = points[:1]
+        path = [start] * warmup_n
+    else:
+        start = back = points
+        path = []
+        for _ in range(warmup_n):
+            back = map.step_inverse(back)
+            path.append(back)
+    v = np.broadcast_to(_seed_vector(map), start.shape).copy()
+    for q in reversed(path):
+        v = np.einsum("nij,nj->ni", map.differential(q), v)
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return np.broadcast_to(v, points.shape)
+
+
 def verify_hyperbolicity(map: HyperbolicToralMap, grid_resolution: int,
                          cone_half_angle: float = 0.15,
                          warmup: int = 30) -> ConeReport:
@@ -319,16 +362,7 @@ def verify_hyperbolicity(map: HyperbolicToralMap, grid_resolution: int,
             f"{cone_half_angle:.5f}")
 
     # aligned expansion/contraction via warmup
-    back = pts
-    path = []
-    for _ in range(warmup):
-        back = map.step_inverse(back)
-        path.append(back)
-    v = np.broadcast_to(np.array([1.0, 0.6180339887498949]),
-                        pts.shape).copy()
-    for q in reversed(path):
-        v = np.einsum("nij,nj->ni", map.differential(q), v)
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
+    v = unstable_warmup(map, pts, warmup)
     lam_expand = float(np.min(np.linalg.norm(
         np.einsum("nij,nj->ni", D, v), axis=1)))
 

@@ -1,27 +1,32 @@
 """Lyapunov spectrum, unstable directions and unstable log-Jacobian averages.
 
-The unstable direction F(x) is found by pushing a fixed generic vector
-forward along the orbit that ends at x (a backward warmup); alignment is
-exponential with rate (lam_s/lam_u)^2 per step, so the default warmup of 60
-steps is far below float precision for every admitted map.  Since F is one
-dimensional on the 2-torus, log |det Df restricted to F| at x is just
-log |Df_x u| for a unit vector u spanning F(x).
+The unstable direction F(x) comes from dynamics.unstable_warmup: a fixed
+generic vector pushed forward along the orbit that ends at x (a backward
+warmup); alignment is exponential with rate (lam_s/lam_u)^2 per step, so the
+default warmup of 60 steps is far below float precision for every admitted
+map.  Since F is one dimensional on the 2-torus, log |det Df restricted to F|
+at x is just log |Df_x u| for a unit vector u spanning F(x).
+
+The orbit cocycles (QR spectrum, Birkhoff average) generate the orbit once,
+take all its Jacobians in one batched call, and run the recursion on Python
+floats.
 """
 
 from __future__ import annotations
 
+import array
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from toruslab.dynamics import HyperbolicToralMap
+from toruslab.dynamics import HyperbolicToralMap, unstable_warmup
 from toruslab.weakstar import DiscreteMeasure, LebesgueMeasure, MeasureLike
 
 DEFAULT_WARMUP = 60
 DEFAULT_QUAD_GRID = 512
-_SEED_VECTOR = np.array([1.0, 0.6180339887498949])
 _ATOM_CHUNK = 65536
+_SPLIT = 134217729.0    # 2^27 + 1, Dekker's splitting constant
 
 
 class DegenerateCocycle(RuntimeError):
@@ -35,24 +40,28 @@ class LyapunovSpectrum:
     n_steps: int
 
 
-@dataclass(frozen=True)
-class UnstableSample:
-    """Unstable direction and log-expansion at one point."""
-    point: np.ndarray
-    direction: np.ndarray
-    psi: float
-    warmup_n: int
+def _fma(x: float, y: float, z: float) -> float:
+    """x*y + z with a single rounding (math.fma needs Python 3.13).
+
+    The cocycles round each two-term product as the per-step NumPy products
+    they replace did with OpenBLAS on x86-64, whose 2x2 @ 2 and 2 @ 2 kernels
+    fuse one of the two multiplications; so the scalar passes reproduce those
+    results bit for bit, whatever BLAS is installed.  Splitting x and y into
+    26-bit halves (Dekker) makes the four partial products exact, and fsum
+    rounds their sum with z once.
+    """
+    t = _SPLIT * x
+    xh = t - (t - x)
+    xl = x - xh
+    t = _SPLIT * y
+    yh = t - (t - y)
+    yl = y - yh
+    return math.fsum((xh * yh, xh * yl, xl * yh, xl * yl, z))
 
 
-def _seed_vector(map: HyperbolicToralMap) -> np.ndarray:
-    """Fixed generic start vector; rotated once if it ever aligned with the
-    stable direction (does not happen for integer hyperbolic matrices, but
-    the guard keeps the choice total)."""
-    v = _SEED_VECTOR
-    if abs(v[0] * map.v_s[1] - v[1] * map.v_s[0]) < 1e-12:
-        c, s = math.cos(0.5), math.sin(0.5)
-        v = np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
-    return v
+def _jacobians(map: HyperbolicToralMap, orbit: np.ndarray) -> array.array:
+    """Df along an orbit as unboxed doubles, d00 d01 d10 d11 per point."""
+    return array.array("d", map.differential(orbit).tobytes())
 
 
 def lyapunov_spectrum_qr(map: HyperbolicToralMap, point, n: int,
@@ -66,47 +75,35 @@ def lyapunov_spectrum_qr(map: HyperbolicToralMap, point, n: int,
     """
     if n < 100:
         raise ValueError("n must be >= 100")
-    p = np.asarray(point, dtype=float).reshape(2)
-    q1 = np.array([1.0, 0.0])
-    q2 = np.array([0.0, 1.0])
+    jac = iter(_jacobians(map, map.orbit(point, warmup + n)))
+    hypot, log = math.hypot, math.log
+    q10, q11, q20, q21 = 1.0, 0.0, 0.0, 1.0
     log_r11 = 0.0
     log_r22 = 0.0
-    x = p
-    for i in range(warmup + n):
-        D = map.differential(x)
-        a = D @ q1
-        b = D @ q2
-        r11 = math.hypot(a[0], a[1])
+    for i, (d00, d01, d10, d11) in enumerate(zip(jac, jac, jac, jac)):
+        # rows of Df @ q fuse their first product, the dot q1 . b its second
+        a0 = _fma(d00, q10, d01 * q11)
+        a1 = _fma(d10, q10, d11 * q11)
+        b0 = _fma(d00, q20, d01 * q21)
+        b1 = _fma(d10, q20, d11 * q21)
+        r11 = hypot(a0, a1)
         if r11 < 1e-300:
             raise DegenerateCocycle("first column vanished")
-        q1 = a / r11
-        r12 = q1 @ b
-        b = b - r12 * q1
-        r22 = math.hypot(b[0], b[1])
+        q10 = a0 / r11
+        q11 = a1 / r11
+        r12 = _fma(q11, b1, q10 * b0)
+        b0 = b0 - r12 * q10
+        b1 = b1 - r12 * q11
+        r22 = hypot(b0, b1)
         if r22 < 1e-300:
             raise DegenerateCocycle("second column vanished")
-        q2 = b / r22
+        q20 = b0 / r22
+        q21 = b1 / r22
         if i >= warmup:
-            log_r11 += math.log(r11)
-            log_r22 += math.log(r22)
-        x = map.step(x)
+            log_r11 += log(r11)
+            log_r22 += log(r22)
     return LyapunovSpectrum(chi_plus=log_r11 / n, chi_minus=log_r22 / n,
                             n_steps=n)
-
-
-def _unstable_directions_batch(map: HyperbolicToralMap, points: np.ndarray,
-                               warmup_n: int) -> np.ndarray:
-    """Unit vectors spanning F at each point, shape (N,2)."""
-    back = points
-    path = []
-    for _ in range(warmup_n):
-        back = map.step_inverse(back)
-        path.append(back)
-    v = np.broadcast_to(_seed_vector(map), points.shape).copy()
-    for q in reversed(path):
-        v = np.einsum("nij,nj->ni", map.differential(q), v)
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-    return v
 
 
 def _canonical_sign(v: np.ndarray) -> np.ndarray:
@@ -125,32 +122,21 @@ def unstable_direction(map: HyperbolicToralMap, point,
     if warmup_n < 1:
         raise ValueError("warmup_n must be >= 1")
     p = np.asarray(point, dtype=float).reshape(1, 2)
-    v = _unstable_directions_batch(map, p, warmup_n)
-    return _canonical_sign(v)[0]
+    return _canonical_sign(unstable_warmup(map, p, warmup_n))[0]
 
 
 def log_unstable_jacobian(map: HyperbolicToralMap, point,
                           warmup_n: int = DEFAULT_WARMUP) -> float:
     """psi(x) = log |Df_x u| for u spanning F(x)."""
     p = np.asarray(point, dtype=float).reshape(1, 2)
-    u = _unstable_directions_batch(map, p, warmup_n)
+    u = unstable_warmup(map, p, warmup_n)
     w = np.einsum("nij,nj->ni", map.differential(p), u)
     return float(np.log(np.linalg.norm(w[0])))
 
 
-def sample_unstable(map: HyperbolicToralMap, point,
-                    warmup_n: int = DEFAULT_WARMUP) -> UnstableSample:
-    p = np.asarray(point, dtype=float).reshape(2)
-    u = unstable_direction(map, p, warmup_n)
-    w = map.differential(p) @ u
-    return UnstableSample(point=p, direction=u,
-                          psi=float(np.log(np.linalg.norm(w))),
-                          warmup_n=warmup_n)
-
-
 def _psi_batch(map: HyperbolicToralMap, points: np.ndarray,
                warmup_n: int) -> np.ndarray:
-    u = _unstable_directions_batch(map, points, warmup_n)
+    u = unstable_warmup(map, points, warmup_n)
     w = np.einsum("nij,nj->ni", map.differential(points), u)
     return np.log(np.linalg.norm(w, axis=1))
 
@@ -167,16 +153,17 @@ def birkhoff_unstable_average(map: HyperbolicToralMap, point, n: int,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    p = np.asarray(point, dtype=float).reshape(2)
-    u = unstable_direction(map, p, warmup_n)
+    u0, u1 = (float(c) for c in unstable_direction(map, point, warmup_n))
+    jac = iter(_jacobians(map, map.orbit(point, n)))
+    hypot, log = math.hypot, math.log
     total = 0.0
-    x = p
-    for _ in range(n):
-        w = map.differential(x) @ u
-        r = math.hypot(w[0], w[1])
-        total += math.log(r)
-        u = w / r
-        x = map.step(x)
+    for d00, d01, d10, d11 in zip(jac, jac, jac, jac):
+        w0 = _fma(d00, u0, d01 * u1)
+        w1 = _fma(d10, u0, d11 * u1)
+        r = hypot(w0, w1)
+        total += log(r)
+        u0 = w0 / r
+        u1 = w1 / r
     return total / n
 
 

@@ -182,7 +182,12 @@ class MarkovPartition:
         bb = np.linspace(-ds, ds, samples)
         AA, BB = np.meshgrid(aa, bb, indexing="ij")
         best = np.full(AA.shape, np.inf)
-        for gvec in self._lattice:
+        # every sample v has |v| <= R = hypot(du, ds), so a lattice vector g
+        # with |g| > 2R is farther from v than 0 is and is never the nearest
+        reach = 2.0 * math.hypot(du, ds)
+        near = self._lattice[np.hypot(self._lattice[:, 0],
+                                      self._lattice[:, 1]) <= reach]
+        for gvec in near:
             np.minimum(best, np.hypot(AA - gvec[0], BB - gvec[1]), out=best)
         return float(best.max())
 
@@ -287,10 +292,6 @@ class MarkovPartition:
                         frags.append(clipped - np.array([cx, cy], dtype=float))
             out.append(frags)
         return out
-
-    def piece_polygons(self) -> list[list[list[list[float]]]]:
-        """JSON-ready nested polygon list, one fragment list per piece."""
-        return [[f.tolist() for f in frags] for frags in self.piece_fragments()]
 
 
 def _clip_to_cell(poly: np.ndarray, cx: int, cy: int) -> np.ndarray | None:

@@ -57,6 +57,33 @@ class TestConfigValidation:
             parse_config(cfg)
         assert info.value.field_path == "basin.epsilons"
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("qr_steps", 99, ">= 100"),
+        ("qr_steps", 0, ">= 100"),
+        ("warmup", 0, ">= 1"),
+        ("quad_grid", 0, ">= 1"),
+        ("quad_grid", -4, ">= 1"),
+        ("qr_point", [0.2], "two finite numbers"),
+        ("qr_point", [0.2, 0.7, 0.1], "two finite numbers"),
+        ("qr_point", [0.2, float("nan")], "two finite numbers"),
+        ("qr_point", [float("inf"), 0.7], "two finite numbers"),
+        ("qr_point", ["a", 0.7], "two finite numbers"),
+        ("qr_point", 0.5, "two finite numbers"),
+    ])
+    def test_bad_lyapunov_values_named(self, tmp_path, key, value, message):
+        cfg = minimal_config(tmp_path, lyapunov={key: value})
+        with pytest.raises(ConfigInvalid, match=message) as info:
+            parse_config(cfg)
+        assert info.value.field_path == f"lyapunov.{key}"
+
+    def test_lyapunov_bounds_accepted(self, tmp_path):
+        cfg = minimal_config(tmp_path, lyapunov={
+            "qr_steps": 100, "warmup": 1, "quad_grid": 1,
+            "qr_point": [0, 1]})
+        ly = parse_config(cfg).lyapunov
+        assert (ly["qr_steps"], ly["warmup"], ly["quad_grid"]) == (100, 1, 1)
+        assert ly["qr_point"] == (0.0, 1.0)
+
     def test_mixture_weights_must_sum(self, tmp_path):
         cfg = minimal_config(tmp_path, target={
             "kind": "mixture",

@@ -1,17 +1,22 @@
+import inspect
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from toruslab.dynamics import HyperbolicToralMap
-from toruslab.lyapunov import (birkhoff_unstable_average,
+from toruslab.dynamics import (HyperbolicToralMap, unstable_warmup,
+                               verify_hyperbolicity)
+from toruslab.lyapunov import (DegenerateCocycle,
+                               birkhoff_unstable_average,
                                log_unstable_jacobian, lyapunov_spectrum_qr,
-                               sample_unstable, unstable_direction,
-                               unstable_integral)
+                               unstable_direction, unstable_integral)
 from toruslab.weakstar import LEBESGUE, DiscreteMeasure, empirical_measure
 
 LOG_CAT = math.log((3.0 + math.sqrt(5.0)) / 2.0)
 LOG_GOLDEN = math.log((1.0 + math.sqrt(5.0)) / 2.0)
+PERTURBED = HyperbolicToralMap([[2, 1], [1, 1]], 0.005,
+                               [((1.0, 0.0), (0, 1))])
 
 
 class TestSpectrumQR:
@@ -103,10 +108,12 @@ class TestLogUnstableJacobian:
         assert abs(val - LOG_CAT) < 10 * m.amplitude
 
     def test_sample_unstable_fields(self, cat):
-        s = sample_unstable(cat, (0.2, 0.9))
-        assert abs(np.linalg.norm(s.direction) - 1.0) < 1e-12
-        assert abs(s.psi - LOG_CAT) < 1e-12
-        assert s.warmup_n == 60
+        direction = unstable_direction(cat, (0.2, 0.9))
+        psi = log_unstable_jacobian(cat, (0.2, 0.9))
+        assert abs(np.linalg.norm(direction) - 1.0) < 1e-12
+        assert abs(psi - LOG_CAT) < 1e-12
+        for f in (unstable_direction, log_unstable_jacobian):
+            assert inspect.signature(f).parameters["warmup_n"].default == 60
 
 
 class TestIntegrals:
@@ -176,3 +183,202 @@ class TestPsiContinuity:
         w64 = worst_increment(64)
         assert w32 < 0.2 * 32 / 32          # O(h) at the coarse level
         assert w64 < 0.75 * w32             # shrinks roughly linearly in h
+
+
+# -- the former per-step NumPy code, kept as the reference -------------------
+
+SEED_VECTOR = np.array([1.0, 0.6180339887498949])
+
+
+def reference_qr(map, point, n, warmup):
+    p = np.asarray(point, dtype=float).reshape(2)
+    q1 = np.array([1.0, 0.0])
+    q2 = np.array([0.0, 1.0])
+    log_r11 = 0.0
+    log_r22 = 0.0
+    x = p
+    for i in range(warmup + n):
+        D = map.differential(x)
+        a = D @ q1
+        b = D @ q2
+        r11 = math.hypot(a[0], a[1])
+        if r11 < 1e-300:
+            raise DegenerateCocycle("first column vanished")
+        q1 = a / r11
+        r12 = q1 @ b
+        b = b - r12 * q1
+        r22 = math.hypot(b[0], b[1])
+        if r22 < 1e-300:
+            raise DegenerateCocycle("second column vanished")
+        q2 = b / r22
+        if i >= warmup:
+            log_r11 += math.log(r11)
+            log_r22 += math.log(r22)
+        x = map.step(x)
+    return log_r11 / n, log_r22 / n
+
+
+def reference_warmup(map, points, warmup_n):
+    """Per-point backward warmup, inverse steps included."""
+    back = points
+    path = []
+    for _ in range(warmup_n):
+        back = map.step_inverse(back)
+        path.append(back)
+    v = np.broadcast_to(SEED_VECTOR, points.shape).copy()
+    for q in reversed(path):
+        v = np.einsum("nij,nj->ni", map.differential(q), v)
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return v
+
+
+def reference_birkhoff(map, point, n, warmup_n=60):
+    p = np.asarray(point, dtype=float).reshape(2)
+    u = unstable_direction(map, p, warmup_n)
+    total = 0.0
+    x = p
+    for _ in range(n):
+        w = map.differential(x) @ u
+        r = math.hypot(w[0], w[1])
+        total += math.log(r)
+        u = w / r
+        x = map.step(x)
+    return total / n
+
+
+def reference_lebesgue_integral(map, grid_resolution, warmup_n=60):
+    xs = (np.arange(grid_resolution) + 0.5) / grid_resolution
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    total = 0.0
+    for i in range(0, len(pts), 65536):
+        chunk = pts[i:i + 65536]
+        u = reference_warmup(map, chunk, warmup_n)
+        w = np.einsum("nij,nj->ni", map.differential(chunk), u)
+        total += float(np.sum(np.log(np.linalg.norm(w, axis=1))))
+    return total / len(pts)
+
+
+def fused(x, y, z):
+    """x*y + z rounded once, in exact rational arithmetic."""
+    return float(Fraction(x) * Fraction(y) + Fraction(z))
+
+
+def numpy_products_fuse() -> bool:
+    """True when NumPy's 2x2 @ 2 and 2 @ 2 products round with one
+    multiplication fused, as OpenBLAS does on x86-64 and as the scalar passes
+    do.  The last bits of the reference loops depend on the BLAS kernels, so
+    the bitwise comparisons only apply where they round this way."""
+    rng = np.random.default_rng(0)
+    for D, v in zip(rng.standard_normal((256, 2, 2)).tolist(),
+                    rng.standard_normal((256, 2)).tolist()):
+        row = np.array(D) @ np.array(v)
+        if (row[0] != fused(D[0][0], v[0], D[0][1] * v[1])
+                or row[1] != fused(D[1][0], v[0], D[1][1] * v[1])
+                or np.array(v) @ np.array(D[0])
+                != fused(v[1], D[0][1], v[0] * D[0][0])):
+            return False
+    return True
+
+
+bitwise = pytest.mark.skipif(
+    not numpy_products_fuse(),
+    reason="this BLAS rounds NumPy's 2x2 products unlike the x86-64 "
+           "OpenBLAS kernels the scalar passes reproduce")
+
+
+class ConstantJacobian:
+    """The part of the map interface the QR pass uses, with one fixed Df."""
+
+    def __init__(self, jacobian):
+        self.jacobian = np.asarray(jacobian, dtype=float)
+
+    def orbit(self, point, n):
+        return np.zeros((n, 2))
+
+    def differential(self, points):
+        shape = np.shape(points)[:-1] + (2, 2)
+        return np.broadcast_to(self.jacobian, shape).copy()
+
+    def step(self, points):
+        return np.asarray(points, dtype=float)
+
+
+MAPS = {"cat": HyperbolicToralMap([[2, 1], [1, 1]]),
+        "golden": HyperbolicToralMap([[1, 1], [1, 0]]),
+        "perturbed": PERTURBED}
+
+
+class TestScalarPassReference:
+    @bitwise
+    @pytest.mark.parametrize("name", sorted(MAPS))
+    @pytest.mark.parametrize("warmup", [0, 64])
+    @pytest.mark.parametrize("n", [100, 1000, 10_000])
+    def test_qr_bitwise(self, name, n, warmup):
+        m = MAPS[name]
+        rng = np.random.default_rng(n + warmup)
+        extra = rng.random((1 if n == 10_000 else 8, 2))
+        for p in [(0.2, 0.7)] + [tuple(q) for q in extra]:
+            spec = lyapunov_spectrum_qr(m, p, n, warmup=warmup)
+            assert (spec.chi_plus, spec.chi_minus) \
+                == reference_qr(m, p, n, warmup), p
+
+    @bitwise
+    @pytest.mark.parametrize("name", sorted(MAPS))
+    @pytest.mark.parametrize("n", [1, 7, 200, 3000])
+    def test_birkhoff_bitwise(self, name, n):
+        m = MAPS[name]
+        extra = np.random.default_rng(n).random((6, 2))
+        for p in [(0.271, 0.653)] + [tuple(q) for q in extra]:
+            assert birkhoff_unstable_average(m, p, n) \
+                == reference_birkhoff(m, p, n), p
+
+    @pytest.mark.parametrize("matrix", [[[2, 1], [1, 1]], [[1, 1], [1, 0]],
+                                        [[3, 2], [1, 1]]])
+    @pytest.mark.parametrize("warmup_n", [1, 30, 60])
+    def test_linear_broadcast_equals_per_point(self, matrix, warmup_n):
+        m = HyperbolicToralMap(matrix)
+        pts = np.random.default_rng(warmup_n).random((65536, 2))
+        v = unstable_warmup(m, pts, warmup_n)
+        assert v.shape == pts.shape
+        assert np.array_equal(v, reference_warmup(m, pts, warmup_n))
+
+    def test_perturbed_warmup_unchanged(self):
+        pts = np.random.default_rng(5).random((4096, 2))
+        assert np.array_equal(unstable_warmup(PERTURBED, pts, 60),
+                              reference_warmup(PERTURBED, pts, 60))
+
+    @pytest.mark.parametrize("name, grid", [("cat", 64), ("cat", 256),
+                                            ("perturbed", 64)])
+    def test_lebesgue_integral_bitwise(self, name, grid):
+        m = MAPS[name]
+        assert unstable_integral(m, LEBESGUE, grid_resolution=grid) \
+            == reference_lebesgue_integral(m, grid)
+
+    def test_lebesgue_integral_value_pinned(self, cat):
+        val = unstable_integral(cat, LEBESGUE, grid_resolution=256)
+        assert val == 0.9624236501192072
+
+    @pytest.mark.parametrize("name", ["cat", "perturbed"])
+    def test_cone_expansion_uses_same_warmup(self, name):
+        # lambda_expand as the former inline warmup of verify_hyperbolicity
+        m = MAPS[name]
+        res = 32
+        xs = (np.arange(res) + 0.5) / res
+        gx, gy = np.meshgrid(xs, xs, indexing="ij")
+        pts = np.column_stack([gx.ravel(), gy.ravel()])
+        v = reference_warmup(m, pts, 30)
+        expected = float(np.min(np.linalg.norm(
+            np.einsum("nij,nj->ni", m.differential(pts), v), axis=1)))
+        assert verify_hyperbolicity(m, res).lambda_expand == expected
+
+    @pytest.mark.parametrize("jacobian, message", [
+        ([[0.0, 0.0], [0.0, 0.0]], "first column"),
+        ([[1.0, 0.0], [0.0, 0.0]], "second column"),
+    ])
+    def test_degenerate_cocycle_raised(self, jacobian, message):
+        m = ConstantJacobian(jacobian)
+        with pytest.raises(DegenerateCocycle, match=message):
+            lyapunov_spectrum_qr(m, (0.2, 0.7), 100)
+        with pytest.raises(DegenerateCocycle, match=message):
+            reference_qr(m, (0.2, 0.7), 100, 64)

@@ -39,6 +39,24 @@ class TestConstruction:
     def test_diameter_below_gate(self, partition):
         assert partition.max_diameter < 0.6
 
+    def test_pruned_diameter_matches_all_lattice_vectors(self, partition):
+        # the former brute force: nearest of all 81 lattice vectors
+        def brute_force(box, samples=401):
+            du, ds = box[1] - box[0], box[3] - box[2]
+            AA, BB = np.meshgrid(np.linspace(-du, du, samples),
+                                 np.linspace(-ds, ds, samples), indexing="ij")
+            best = np.full(AA.shape, np.inf)
+            for gvec in partition._lattice:
+                np.minimum(best, np.hypot(AA - gvec[0], BB - gvec[1]),
+                           out=best)
+            return float(best.max())
+
+        assert len(partition._lattice) == 81
+        expected = [brute_force(b) for b in partition.boxes]
+        assert [partition._torus_diameter(b) for b in partition.boxes] \
+            == expected
+        assert partition.max_diameter == max(expected) == 0.5877852522924731
+
     def test_spectral_radius(self, partition):
         rho = max(abs(np.linalg.eigvals(partition.transition.astype(float))))
         assert abs(rho - LAMBDA) < 1e-6
