@@ -32,7 +32,6 @@ from toruslab.weakstar import (
     empirical_measure,
     invariance_defect,
     moments,
-    pushforward,
     weak_star_distance,
 )
 from toruslab.lyapunov import (
@@ -68,12 +67,10 @@ from toruslab.markov import (
     OrbitSource,
     cat_map_partition,
     cylinder_count_rate,
-    cylinder_frequencies,
     entropy_count_bound_check,
     entropy_rate_estimate,
     entropy_tables,
     itineraries,
-    itinerary,
     locate,
     partition_entropy,
     weighted_merge,

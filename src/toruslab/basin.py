@@ -95,10 +95,6 @@ class SampleGrid:
         cells = np.column_stack([idx // g, idx % g]).astype(float)
         return (cells + off) / g
 
-    def spec(self) -> dict:
-        return {"resolution": self.resolution, "jitter": self.jitter,
-                "seed": self.seed}
-
 
 @dataclass
 class BasinCurve:
@@ -111,10 +107,6 @@ class BasinCurve:
 
     def fractions(self) -> np.ndarray:
         return self.hits / self.samples
-
-    def log_fractions(self) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(self.fractions())
 
 
 @dataclass

@@ -12,7 +12,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from toruslab.basin import SampleGrid
 from toruslab.dynamics import HyperbolicToralMap, torus_distance
 from toruslab.markov import OrbitSource
 from toruslab.weakstar import (DEFAULT_TRUNCATION, LEBESGUE, DiscreteMeasure,
-                               TestFunctionFamily)
+                               MomentVector, TestFunctionFamily, moments)
 
 PERIODIC_TOL = 1e-9
 
@@ -90,9 +89,8 @@ def parse_target(spec: dict, map: HyperbolicToralMap, path: str = "target"
         return TargetSpec(kind="dirac", point=pt)
     if kind == "periodic":
         pt = tuple(float(v) for v in _require(spec, "point", path))
-        period = int(_require(spec, "period", path))
-        if period < 1:
-            raise ConfigInvalid(f"{path}.period", "must be >= 1")
+        period = _at_least(_require(spec, "period", path), 1,
+                           f"{path}.period")
         back = map.orbit(pt, period + 1)[-1]
         err = float(torus_distance(back, np.asarray(pt)))
         if err > PERIODIC_TOL:
@@ -102,9 +100,8 @@ def parse_target(spec: dict, map: HyperbolicToralMap, path: str = "target"
         return TargetSpec(kind="periodic", point=pt, period=period)
     if kind == "empirical_orbit":
         pt = tuple(float(v) for v in _require(spec, "point", path))
-        length = int(_require(spec, "length", path))
-        if length < 1:
-            raise ConfigInvalid(f"{path}.length", "must be >= 1")
+        length = _at_least(_require(spec, "length", path), 1,
+                           f"{path}.length")
         return TargetSpec(kind="empirical_orbit", point=pt, length=length)
     if kind == "mixture":
         comps = _require(spec, "components", path)
@@ -125,7 +122,7 @@ def parse_target(spec: dict, map: HyperbolicToralMap, path: str = "target"
 
 
 def target_measure(target: TargetSpec, map: HyperbolicToralMap):
-    """Materialize the measure object (mixtures stay as component lists)."""
+    """Materialize the measure object of a non-mixture target."""
     if target.kind == "lebesgue":
         return LEBESGUE
     if target.kind == "dirac":
@@ -134,8 +131,6 @@ def target_measure(target: TargetSpec, map: HyperbolicToralMap):
         return DiscreteMeasure(map.orbit(target.point, target.period))
     if target.kind == "empirical_orbit":
         return DiscreteMeasure(map.orbit(target.point, target.length))
-    if target.kind == "mixture":
-        return [target_measure(c, map) for c in target.components]
     raise ValueError(target.kind)
 
 
@@ -149,6 +144,35 @@ def _parse_point(value, path: str) -> tuple[float, float]:
         raise ConfigInvalid(path,
                             f"must be two finite numbers, got {value!r}")
     return point
+
+
+def _at_least(value, least: int, path: str) -> int:
+    try:
+        n = int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(path, f"must be an integer: {exc}") from exc
+    if n < least:
+        raise ConfigInvalid(path, f"must be >= {least}, got {n}")
+    return n
+
+
+def _parse_depths(value, path: str) -> list[int]:
+    try:
+        depths = [_at_least(d, 1, path) for d in value]
+    except TypeError as exc:
+        raise ConfigInvalid(path, f"must be a list of depths: {exc}") from exc
+    if not depths:
+        raise ConfigInvalid(path, "must be non-empty")
+    return depths
+
+
+def _parse_grid(spec: dict, path: str) -> SampleGrid:
+    try:
+        return SampleGrid(resolution=int(spec.get("resolution", 256)),
+                          jitter=bool(spec.get("jitter", False)),
+                          seed=int(spec.get("seed", 0)))
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(path, str(exc)) from exc
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -174,13 +198,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigInvalid("family.truncation", str(exc)) from exc
 
-    gspec = raw.get("grid", {})
-    try:
-        grid = SampleGrid(resolution=int(gspec.get("resolution", 256)),
-                          jitter=bool(gspec.get("jitter", False)),
-                          seed=int(gspec.get("seed", 0)))
-    except ValueError as exc:
-        raise ConfigInvalid("grid", str(exc)) from exc
+    grid = _parse_grid(raw.get("grid", {}), "grid")
 
     target = parse_target(_require(raw, "target", "$"), map)
 
@@ -220,13 +238,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
         kind = _require(src, "kind", "entropy.source")
         if kind == "orbit":
             source = OrbitSource(
-                point=tuple(float(v) for v in _require(src, "point",
-                                                       "entropy.source")),
-                length=int(_require(src, "length", "entropy.source")))
+                point=_parse_point(_require(src, "point", "entropy.source"),
+                                   "entropy.source.point"),
+                length=_at_least(_require(src, "length", "entropy.source"),
+                                 1, "entropy.source.length"))
         elif kind == "grid":
-            source = SampleGrid(resolution=int(src.get("resolution", 256)),
-                                jitter=bool(src.get("jitter", False)),
-                                seed=int(src.get("seed", 0)))
+            source = _parse_grid(src, "entropy.source")
         elif kind == "target_atoms":
             if target.kind not in ("dirac", "periodic", "empirical_orbit"):
                 raise ConfigInvalid("entropy.source",
@@ -235,14 +252,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
         else:
             raise ConfigInvalid("entropy.source.kind",
                                 f"unknown source kind {kind!r}")
-        depths = [int(d) for d in entropy.get("depths", list(range(1, 13)))]
-        if min(depths) < 1:
-            raise ConfigInvalid("entropy.depths", "must be >= 1")
         entropy = {
             "source": source,
-            "depths": sorted(set(depths)),
-            "count_depths": [int(d) for d in entropy.get(
-                "count_depths", list(range(1, 15)))],
+            "depths": sorted(set(_parse_depths(
+                entropy.get("depths", range(1, 13)), "entropy.depths"))),
+            "count_depths": _parse_depths(
+                entropy.get("count_depths", range(1, 15)),
+                "entropy.count_depths"),
             "bound_check": entropy.get("bound_check"),
         }
         bc = entropy["bound_check"]
@@ -253,25 +269,27 @@ def parse_config(raw: dict) -> ExperimentConfig:
                                     "must be in (0, 1/4)")
             entropy["bound_check"] = {
                 "epsilon": e,
-                "depth": int(_require(bc, "depth", "entropy.bound_check")),
+                "depth": _at_least(
+                    _require(bc, "depth", "entropy.bound_check"), 1,
+                    "entropy.bound_check.depth"),
                 "tolerance": float(bc.get("tolerance", 0.05)),
             }
 
     lyap = raw.get("lyapunov", {})
     lyapunov = {
-        "warmup": int(lyap.get("warmup", 60)),
-        "quad_grid": int(lyap.get("quad_grid", 512)),
-        "qr_steps": int(lyap.get("qr_steps", 10000)),
+        "warmup": _at_least(lyap.get("warmup", 60), 1, "lyapunov.warmup"),
+        "quad_grid": _at_least(lyap.get("quad_grid", 512), 1,
+                               "lyapunov.quad_grid"),
+        "qr_steps": _at_least(lyap.get("qr_steps", 10000), 100,
+                              "lyapunov.qr_steps"),
         "qr_point": _parse_point(lyap.get("qr_point", (0.2, 0.7)),
                                  "lyapunov.qr_point"),
         "enabled": bool(lyap) or basin is not None,
     }
-    for key, least in (("warmup", 1), ("quad_grid", 1), ("qr_steps", 100)):
-        if lyapunov[key] < least:
-            raise ConfigInvalid(f"lyapunov.{key}",
-                                f"must be >= {least}, got {lyapunov[key]}")
 
     threads = raw.get("threads")
+    if threads is not None:
+        threads = _at_least(threads, 1, "threads")
     return ExperimentConfig(
         label=label,
         raw=raw,
@@ -284,8 +302,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         lyapunov=lyapunov,
         expect=raw.get("expect", {}),
         output_dir=str(raw.get("output_dir", "records")),
-        threads=int(threads) if threads is not None else None,
-        verify_grid=int(raw.get("verify_grid", 64)),
+        threads=threads,
+        verify_grid=_at_least(raw.get("verify_grid", 64), 16, "verify_grid"),
     )
 
 
@@ -300,14 +318,12 @@ def load_config(path: str) -> ExperimentConfig:
 
 def moment_vector_for_target(target: TargetSpec, map: HyperbolicToralMap,
                              family: TestFunctionFamily):
-    from toruslab.weakstar import moments
     if target.kind == "mixture":
         parts = [moment_vector_for_target(c, map, family).values
                  for c in target.components]
         vals = np.zeros(family.truncation)
         for w, v in zip(target.weights, parts):
             vals += w * v
-        from toruslab.weakstar import MomentVector
         return MomentVector(values=vals, truncation=family.truncation,
                             version=family.version)
     return moments(target_measure(target, map), family)

@@ -241,17 +241,6 @@ class HyperbolicToralMap:
         out[out >= 1.0] = 0.0
         return out
 
-    def spec(self) -> dict:
-        """Config-block form of the map (JSON-ready)."""
-        return {
-            "matrix": self.matrix.tolist(),
-            "amplitude": self.amplitude,
-            "perturbation": [
-                {"coeff": c.tolist(), "freq": k.tolist()}
-                for c, k in zip(self._coeffs, self._freqs)
-            ],
-        }
-
     def __repr__(self):
         return (f"HyperbolicToralMap({self.matrix.tolist()}, "
                 f"amplitude={self.amplitude}, terms={len(self._coeffs)})")

@@ -22,8 +22,7 @@ from toruslab.basin import SampleGrid, Verdict
 from toruslab.dynamics import HyperbolicToralMap, verify_hyperbolicity
 from toruslab.markov import OrbitSource, cat_map_partition
 from toruslab.weakstar import (LEBESGUE, DiscreteMeasure, TestFunctionFamily,
-                               empirical_measure, invariance_defect, moments,
-                               weak_star_distance)
+                               invariance_defect, moments, weak_star_distance)
 
 CAT = ((2, 1), (1, 1))
 LOG_LAMBDA = math.log((3.0 + math.sqrt(5.0)) / 2.0)  # 0.9624236501192069
@@ -88,23 +87,17 @@ class AcceptanceSuite:
         self.threads = threads
         self.cat = HyperbolicToralMap(CAT)
         self.family = TestFunctionFamily(33)
-        self._partition = None
         self._leb_tables = None
         self._dirac_sweep = None
 
     # -- shared artifacts ---------------------------------------------------
 
-    @property
-    def partition(self):
-        if self._partition is None:
-            self._partition = cat_map_partition()
-        return self._partition
-
     def leb_tables(self):
         """Cylinder tables of the 1e7 reference orbit at depths 1..13."""
         if self._leb_tables is None:
             src = OrbitSource(ORBIT_SEED_POINT, REFERENCE_ORBIT_LENGTH)
-            stream = markov_mod.itineraries(self.cat, self.partition, src, 13)
+            stream = markov_mod.itineraries(self.cat, cat_map_partition(),
+                                            src, 13)
             self._leb_tables = markov_mod.entropy_tables(stream,
                                                          list(range(1, 14)))
         return self._leb_tables
@@ -117,8 +110,9 @@ class AcceptanceSuite:
 
     def cylinder_table(self, source, n: int):
         """Depth-n cylinder table of a source under the cat map."""
-        stream = markov_mod.itineraries(self.cat, self.partition, source, n)
-        return markov_mod.cylinder_frequencies(stream, n)
+        stream = markov_mod.itineraries(self.cat, cat_map_partition(),
+                                        source, n)
+        return markov_mod.entropy_tables(stream, [n])[n]
 
     def dirac_sweep(self):
         if self._dirac_sweep is None:
@@ -285,7 +279,8 @@ class AcceptanceSuite:
         c = _Checks()
         c.add("H(12)/12", abs(h12 - LOG_LAMBDA) <= 0.1,
               f"{h12:.4f} vs {LOG_LAMBDA:.4f} +- 0.1")
-        rates = markov_mod.cylinder_count_rate(self.partition, range(1, 15))
+        rates = markov_mod.cylinder_count_rate(cat_map_partition(),
+                                               range(1, 15))
         r14 = dict(rates.rates)[14]
         c.add("count rate n=14", abs(r14 - LOG_LAMBDA) <= 0.1 * LOG_LAMBDA,
               f"{r14:.4f} within 10% of {LOG_LAMBDA:.4f}")
@@ -297,7 +292,7 @@ class AcceptanceSuite:
         """Counting bound margin: statistical for Lebesgue, exact for the
         trivial sources."""
         t0 = time.time()
-        part = self.partition
+        part = cat_map_partition()
         c = _Checks()
         src = OrbitSource(ORBIT_SEED_POINT, 2_000_000)
         margin = markov_mod.entropy_count_bound_check(
@@ -389,7 +384,8 @@ class AcceptanceSuite:
               f"{verdict.value}, slopes "
               + ", ".join(f"{e.slope:+.5f}" for e in sweep.estimates))
         stream = markov_mod.itineraries(
-            pert, self.partition, OrbitSource(ORBIT_SEED_POINT, 1_000_000), 12)
+            pert, cat_map_partition(), OrbitSource(ORBIT_SEED_POINT, 1_000_000),
+            12)
         est = markov_mod.entropy_rate_estimate(
             markov_mod.entropy_tables(stream, range(1, 13)))
         non_exact = not pert.is_linear

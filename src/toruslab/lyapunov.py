@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from toruslab.dynamics import HyperbolicToralMap, unstable_warmup
+from toruslab.dynamics import HyperbolicToralMap, _grid_points, unstable_warmup
 from toruslab.weakstar import DiscreteMeasure, LebesgueMeasure, MeasureLike
 
 DEFAULT_WARMUP = 60
@@ -177,9 +177,7 @@ def unstable_integral(map: HyperbolicToralMap, measure: MeasureLike,
     the continuous integrand at grid_resolution^2 cell centers.
     """
     if isinstance(measure, LebesgueMeasure):
-        xs = (np.arange(grid_resolution) + 0.5) / grid_resolution
-        gx, gy = np.meshgrid(xs, xs, indexing="ij")
-        pts = np.column_stack([gx.ravel(), gy.ravel()])
+        pts = _grid_points(grid_resolution)
         total = 0.0
         for i in range(0, len(pts), _ATOM_CHUNK):
             total += float(np.sum(_psi_batch(map, pts[i:i + _ATOM_CHUNK],

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -47,8 +47,6 @@ LOCATE_TOL = 1e-12
 DIAMETER_GATE = 0.6
 ADEQUACY_FACTOR = 10
 _LOCATE_CHUNK = 1 << 20
-
-Itinerary = Tuple[int, ...]
 
 
 class ConstructionInvalid(RuntimeError):
@@ -76,9 +74,8 @@ CylinderSource = OrbitSource | SampleGrid | DiscreteMeasure
 class MarkovPartition:
     """Five-rectangle Markov partition for the linear cat map.
 
-    pieces: polygon vertex lists (xy, inside the unit square); boxes: the same
-    rectangles as intervals in unstable/stable coordinates; transition: 0/1
-    admissibility matrix of symbol pairs.
+    boxes: the rectangles as intervals in unstable/stable coordinates;
+    transition: 0/1 admissibility matrix of symbol pairs.
     """
 
     def __init__(self):
@@ -104,7 +101,6 @@ class MarkovPartition:
         self._piece_offsets = self._compute_offsets()
         self.transition = self._transition_matrix()
         self.max_diameter = max(self._torus_diameter(b) for b in self.boxes)
-        self.pieces = [self._polygon(b) for b in self.boxes]
         self._validate()
 
     # -- geometry helpers ----------------------------------------------------
@@ -191,15 +187,6 @@ class MarkovPartition:
             np.minimum(best, np.hypot(AA - gvec[0], BB - gvec[1]), out=best)
         return float(best.max())
 
-    def _polygon(self, box) -> np.ndarray:
-        """Plane lift of the rectangle, anchored with its lower-left corner
-        in [0,1)^2 (the polygon may extend past the square; the unit-square
-        drawing wraps and is available from piece_fragments)."""
-        x0, x1, e0, e1 = box
-        corners = np.array([[x0, e0], [x1, e0], [x1, e1], [x0, e1]])
-        xy = self.from_frame(corners)
-        return xy - np.floor(xy.min(axis=0))
-
     # -- validation ----------------------------------------------------------
 
     def _validate(self):
@@ -276,56 +263,6 @@ class MarkovPartition:
                     np.minimum(best, np.hypot(dperp, dpar), out=best)
         return float(best.max())
 
-    def piece_fragments(self) -> list[list[np.ndarray]]:
-        """Unit-square drawing: each rectangle clipped against the cells it
-        crosses and translated back, as in the classical figure.  Every
-        fragment polygon has all vertices inside [0,1]^2."""
-        out = []
-        for poly in self.pieces:
-            frags = []
-            lo = np.floor(poly.min(axis=0)).astype(int)
-            hi = np.floor(poly.max(axis=0) - 1e-12).astype(int)
-            for cx in range(lo[0], hi[0] + 1):
-                for cy in range(lo[1], hi[1] + 1):
-                    clipped = _clip_to_cell(poly, cx, cy)
-                    if clipped is not None:
-                        frags.append(clipped - np.array([cx, cy], dtype=float))
-            out.append(frags)
-        return out
-
-
-def _clip_to_cell(poly: np.ndarray, cx: int, cy: int) -> np.ndarray | None:
-    """Sutherland-Hodgman clip of a convex polygon to [cx,cx+1]x[cy,cy+1]."""
-    pts = [tuple(v) for v in poly]
-    for axis, bound, keep_le in ((0, cx, False), (0, cx + 1, True),
-                                 (1, cy, False), (1, cy + 1, True)):
-        if not pts:
-            return None
-        nxt = []
-        for a, b in zip(pts, pts[1:] + pts[:1]):
-            ina = a[axis] <= bound if keep_le else a[axis] >= bound
-            inb = b[axis] <= bound if keep_le else b[axis] >= bound
-            if ina:
-                nxt.append(a)
-            if ina != inb:
-                t = (bound - a[axis]) / (b[axis] - a[axis])
-                nxt.append((a[0] + t * (b[0] - a[0]),
-                            a[1] + t * (b[1] - a[1])))
-        pts = nxt
-    if len(pts) < 3:
-        return None
-    arr = np.array(pts)
-    # discard degenerate slivers produced by boundary contact
-    if _polygon_area(arr) < 1e-12:
-        return None
-    return arr
-
-
-def _polygon_area(poly: np.ndarray) -> float:
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
-
-
 _PARTITION_CACHE: MarkovPartition | None = None
 
 
@@ -380,15 +317,6 @@ def _locate_chunk(partition: MarkovPartition, pts: np.ndarray) -> np.ndarray:
     return sym
 
 
-def itinerary(map: HyperbolicToralMap, partition: MarkovPartition, point,
-              n: int) -> Itinerary:
-    """Symbols of point, f(point), ..., f^(n-1)(point)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    orbit = map.orbit(point, n)
-    return tuple(int(s) for s in locate(partition, orbit))
-
-
 @dataclass
 class CylinderTable:
     """Empirical distribution over depth-n cylinders (itinerary words).
@@ -409,7 +337,7 @@ class CylinderTable:
     def __post_init__(self):
         self.total = int(self.counts.sum())
 
-    def words(self) -> list[Itinerary]:
+    def words(self) -> list[tuple]:
         """Observed words as symbol tuples, in code order."""
         powers = self.k ** np.arange(self.depth - 1, -1, -1, dtype=np.int64)
         digits = (self.codes[:, None] // powers) % self.k
@@ -514,11 +442,6 @@ def entropy_tables(stream: Itineraries,
             out[d] = CylinderTable(d, stream.k, vals,
                                    cnts.astype(np.int64, copy=False))
     return out
-
-
-def cylinder_frequencies(stream: Itineraries, n: int) -> CylinderTable:
-    """Empirical cylinder distribution at depth n."""
-    return entropy_tables(stream, [n])[n]
 
 
 def weighted_merge(tables: Sequence[CylinderTable],

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import datetime
+import itertools
 import json
+import math
 import os
 import platform
 import sys
@@ -21,11 +23,14 @@ import numpy as np
 from toruslab import basin as basin_mod
 from toruslab import lyapunov as lyap_mod
 from toruslab import markov as markov_mod
-from toruslab.basin import Verdict, default_threads
-from toruslab.config import (ExperimentConfig, TargetSpec, config_hash,
+from toruslab.basin import default_threads
+from toruslab.config import (ExperimentConfig, TargetSpec,
                              moment_vector_for_target, target_measure)
 from toruslab.dynamics import NotHyperbolic, verify_hyperbolicity
-from toruslab.weakstar import LEBESGUE, DiscreteMeasure
+
+CURVE_COLUMNS = ["epsilon", "n", "hits", "samples", "log_fraction"]
+RATE_COLUMNS = ["epsilon", "slope", "stderr", "n_min", "n_max", "rows_used",
+                "min_hits"]
 
 
 class MissingRecord(FileNotFoundError):
@@ -96,6 +101,13 @@ def run(cfg: ExperimentConfig, threads: int | None = None) -> dict:
     h_exact = cfg.target.h_exact()
 
     if cfg.basin is not None:
+        period = _grid_period(cfg)
+        if period is not None:
+            record["warnings"].append(
+                f"grid: every start orbit of the un-jittered "
+                f"{cfg.grid.resolution}x{cfg.grid.resolution} grid is exactly "
+                f"periodic with period {period}, and n reaches "
+                f"{cfg.basin['n_values'][-1]}")
         try:
             stages["basin"] = _run_basin(cfg, target_mv, nthreads)
         except Exception as exc:  # recorded, remaining stages still run
@@ -121,6 +133,25 @@ def run(cfg: ExperimentConfig, threads: int | None = None) -> dict:
 
     _persist(record, cfg)
     return record
+
+
+def _grid_period(cfg: ExperimentConfig) -> int | None:
+    """Common period of the basin grid's float orbits, if the sweep reaches it.
+
+    Cell centers of an un-jittered G-grid lie on (1/2G)Z^2.  For G a power
+    of two they are dyadic, float arithmetic on them is exact, and a linear
+    map returns every one of them after the order of A mod 2G.
+    """
+    g = cfg.grid.resolution
+    if cfg.grid.jitter or not cfg.map.is_linear or g & (g - 1):
+        return None
+    a = cfg.map.matrix % (2 * g)
+    power = a
+    for k in range(1, cfg.basin["n_values"][-1] + 1):
+        if np.array_equal(power, np.eye(2, dtype=np.int64)):
+            return k
+        power = power @ a % (2 * g)
+    return None
 
 
 def _run_basin(cfg: ExperimentConfig, target_mv, nthreads: int) -> dict:
@@ -199,9 +230,9 @@ def _run_entropy(cfg: ExperimentConfig) -> dict:
         "non_exact_partition": not cfg.map.is_linear,
     }
     if bc:
-        margin = markov_mod.entropy_count_bound_check(
-            part, markov_mod.cylinder_frequencies(stream, bc["depth"]),
-            bc["epsilon"])
+        table = markov_mod.entropy_tables(stream, [bc["depth"]])[bc["depth"]]
+        margin = markov_mod.entropy_count_bound_check(part, table,
+                                                      bc["epsilon"])
         out["bound_check"] = {**bc, "margin": margin,
                               "ok": margin >= -bc["tolerance"]}
     return out
@@ -252,7 +283,6 @@ def _run_residuals(cfg: ExperimentConfig, stages: dict,
 def _logf(hits: int, samples: int) -> float:
     if hits == 0:
         return float("-inf")
-    import math
     return math.log(hits / samples)
 
 
@@ -272,30 +302,32 @@ def _persist(record: dict, cfg: ExperimentConfig) -> None:
     record["record_path"] = path
     basin_st = record["stages"].get("basin")
     if basin_st and "curves" in basin_st:
-        _write_curves_csv(os.path.join(outdir, f"{cfg.label}_curves.csv"),
-                          basin_st["curves"])
-        _write_rates_csv(os.path.join(outdir, f"{cfg.label}_rates.csv"),
-                         basin_st.get("rates", []))
+        _write_csv(os.path.join(outdir, f"{cfg.label}_curves.csv"),
+                   CURVE_COLUMNS, _curve_rows(basin_st))
+        _write_csv(os.path.join(outdir, f"{cfg.label}_rates.csv"),
+                   RATE_COLUMNS, _rate_rows(basin_st))
 
 
-def _write_curves_csv(path: str, curves: list) -> None:
+def _curve_rows(basin_st: dict):
+    """Every row of a basin stage's curves, in CURVE_COLUMNS order."""
+    for c in basin_st.get("curves", []):
+        for n, hits, samples, logf in c["rows"]:
+            yield [c["epsilon"], n, hits, samples, repr(logf)]
+
+
+def _rate_rows(basin_st: dict):
+    """Every rate estimate of a basin stage, in RATE_COLUMNS order."""
+    for r in basin_st.get("rates", []):
+        yield [r["epsilon"], repr(r["slope"]), repr(r["stderr"]),
+               r["window"][0], r["window"][1], r["rows_used"], r["min_hits"]]
+
+
+def _write_csv(path: str, header: list, rows) -> str:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(["epsilon", "n", "hits", "samples", "log_fraction"])
-        for c in curves:
-            for n, hits, samples, logf in c["rows"]:
-                w.writerow([c["epsilon"], n, hits, samples, repr(logf)])
-
-
-def _write_rates_csv(path: str, rates: list) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epsilon", "slope", "stderr", "n_min", "n_max",
-                    "rows_used", "min_hits"])
-        for r in rates:
-            w.writerow([r["epsilon"], repr(r["slope"]), repr(r["stderr"]),
-                        r["window"][0], r["window"][1], r["rows_used"],
-                        r["min_hits"]])
+        w.writerow(header)
+        w.writerows(rows)
+    return path
 
 
 def load_record(path: str) -> dict:
@@ -338,55 +370,35 @@ def report(record_paths: list[str], fmt: str, outdir: str) -> list[str]:
 
     for (k, _version), recs in groups.items():
         suffix = f"_K{k}" if multiple else ""
+        stages = [(rec["label"], rec["stages"].get("basin") or {})
+                  for rec in recs]
         if fmt == "csv":
-            path = os.path.join(outdir, f"curves{suffix}.csv")
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                w = csv.writer(fh)
-                w.writerow(["label", "epsilon", "n", "hits", "samples",
-                            "log_fraction"])
-                for rec in recs:
-                    st = rec["stages"].get("basin") or {}
-                    for c in st.get("curves", []):
-                        for n, hits, samples, logf in c["rows"]:
-                            w.writerow([rec["label"], c["epsilon"], n, hits,
-                                        samples, repr(logf)])
-            written.append(path)
-            path = os.path.join(outdir, f"rates{suffix}.csv")
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                w = csv.writer(fh)
-                w.writerow(["label", "epsilon", "slope", "stderr", "n_min",
-                            "n_max", "rows_used"])
-                for rec in recs:
-                    st = rec["stages"].get("basin") or {}
-                    for r in st.get("rates", []):
-                        w.writerow([rec["label"], r["epsilon"],
-                                    repr(r["slope"]), repr(r["stderr"]),
-                                    r["window"][0], r["window"][1],
-                                    r["rows_used"]])
-            written.append(path)
+            written.append(_write_csv(
+                os.path.join(outdir, f"curves{suffix}.csv"),
+                ["label"] + CURVE_COLUMNS,
+                ([label] + row for label, st in stages
+                 for row in _curve_rows(st))))
+            # report rates carry no min_hits column
+            written.append(_write_csv(
+                os.path.join(outdir, f"rates{suffix}.csv"),
+                ["label"] + RATE_COLUMNS[:-1],
+                ([label] + row[:-1] for label, st in stages
+                 for row in _rate_rows(st))))
         elif fmt == "plotdata":
-            for rec in recs:
-                st = rec["stages"].get("basin") or {}
-                for c in st.get("curves", []):
-                    path = os.path.join(
-                        outdir,
-                        f"{rec['label']}_eps{c['epsilon']}{suffix}_curve.csv")
-                    with open(path, "w", newline="", encoding="utf-8") as fh:
-                        w = csv.writer(fh)
-                        w.writerow(["n", "log_fraction"])
-                        for n, _h, _s, logf in c["rows"]:
-                            w.writerow([n, repr(logf)])
-                    written.append(path)
+            for label, st in stages:
+                # curves have distinct epsilons, so each group is one curve
+                for eps, rows in itertools.groupby(_curve_rows(st),
+                                                   key=lambda row: row[0]):
+                    written.append(_write_csv(
+                        os.path.join(outdir,
+                                     f"{label}_eps{eps}{suffix}_curve.csv"),
+                        ["n", "log_fraction"],
+                        ([row[1], row[4]] for row in rows)))
                 if st.get("rates"):
-                    path = os.path.join(outdir,
-                                        f"{rec['label']}{suffix}_sweep.csv")
-                    with open(path, "w", newline="", encoding="utf-8") as fh:
-                        w = csv.writer(fh)
-                        w.writerow(["epsilon", "slope", "stderr"])
-                        for r in st["rates"]:
-                            w.writerow([r["epsilon"], repr(r["slope"]),
-                                        repr(r["stderr"])])
-                    written.append(path)
+                    written.append(_write_csv(
+                        os.path.join(outdir, f"{label}{suffix}_sweep.csv"),
+                        RATE_COLUMNS[:3],
+                        (row[:3] for row in _rate_rows(st))))
         else:
             raise ValueError(f"unknown report format {fmt!r}")
     return written

@@ -198,7 +198,7 @@ LEBESGUE = LebesgueMeasure()
 class DiscreteMeasure:
     """Finitely supported probability measure: atoms (N,2) and weights (N,)."""
 
-    def __init__(self, atoms, weights=None, merge_atoms: bool = True):
+    def __init__(self, atoms, weights=None):
         a = np.atleast_2d(np.asarray(atoms, dtype=float))
         if a.size == 0:
             raise ValueError("atom list must be non-empty")
@@ -214,10 +214,7 @@ class DiscreteMeasure:
             total = float(w.sum())
             if abs(total - 1.0) > 1e-12:
                 raise ValueError(f"weights must sum to 1, got {total!r}")
-        if merge_atoms:
-            a, w = _coalesce(a, w)
-        self.atoms = a
-        self.weights = w
+        self.atoms, self.weights = _coalesce(a, w)
 
     @classmethod
     def dirac(cls, point) -> "DiscreteMeasure":
@@ -270,11 +267,6 @@ def weak_star_distance(mu: MeasureLike, nu: MeasureLike,
                        family: TestFunctionFamily) -> float:
     """dist*(mu, nu) = sum_i 2^-i |m_i(mu) - m_i(nu)|, bounded by 2."""
     return moments(mu, family).distance(moments(nu, family))
-
-
-def pushforward(map: HyperbolicToralMap, measure: DiscreteMeasure) -> DiscreteMeasure:
-    """Image measure under f: atoms mapped, weights carried along."""
-    return DiscreteMeasure(map.step(measure.atoms), measure.weights.copy())
 
 
 def invariance_defect(map: HyperbolicToralMap, point, n: int,

@@ -7,12 +7,18 @@ import sys
 import numpy as np
 import pytest
 
+from toruslab.basin import SampleGrid
 from toruslab.config import (ConfigInvalid, config_hash, load_config,
                              moment_vector_for_target, parse_config)
-from toruslab.markov import (cat_map_partition, cylinder_frequencies,
-                             entropy_count_bound_check, entropy_rate_estimate,
-                             entropy_tables, itineraries)
+from toruslab.markov import (cat_map_partition, entropy_count_bound_check,
+                             entropy_rate_estimate, entropy_tables,
+                             itineraries)
 from toruslab.runner import check_expectations, report, run, MissingRecord
+
+
+GRID_SOURCE = {"kind": "grid", "resolution": 16}
+PERTURBED_MAP = {"matrix": [[2, 1], [1, 1]], "amplitude": 0.005,
+                 "perturbation": [{"coeff": [1.0, 0.0], "freq": [0, 1]}]}
 
 
 def minimal_config(tmpdir, **overrides):
@@ -75,6 +81,36 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid, match=message) as info:
             parse_config(cfg)
         assert info.value.field_path == f"lyapunov.{key}"
+
+    @pytest.mark.parametrize("overrides, field_path, message", [
+        ({"verify_grid": 8}, "verify_grid", ">= 16"),
+        ({"threads": 0}, "threads", ">= 1"),
+        ({"threads": -2}, "threads", ">= 1"),
+        ({"grid": {"resolution": 0}}, "grid", "resolution must be >= 1"),
+        ({"entropy": {"source": {"kind": "grid", "resolution": 0}}},
+         "entropy.source", "resolution must be >= 1"),
+        ({"entropy": {"source": GRID_SOURCE, "depths": []}},
+         "entropy.depths", "non-empty"),
+        ({"entropy": {"source": GRID_SOURCE, "depths": [0, 1]}},
+         "entropy.depths", ">= 1"),
+        ({"entropy": {"source": GRID_SOURCE, "count_depths": [0]}},
+         "entropy.count_depths", ">= 1"),
+        ({"entropy": {"source": GRID_SOURCE,
+                      "bound_check": {"epsilon": 0.1, "depth": 0}}},
+         "entropy.bound_check.depth", ">= 1"),
+        ({"entropy": {"source": {"kind": "orbit", "point": ["nan", 0.2],
+                                 "length": 100}}},
+         "entropy.source.point", "two finite numbers"),
+        ({"entropy": {"source": {"kind": "orbit", "point": [0.1, 0.2],
+                                 "length": 0}}},
+         "entropy.source.length", ">= 1"),
+    ])
+    def test_bad_fields_named(self, tmp_path, overrides, field_path,
+                              message):
+        cfg = minimal_config(tmp_path, **overrides)
+        with pytest.raises(ConfigInvalid, match=message) as info:
+            parse_config(cfg)
+        assert info.value.field_path == field_path
 
     def test_lyapunov_bounds_accepted(self, tmp_path):
         cfg = minimal_config(tmp_path, lyapunov={
@@ -198,6 +234,39 @@ class TestRunner:
         assert res["rate_residual_epsilon"] == 0.1
         assert res["a_est"] == rates[-1]["slope"]
 
+    def test_dyadic_grid_orbits_are_periodic(self, cat):
+        # the premise of the grid warning: every float orbit of the G=64
+        # grid returns exactly after 1.5 G = 96 steps, and not before
+        start = SampleGrid(resolution=64).chunk(0, 64 * 64)
+        x = start
+        for _ in range(95):
+            x = cat.step(x)
+        assert not np.array_equal(x, start)
+        assert np.array_equal(cat.step(x), start)
+
+    @pytest.mark.parametrize("grid, map_spec, n_max, period", [
+        ({"resolution": 64}, None, 96, 96),
+        ({"resolution": 64}, None, 95, None),
+        ({"resolution": 64, "jitter": True}, None, 96, None),
+        ({"resolution": 96}, None, 200, None),
+        ({"resolution": 64}, PERTURBED_MAP, 96, None),
+    ], ids=["G64-n96", "G64-n95", "jittered", "G96", "perturbed"])
+    def test_periodic_grid_warning(self, tmp_path, grid, map_spec, n_max,
+                                   period):
+        cfg = minimal_config(
+            tmp_path, grid=grid, lyapunov={"quad_grid": 16},
+            basin={"epsilons": [0.2], "n_values": [n_max - 2, n_max - 1,
+                                                   n_max]})
+        if map_spec is not None:
+            cfg["map"] = map_spec
+        rec = run(parse_config(cfg), threads=1)
+        warned = [w for w in rec["warnings"] if w.startswith("grid:")]
+        if period is None:
+            assert warned == []
+        else:
+            assert len(warned) == 1
+            assert f"period {period}," in warned[0]
+
     def test_entropy_stage_with_bound_check(self, tmp_path):
         cfg = parse_config(minimal_config(
             tmp_path, label="ent-mini",
@@ -233,8 +302,8 @@ class TestRunner:
         ent = run(cfg, threads=1)["stages"]["entropy"]
         part = cat_map_partition()
         src = cfg.entropy["source"]
-        table = cylinder_frequencies(
-            itineraries(cfg.map, part, src, bound_depth), bound_depth)
+        table = entropy_tables(itineraries(cfg.map, part, src, bound_depth),
+                               [bound_depth])[bound_depth]
         assert (ent["bound_check"]["margin"]
                 == entropy_count_bound_check(part, table, 0.1))
         est = entropy_rate_estimate(entropy_tables(

@@ -6,9 +6,9 @@ import pytest
 from toruslab.basin import SampleGrid
 from toruslab.markov import (CylinderTable, InsufficientSamples,
                              OrbitSource, cylinder_count_rate,
-                             cylinder_frequencies, entropy_count_bound_check,
+                             entropy_count_bound_check,
                              entropy_rate_estimate, entropy_tables,
-                             itineraries, itinerary, locate,
+                             itineraries, locate,
                              partition_entropy, weighted_merge)
 from toruslab.weakstar import DiscreteMeasure
 
@@ -66,18 +66,6 @@ class TestConstruction:
         defect = partition.validate_markov_boundary(1250)
         assert defect <= 1e-9
 
-    def test_fragments_tile(self, partition):
-        def area(poly):
-            x, y = poly[:, 0], poly[:, 1]
-            return 0.5 * abs(float(np.dot(x, np.roll(y, -1))
-                                   - np.dot(y, np.roll(x, -1))))
-        frags = partition.piece_fragments()
-        total = sum(area(f) for fs in frags for f in fs)
-        assert abs(total - 1.0) < 1e-9
-        for fs in frags:
-            for f in fs:
-                assert np.all(f >= -1e-12) and np.all(f <= 1 + 1e-12)
-
     def test_alphabet_matches_pieces(self, partition):
         assert partition.k == len(partition.boxes) == 5
         assert partition.transition.shape == (5, 5)
@@ -89,8 +77,9 @@ class TestLocate:
         assert locate(partition, (0.0, 0.0)) == 0
 
     def test_centroids(self, partition):
-        for idx, poly in enumerate(partition.pieces):
-            c = poly.mean(axis=0) % 1.0
+        for idx, (x0, x1, e0, e1) in enumerate(partition.boxes):
+            corners = np.array([[x0, e0], [x1, e0], [x1, e1], [x0, e1]])
+            c = partition.from_frame(corners).mean(axis=0) % 1.0
             assert locate(partition, c) == idx
 
     def test_million_random_points(self, partition, cat):
@@ -108,22 +97,23 @@ class TestLocate:
 
 class TestItinerary:
     def test_fixed_point_constant(self, cat, partition):
-        assert itinerary(cat, partition, (0.0, 0.0), 6) == (0,) * 6
+        assert locate(partition, cat.orbit((0.0, 0.0), 6)).tolist() == [0] * 6
 
     def test_depth_one(self, cat, partition, rng):
         p = rng.random(2)
-        assert itinerary(cat, partition, p, 1) == (locate(partition, p),)
+        assert (locate(partition, cat.orbit(p, 1)).tolist()
+                == [locate(partition, p)])
 
     def test_shift_property(self, cat, partition, rng):
         for _ in range(20):
             p = rng.random(2)
-            full = itinerary(cat, partition, p, 7)
-            tail = itinerary(cat, partition, cat.step(p), 6)
-            assert full[1:] == tail
+            full = locate(partition, cat.orbit(p, 7))
+            tail = locate(partition, cat.orbit(cat.step(p), 6))
+            assert full[1:].tolist() == tail.tolist()
 
 
 def walk_table(m, partition, source, n):
-    return cylinder_frequencies(itineraries(m, partition, source, n), n)
+    return entropy_tables(itineraries(m, partition, source, n), [n])[n]
 
 
 def walk_tables(m, partition, source, depths):
@@ -240,13 +230,13 @@ class TestCylinderTables:
                        SampleGrid(resolution=32)):
             stream = itineraries(cat, partition, source, 9)
             for n in (3, 6, 9):
-                t = cylinder_frequencies(stream, n)
+                t = entropy_tables(stream, [n])[n]
                 alone = walk_table(cat, partition, source, n)
                 assert np.array_equal(t.codes, alone.codes)
                 assert np.array_equal(t.counts, alone.counts)
         with pytest.raises(ValueError, match="depth 10"):
-            cylinder_frequencies(itineraries(cat, partition,
-                                             SampleGrid(resolution=8), 9), 10)
+            entropy_tables(itineraries(cat, partition,
+                                       SampleGrid(resolution=8), 9), [10])
 
     def test_code_overflow_rejected(self, cat, partition):
         stream = itineraries(cat, partition, OrbitSource(SEED_POINT, 100), 30)
