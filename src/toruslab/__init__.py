@@ -28,6 +28,7 @@ from toruslab.weakstar import (
     FamilyMismatch,
     LebesgueMeasure,
     MomentVector,
+    OrbitMeasure,
     TestFunctionFamily,
     empirical_measure,
     invariance_defect,

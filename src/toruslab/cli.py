@@ -22,9 +22,21 @@ from toruslab.config import ConfigInvalid, load_config
 from toruslab.dynamics import NotHyperbolic, verify_hyperbolicity
 
 
+def _thread_count(value: str) -> int:
+    try:
+        n = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer, got {value!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _add_threads_flag(p: argparse.ArgumentParser):
-    p.add_argument("--threads", type=int, default=None,
-                   help=f"worker threads (overrides ${THREADS_ENV_VAR})")
+    p.add_argument("--threads", type=_thread_count, default=None,
+                   help=f"worker threads, at least 1 (overrides "
+                        f"${THREADS_ENV_VAR})")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,7 +19,8 @@ from toruslab.basin import SampleGrid
 from toruslab.dynamics import HyperbolicToralMap, torus_distance
 from toruslab.markov import OrbitSource
 from toruslab.weakstar import (DEFAULT_TRUNCATION, LEBESGUE, DiscreteMeasure,
-                               MomentVector, TestFunctionFamily, moments)
+                               MomentVector, OrbitMeasure, TestFunctionFamily,
+                               moments)
 
 PERIODIC_TOL = 1e-9
 
@@ -122,7 +123,11 @@ def parse_target(spec: dict, map: HyperbolicToralMap, path: str = "target"
 
 
 def target_measure(target: TargetSpec, map: HyperbolicToralMap):
-    """Materialize the measure object of a non-mixture target."""
+    """Materialize the measure object of a non-mixture target.
+
+    Dirac and periodic targets are exact coalesced DiscreteMeasures; an
+    empirical orbit is an OrbitMeasure, its points kept in orbit order.
+    """
     if target.kind == "lebesgue":
         return LEBESGUE
     if target.kind == "dirac":
@@ -130,8 +135,18 @@ def target_measure(target: TargetSpec, map: HyperbolicToralMap):
     if target.kind == "periodic":
         return DiscreteMeasure(map.orbit(target.point, target.period))
     if target.kind == "empirical_orbit":
-        return DiscreteMeasure(map.orbit(target.point, target.length))
+        return OrbitMeasure(map, target.point, target.length)
     raise ValueError(target.kind)
+
+
+def target_components(target: TargetSpec, map: HyperbolicToralMap
+                      ) -> list[tuple[float, object]]:
+    """(weight, measure) of each component of the target, each measure
+    materialized once: one pair with weight 1 unless it is a mixture."""
+    if target.kind == "mixture":
+        return [(w, target_measure(c, map))
+                for c, w in zip(target.components, target.weights)]
+    return [(1.0, target_measure(target, map))]
 
 
 def _parse_point(value, path: str) -> tuple[float, float]:
@@ -156,11 +171,26 @@ def _at_least(value, least: int, path: str) -> int:
     return n
 
 
-def _parse_depths(value, path: str) -> list[int]:
+def _number_at_least(value, least: float, path: str) -> float:
     try:
-        depths = [_at_least(d, 1, path) for d in value]
+        x = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(path, f"must be a number: {exc}") from exc
+    if not math.isfinite(x) or x < least:
+        raise ConfigInvalid(path, f"must be finite and >= {least}, got {x!r}")
+    return x
+
+
+def _int_list(value, least: int, path: str) -> list[int]:
+    try:
+        return [_at_least(v, least, path) for v in value]
     except TypeError as exc:
-        raise ConfigInvalid(path, f"must be a list of depths: {exc}") from exc
+        raise ConfigInvalid(path, f"must be a list of integers: {exc}"
+                            ) from exc
+
+
+def _parse_depths(value, path: str) -> list[int]:
+    depths = _int_list(value, 1, path)
     if not depths:
         raise ConfigInvalid(path, "must be non-empty")
     return depths
@@ -217,19 +247,23 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ConfigInvalid("basin.epsilons",
                                 "must be strictly decreasing")
-        ns = [int(n) for n in _require(basin, "n_values", "basin")]
-        if any(b <= a for a, b in zip(ns, ns[1:])) or not ns or ns[0] < 1:
+        ns = _int_list(_require(basin, "n_values", "basin"), 1,
+                       "basin.n_values")
+        if any(b <= a for a, b in zip(ns, ns[1:])) or not ns:
             raise ConfigInvalid("basin.n_values",
                                 "must be strictly increasing and >= 1")
-        win = basin.get("window", [ns[0], ns[-1]])
+        win = _int_list(basin.get("window", [ns[0], ns[-1]]), 1,
+                        "basin.window")
         if len(win) != 2 or win[0] > win[1]:
             raise ConfigInvalid("basin.window", "must be [n_min, n_max]")
         basin = {
             "epsilons": eps,
             "n_values": ns,
-            "window": (int(win[0]), int(win[1])),
-            "min_hits": int(basin.get("min_hits", 30)),
-            "verdict_tol": float(basin.get("verdict_tol", 0.01)),
+            "window": tuple(win),
+            "min_hits": _at_least(basin.get("min_hits", 30), 1,
+                                  "basin.min_hits"),
+            "verdict_tol": _number_at_least(basin.get("verdict_tol", 0.01),
+                                            0.0, "basin.verdict_tol"),
         }
 
     entropy = raw.get("entropy")
@@ -263,7 +297,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         }
         bc = entropy["bound_check"]
         if bc is not None:
-            e = float(_require(bc, "epsilon", "entropy.bound_check"))
+            e = _number_at_least(_require(bc, "epsilon",
+                                          "entropy.bound_check"),
+                                 0.0, "entropy.bound_check.epsilon")
             if not 0 < e < 0.25:
                 raise ConfigInvalid("entropy.bound_check.epsilon",
                                     "must be in (0, 1/4)")
@@ -272,7 +308,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 "depth": _at_least(
                     _require(bc, "depth", "entropy.bound_check"), 1,
                     "entropy.bound_check.depth"),
-                "tolerance": float(bc.get("tolerance", 0.05)),
+                "tolerance": _number_at_least(
+                    bc.get("tolerance", 0.05), 0.0,
+                    "entropy.bound_check.tolerance"),
             }
 
     lyap = raw.get("lyapunov", {})
@@ -316,14 +354,15 @@ def load_config(path: str) -> ExperimentConfig:
     return parse_config(raw)
 
 
+def mixture_moments(components, family: TestFunctionFamily) -> MomentVector:
+    """Moments of sum_i w_i mu_i from (w_i, mu_i) pairs."""
+    vals = np.zeros(family.truncation)
+    for w, measure in components:
+        vals += w * moments(measure, family).values
+    return MomentVector(values=vals, truncation=family.truncation,
+                        version=family.version)
+
+
 def moment_vector_for_target(target: TargetSpec, map: HyperbolicToralMap,
-                             family: TestFunctionFamily):
-    if target.kind == "mixture":
-        parts = [moment_vector_for_target(c, map, family).values
-                 for c in target.components]
-        vals = np.zeros(family.truncation)
-        for w, v in zip(target.weights, parts):
-            vals += w * v
-        return MomentVector(values=vals, truncation=family.truncation,
-                            version=family.version)
-    return moments(target_measure(target, map), family)
+                             family: TestFunctionFamily) -> MomentVector:
+    return mixture_moments(target_components(target, map), family)

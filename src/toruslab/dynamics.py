@@ -166,12 +166,34 @@ class HyperbolicToralMap:
 
     # -- operations --------------------------------------------------------
 
+    def _terms(self) -> list[tuple[float, float, float, float]]:
+        """(c0, c1, k0, k1) of every perturbation term, as Python floats."""
+        return [(float(c[0]), float(c[1]), float(k[0]), float(k[1]))
+                for c, k in zip(self._coeffs, self._freqs)]
+
     def step(self, points):
-        """One forward iterate, canonical representative."""
+        """One forward iterate, canonical representative.
+
+        Element-wise products and sums in the order of `orbit`'s scalar
+        loop, so iterating `step` from a point follows `orbit` bit for bit.
+        """
         p = np.asarray(points, dtype=float)
-        q = p @ self.matrix.T.astype(float)
+        x, y = p[..., 0], p[..., 1]
+        (a00, a01), (a10, a11) = self.matrix.astype(float).tolist()
+        q = np.empty(p.shape)
+        qx, qy = q[..., 0], q[..., 1]
+        np.multiply(a00, x, out=qx)
+        qx += a01 * y
+        np.multiply(a10, x, out=qy)
+        qy += a11 * y
         if not self.is_linear:
-            q = q + self.amplitude * self._psi(p)
+            px = py = 0.0
+            for c0, c1, k0, k1 in self._terms():
+                s = np.sin(TWO_PI * (k0 * x + k1 * y))
+                px = px + c0 * s
+                py = py + c1 * s
+            qx += self.amplitude * px
+            qy += self.amplitude * py
         return wrap(q)
 
     def step_inverse(self, points):
@@ -222,8 +244,7 @@ class HyperbolicToralMap:
                 x, y = (a00 * x + a01 * y) % 1.0, (a10 * x + a11 * y) % 1.0
         else:
             amp = self.amplitude
-            terms = [(float(c[0]), float(c[1]), float(k[0]), float(k[1]))
-                     for c, k in zip(self._coeffs, self._freqs)]
+            terms = self._terms()
             sin = math.sin
             for i in range(0, 2 * n, 2):
                 buf[i] = x

@@ -21,8 +21,9 @@ from toruslab import markov as markov_mod
 from toruslab.basin import SampleGrid, Verdict
 from toruslab.dynamics import HyperbolicToralMap, verify_hyperbolicity
 from toruslab.markov import OrbitSource, cat_map_partition
-from toruslab.weakstar import (LEBESGUE, DiscreteMeasure, TestFunctionFamily,
-                               invariance_defect, moments, weak_star_distance)
+from toruslab.weakstar import (LEBESGUE, DiscreteMeasure, OrbitMeasure,
+                               TestFunctionFamily, invariance_defect, moments,
+                               weak_star_distance)
 
 CAT = ((2, 1), (1, 1))
 LOG_LAMBDA = math.log((3.0 + math.sqrt(5.0)) / 2.0)  # 0.9624236501192069
@@ -372,8 +373,9 @@ class AcceptanceSuite:
         c.add("cone verification", rep.passed,
               f"expand {rep.lambda_expand:.4f} contract "
               f"{rep.lambda_contract:.4f}")
-        proxy_orbit = pert.orbit(ORBIT_SEED_POINT, 1_000_000)
-        proxy = DiscreteMeasure(proxy_orbit)
+        # one orbit serves the target moments, the entropy stream and the
+        # Birkhoff pass of the unstable integral
+        proxy = OrbitMeasure(pert, ORBIT_SEED_POINT, 1_000_000)
         target = moments(proxy, self.family)
         sweep = basin_mod.epsilon_sweep(
             pert, target, [0.2, 0.1], list(range(100, 401, 50)),
@@ -383,9 +385,7 @@ class AcceptanceSuite:
         c.add("verdict", verdict is Verdict.CONSISTENT_WITH_ZERO,
               f"{verdict.value}, slopes "
               + ", ".join(f"{e.slope:+.5f}" for e in sweep.estimates))
-        stream = markov_mod.itineraries(
-            pert, cat_map_partition(), OrbitSource(ORBIT_SEED_POINT, 1_000_000),
-            12)
+        stream = markov_mod.itineraries(pert, cat_map_partition(), proxy, 12)
         est = markov_mod.entropy_rate_estimate(
             markov_mod.entropy_tables(stream, range(1, 13)))
         non_exact = not pert.is_linear

@@ -9,7 +9,8 @@ at x is just log |Df_x u| for a unit vector u spanning F(x).
 
 The orbit cocycles (QR spectrum, Birkhoff average) generate the orbit once,
 take all its Jacobians in one batched call, and run the recursion on Python
-floats.
+floats.  The unstable integral of an orbit measure is the Birkhoff pass
+along its stored orbit, so it needs one warmup, not one per point.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from toruslab.dynamics import HyperbolicToralMap, _grid_points, unstable_warmup
-from toruslab.weakstar import DiscreteMeasure, LebesgueMeasure, MeasureLike
+from toruslab.weakstar import (DiscreteMeasure, LebesgueMeasure, MeasureLike,
+                               OrbitMeasure)
 
 DEFAULT_WARMUP = 60
 DEFAULT_QUAD_GRID = 512
@@ -143,28 +145,9 @@ def _psi_batch(map: HyperbolicToralMap, points: np.ndarray,
 
 def birkhoff_unstable_average(map: HyperbolicToralMap, point, n: int,
                               warmup_n: int = DEFAULT_WARMUP) -> float:
-    """(1/n) sum of psi along the orbit of `point`.
-
-    One warmup fixes the direction at the start; along the orbit the
-    direction propagates by u <- Df u / |Df u|, so each step costs a single
-    2x2 product and the sum telescopes to (1/n) log |Df^n u| between
-    renormalizations.  Agrees with unstable_integral over the empirical
-    measure of the orbit to float accumulation accuracy.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    u0, u1 = (float(c) for c in unstable_direction(map, point, warmup_n))
-    jac = iter(_jacobians(map, map.orbit(point, n)))
-    hypot, log = math.hypot, math.log
-    total = 0.0
-    for d00, d01, d10, d11 in zip(jac, jac, jac, jac):
-        w0 = _fma(d00, u0, d01 * u1)
-        w1 = _fma(d10, u0, d11 * u1)
-        r = hypot(w0, w1)
-        total += log(r)
-        u0 = w0 / r
-        u1 = w1 / r
-    return total / n
+    """(1/n) sum of psi along the orbit of `point`: the unstable integral of
+    its length-n orbit measure."""
+    return unstable_integral(map, OrbitMeasure(map, point, n), warmup_n)
 
 
 def unstable_integral(map: HyperbolicToralMap, measure: MeasureLike,
@@ -172,10 +155,33 @@ def unstable_integral(map: HyperbolicToralMap, measure: MeasureLike,
                       grid_resolution: int = DEFAULT_QUAD_GRID) -> float:
     """Integral of psi against the measure.
 
-    Discrete measures: weighted sum of psi over the atoms (chunked, each atom
-    gets its own warmup).  Lebesgue: deterministic uniform-grid quadrature of
-    the continuous integrand at grid_resolution^2 cell centers.
+    Orbit measures: the Birkhoff pass along the stored orbit.  One warmup
+    fixes the direction at the first point; along the orbit it propagates
+    by u <- Df u / |Df u|, so each step costs a single 2x2 product and the
+    sum telescopes to log |Df^n u| between renormalizations.  Discrete
+    measures: weighted sum of psi over the atoms (chunked, each atom gets
+    its own warmup).  Lebesgue: deterministic uniform-grid quadrature of the
+    continuous integrand at grid_resolution^2 cell centers.
     """
+    if isinstance(measure, OrbitMeasure):
+        if measure.map is not map:
+            raise ValueError("orbit measure was built for another map")
+        if warmup_n < 1:
+            raise ValueError("warmup_n must be >= 1")
+        orbit = measure.atoms
+        u0, u1 = (float(c)
+                  for c in unstable_warmup(map, orbit[:1], warmup_n)[0])
+        jac = iter(_jacobians(map, orbit))
+        hypot, log = math.hypot, math.log
+        total = 0.0
+        for d00, d01, d10, d11 in zip(jac, jac, jac, jac):
+            w0 = _fma(d00, u0, d01 * u1)
+            w1 = _fma(d10, u0, d11 * u1)
+            r = hypot(w0, w1)
+            total += log(r)
+            u0 = w0 / r
+            u1 = w1 / r
+        return total / len(orbit)
     if isinstance(measure, LebesgueMeasure):
         pts = _grid_points(grid_resolution)
         total = 0.0

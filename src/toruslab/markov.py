@@ -34,7 +34,7 @@ from typing import Dict, Sequence
 import numpy as np
 
 from toruslab.dynamics import HyperbolicToralMap, wrap
-from toruslab.weakstar import DiscreteMeasure
+from toruslab.weakstar import DiscreteMeasure, OrbitMeasure
 from toruslab.basin import SampleGrid
 
 CAT_MATRIX = ((2, 1), (1, 1))
@@ -63,12 +63,13 @@ class InsufficientSamples(RuntimeError):
 
 @dataclass(frozen=True)
 class OrbitSource:
-    """Cylinder source: one long forward orbit from a seed point."""
+    """Cylinder source: one long forward orbit from a seed point.  Walking
+    it builds the OrbitMeasure of that orbit, whose stream is read."""
     point: tuple
     length: int
 
 
-CylinderSource = OrbitSource | SampleGrid | DiscreteMeasure
+CylinderSource = OrbitSource | OrbitMeasure | SampleGrid | DiscreteMeasure
 
 
 class MarkovPartition:
@@ -362,9 +363,9 @@ def _sum_runs(codes: np.ndarray, counts: np.ndarray):
 class Itineraries:
     """Partition symbols of every start of a walked cylinder source.
 
-    Orbit source: `symbols` is the 1-d symbol stream of the orbit, and start
-    t reads symbols[t:].  Grid or atom source: `symbols` has shape
-    (depth, N) and column i is the itinerary of start i.
+    Orbit source or orbit measure: `symbols` is the 1-d symbol stream of
+    the orbit, and start t reads symbols[t:].  Grid or atom source:
+    `symbols` has shape (depth, N) and column i is the itinerary of start i.
     """
     symbols: np.ndarray
     k: int
@@ -387,15 +388,18 @@ def itineraries(map: HyperbolicToralMap, partition: MarkovPartition,
                 source: CylinderSource, max_depth: int) -> Itineraries:
     """Walk and locate a cylinder source once, for tables up to max_depth.
 
-    An orbit source is walked over its whole length; grid and atom sources
-    are stepped max_depth - 1 times.
+    An orbit source becomes the OrbitMeasure of its orbit.  An orbit
+    measure is located once as a stream, starts 0..L-max_depth; grid and
+    atom sources are stepped max_depth - 1 times.
     """
     if isinstance(source, OrbitSource):
-        if source.length < max_depth:
+        source = OrbitMeasure(map, source.point, source.length)
+    if isinstance(source, OrbitMeasure):
+        if source.map is not map:
+            raise ValueError("orbit measure was built for another map")
+        if len(source) < max_depth:
             raise ValueError("orbit shorter than requested depth")
-        orbit = map.orbit(np.asarray(source.point, dtype=float),
-                          source.length)
-        return Itineraries(locate(partition, orbit), partition.k)
+        return Itineraries(locate(partition, source.atoms), partition.k)
     if isinstance(source, SampleGrid):
         starts = source.chunk(0, source.size,
                               source._offsets() if source.jitter else None)

@@ -24,8 +24,8 @@ from toruslab import basin as basin_mod
 from toruslab import lyapunov as lyap_mod
 from toruslab import markov as markov_mod
 from toruslab.basin import default_threads
-from toruslab.config import (ExperimentConfig, TargetSpec,
-                             moment_vector_for_target, target_measure)
+from toruslab.config import (ExperimentConfig, mixture_moments,
+                             target_components)
 from toruslab.dynamics import NotHyperbolic, verify_hyperbolicity
 
 CURVE_COLUMNS = ["epsilon", "n", "hits", "samples", "log_fraction"]
@@ -50,19 +50,6 @@ def environment_stamp(threads: int) -> dict:
         "machine": platform.machine(),
         "threads": threads,
     }
-
-
-def _unstable_integral_for_target(target: TargetSpec, cfg: ExperimentConfig
-                                  ) -> float:
-    warm = cfg.lyapunov["warmup"]
-    quad = cfg.lyapunov["quad_grid"]
-    if target.kind == "mixture":
-        return float(sum(
-            w * _unstable_integral_for_target(c, cfg)
-            for c, w in zip(target.components, target.weights)))
-    measure = target_measure(target, cfg.map)
-    return lyap_mod.unstable_integral(cfg.map, measure, warmup_n=warm,
-                                      grid_resolution=quad)
 
 
 def run(cfg: ExperimentConfig, threads: int | None = None) -> dict:
@@ -97,7 +84,9 @@ def run(cfg: ExperimentConfig, threads: int | None = None) -> dict:
         _persist(record, cfg)
         return record
 
-    target_mv = moment_vector_for_target(cfg.target, cfg.map, cfg.family)
+    # every stage reads these measures; an empirical orbit is generated once
+    components = target_components(cfg.target, cfg.map)
+    target_mv = mixture_moments(components, cfg.family)
     h_exact = cfg.target.h_exact()
 
     if cfg.basin is not None:
@@ -115,13 +104,13 @@ def run(cfg: ExperimentConfig, threads: int | None = None) -> dict:
 
     if cfg.entropy is not None:
         try:
-            stages["entropy"] = _run_entropy(cfg)
+            stages["entropy"] = _run_entropy(cfg, components)
         except Exception as exc:
             stages["entropy"] = {"error": f"{type(exc).__name__}: {exc}"}
 
     if cfg.lyapunov.get("enabled"):
         try:
-            stages["lyapunov"] = _run_lyapunov(cfg)
+            stages["lyapunov"] = _run_lyapunov(cfg, components)
         except Exception as exc:
             stages["lyapunov"] = {"error": f"{type(exc).__name__}: {exc}"}
 
@@ -194,19 +183,15 @@ def _run_basin(cfg: ExperimentConfig, target_mv, nthreads: int) -> dict:
     return out
 
 
-def _entropy_source(cfg: ExperimentConfig):
-    src = cfg.entropy["source"]
-    if src == "target_atoms":
-        return target_measure(cfg.target, cfg.map)
-    return src
-
-
-def _run_entropy(cfg: ExperimentConfig) -> dict:
+def _run_entropy(cfg: ExperimentConfig, components: list) -> dict:
     part = markov_mod.cat_map_partition()
     if not np.array_equal(cfg.map.matrix, np.array(markov_mod.CAT_MATRIX)):
         raise ValueError("the Markov partition is built for the cat matrix "
                          "[[2,1],[1,1]]")
-    source = _entropy_source(cfg)
+    source = cfg.entropy["source"]
+    if source == "target_atoms":
+        # config admits target_atoms only for a single atomic target
+        source = components[0][1]
     depths = cfg.entropy["depths"]
     bc = cfg.entropy.get("bound_check")
     # one walk of the source serves the entropy tables and the bound table
@@ -238,11 +223,15 @@ def _run_entropy(cfg: ExperimentConfig) -> dict:
     return out
 
 
-def _run_lyapunov(cfg: ExperimentConfig) -> dict:
+def _run_lyapunov(cfg: ExperimentConfig, components: list) -> dict:
     ly = cfg.lyapunov
     spec = lyap_mod.lyapunov_spectrum_qr(cfg.map, ly["qr_point"],
                                          ly["qr_steps"])
-    integral = _unstable_integral_for_target(cfg.target, cfg)
+    integral = float(sum(
+        w * lyap_mod.unstable_integral(cfg.map, measure,
+                                       warmup_n=ly["warmup"],
+                                       grid_resolution=ly["quad_grid"])
+        for w, measure in components))
     return {
         "chi_plus": spec.chi_plus,
         "chi_minus": spec.chi_minus,

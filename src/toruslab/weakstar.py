@@ -19,8 +19,9 @@ product per frequency.  Mode values are kept as complex (F, N) arrays, one
 row per frequency and contiguous in the points.  Transposed to (N, F) and
 viewed as float64, each point's row reads cos, sin, cos, sin, ... in the
 family's mode order, so its first K-1 entries are the trig modes for odd and
-even K alike.  `phi_values` and the basin kernel's running sums
-(`zero_sums`, `accumulate`, `sum_distances`) share this evaluator.
+even K alike.  `phi_values`, the blocked `weighted_sum` behind `moments` and
+the basin kernel's running sums (`zero_sums`, `accumulate`, `sum_distances`)
+share this evaluator.
 """
 
 from __future__ import annotations
@@ -133,6 +134,29 @@ class TestFunctionFamily:
             block += 0.5
         return out
 
+    def weighted_sum(self, points, weights) -> np.ndarray:
+        """sum_i w_i phi(x_i) over the N points, shape (K,).
+
+        Blocks of _PHI_ROWS points reuse one complex (F, block) array of
+        mode values, so memory stays at one block for any N; each block
+        adds its weighted mode sum, and a trig moment is W/2 plus half the
+        weighted cos or sin sum, W = sum_i w_i."""
+        p = np.asarray(points, dtype=float)
+        w = np.asarray(weights, dtype=float)
+        modes = self.zero_sums(min(len(p), _PHI_ROWS))
+        acc = np.zeros(len(self._pairs), dtype=complex)
+        for i in range(0, len(p), _PHI_ROWS):
+            rows = p[i:i + _PHI_ROWS]
+            block = modes[:, :len(rows)]
+            block[...] = 0.0
+            self._add_modes(rows, block)
+            acc += block @ w[i:i + _PHI_ROWS]
+        total = float(np.sum(w))
+        out = np.empty(self.truncation)
+        out[0] = total
+        out[1:] = 0.5 * total + 0.5 * self._trig_modes(acc[:, None])[0]
+        return out
+
     def zero_sums(self, npoints: int) -> np.ndarray:
         """Empty running sums for `accumulate`: complex (F, npoints), one
         row per frequency."""
@@ -242,7 +266,32 @@ def _coalesce(atoms: np.ndarray, weights: np.ndarray):
     return atoms[first], merged_w
 
 
-MeasureLike = DiscreteMeasure | LebesgueMeasure
+class OrbitMeasure:
+    """Empirical measure of one forward orbit: weight 1/L on each point.
+
+    `atoms` holds the L orbit points in orbit order and is never coalesced,
+    so every stage can read the measure as a stream: moments in row blocks,
+    the unstable integral as one Birkhoff pass, cylinder words from one
+    located symbol sequence.  The orbit is generated once, by `map.orbit`,
+    when the measure is built; `map` is kept because only along its orbits
+    is the point order meaningful.
+    """
+
+    def __init__(self, map: HyperbolicToralMap, point, length: int):
+        if length < 1:
+            raise ValueError("orbit length must be >= 1")
+        self.map = map
+        self.atoms = map.orbit(point, length)
+        self.weights = np.broadcast_to(1.0 / length, (length,))
+
+    def __len__(self):
+        return len(self.atoms)
+
+    def __repr__(self):
+        return f"OrbitMeasure({len(self)} points)"
+
+
+MeasureLike = DiscreteMeasure | OrbitMeasure | LebesgueMeasure
 
 
 def empirical_measure(map: HyperbolicToralMap, point, n: int) -> DiscreteMeasure:
@@ -253,10 +302,13 @@ def empirical_measure(map: HyperbolicToralMap, point, n: int) -> DiscreteMeasure
 
 
 def moments(measure: MeasureLike, family: TestFunctionFamily) -> MomentVector:
+    """Lebesgue moments in closed form; for atoms, the weighted sum of phi
+    in blocks (`TestFunctionFamily.weighted_sum`), so no (N, K) array of
+    phi values is built."""
     if isinstance(measure, LebesgueMeasure):
         vals = family.lebesgue_moments()
-    elif isinstance(measure, DiscreteMeasure):
-        vals = measure.weights @ family.phi_values(measure.atoms)
+    elif isinstance(measure, (DiscreteMeasure, OrbitMeasure)):
+        vals = family.weighted_sum(measure.atoms, measure.weights)
     else:
         raise TypeError(f"unsupported measure {type(measure).__name__}")
     return MomentVector(values=vals, truncation=family.truncation,

@@ -104,6 +104,29 @@ class TestConfigValidation:
         ({"entropy": {"source": {"kind": "orbit", "point": [0.1, 0.2],
                                  "length": 0}}},
          "entropy.source.length", ">= 1"),
+        ({"basin": {"epsilons": [0.2], "n_values": [10, 20],
+                    "min_hits": "x"}}, "basin.min_hits", "integer"),
+        ({"basin": {"epsilons": [0.2], "n_values": [10, 20],
+                    "min_hits": 0}}, "basin.min_hits", ">= 1"),
+        ({"basin": {"epsilons": [0.2], "n_values": [10, 20],
+                    "verdict_tol": "x"}}, "basin.verdict_tol", "number"),
+        ({"basin": {"epsilons": [0.2], "n_values": [10, 20],
+                    "verdict_tol": -0.1}}, "basin.verdict_tol", ">= 0"),
+        ({"basin": {"epsilons": [0.2], "n_values": [10, 20],
+                    "window": ["x", 20]}}, "basin.window", "integer"),
+        ({"basin": {"epsilons": [0.2], "n_values": [10, 20],
+                    "window": 20}}, "basin.window", "list of integers"),
+        ({"basin": {"epsilons": [0.2], "n_values": [10, "x"]}},
+         "basin.n_values", "integer"),
+        ({"basin": {"epsilons": [0.2], "n_values": None}},
+         "basin.n_values", "list of integers"),
+        ({"entropy": {"source": GRID_SOURCE,
+                      "bound_check": {"epsilon": 0.1, "depth": 4,
+                                      "tolerance": "x"}}},
+         "entropy.bound_check.tolerance", "number"),
+        ({"entropy": {"source": GRID_SOURCE,
+                      "bound_check": {"epsilon": "x", "depth": 4}}},
+         "entropy.bound_check.epsilon", "number"),
     ])
     def test_bad_fields_named(self, tmp_path, overrides, field_path,
                               message):
@@ -390,6 +413,15 @@ class TestCli:
         assert r.returncode == 0
         out = json.loads(r.stdout)
         assert out["passed"] is True
+
+    @pytest.mark.parametrize("value", ["0", "-1", "two"])
+    def test_bad_threads_flag_rejected(self, tmp_path, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(minimal_config(tmp_path)))
+        r = self._run("run", str(path), "--threads", value)
+        assert r.returncode != 0
+        assert "--threads" in r.stderr
+        assert not (tmp_path / "mini.json").exists()
 
     def test_threads_env_var(self, tmp_path):
         cfg = minimal_config(tmp_path, label="envthreads")

@@ -66,6 +66,34 @@ class TestStep:
         assert np.all((out >= 0) & (out < 1))
 
 
+STEP_ORBIT_MAPS = {
+    "cat-3211": HyperbolicToralMap([[3, 2], [1, 1]]),
+    "cat-5221": HyperbolicToralMap([[5, 2], [2, 1]]),
+    "cat-sin-y": HyperbolicToralMap([[2, 1], [1, 1]], 0.005,
+                                    [((1.0, 0.0), (0, 1))]),
+    "3211-sin-y": HyperbolicToralMap([[3, 2], [1, 1]], 0.005,
+                                     [((1.0, 0.0), (0, 1))]),
+    "three-terms": HyperbolicToralMap(
+        [[2, 1], [1, 1]], 0.004,
+        [((1.0, 0.3), (0, 1)), ((0.2, -0.5), (1, 1)),
+         ((0.7, 0.1), (2, -1))]),
+}
+
+
+class TestStepFollowsOrbit:
+    @pytest.mark.parametrize("name", sorted(STEP_ORBIT_MAPS))
+    def test_iterated_step_equals_orbit(self, name):
+        # the basin sweep iterates step on arrays, the scalar stages read
+        # orbit; both must follow the same float orbit bit for bit
+        m = STEP_ORBIT_MAPS[name]
+        pts = np.random.default_rng(11).random((5, 2))
+        orbits = np.stack([m.orbit(p, 300) for p in pts], axis=1)
+        x = pts
+        for t in range(300):
+            assert np.array_equal(x, orbits[t]), t
+            x = m.step(x)
+
+
 class TestInverse:
     def test_linear_example(self, cat):
         # A^-1 = [[1,-1],[-1,2]], A^-1 (1/2, 0) = (1/2, -1/2) = (1/2, 1/2)

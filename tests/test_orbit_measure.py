@@ -1,0 +1,145 @@
+"""An empirical-orbit target read as one stream, against the coalesced atoms.
+
+OrbitMeasure keeps the L orbit points in order; DiscreteMeasure of the same
+orbit is the per-atom route every stage took before.  The two must agree:
+moments to the rounding of a blocked sum, the unstable integral to the
+alignment of a 60-step warmup, cylinder tables exactly.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from toruslab.config import parse_config
+from toruslab.dynamics import HyperbolicToralMap
+from toruslab.lyapunov import birkhoff_unstable_average, unstable_integral
+from toruslab.markov import OrbitSource, entropy_tables, itineraries
+from toruslab.runner import run
+from toruslab.weakstar import (DiscreteMeasure, OrbitMeasure,
+                               TestFunctionFamily, moments)
+
+PERTURBED_SPEC = {"matrix": [[2, 1], [1, 1]], "amplitude": 0.005,
+                  "perturbation": [{"coeff": [1.0, 0.0], "freq": [0, 1]}]}
+PERTURBED = HyperbolicToralMap([[2, 1], [1, 1]], 0.005,
+                               [((1.0, 0.0), (0, 1))])
+POINT = (0.2137214321, 0.5721347123)
+
+
+@pytest.fixture(scope="module")
+def orbit_2000():
+    return OrbitMeasure(PERTURBED, POINT, 2000)
+
+
+class TestOrbitMeasure:
+    def test_atoms_are_the_orbit_in_order(self, orbit_2000):
+        assert np.array_equal(orbit_2000.atoms, PERTURBED.orbit(POINT, 2000))
+        assert len(orbit_2000) == 2000
+        assert np.all(orbit_2000.weights == 1.0 / 2000)
+
+    def test_bad_length_rejected(self):
+        with pytest.raises(ValueError, match=">= 1"):
+            OrbitMeasure(PERTURBED, POINT, 0)
+
+    def test_other_map_rejected(self, orbit_2000, cat, partition):
+        with pytest.raises(ValueError, match="another map"):
+            unstable_integral(cat, orbit_2000)
+        with pytest.raises(ValueError, match="another map"):
+            itineraries(cat, partition, orbit_2000, 4)
+
+
+class TestStreamedEqualsAtoms:
+    def test_moments(self, orbit_2000, family):
+        streamed = moments(orbit_2000, family).values
+        atoms = moments(DiscreteMeasure(orbit_2000.atoms), family).values
+        assert np.max(np.abs(streamed - atoms)) <= 1e-13
+
+    def test_blocked_moments_match_exact_sum(self, family):
+        # 25 row blocks against correctly rounded column sums of phi; the
+        # former single (N, K) product was 7.2e-13 off in m_0 here
+        mu = OrbitMeasure(PERTURBED, POINT, 200_000)
+        phi = family.phi_values(mu.atoms)
+        exact = np.array([math.fsum(col) for col in phi.T]) / len(mu)
+        assert np.max(np.abs(moments(mu, family).values - exact)) <= 1e-15
+
+    def test_unstable_integral(self, orbit_2000):
+        streamed = unstable_integral(PERTURBED, orbit_2000)
+        per_atom = unstable_integral(PERTURBED,
+                                     DiscreteMeasure(orbit_2000.atoms))
+        assert abs(streamed - per_atom) <= 1e-12
+
+    def test_integral_is_the_birkhoff_average(self, orbit_2000):
+        assert (unstable_integral(PERTURBED, orbit_2000)
+                == birkhoff_unstable_average(PERTURBED, POINT, 2000))
+
+    def test_entropy_tables(self, orbit_2000, partition):
+        depths = list(range(1, 9))
+        streamed = entropy_tables(
+            itineraries(PERTURBED, partition, orbit_2000, 8), depths)
+        source = entropy_tables(
+            itineraries(PERTURBED, partition, OrbitSource(POINT, 2000), 8),
+            depths)
+        for d in depths:
+            assert np.array_equal(streamed[d].codes, source[d].codes)
+            assert np.array_equal(streamed[d].counts, source[d].counts)
+            assert streamed[d].total == 2000 - 8 + 1
+
+
+@pytest.mark.parametrize("measure", [
+    lambda: OrbitMeasure(PERTURBED, POINT, 200_000),
+    lambda: DiscreteMeasure(
+        np.random.default_rng(3).random((200_000, 2))),
+], ids=["orbit", "atoms"])
+def test_moments_peak_memory(measure):
+    # blocks of _PHI_ROWS rows: no (N, K) array of phi values is built
+    mu = measure()
+    family = TestFunctionFamily(33)
+    tracemalloc.start()
+    try:
+        moments(mu, family)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def _config(tmp_path, label, source):
+    return parse_config({
+        "label": label, "map": PERTURBED_SPEC,
+        "family": {"truncation": 17},
+        "grid": {"resolution": 16, "jitter": True, "seed": 1},
+        "target": {"kind": "empirical_orbit", "point": list(POINT),
+                   "length": 5000},
+        "basin": {"epsilons": [0.2], "n_values": [10, 20, 30]},
+        "entropy": {"source": source, "depths": list(range(1, 7))},
+        "output_dir": str(tmp_path),
+    })
+
+
+class TestRunner:
+    def test_orbit_generated_once_per_run(self, tmp_path, monkeypatch):
+        lengths = []
+        orbit = HyperbolicToralMap.orbit
+
+        def counted(self, point, n):
+            lengths.append(n)
+            return orbit(self, point, n)
+
+        monkeypatch.setattr(HyperbolicToralMap, "orbit", counted)
+        rec = run(_config(tmp_path, "once", {"kind": "target_atoms"}),
+                  threads=1)
+        assert not any("error" in st for st in rec["stages"].values())
+        assert lengths.count(5000) == 1
+
+    def test_target_atoms_read_the_orbit_stream(self, tmp_path):
+        # target_atoms on an orbit target and an orbit source with the
+        # same seed and length walk the same stream
+        atoms = run(_config(tmp_path, "atoms", {"kind": "target_atoms"}),
+                    threads=1)["stages"]
+        orbit = run(_config(tmp_path, "orbit", {
+            "kind": "orbit", "point": list(POINT), "length": 5000}),
+            threads=1)["stages"]
+        assert atoms["entropy"] == orbit["entropy"]
+        assert atoms["lyapunov"]["unstable_integral_target"] == \
+            birkhoff_unstable_average(PERTURBED, POINT, 5000)
