@@ -30,7 +30,6 @@ from toruslab.weakstar import (
     MomentVector,
     OrbitMeasure,
     TestFunctionFamily,
-    empirical_measure,
     invariance_defect,
     moments,
     weak_star_distance,
@@ -38,7 +37,6 @@ from toruslab.weakstar import (
 from toruslab.lyapunov import (
     DegenerateCocycle,
     LyapunovSpectrum,
-    birkhoff_unstable_average,
     log_unstable_jacobian,
     lyapunov_spectrum_qr,
     unstable_direction,
@@ -65,7 +63,6 @@ from toruslab.markov import (
     Itineraries,
     LocationFailure,
     MarkovPartition,
-    OrbitSource,
     cat_map_partition,
     cylinder_count_rate,
     entropy_count_bound_check,

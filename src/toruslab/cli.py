@@ -39,10 +39,16 @@ def _add_threads_flag(p: argparse.ArgumentParser):
                         f"${THREADS_ENV_VAR})")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """argparse's usage error with exit code 1, as 2 is a failed check."""
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="toruslab",
-                                 description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap = _Parser(prog="toruslab", description=__doc__,
+                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run an experiment config")

@@ -17,7 +17,6 @@ import numpy as np
 
 from toruslab.basin import SampleGrid
 from toruslab.dynamics import HyperbolicToralMap, torus_distance
-from toruslab.markov import OrbitSource
 from toruslab.weakstar import (DEFAULT_TRUNCATION, LEBESGUE, DiscreteMeasure,
                                MomentVector, OrbitMeasure, TestFunctionFamily,
                                moments)
@@ -75,9 +74,21 @@ class ExperimentConfig:
 
 
 def _require(d: dict, key: str, path: str):
-    if key not in d:
+    if key not in _object(d, path):
         raise ConfigInvalid(f"{path}.{key}", "missing required field")
     return d[key]
+
+
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigInvalid(path, f"must be an object, got {value!r}")
+    return value
+
+
+def _list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigInvalid(path, f"must be a list, got {value!r}")
+    return value
 
 
 def parse_target(spec: dict, map: HyperbolicToralMap, path: str = "target"
@@ -86,10 +97,10 @@ def parse_target(spec: dict, map: HyperbolicToralMap, path: str = "target"
     if kind == "lebesgue":
         return TargetSpec(kind="lebesgue")
     if kind == "dirac":
-        pt = tuple(float(v) for v in _require(spec, "point", path))
+        pt = _parse_point(_require(spec, "point", path), f"{path}.point")
         return TargetSpec(kind="dirac", point=pt)
     if kind == "periodic":
-        pt = tuple(float(v) for v in _require(spec, "point", path))
+        pt = _parse_point(_require(spec, "point", path), f"{path}.point")
         period = _at_least(_require(spec, "period", path), 1,
                            f"{path}.period")
         back = map.orbit(pt, period + 1)[-1]
@@ -100,13 +111,13 @@ def parse_target(spec: dict, map: HyperbolicToralMap, path: str = "target"
                 f"not periodic with period {period}: returns {err:.2e} away")
         return TargetSpec(kind="periodic", point=pt, period=period)
     if kind == "empirical_orbit":
-        pt = tuple(float(v) for v in _require(spec, "point", path))
-        length = _at_least(_require(spec, "length", path), 1,
-                           f"{path}.length")
-        return TargetSpec(kind="empirical_orbit", point=pt, length=length)
+        return _orbit_spec(spec, path)
     if kind == "mixture":
-        comps = _require(spec, "components", path)
-        weights = [float(w) for w in _require(spec, "weights", path)]
+        comps = _list(_require(spec, "components", path),
+                      f"{path}.components")
+        weights = [_number_at_least(w, 0.0, f"{path}.weights")
+                   for w in _list(_require(spec, "weights", path),
+                                  f"{path}.weights")]
         if len(comps) != len(weights):
             raise ConfigInvalid(f"{path}.weights",
                                 "one weight per component")
@@ -120,6 +131,15 @@ def parse_target(spec: dict, map: HyperbolicToralMap, path: str = "target"
                                 "nested mixtures are not supported")
         return TargetSpec(kind="mixture", components=parsed, weights=weights)
     raise ConfigInvalid(f"{path}.kind", f"unknown target kind {kind!r}")
+
+
+def _orbit_spec(spec: dict, path: str) -> TargetSpec:
+    """Orbit point and length only: `target_measure` builds the orbit."""
+    return TargetSpec(
+        kind="empirical_orbit",
+        point=_parse_point(_require(spec, "point", path), f"{path}.point"),
+        length=_at_least(_require(spec, "length", path), 1,
+                         f"{path}.length"))
 
 
 def target_measure(target: TargetSpec, map: HyperbolicToralMap):
@@ -197,6 +217,7 @@ def _parse_depths(value, path: str) -> list[int]:
 
 
 def _parse_grid(spec: dict, path: str) -> SampleGrid:
+    _object(spec, path)
     try:
         return SampleGrid(resolution=int(spec.get("resolution", 256)),
                           jitter=bool(spec.get("jitter", False)),
@@ -206,27 +227,28 @@ def _parse_grid(spec: dict, path: str) -> SampleGrid:
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigInvalid("$", "config must be a JSON object")
+    _object(raw, "$")
     label = str(raw.get("label", "experiment"))
 
     mspec = _require(raw, "map", "$")
+    matrix = _require(mspec, "matrix", "map")
+    terms = [(_require(t, "coeff", f"map.perturbation[{i}]"),
+              _require(t, "freq", f"map.perturbation[{i}]"))
+             for i, t in enumerate(_list(mspec.get("perturbation", []),
+                                         "map.perturbation"))]
     try:
         map = HyperbolicToralMap(
-            _require(mspec, "matrix", "map"),
+            matrix,
             amplitude=float(mspec.get("amplitude", 0.0)),
-            perturbation=[(t["coeff"], t["freq"])
-                          for t in mspec.get("perturbation", [])],
+            perturbation=terms,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigInvalid("map", str(exc)) from exc
 
-    fam_spec = raw.get("family", {})
-    try:
-        family = TestFunctionFamily(int(fam_spec.get("truncation",
-                                                     DEFAULT_TRUNCATION)))
-    except ValueError as exc:
-        raise ConfigInvalid("family.truncation", str(exc)) from exc
+    fam_spec = _object(raw.get("family", {}), "family")
+    family = TestFunctionFamily(_at_least(
+        fam_spec.get("truncation", DEFAULT_TRUNCATION), 1,
+        "family.truncation"))
 
     grid = _parse_grid(raw.get("grid", {}), "grid")
 
@@ -234,8 +256,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     basin = raw.get("basin")
     if basin is not None:
+        eps = _require(basin, "epsilons", "basin")
         try:
-            eps = [float(e) for e in _require(basin, "epsilons", "basin")]
+            eps = [float(e) for e in eps]
         except (TypeError, ValueError) as exc:
             raise ConfigInvalid("basin.epsilons", str(exc)) from exc
         if not eps:
@@ -271,11 +294,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         src = _require(entropy, "source", "entropy")
         kind = _require(src, "kind", "entropy.source")
         if kind == "orbit":
-            source = OrbitSource(
-                point=_parse_point(_require(src, "point", "entropy.source"),
-                                   "entropy.source.point"),
-                length=_at_least(_require(src, "length", "entropy.source"),
-                                 1, "entropy.source.length"))
+            source = _orbit_spec(src, "entropy.source")
         elif kind == "grid":
             source = _parse_grid(src, "entropy.source")
         elif kind == "target_atoms":
@@ -313,7 +332,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
                     "entropy.bound_check.tolerance"),
             }
 
-    lyap = raw.get("lyapunov", {})
+    lyap = _object(raw.get("lyapunov", {}), "lyapunov")
     lyapunov = {
         "warmup": _at_least(lyap.get("warmup", 60), 1, "lyapunov.warmup"),
         "quad_grid": _at_least(lyap.get("quad_grid", 512), 1,
@@ -338,7 +357,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         basin=basin,
         entropy=entropy,
         lyapunov=lyapunov,
-        expect=raw.get("expect", {}),
+        expect=_object(raw.get("expect", {}), "expect"),
         output_dir=str(raw.get("output_dir", "records")),
         threads=threads,
         verify_grid=_at_least(raw.get("verify_grid", 64), 16, "verify_grid"),

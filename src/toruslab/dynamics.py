@@ -117,6 +117,9 @@ class HyperbolicToralMap:
             freqs.append(k)
         self._coeffs = np.array(coeffs, dtype=float).reshape(-1, 2)
         self._freqs = np.array(freqs, dtype=np.int64).reshape(-1, 2)
+        # (c0, c1, k0, k1) of every term as Python floats, for the series
+        self._terms = [(float(c[0]), float(c[1]), float(k[0]), float(k[1]))
+                       for c, k in zip(self._coeffs, self._freqs)]
 
         # Lip(psi) <= sum 2 pi |c_k| |k|
         self.lipschitz_bound = float(
@@ -146,13 +149,6 @@ class HyperbolicToralMap:
 
     # -- perturbation field ------------------------------------------------
 
-    def _psi(self, points):
-        p = np.asarray(points, dtype=float)
-        if self.is_linear:
-            return np.zeros_like(p)
-        phases = TWO_PI * (p @ self._freqs.T.astype(float))
-        return np.sin(phases) @ self._coeffs
-
     def _dpsi(self, points):
         """Derivative of psi, shape (..., 2, 2)."""
         p = np.asarray(points, dtype=float)
@@ -166,10 +162,15 @@ class HyperbolicToralMap:
 
     # -- operations --------------------------------------------------------
 
-    def _terms(self) -> list[tuple[float, float, float, float]]:
-        """(c0, c1, k0, k1) of every perturbation term, as Python floats."""
-        return [(float(c[0]), float(c[1]), float(k[0]), float(k[1]))
-                for c, k in zip(self._coeffs, self._freqs)]
+    def _series(self, x, y):
+        """The two components of psi at the points (x, y), summed term by
+        term in the order of `orbit`'s scalar loop."""
+        px = py = 0.0
+        for c0, c1, k0, k1 in self._terms:
+            s = np.sin(TWO_PI * (k0 * x + k1 * y))
+            px = px + c0 * s
+            py = py + c1 * s
+        return px, py
 
     def step(self, points):
         """One forward iterate, canonical representative.
@@ -187,11 +188,7 @@ class HyperbolicToralMap:
         np.multiply(a10, x, out=qy)
         qy += a11 * y
         if not self.is_linear:
-            px = py = 0.0
-            for c0, c1, k0, k1 in self._terms():
-                s = np.sin(TWO_PI * (k0 * x + k1 * y))
-                px = px + c0 * s
-                py = py + c1 * s
+            px, py = self._series(x, y)
             qx += self.amplitude * px
             qy += self.amplitude * py
         return wrap(q)
@@ -203,8 +200,10 @@ class HyperbolicToralMap:
         if self.is_linear:
             return wrap(p @ ainv)
         q = p @ ainv
+        psi = np.empty(p.shape)
         for _ in range(INVERSE_MAX_ITER):
-            q_next = (p - self.amplitude * self._psi(q)) @ ainv
+            psi[..., 0], psi[..., 1] = self._series(q[..., 0], q[..., 1])
+            q_next = (p - self.amplitude * psi) @ ainv
             delta = float(np.max(np.abs(q_next - q)))
             q = q_next
             if delta < INVERSE_TOL:
@@ -244,7 +243,7 @@ class HyperbolicToralMap:
                 x, y = (a00 * x + a01 * y) % 1.0, (a10 * x + a11 * y) % 1.0
         else:
             amp = self.amplitude
-            terms = self._terms()
+            terms = self._terms
             sin = math.sin
             for i in range(0, 2 * n, 2):
                 buf[i] = x

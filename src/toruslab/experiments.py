@@ -20,7 +20,7 @@ from toruslab import lyapunov as lyap_mod
 from toruslab import markov as markov_mod
 from toruslab.basin import SampleGrid, Verdict
 from toruslab.dynamics import HyperbolicToralMap, verify_hyperbolicity
-from toruslab.markov import OrbitSource, cat_map_partition
+from toruslab.markov import cat_map_partition
 from toruslab.weakstar import (LEBESGUE, DiscreteMeasure, OrbitMeasure,
                                TestFunctionFamily, invariance_defect, moments,
                                weak_star_distance)
@@ -96,9 +96,10 @@ class AcceptanceSuite:
     def leb_tables(self):
         """Cylinder tables of the 1e7 reference orbit at depths 1..13."""
         if self._leb_tables is None:
-            src = OrbitSource(ORBIT_SEED_POINT, REFERENCE_ORBIT_LENGTH)
-            stream = markov_mod.itineraries(self.cat, cat_map_partition(),
-                                            src, 13)
+            stream = markov_mod.itineraries(
+                self.cat, cat_map_partition(),
+                OrbitMeasure(self.cat, ORBIT_SEED_POINT,
+                             REFERENCE_ORBIT_LENGTH), 13)
             self._leb_tables = markov_mod.entropy_tables(stream,
                                                          list(range(1, 14)))
         return self._leb_tables
@@ -295,9 +296,10 @@ class AcceptanceSuite:
         t0 = time.time()
         part = cat_map_partition()
         c = _Checks()
-        src = OrbitSource(ORBIT_SEED_POINT, 2_000_000)
         margin = markov_mod.entropy_count_bound_check(
-            part, self.cylinder_table(src, 10), 0.1)
+            part, self.cylinder_table(
+                OrbitMeasure(self.cat, ORBIT_SEED_POINT, 2_000_000), 10),
+            0.1)
         c.add("lebesgue margin", margin >= -0.05,
               f"{margin:+.4f} >= -0.05 (declared statistical tolerance)")
         fixed = markov_mod.entropy_count_bound_check(

@@ -131,9 +131,7 @@ def log_unstable_jacobian(map: HyperbolicToralMap, point,
                           warmup_n: int = DEFAULT_WARMUP) -> float:
     """psi(x) = log |Df_x u| for u spanning F(x)."""
     p = np.asarray(point, dtype=float).reshape(1, 2)
-    u = unstable_warmup(map, p, warmup_n)
-    w = np.einsum("nij,nj->ni", map.differential(p), u)
-    return float(np.log(np.linalg.norm(w[0])))
+    return float(_psi_batch(map, p, warmup_n)[0])
 
 
 def _psi_batch(map: HyperbolicToralMap, points: np.ndarray,
@@ -141,13 +139,6 @@ def _psi_batch(map: HyperbolicToralMap, points: np.ndarray,
     u = unstable_warmup(map, points, warmup_n)
     w = np.einsum("nij,nj->ni", map.differential(points), u)
     return np.log(np.linalg.norm(w, axis=1))
-
-
-def birkhoff_unstable_average(map: HyperbolicToralMap, point, n: int,
-                              warmup_n: int = DEFAULT_WARMUP) -> float:
-    """(1/n) sum of psi along the orbit of `point`: the unstable integral of
-    its length-n orbit measure."""
-    return unstable_integral(map, OrbitMeasure(map, point, n), warmup_n)
 
 
 def unstable_integral(map: HyperbolicToralMap, measure: MeasureLike,
@@ -160,8 +151,8 @@ def unstable_integral(map: HyperbolicToralMap, measure: MeasureLike,
     by u <- Df u / |Df u|, so each step costs a single 2x2 product and the
     sum telescopes to log |Df^n u| between renormalizations.  Discrete
     measures: weighted sum of psi over the atoms (chunked, each atom gets
-    its own warmup).  Lebesgue: deterministic uniform-grid quadrature of the
-    continuous integrand at grid_resolution^2 cell centers.
+    its own warmup).  Lebesgue: the same sum over the grid_resolution^2
+    cell centers of a uniform grid, each with weight 1/grid_resolution^2.
     """
     if isinstance(measure, OrbitMeasure):
         if measure.map is not map:
@@ -183,16 +174,16 @@ def unstable_integral(map: HyperbolicToralMap, measure: MeasureLike,
             u1 = w1 / r
         return total / len(orbit)
     if isinstance(measure, LebesgueMeasure):
-        pts = _grid_points(grid_resolution)
-        total = 0.0
-        for i in range(0, len(pts), _ATOM_CHUNK):
-            total += float(np.sum(_psi_batch(map, pts[i:i + _ATOM_CHUNK],
-                                             warmup_n)))
-        return total / len(pts)
-    if isinstance(measure, DiscreteMeasure):
-        total = 0.0
-        for i in range(0, len(measure.atoms), _ATOM_CHUNK):
-            psis = _psi_batch(map, measure.atoms[i:i + _ATOM_CHUNK], warmup_n)
-            total += float(measure.weights[i:i + _ATOM_CHUNK] @ psis)
-        return total
-    raise TypeError(f"unsupported measure {type(measure).__name__}")
+        atoms = _grid_points(grid_resolution)
+        weights = np.broadcast_to(1.0 / len(atoms), (len(atoms),))
+    elif isinstance(measure, DiscreteMeasure):
+        atoms, weights = measure.atoms, measure.weights
+    else:
+        raise TypeError(f"unsupported measure {type(measure).__name__}")
+    total = 0.0
+    for i in range(0, len(atoms), _ATOM_CHUNK):
+        psis = _psi_batch(map, atoms[i:i + _ATOM_CHUNK], warmup_n)
+        # not `w @ psi`: with the exact weight of a power-of-two grid, this
+        # is the plain sum of the chunk's psi values, scaled
+        total += float(np.sum(weights[i:i + _ATOM_CHUNK] * psis))
+    return total

@@ -16,7 +16,7 @@ is returned.  Because every image stripe is a single crossing, depth-n
 cylinders correspond one-to-one to admissible symbol words and their number
 can be counted exactly by transition-matrix powers.
 
-A cylinder source (orbit, grid or atoms) is walked and located once by
+A cylinder source (orbit measure, grid or atoms) is walked and located once by
 `itineraries`; `entropy_tables` reduces that symbol stream to tables of sorted
 int64 base-k word codes with int64 counts, building each depth's codes from
 the previous depth's with one multiply-add.  Words are decoded to tuples only
@@ -61,15 +61,7 @@ class InsufficientSamples(RuntimeError):
     """No requested depth meets the sample-adequacy rule."""
 
 
-@dataclass(frozen=True)
-class OrbitSource:
-    """Cylinder source: one long forward orbit from a seed point.  Walking
-    it builds the OrbitMeasure of that orbit, whose stream is read."""
-    point: tuple
-    length: int
-
-
-CylinderSource = OrbitSource | OrbitMeasure | SampleGrid | DiscreteMeasure
+CylinderSource = OrbitMeasure | SampleGrid | DiscreteMeasure
 
 
 class MarkovPartition:
@@ -363,9 +355,9 @@ def _sum_runs(codes: np.ndarray, counts: np.ndarray):
 class Itineraries:
     """Partition symbols of every start of a walked cylinder source.
 
-    Orbit source or orbit measure: `symbols` is the 1-d symbol stream of
-    the orbit, and start t reads symbols[t:].  Grid or atom source:
-    `symbols` has shape (depth, N) and column i is the itinerary of start i.
+    Orbit measure: `symbols` is the 1-d symbol stream of the orbit, and
+    start t reads symbols[t:].  Grid or atom source: `symbols` has shape
+    (depth, N) and column i is the itinerary of start i.
     """
     symbols: np.ndarray
     k: int
@@ -388,12 +380,9 @@ def itineraries(map: HyperbolicToralMap, partition: MarkovPartition,
                 source: CylinderSource, max_depth: int) -> Itineraries:
     """Walk and locate a cylinder source once, for tables up to max_depth.
 
-    An orbit source becomes the OrbitMeasure of its orbit.  An orbit
-    measure is located once as a stream, starts 0..L-max_depth; grid and
-    atom sources are stepped max_depth - 1 times.
+    An orbit measure is located once as a stream, starts 0..L-max_depth;
+    grid and atom sources are stepped max_depth - 1 times.
     """
-    if isinstance(source, OrbitSource):
-        source = OrbitMeasure(map, source.point, source.length)
     if isinstance(source, OrbitMeasure):
         if source.map is not map:
             raise ValueError("orbit measure was built for another map")

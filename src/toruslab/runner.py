@@ -24,8 +24,8 @@ from toruslab import basin as basin_mod
 from toruslab import lyapunov as lyap_mod
 from toruslab import markov as markov_mod
 from toruslab.basin import default_threads
-from toruslab.config import (ExperimentConfig, mixture_moments,
-                             target_components)
+from toruslab.config import (ExperimentConfig, TargetSpec, mixture_moments,
+                             target_components, target_measure)
 from toruslab.dynamics import NotHyperbolic, verify_hyperbolicity
 
 CURVE_COLUMNS = ["epsilon", "n", "hits", "samples", "log_fraction"]
@@ -188,15 +188,12 @@ def _run_entropy(cfg: ExperimentConfig, components: list) -> dict:
     if not np.array_equal(cfg.map.matrix, np.array(markov_mod.CAT_MATRIX)):
         raise ValueError("the Markov partition is built for the cat matrix "
                          "[[2,1],[1,1]]")
-    source = cfg.entropy["source"]
-    if source == "target_atoms":
-        # config admits target_atoms only for a single atomic target
-        source = components[0][1]
     depths = cfg.entropy["depths"]
     bc = cfg.entropy.get("bound_check")
     # one walk of the source serves the entropy tables and the bound table
     stream = markov_mod.itineraries(
-        cfg.map, part, source, max(depths + ([bc["depth"]] if bc else [])))
+        cfg.map, part, _entropy_source(cfg, components),
+        max(depths + ([bc["depth"]] if bc else [])))
     est = markov_mod.entropy_rate_estimate(
         markov_mod.entropy_tables(stream, depths))
     rates = markov_mod.cylinder_count_rate(part, cfg.entropy["count_depths"])
@@ -221,6 +218,18 @@ def _run_entropy(cfg: ExperimentConfig, components: list) -> dict:
         out["bound_check"] = {**bc, "margin": margin,
                               "ok": margin >= -bc["tolerance"]}
     return out
+
+
+def _entropy_source(cfg: ExperimentConfig, components: list):
+    """The cylinder source of the entropy stage.  An orbit source is built
+    here, so its orbit is freed once `itineraries` has located it."""
+    source = cfg.entropy["source"]
+    if isinstance(source, TargetSpec):
+        return target_measure(source, cfg.map)
+    if source == "target_atoms":
+        # config admits target_atoms only for a single atomic target
+        return components[0][1]
+    return source
 
 
 def _run_lyapunov(cfg: ExperimentConfig, components: list) -> dict:

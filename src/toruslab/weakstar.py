@@ -205,13 +205,6 @@ class MomentVector:
 class LebesgueMeasure:
     """Normalized Lebesgue measure; moments are known in closed form."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self):
         return "LEBESGUE"
 
@@ -292,13 +285,6 @@ class OrbitMeasure:
 
 
 MeasureLike = DiscreteMeasure | OrbitMeasure | LebesgueMeasure
-
-
-def empirical_measure(map: HyperbolicToralMap, point, n: int) -> DiscreteMeasure:
-    """Uniform weights 1/n on the length-n forward orbit (atoms coalesced,
-    so periodic orbits yield exact finitely-supported measures)."""
-    orbit = map.orbit(point, n)
-    return DiscreteMeasure(orbit, np.full(n, 1.0 / n))
 
 
 def moments(measure: MeasureLike, family: TestFunctionFamily) -> MomentVector:

@@ -12,8 +12,8 @@ from toruslab.basin import (CHUNK, THREADS_ENV_VAR, InsufficientData,
                             rate_residual, weak_pseudo_physical_verdict)
 from toruslab.dynamics import TWO_PI, HyperbolicToralMap
 from toruslab.weakstar import (LEBESGUE, DiscreteMeasure, TestFunctionFamily,
-                               _enumerate_frequencies, empirical_measure,
-                               moments, weak_star_distance)
+                               _enumerate_frequencies, moments,
+                               weak_star_distance)
 
 LOG_CAT = math.log((3.0 + math.sqrt(5.0)) / 2.0)
 
@@ -47,7 +47,7 @@ class TestMembership:
             p = rng.random(2)
             n = int(rng.integers(1, 60))
             eps = float(rng.uniform(0.01, 0.5))
-            direct = weak_star_distance(empirical_measure(cat, p, n),
+            direct = weak_star_distance(DiscreteMeasure(cat.orbit(p, n)),
                                         LEBESGUE, family) < eps
             assert basin_membership(cat, p, leb_target, eps, n,
                                     family) == direct
@@ -372,7 +372,7 @@ class TestKernelReference:
                                     target_kind):
         map = cat if map_name == "cat" else PERTURBED
         family = TestFunctionFamily(truncation)
-        orbit = empirical_measure(map, (0.1, 0.2), 2000)
+        orbit = DiscreteMeasure(map.orbit((0.1, 0.2), 2000))
         measure = {"lebesgue": LEBESGUE,
                    "dirac": DiscreteMeasure.dirac((0.0, 0.0)),
                    "empirical_orbit": orbit,

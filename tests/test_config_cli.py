@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from toruslab.basin import SampleGrid
-from toruslab.config import (ConfigInvalid, config_hash, load_config,
-                             moment_vector_for_target, parse_config)
+from toruslab.cli import main
+from toruslab.config import (ConfigInvalid, config_hash,
+                             moment_vector_for_target, parse_config,
+                             target_measure)
 from toruslab.markov import (cat_map_partition, entropy_count_bound_check,
                              entropy_rate_estimate, entropy_tables,
                              itineraries)
@@ -127,6 +129,39 @@ class TestConfigValidation:
         ({"entropy": {"source": GRID_SOURCE,
                       "bound_check": {"epsilon": "x", "depth": 4}}},
          "entropy.bound_check.epsilon", "number"),
+        ({"target": {"kind": "dirac", "point": [0.1, 0.2, 0.3]}},
+         "target.point", "two finite numbers"),
+        ({"target": {"kind": "periodic", "point": ["a", 0.2], "period": 1}},
+         "target.point", "two finite numbers"),
+        ({"target": {"kind": "empirical_orbit", "point": [math.nan, 0.2],
+                     "length": 10}}, "target.point", "two finite numbers"),
+        ({"target": {"kind": "mixture", "weights": [0.5, 0.5],
+                     "components": [{"kind": "lebesgue"},
+                                    {"kind": "dirac", "point": [0.1]}]}},
+         "target.components[1].point", "two finite numbers"),
+        ({"target": {"kind": "mixture", "weights": ["x", 0.5],
+                     "components": [{"kind": "lebesgue"},
+                                    {"kind": "lebesgue"}]}},
+         "target.weights", "number"),
+        ({"target": {"kind": "mixture", "weights": [1.5, -0.5],
+                     "components": [{"kind": "lebesgue"},
+                                    {"kind": "lebesgue"}]}},
+         "target.weights", ">= 0"),
+        ({"target": {"kind": "mixture", "weights": [math.inf, 0.5],
+                     "components": [{"kind": "lebesgue"},
+                                    {"kind": "lebesgue"}]}},
+         "target.weights", "finite"),
+        ({"map": {"matrix": [[2, 1], [1, 1]], "amplitude": 0.005,
+                  "perturbation": [{"coeff": [1.0, 0.0]}]}},
+         "map.perturbation[0].freq", "missing"),
+        ({"target": 5}, "target", "object"),
+        ({"map": [[2, 1], [1, 1]]}, "map", "object"),
+        ({"grid": 64}, "grid", "object"),
+        ({"family": 33}, "family", "object"),
+        ({"entropy": "orbit"}, "entropy", "object"),
+        ({"lyapunov": [60]}, "lyapunov", "object"),
+        ({"expect": 5}, "expect", "object"),
+        ({"basin": {"n_values": [10, 20]}}, "basin.epsilons", "missing"),
     ])
     def test_bad_fields_named(self, tmp_path, overrides, field_path,
                               message):
@@ -134,6 +169,7 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid, match=message) as info:
             parse_config(cfg)
         assert info.value.field_path == field_path
+        assert str(info.value).count(f"{field_path}:") == 1
 
     def test_lyapunov_bounds_accepted(self, tmp_path):
         cfg = minimal_config(tmp_path, lyapunov={
@@ -325,6 +361,8 @@ class TestRunner:
         ent = run(cfg, threads=1)["stages"]["entropy"]
         part = cat_map_partition()
         src = cfg.entropy["source"]
+        if source["kind"] == "orbit":
+            src = target_measure(src, cfg.map)
         table = entropy_tables(itineraries(cfg.map, part, src, bound_depth),
                                [bound_depth])[bound_depth]
         assert (ent["bound_check"]["margin"]
@@ -419,9 +457,26 @@ class TestCli:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(minimal_config(tmp_path)))
         r = self._run("run", str(path), "--threads", value)
-        assert r.returncode != 0
+        assert r.returncode == 1
         assert "--threads" in r.stderr
         assert not (tmp_path / "mini.json").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "cfg.json", "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: command"),
+    ], ids=["unknown-flag", "no-subcommand"])
+    def test_usage_error_exit_1(self, capsys, argv, message):
+        # 2 is reserved for a failed verdict or expectation
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        assert message in capsys.readouterr().err
+
+    def test_help_exit_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        assert "usage: toruslab" in capsys.readouterr().out
 
     def test_threads_env_var(self, tmp_path):
         cfg = minimal_config(tmp_path, label="envthreads")

@@ -142,7 +142,8 @@ class TestDifferential:
         h = 1e-6
 
         def lift(q):  # unwrapped map for differencing
-            return q @ m.matrix.T.astype(float) + m.amplitude * m._psi(q)
+            psi = np.sin(2 * np.pi * (q @ m._freqs.T)) @ m._coeffs
+            return q @ m.matrix.T.astype(float) + m.amplitude * psi
 
         for axis in range(2):
             e = np.zeros(2)

@@ -1,7 +1,8 @@
-"""Unused-import gate: every module-level import of the package is used.
+"""Unused-import gate: every module-level import of the package, its tests
+and its scripts is used.
 
-A stand-in for a linter's unused-import rule.  `__init__.py` is skipped
-because its imports are the package's exports.
+A stand-in for a linter's unused-import rule.  The package's `__init__.py`
+is skipped because its imports are the package's exports.
 """
 
 import ast
@@ -9,8 +10,11 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "toruslab"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "toruslab"
+MODULES = sorted([p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+                 + list((ROOT / "tests").glob("*.py"))
+                 + list((ROOT / "scripts").glob("*.py")))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,7 +41,8 @@ def test_gate_sees_unused_names():
 
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"runner.py", "markov.py",
-                                          "config.py"}
+                                          "config.py", "test_markov.py",
+                                          "entropy_experiment.py"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

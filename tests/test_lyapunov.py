@@ -5,13 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from toruslab.dynamics import (HyperbolicToralMap, unstable_warmup,
-                               verify_hyperbolicity)
-from toruslab.lyapunov import (DegenerateCocycle,
-                               birkhoff_unstable_average,
-                               log_unstable_jacobian, lyapunov_spectrum_qr,
-                               unstable_direction, unstable_integral)
-from toruslab.weakstar import LEBESGUE, DiscreteMeasure, empirical_measure
+from toruslab.dynamics import (HyperbolicToralMap, _grid_points,
+                               unstable_warmup, verify_hyperbolicity)
+from toruslab.lyapunov import (DegenerateCocycle, log_unstable_jacobian,
+                               lyapunov_spectrum_qr, unstable_direction,
+                               unstable_integral)
+from toruslab.weakstar import LEBESGUE, DiscreteMeasure, OrbitMeasure
 
 LOG_CAT = math.log((3.0 + math.sqrt(5.0)) / 2.0)
 LOG_GOLDEN = math.log((1.0 + math.sqrt(5.0)) / 2.0)
@@ -135,20 +134,20 @@ class TestIntegrals:
     def test_birkhoff_equals_integral_over_empirical(self, cat):
         p = (0.271, 0.653)
         n = 200
-        avg = birkhoff_unstable_average(cat, p, n)
-        integral = unstable_integral(cat, empirical_measure(cat, p, n))
+        avg = unstable_integral(cat, OrbitMeasure(cat, p, n))
+        integral = unstable_integral(cat, DiscreteMeasure(cat.orbit(p, n)))
         assert abs(avg - integral) < 1e-10
 
     def test_birkhoff_perturbed_consistency(self):
         m = HyperbolicToralMap([[2, 1], [1, 1]], 0.005, [((1.0, 0.0), (0, 1))])
         p = (0.271, 0.653)
         n = 150
-        avg = birkhoff_unstable_average(m, p, n)
-        integral = unstable_integral(m, empirical_measure(m, p, n))
+        avg = unstable_integral(m, OrbitMeasure(m, p, n))
+        integral = unstable_integral(m, DiscreteMeasure(m.orbit(p, n)))
         assert abs(avg - integral) < 1e-10
 
     def test_fixed_point_birkhoff(self, cat):
-        assert abs(birkhoff_unstable_average(cat, (0.0, 0.0), 7)
+        assert abs(unstable_integral(cat, OrbitMeasure(cat, (0.0, 0.0), 7))
                    - LOG_CAT) < 1e-12
 
     def test_qr_matches_integral_for_typical_orbit(self, cat):
@@ -330,7 +329,7 @@ class TestScalarPassReference:
         m = MAPS[name]
         extra = np.random.default_rng(n).random((6, 2))
         for p in [(0.271, 0.653)] + [tuple(q) for q in extra]:
-            assert birkhoff_unstable_average(m, p, n) \
+            assert unstable_integral(m, OrbitMeasure(m, p, n)) \
                 == reference_birkhoff(m, p, n), p
 
     @pytest.mark.parametrize("matrix", [[[2, 1], [1, 1]], [[1, 1], [1, 0]],
@@ -354,6 +353,15 @@ class TestScalarPassReference:
         m = MAPS[name]
         assert unstable_integral(m, LEBESGUE, grid_resolution=grid) \
             == reference_lebesgue_integral(m, grid)
+
+    @pytest.mark.parametrize("name, grid", [("cat", 32), ("cat", 256),
+                                            ("perturbed", 32)])
+    def test_lebesgue_is_its_grid_measure(self, name, grid):
+        # one quadrature loop: Lebesgue is the uniform measure on the grid
+        m = MAPS[name]
+        atoms = DiscreteMeasure(_grid_points(grid))
+        assert unstable_integral(m, LEBESGUE, grid_resolution=grid) \
+            == unstable_integral(m, atoms)
 
     def test_lebesgue_integral_value_pinned(self, cat):
         val = unstable_integral(cat, LEBESGUE, grid_resolution=256)

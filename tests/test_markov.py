@@ -5,12 +5,11 @@ import pytest
 
 from toruslab.basin import SampleGrid
 from toruslab.markov import (CylinderTable, InsufficientSamples,
-                             OrbitSource, cylinder_count_rate,
-                             entropy_count_bound_check,
+                             cylinder_count_rate, entropy_count_bound_check,
                              entropy_rate_estimate, entropy_tables,
                              itineraries, locate,
                              partition_entropy, weighted_merge)
-from toruslab.weakstar import DiscreteMeasure
+from toruslab.weakstar import DiscreteMeasure, OrbitMeasure
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 LAMBDA = (3.0 + math.sqrt(5.0)) / 2.0
@@ -139,8 +138,8 @@ def reference_tables(m, partition, source, depths):
     """{depth: {word: count}} from the element-wise base-k code and tuple
     decode loop, in code order; independent of CylinderTable."""
     k, top = partition.k, max(depths)
-    if isinstance(source, OrbitSource):
-        sym = locate(partition, m.orbit(source.point, source.length))
+    if isinstance(source, OrbitMeasure):
+        sym = locate(partition, m.orbit(source.atoms[0], len(source)))
         n_starts = len(sym) - top + 1
         rows = [sym[j:j + n_starts] for j in range(top)]
     else:
@@ -182,7 +181,7 @@ class TestCylinderTables:
 
     def test_observed_at_most_admissible(self, cat, partition):
         tables = walk_tables(cat, partition,
-                             OrbitSource(SEED_POINT, 100_000),
+                             OrbitMeasure(cat, SEED_POINT, 100_000),
                              [1, 2, 3, 4, 5, 6])
         counts = dict(cylinder_count_rate(partition, range(1, 7)).counts)
         for d, t in tables.items():
@@ -190,7 +189,7 @@ class TestCylinderTables:
 
     def test_shift_consistency_exact(self, cat, partition):
         tables = walk_tables(cat, partition,
-                             OrbitSource(SEED_POINT, 50_000), [7, 8])
+                             OrbitMeasure(cat, SEED_POINT, 50_000), [7, 8])
         assert as_dict(tables[8].marginal()) == as_dict(tables[7])
         assert np.array_equal(tables[8].marginal().codes, tables[7].codes)
         assert np.array_equal(tables[8].marginal().counts, tables[7].counts)
@@ -207,12 +206,14 @@ class TestCylinderTables:
         with pytest.raises(ValueError, match="uniform"):
             walk_table(cat, partition, mu, 3)
 
-    @pytest.mark.parametrize("source", [
-        OrbitSource(SEED_POINT, 20_000),
-        SampleGrid(resolution=48),
-        DiscreteMeasure(np.random.default_rng(7).random((3000, 2))),
+    @pytest.mark.parametrize("make_source", [
+        lambda m: OrbitMeasure(m, SEED_POINT, 20_000),
+        lambda m: SampleGrid(resolution=48),
+        lambda m: DiscreteMeasure(np.random.default_rng(7).random((3000, 2))),
     ], ids=["orbit", "grid", "atoms"])
-    def test_words_match_reference_decoder(self, cat, partition, source):
+    def test_words_match_reference_decoder(self, cat, partition,
+                                           make_source):
+        source = make_source(cat)
         depths = list(range(1, 9))
         tables = walk_tables(cat, partition, source, depths)
         ref = reference_tables(cat, partition, source, depths)
@@ -226,7 +227,7 @@ class TestCylinderTables:
     def test_one_walk_serves_every_depth(self, cat, partition):
         # tables of one walk equal tables of separate walks that stop at the
         # requested depth (orbit windows at starts 0..L-max(depths))
-        for source in (OrbitSource(SEED_POINT, 5_000),
+        for source in (OrbitMeasure(cat, SEED_POINT, 5_000),
                        SampleGrid(resolution=32)):
             stream = itineraries(cat, partition, source, 9)
             for n in (3, 6, 9):
@@ -239,7 +240,8 @@ class TestCylinderTables:
                                        SampleGrid(resolution=8), 9), [10])
 
     def test_code_overflow_rejected(self, cat, partition):
-        stream = itineraries(cat, partition, OrbitSource(SEED_POINT, 100), 30)
+        stream = itineraries(cat, partition,
+                             OrbitMeasure(cat, SEED_POINT, 100), 30)
         with pytest.raises(ValueError, match="int64"):
             entropy_tables(stream, [28])
 
@@ -261,7 +263,8 @@ class TestEntropy:
         assert abs(partition_entropy(t) - math.log(3)) < 1e-15
 
     def test_entropy_le_log_observed(self, cat, partition):
-        t = walk_table(cat, partition, OrbitSource(SEED_POINT, 30_000), 6)
+        t = walk_table(cat, partition,
+                       OrbitMeasure(cat, SEED_POINT, 30_000), 6)
         assert partition_entropy(t) <= math.log(len(t.counts)) + 1e-12
 
     def test_grid_depth1_entropy_matches_areas(self, cat, partition):
@@ -271,28 +274,31 @@ class TestEntropy:
 
     def test_rate_estimate_dirac_zero(self, cat, partition):
         est = entropy_rate_estimate(walk_tables(
-            cat, partition, OrbitSource((0.0, 0.0), 2000), range(1, 9)))
+            cat, partition, OrbitMeasure(cat, (0.0, 0.0), 2000), range(1, 9)))
         assert est.h_est == 0.0
 
     def test_rate_estimate_leb_short(self, cat, partition):
         est = entropy_rate_estimate(walk_tables(
-            cat, partition, OrbitSource(SEED_POINT, 300_000), range(4, 9)))
+            cat, partition, OrbitMeasure(cat, SEED_POINT, 300_000),
+            range(4, 9)))
         assert est.depth_used == 8
         assert abs(est.h_est - LOG_LAMBDA) < 0.15
 
     def test_adjacent_depths_stable(self, cat, partition):
         est = entropy_rate_estimate(walk_tables(
-            cat, partition, OrbitSource(SEED_POINT, 300_000), range(4, 9)))
+            cat, partition, OrbitMeasure(cat, SEED_POINT, 300_000),
+            range(4, 9)))
         rates = [h for _, h, _, ok in est.sequence if ok]
         assert max(abs(a - b) for a, b in zip(rates, rates[1:])) < 0.05
 
     def test_inadequate_raises(self, cat, partition):
         with pytest.raises(InsufficientSamples):
             entropy_rate_estimate(walk_tables(
-                cat, partition, OrbitSource(SEED_POINT, 120), [10]))
+                cat, partition, OrbitMeasure(cat, SEED_POINT, 120), [10]))
 
     def test_weighted_merge_halves(self, cat, partition):
-        leb = walk_table(cat, partition, OrbitSource(SEED_POINT, 20_000), 4)
+        leb = walk_table(cat, partition,
+                         OrbitMeasure(cat, SEED_POINT, 20_000), 4)
         dirac = walk_table(cat, partition, DiscreteMeasure.dirac((0.0, 0.0)),
                            4)
         mix = weighted_merge([leb, dirac], [0.5, 0.5])
@@ -347,14 +353,16 @@ class TestCountBound:
         # log #A >= H always
         m = entropy_count_bound_check(
             partition,
-            walk_table(cat, partition, OrbitSource(SEED_POINT, 50_000), 5),
+            walk_table(cat, partition,
+                       OrbitMeasure(cat, SEED_POINT, 50_000), 5),
             0.01)
         assert m >= 0.0
 
     def test_lebesgue_margin(self, cat, partition):
         m = entropy_count_bound_check(
             partition,
-            walk_table(cat, partition, OrbitSource(SEED_POINT, 500_000), 8),
+            walk_table(cat, partition,
+                       OrbitMeasure(cat, SEED_POINT, 500_000), 8),
             0.1)
         assert m >= -0.05
 
@@ -368,7 +376,8 @@ class TestCountBound:
 
     def test_cover_matches_greedy_loop(self, cat, partition):
         # #A from the sorted cumulative sum equals the largest-first loop
-        t = walk_table(cat, partition, OrbitSource(SEED_POINT, 50_000), 6)
+        t = walk_table(cat, partition,
+                       OrbitMeasure(cat, SEED_POINT, 50_000), 6)
         k0 = cylinder_count_rate(partition, range(1, 15)).k0_est
         h = partition_entropy(t)
         for eps in (0.01, 0.1, 0.2):

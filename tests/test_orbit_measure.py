@@ -14,8 +14,8 @@ import pytest
 
 from toruslab.config import parse_config
 from toruslab.dynamics import HyperbolicToralMap
-from toruslab.lyapunov import birkhoff_unstable_average, unstable_integral
-from toruslab.markov import OrbitSource, entropy_tables, itineraries
+from toruslab.lyapunov import unstable_direction, unstable_integral
+from toruslab.markov import entropy_tables, itineraries
 from toruslab.runner import run
 from toruslab.weakstar import (DiscreteMeasure, OrbitMeasure,
                                TestFunctionFamily, moments)
@@ -70,19 +70,28 @@ class TestStreamedEqualsAtoms:
         assert abs(streamed - per_atom) <= 1e-12
 
     def test_integral_is_the_birkhoff_average(self, orbit_2000):
-        assert (unstable_integral(PERTURBED, orbit_2000)
-                == birkhoff_unstable_average(PERTURBED, POINT, 2000))
+        # (1/L) sum of log |Df u| along the orbit, u pushed forward by Df
+        u = unstable_direction(PERTURBED, POINT)
+        total = 0.0
+        for jac in PERTURBED.differential(orbit_2000.atoms):
+            w = jac @ u
+            r = math.hypot(w[0], w[1])
+            total += math.log(r)
+            u = w / r
+        assert abs(unstable_integral(PERTURBED, orbit_2000)
+                   - total / 2000) <= 1e-12
 
     def test_entropy_tables(self, orbit_2000, partition):
+        # the stream's starts 0..L-8, stepped as atoms, give the same words
         depths = list(range(1, 9))
         streamed = entropy_tables(
             itineraries(PERTURBED, partition, orbit_2000, 8), depths)
-        source = entropy_tables(
-            itineraries(PERTURBED, partition, OrbitSource(POINT, 2000), 8),
-            depths)
+        starts = DiscreteMeasure(orbit_2000.atoms[:2000 - 8 + 1])
+        stepped = entropy_tables(
+            itineraries(PERTURBED, partition, starts, 8), depths)
         for d in depths:
-            assert np.array_equal(streamed[d].codes, source[d].codes)
-            assert np.array_equal(streamed[d].counts, source[d].counts)
+            assert np.array_equal(streamed[d].codes, stepped[d].codes)
+            assert np.array_equal(streamed[d].counts, stepped[d].counts)
             assert streamed[d].total == 2000 - 8 + 1
 
 
@@ -142,4 +151,16 @@ class TestRunner:
             threads=1)["stages"]
         assert atoms["entropy"] == orbit["entropy"]
         assert atoms["lyapunov"]["unstable_integral_target"] == \
-            birkhoff_unstable_average(PERTURBED, POINT, 5000)
+            unstable_integral(PERTURBED, OrbitMeasure(PERTURBED, POINT, 5000))
+
+    def test_parse_builds_no_orbit(self, tmp_path, monkeypatch):
+        # an empirical_orbit target and an orbit source are specs until the
+        # run builds them, so parsing stays cheap for any orbit length
+        def no_orbit(self, point, n):
+            raise AssertionError("parse_config generated an orbit")
+
+        monkeypatch.setattr(HyperbolicToralMap, "orbit", no_orbit)
+        cfg = _config(tmp_path, "parse", {
+            "kind": "orbit", "point": list(POINT), "length": 5000})
+        assert cfg.target.kind == cfg.entropy["source"].kind \
+            == "empirical_orbit"

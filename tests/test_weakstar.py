@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toruslab.weakstar import (LEBESGUE, DiscreteMeasure, FamilyMismatch,
-                               MomentVector, TestFunctionFamily,
-                               empirical_measure, invariance_defect, moments,
+                               TestFunctionFamily, invariance_defect, moments,
                                weak_star_distance)
 
 unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True,
@@ -122,18 +121,18 @@ class TestDistance:
 
 class TestEmpirical:
     def test_n1_is_dirac(self, cat, family):
-        mu = empirical_measure(cat, (0.37, 0.11), 1)
+        mu = DiscreteMeasure(cat.orbit((0.37, 0.11), 1))
         assert len(mu) == 1
         assert np.allclose(mu.weights, [1.0])
 
     def test_fixed_point_coalesces(self, cat):
-        mu = empirical_measure(cat, (0.0, 0.0), 7)
+        mu = DiscreteMeasure(cat.orbit((0.0, 0.0), 7))
         assert len(mu) == 1
         assert np.allclose(mu.atoms[0], [0.0, 0.0])
         assert abs(mu.weights[0] - 1.0) < 1e-15
 
     def test_three_orbit(self, cat):
-        mu = empirical_measure(cat, (0.5, 0.5), 3)
+        mu = DiscreteMeasure(cat.orbit((0.5, 0.5), 3))
         assert len(mu) == 3
         assert np.allclose(sorted(mu.weights), [1 / 3] * 3)
 
@@ -153,9 +152,9 @@ class TestPushforward:
         # f* sigma_n(x) = sigma_n(f x): check via materialized measures
         p = (0.123, 0.456)
         n = 37
-        mu = empirical_measure(cat, p, n)
+        mu = DiscreteMeasure(cat.orbit(p, n))
         lhs = DiscreteMeasure(cat.step(mu.atoms), mu.weights)
-        rhs = empirical_measure(cat, cat.step(np.array(p)), n)
+        rhs = DiscreteMeasure(cat.orbit(cat.step(np.array(p)), n))
         assert weak_star_distance(lhs, rhs, family) < 1e-13
 
 
@@ -173,7 +172,7 @@ class TestInvarianceDefect:
         # independent route: materialize sigma_n and its pushforward
         p = rng.random(2)
         n = 50
-        mu = empirical_measure(cat, p, n)
+        mu = DiscreteMeasure(cat.orbit(p, n))
         nu = DiscreteMeasure(cat.step(mu.atoms), mu.weights)
         direct = weak_star_distance(mu, nu, family)
         streamed = invariance_defect(cat, p, n, family)
