@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -226,9 +227,20 @@ def _parse_grid(spec: dict, path: str) -> SampleGrid:
         raise ConfigInvalid(path, str(exc)) from exc
 
 
+def _parse_label(value) -> str:
+    """The label names the record files in output_dir, so it must be one
+    plain file name."""
+    label = str(value)
+    if label in ("", ".", "..") or any(
+            sep and sep in label for sep in ("/", os.sep, os.altsep)):
+        raise ConfigInvalid("label", f"must be a plain file name, got "
+                                     f"{label!r}")
+    return label
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     _object(raw, "$")
-    label = str(raw.get("label", "experiment"))
+    label = _parse_label(raw.get("label", "experiment"))
 
     mspec = _require(raw, "map", "$")
     matrix = _require(mspec, "matrix", "map")

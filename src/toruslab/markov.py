@@ -12,9 +12,17 @@ The construction is self-checking: tiling (areas sum to 1), the geometric
 Markov property (images cross partition rectangles in single full-width
 unstable stripes), invariance of the boundary net under the map, and the
 subshift spectral radius (3+sqrt(5))/2 are all verified before the partition
-is returned.  Because every image stripe is a single crossing, depth-n
-cylinders correspond one-to-one to admissible symbol words and their number
-can be counted exactly by transition-matrix powers.
+is returned, along with a torus-diameter gate on the pieces.  Because every
+image stripe is a single crossing, depth-n cylinders correspond one-to-one to
+admissible symbol words and their number can be counted exactly by
+transition-matrix powers.
+
+The two sampled checks, piece diameters and boundary invariance, are one
+question: the max over sample points of the distance to the nearest lattice
+translate of a set of axis-aligned segments (a lattice point is a zero-length
+segment).  `_max_min_distance` answers it in blocks of samples, evaluating for
+each block only the translates that can be nearest to it by a box bound, and
+its result equals the all-translates loop exactly.
 
 A cylinder source (orbit measure, grid or atoms) is walked and located once by
 `itineraries`; `entropy_tables` reduces that symbol stream to tables of sorted
@@ -47,6 +55,12 @@ LOCATE_TOL = 1e-12
 DIAMETER_GATE = 0.6
 ADEQUACY_FACTOR = 10
 _LOCATE_CHUNK = 1 << 20
+# side of the square sample tiles of the nearest-translate kernel; 1-d samples
+# go in runs of _TILE**2
+_TILE = 16
+# pruning margin of the nearest-translate kernel: its bounds and distances
+# are rounded, so a segment within this much of a bound is kept
+_PRUNE_SLACK = 1e-9
 
 
 class ConstructionInvalid(RuntimeError):
@@ -167,18 +181,19 @@ class MarkovPartition:
     def _torus_diameter(self, box, samples: int = 401) -> float:
         du = box[1] - box[0]
         ds = box[3] - box[2]
-        aa = np.linspace(-du, du, samples)
-        bb = np.linspace(-ds, ds, samples)
-        AA, BB = np.meshgrid(aa, bb, indexing="ij")
-        best = np.full(AA.shape, np.inf)
-        # every sample v has |v| <= R = hypot(du, ds), so a lattice vector g
-        # with |g| > 2R is farther from v than 0 is and is never the nearest
-        reach = 2.0 * math.hypot(du, ds)
-        near = self._lattice[np.hypot(self._lattice[:, 0],
-                                      self._lattice[:, 1]) <= reach]
-        for gvec in near:
-            np.minimum(best, np.hypot(AA - gvec[0], BB - gvec[1]), out=best)
-        return float(best.max())
+        # the samples x samples grid in square tiles: tile (I, J) holds the
+        # points aa[I] x bb[J]
+        aa = np.linspace(-du, du, samples)[_runs(samples, _TILE)]
+        bb = np.linspace(-ds, ds, samples)[_runs(samples, _TILE)]
+        tiles = (len(aa), len(bb), _TILE, _TILE)
+        perp = np.broadcast_to(aa[:, None, :, None], tiles)
+        par = np.broadcast_to(bb[None, :, None, :], tiles)
+        # a lattice point is a zero-length segment
+        zero = np.zeros(len(self._lattice))
+        return _max_min_distance(perp.reshape(-1, _TILE * _TILE),
+                                 par.reshape(-1, _TILE * _TILE),
+                                 self._lattice[:, 0], self._lattice[:, 1],
+                                 zero, zero)
 
     # -- validation ----------------------------------------------------------
 
@@ -216,45 +231,111 @@ class MarkovPartition:
         Points on stable (vertical, in frame coordinates) edges must map into
         the union of stable edges; unstable edges must pull back into
         unstable edges.  Returns the worst observed defect and raises
-        ConstructionInvalid above BOUNDARY_TOL.
+        ConstructionInvalid above BOUNDARY_TOL, naming the piece and the wall
+        (x0, x1 stable; e0, e1 unstable) whose image is worst.
         """
-        worst = 0.0
+        worst, where = 0.0, ""
         t = np.linspace(0.0, 1.0, samples_per_edge)
-        for (x0, x1, e0, e1) in self.boxes:
-            for xw in (x0, x1):
+        for i, (x0, x1, e0, e1) in enumerate(self.boxes):
+            for name, xw in (("x0", x0), ("x1", x1)):
                 pts = np.column_stack([np.full_like(t, xw),
                                        e0 + (e1 - e0) * t])
                 img = self.to_frame(self._map.step(wrap(self.from_frame(pts))))
-                worst = max(worst, self._dist_to_edges(img, stable=True))
-            for ew in (e0, e1):
+                defect = self._dist_to_edges(img, stable=True)
+                if defect > worst:
+                    worst, where = defect, f"piece {i} wall {name}"
+            for name, ew in (("e0", e0), ("e1", e1)):
                 pts = np.column_stack([x0 + (x1 - x0) * t,
                                        np.full_like(t, ew)])
                 img = self.to_frame(
                     self._map.step_inverse(wrap(self.from_frame(pts))))
-                worst = max(worst, self._dist_to_edges(img, stable=False))
+                defect = self._dist_to_edges(img, stable=False)
+                if defect > worst:
+                    worst, where = defect, f"piece {i} wall {name}"
         if worst > BOUNDARY_TOL:
             raise ConstructionInvalid(
-                f"boundary net is not invariant: defect {worst:.3e}")
+                f"boundary net is not invariant: defect {worst:.3e} in the "
+                f"image of {where}")
         return worst
 
     def _dist_to_edges(self, coords: np.ndarray, stable: bool) -> float:
-        best = np.full(len(coords), np.inf)
+        """Max over coords of the distance to the nearest translate of a
+        stable (vertical) or unstable (horizontal) partition wall."""
+        ax = 0 if stable else 1  # the frame axis across the walls
+        walls = []  # (position across, along-range start, end)
         for (x0, x1, e0, e1) in self.boxes:
-            if stable:
-                walls = ((x0, e0, e1), (x1, e0, e1))
-            else:
-                walls = ((e0, x0, x1), (e1, x0, x1))
-            for (w, a0, a1) in walls:
-                for gvec in self._lattice:
-                    if stable:
-                        dperp = coords[:, 0] - (w + gvec[0])
-                        along = coords[:, 1] - gvec[1]
-                    else:
-                        dperp = coords[:, 1] - (w + gvec[1])
-                        along = coords[:, 0] - gvec[0]
-                    dpar = np.maximum(a0 - along, 0) + np.maximum(along - a1, 0)
-                    np.minimum(best, np.hypot(dperp, dpar), out=best)
-        return float(best.max())
+            walls += ([(x0, e0, e1), (x1, e0, e1)] if stable
+                      else [(e0, x0, x1), (e1, x0, x1)])
+        walls = np.array(walls)
+        n = len(self._lattice)
+        W = (walls[:, :1] + self._lattice[:, ax]).ravel()
+        G = np.tile(self._lattice[:, 1 - ax], len(walls))
+        rows = _runs(len(coords), _TILE * _TILE)
+        return _max_min_distance(coords[rows, ax], coords[rows, 1 - ax], W, G,
+                                 np.repeat(walls[:, 1], n),
+                                 np.repeat(walls[:, 2], n))
+
+
+def _runs(n: int, size: int) -> np.ndarray:
+    """Indices 0..n-1 in rows of `size`.  The last row is padded with n-1:
+    a repeated sample leaves every max over samples unchanged."""
+    return np.minimum(np.arange(-(-n // size) * size), n - 1).reshape(-1, size)
+
+
+def _max_min_distance(perp: np.ndarray, par: np.ndarray, W: np.ndarray,
+                      G: np.ndarray, A0: np.ndarray, A1: np.ndarray) -> float:
+    """Max over sample points of the distance to the nearest of a set of
+    axis-aligned segments.
+
+    Samples are the rows of (perp, par), one block per row; segment j is the
+    points (W[j], G[j] + a) for a in [A0[j], A1[j]].  Each block evaluates only
+    the segments whose distance to its bounding box is within _PRUNE_SLACK of
+    the block's upper bound (the least farthest-corner distance), and blocks
+    are taken by decreasing upper bound until none can raise the maximum.
+    Every evaluated distance is the one the all-segments loop computes, and a
+    segment that is nearest to some sample is never skipped, so the result
+    equals the all-segments value exactly.
+    """
+    pmin, pmax = perp.min(axis=1)[:, None], perp.max(axis=1)[:, None]
+    qmin, qmax = par.min(axis=1)[:, None], par.max(axis=1)[:, None]
+    # a segment beyond reach of the box around all samples is nearest to none
+    lower_sq, upper_sq = _box_bounds(pmin.min(), pmax.max(), qmin.min(),
+                                     qmax.max(), W, G, A0, A1)
+    reach = math.sqrt(upper_sq.min()) + _PRUNE_SLACK
+    keep = lower_sq <= reach * reach
+    W, G, A0, A1 = W[keep], G[keep], A0[keep], A1[keep]
+    lower_sq, upper_sq = _box_bounds(pmin, pmax, qmin, qmax, W, G, A0, A1)
+    upper = np.sqrt(upper_sq.min(axis=1))
+    best = 0.0
+    for b in np.argsort(-upper):
+        reach = upper[b] + _PRUNE_SLACK
+        if reach < best:
+            break
+        near = np.flatnonzero(lower_sq[b] <= reach * reach)
+        along = par[b][:, None] - G[near]
+        dist = np.hypot(perp[b][:, None] - W[near],
+                        _overhang(along, A0[near], A1[near]))
+        best = max(best, float(dist.min(axis=1).max()))
+    return best
+
+
+def _box_bounds(pmin, pmax, qmin, qmax, W, G, A0, A1):
+    """Squared least and greatest distance from the box [pmin, pmax] x
+    [qmin, qmax] to each segment (W, G + [A0, A1])."""
+    lo_p, hi_p = pmin - W, pmax - W
+    lo_q, hi_q = qmin - G, qmax - G
+    lower_sq = (np.maximum(np.maximum(lo_p, -hi_p), 0) ** 2
+                + np.maximum(np.maximum(A0 - hi_q, lo_q - A1), 0) ** 2)
+    upper_sq = (np.maximum(lo_p ** 2, hi_p ** 2)
+                + np.maximum(_overhang(lo_q, A0, A1),
+                             _overhang(hi_q, A0, A1)) ** 2)
+    return lower_sq, upper_sq
+
+
+def _overhang(along, a0, a1):
+    """Distance from `along` to the interval [a0, a1]."""
+    return np.maximum(a0 - along, 0) + np.maximum(along - a1, 0)
+
 
 _PARTITION_CACHE: MarkovPartition | None = None
 

@@ -162,6 +162,9 @@ class TestConfigValidation:
         ({"lyapunov": [60]}, "lyapunov", "object"),
         ({"expect": 5}, "expect", "object"),
         ({"basin": {"n_values": [10, 20]}}, "basin.epsilons", "missing"),
+        ({"label": "../escape"}, "label", "plain file name"),
+        ({"label": "a/b"}, "label", "plain file name"),
+        ({"label": ""}, "label", "plain file name"),
     ])
     def test_bad_fields_named(self, tmp_path, overrides, field_path,
                               message):

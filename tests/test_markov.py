@@ -1,10 +1,13 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 
 from toruslab.basin import SampleGrid
-from toruslab.markov import (CylinderTable, InsufficientSamples,
+from toruslab.dynamics import wrap
+from toruslab.markov import (ConstructionInvalid, CylinderTable,
+                             InsufficientSamples,
                              cylinder_count_rate, entropy_count_bound_check,
                              entropy_rate_estimate, entropy_tables,
                              itineraries, locate,
@@ -15,6 +18,48 @@ PHI = (1.0 + math.sqrt(5.0)) / 2.0
 LAMBDA = (3.0 + math.sqrt(5.0)) / 2.0
 LOG_LAMBDA = math.log(LAMBDA)
 SEED_POINT = (0.2137214321, 0.5721347123)
+
+
+def brute_nearest_wall(partition, coords, stable):
+    """Per sample: distance to the nearest of all 810 wall translates (the
+    all-translates loop the pruned kernel replaces)."""
+    best = np.full(len(coords), np.inf)
+    for (x0, x1, e0, e1) in partition.boxes:
+        if stable:
+            walls = ((x0, e0, e1), (x1, e0, e1))
+        else:
+            walls = ((e0, x0, x1), (e1, x0, x1))
+        for (w, a0, a1) in walls:
+            for gvec in partition._lattice:
+                if stable:
+                    dperp = coords[:, 0] - (w + gvec[0])
+                    along = coords[:, 1] - gvec[1]
+                else:
+                    dperp = coords[:, 1] - (w + gvec[1])
+                    along = coords[:, 0] - gvec[0]
+                dpar = np.maximum(a0 - along, 0) + np.maximum(along - a1, 0)
+                np.minimum(best, np.hypot(dperp, dpar), out=best)
+    return best
+
+
+def brute_boundary_defect(partition, samples_per_edge):
+    """validate_markov_boundary's edge sampling with brute_nearest_wall."""
+    worst = 0.0
+    t = np.linspace(0.0, 1.0, samples_per_edge)
+    for (x0, x1, e0, e1) in partition.boxes:
+        for xw in (x0, x1):
+            pts = np.column_stack([np.full_like(t, xw), e0 + (e1 - e0) * t])
+            img = partition.to_frame(
+                partition._map.step(wrap(partition.from_frame(pts))))
+            worst = max(worst, float(
+                brute_nearest_wall(partition, img, True).max()))
+        for ew in (e0, e1):
+            pts = np.column_stack([x0 + (x1 - x0) * t, np.full_like(t, ew)])
+            img = partition.to_frame(
+                partition._map.step_inverse(wrap(partition.from_frame(pts))))
+            worst = max(worst, float(
+                brute_nearest_wall(partition, img, False).max()))
+    return worst
 
 
 def fib(n):
@@ -64,6 +109,64 @@ class TestConstruction:
         # re-assert the Markov boundary conditions at 10^4 samples
         defect = partition.validate_markov_boundary(1250)
         assert defect <= 1e-9
+
+    @pytest.mark.parametrize("samples", [333, 1000, 1250])
+    def test_boundary_defect_matches_all_translates(self, partition,
+                                                    samples):
+        assert partition.validate_markov_boundary(samples) \
+            == brute_boundary_defect(partition, samples)
+
+    def test_boundary_defect_value(self, partition):
+        assert partition.validate_markov_boundary(1000) \
+            == 1.2212453270876722e-15
+
+    @pytest.mark.parametrize("stable", [True, False])
+    def test_wall_distance_matches_all_translates_off_net(self, partition,
+                                                          stable):
+        # a seeded random walk on the torus: runs of consecutive samples are
+        # compact, so the pruning drops most translates, and the defects are
+        # nonzero
+        rng = np.random.default_rng(20261018)
+        walk = rng.random(2) + np.cumsum(rng.normal(0.0, 0.004, (3000, 2)),
+                                         axis=0)
+        coords = partition.to_frame(wrap(walk))
+        nearest = brute_nearest_wall(partition, coords, stable)
+        assert nearest.min() > 0.0
+        assert partition._dist_to_edges(coords, stable) == nearest.max()
+        assert [partition._dist_to_edges(c, stable)
+                for c in coords.reshape(300, 10, 2)] \
+            == nearest.reshape(300, 10).max(axis=1).tolist()
+
+    @pytest.mark.parametrize("stable", [True, False])
+    def test_wall_distance_across_wrap_seam(self, partition, stable):
+        # samples along a wall, shifted off the net and across the torus
+        # seam y = 1, so one sample block holds points on both sides of it
+        x0, x1, e0, e1 = partition.boxes[0]
+        t = np.linspace(0.0, 1.0, 1000)
+        torus = partition.from_frame(
+            np.column_stack([np.full_like(t, x1), e0 + (e1 - e0) * t]))
+        torus[:, 1] += 1.0 - torus[100, 1] + 0.003
+        coords = partition.to_frame(wrap(torus))
+        assert np.ptp(coords[:256], axis=0).max() > 0.5
+        nearest = brute_nearest_wall(partition, coords, stable)
+        assert nearest.max() > 1e-3
+        assert partition._dist_to_edges(coords, stable) == nearest.max()
+        assert partition._dist_to_edges(coords[:256], stable) \
+            == nearest[:256].max()
+
+    @pytest.mark.parametrize("piece", range(5))
+    @pytest.mark.parametrize("side", range(4))
+    def test_boundary_error_names_the_wall(self, partition, piece, side):
+        bad = copy.copy(partition)
+        box = list(partition.boxes[piece])
+        box[side] += 1e-3
+        bad.boxes = [tuple(box) if i == piece else b
+                     for i, b in enumerate(partition.boxes)]
+        name = ("x0", "x1", "e0", "e1")[side]
+        with pytest.raises(ConstructionInvalid,
+                           match=rf"defect [12]\.618e-03 in the image of "
+                                 rf"piece {piece} wall {name}$"):
+            bad.validate_markov_boundary(1000)
 
     def test_alphabet_matches_pieces(self, partition):
         assert partition.k == len(partition.boxes) == 5
