@@ -7,12 +7,15 @@ jittered inside cells with a seeded generator); membership is evaluated by
 accumulating the test-function sums along each orbit, so a single traversal
 of length max(n) yields every requested n and every epsilon at once.
 
-The chunk kernel keeps one complex (F, N) array of running mode sums per
-chunk of N start points: each step adds e^(2 pi i k.x) for the family's F
-frequencies, built from a power table with no trig call per frequency (see
-`weakstar`), and weak* distances are formed only at the requested n.  CHUNK
-start points keep that array and the per-step temporaries within a few MB,
-so they stay in cache; it is a fixed constant, not a setting.
+The chunk kernel keeps one workspace per chunk of N start points
+(`TestFunctionFamily.zero_sums`): the complex (F, N) running mode sums and
+every buffer a step writes, made by the chunk's own worker and reused at
+every step.  Each step adds e^(2 pi i k.x) for the family's frequencies,
+built from a power table with no trig call per frequency; at K=33 that is 8
+complex products, since conjugate rows are filled from their partners and
+axis rows are table rows (see `weakstar`).  Weak* distances are formed only
+at the requested n.  CHUNK start points keep the workspace within a few MB,
+so it stays in cache; it is a fixed constant, not a setting.
 
 Work is split into fixed-size chunks of start points that are independent of
 the worker count; hit counters are integers merged by addition, so counts are

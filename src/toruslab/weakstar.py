@@ -14,14 +14,18 @@ the truncation and enumeration version are stamped into every result record.
 Every mode is evaluated without a trig call per frequency: with
 z_c = e^(2 pi i x_c) from one complex exponential per coordinate, the power
 table z_c^a, a = -kmax..kmax (kmax the largest max-norm among the family's
-frequencies, 2 for K=33), gives e^(2 pi i k.x) = z_1^k1 z_2^k2 as one complex
-product per frequency.  Mode values are kept as complex (F, N) arrays, one
-row per frequency and contiguous in the points.  Transposed to (N, F) and
-viewed as float64, each point's row reads cos, sin, cos, sin, ... in the
-family's mode order, so its first K-1 entries are the trig modes for odd and
-even K alike.  `phi_values`, the blocked `weighted_sum` behind `moments` and
-the basin kernel's running sums (`zero_sums`, `accumulate`, `sum_distances`)
-share this evaluator.
+frequencies, 2 for K=33), gives e^(2 pi i k.x) = z_1^k1 z_2^k2.  A plan built
+once per family sorts the frequencies: one whose negative came earlier is the
+conjugate of that row, filled from it only when the values are read; one on
+an axis is a table row; any other is one complex product, 8 per point at
+K=33 instead of 16.  Mode values are kept as complex (F, N) arrays, one row
+per frequency and contiguous in the points.  Transposed to (N, F) and viewed
+as float64, each point's row reads cos, sin, cos, sin, ... in the family's
+mode order, so its first K-1 entries are the trig modes for odd and even K
+alike.  `phi_values`, the blocked `weighted_sum` behind `moments` and the
+basin kernel's running sums share this evaluator.  Every buffer it writes
+lives in a workspace from `zero_sums`, which `accumulate` and
+`sum_distances` reuse at every step; a workspace belongs to one thread.
 """
 
 from __future__ import annotations
@@ -67,12 +71,29 @@ class TestFunctionFamily:
         self.truncation = int(truncation)
         self.version = FAMILY_VERSION
         # mode i >= 1 uses frequency vector (i-1)//2; even offset cos, odd sin
-        freqs = _enumerate_frequencies(self.truncation // 2)
-        self._kmax = int(np.abs(freqs).max(initial=0))
-        # columns of each frequency's two factors in the flattened power
-        # table [z_1^-kmax .. z_1^kmax, z_2^-kmax .. z_2^kmax]
-        self._pairs = [(k1 + self._kmax, k2 + 3 * self._kmax + 1)
-                       for k1, k2 in freqs.tolist()]
+        freqs = _enumerate_frequencies(self.truncation // 2).tolist()
+        self._nfreq = len(freqs)
+        self._kmax = k = max((max(abs(k1), abs(k2)) for k1, k2 in freqs),
+                             default=0)
+        # the mode plan, in rows of the flattened power table
+        # [z_1^-kmax .. z_1^kmax, z_2^-kmax .. z_2^kmax]: a frequency whose
+        # negative came earlier is the conjugate of that row (_conj, filled
+        # by _fill_conjugates); of the rest, one on an axis is a table row
+        # (_axis), the others a product of two (_products).  Entries are
+        # (row, source rows).
+        index = {(k1, k2): j for j, (k1, k2) in enumerate(freqs)}
+        self._conj, self._axis, self._products = [], [], []
+        for j, (k1, k2) in enumerate(freqs):
+            a, b = k1 + k, k2 + 3 * k + 1
+            partner = index.get((-k1, -k2), j)
+            if partner < j:
+                self._conj.append((j, partner))
+            elif k2 == 0:
+                self._axis.append((j, a))
+            elif k1 == 0:
+                self._axis.append((j, b))
+            else:
+                self._products.append((j, a, b))
         self.weights = 2.0 ** -np.arange(self.truncation)
 
     def __eq__(self, other):
@@ -89,34 +110,51 @@ class TestFunctionFamily:
     def tail_bound(self) -> float:
         return 2.0 ** (1 - self.truncation)
 
-    def _add_modes(self, p: np.ndarray, sums: np.ndarray) -> None:
-        """Add e^(2 pi i k.x) at each of the N points p, for every frequency
-        k of the family, into the row for k of the complex (F, N) `sums`.
+    def _add_modes(self, p: np.ndarray, ws: "_Workspace") -> None:
+        """Add e^(2 pi i k.x) at each of the n points p into row k of the
+        workspace sums, for every frequency k of the family that is not the
+        conjugate of an earlier one (see _fill_conjugates).
 
         The power table holds z_c^a, a = -kmax..kmax, for both coordinates;
-        each mode is one product of two of its rows.  Rows are contiguous in
-        the points, and the temporaries are the table plus one row."""
-        if not self._pairs:
+        a mode on an axis is one of its rows, any other mode the product of
+        two.  Every temporary is a workspace buffer."""
+        if not self._nfreq:
             return
-        k = self._kmax
-        pw = np.empty((2, 2 * k + 1, len(p)), dtype=complex)
-        np.exp(p.T * (1j * TWO_PI), out=pw[:, k + 1])
-        pw[:, k] = 1.0
+        n, k = len(p), self._kmax
+        pw = ws.power[:, :, :n]
+        z = pw[:, k + 1]
+        np.multiply(p.T, 1j * TWO_PI, out=z)
+        np.exp(z, out=z)
         for a in range(2, k + 1):
-            np.multiply(pw[:, k + a - 1], pw[:, k + 1], out=pw[:, k + a])
+            np.multiply(pw[:, k + a - 1], z, out=pw[:, k + a])
         # |z| = 1, so z^-a is the conjugate of z^a
         np.conjugate(pw[:, k + 1:], out=pw[:, k - 1::-1])
-        pw = pw.reshape(-1, len(p))
-        mode = np.empty(len(p), dtype=complex)
-        for j, (a, b) in enumerate(self._pairs):
-            np.multiply(pw[a], pw[b], out=mode)
+        rows = ws.power.reshape(-1, ws.power.shape[-1])[:, :n]
+        sums = ws.sums[:, :n]
+        for j, a in self._axis:
+            sums[j] += rows[a]
+        mode = ws.mode[:n]
+        for j, a, b in self._products:
+            np.multiply(rows[a], rows[b], out=mode)
             sums[j] += mode
 
-    def _trig_modes(self, sums: np.ndarray) -> np.ndarray:
-        """The complex (F, N) sums as (N, K-1) floats in mode order: a row of
-        the transposed sums viewed as float64 reads cos, sin, cos, sin, ..."""
-        return (np.ascontiguousarray(sums.T).view(np.float64)
-                [:, :self.truncation - 1])
+    def _fill_conjugates(self, sums: np.ndarray) -> None:
+        """Write each conjugate row of the (F, n) mode sums from its
+        partner.  conj(a) conj(b) = conj(ab) and IEEE addition is
+        sign-symmetric, so the row equals the sum of its own products."""
+        for j, partner in self._conj:
+            np.conjugate(sums[partner], out=sums[j])
+
+    def _trig_modes(self, ws: "_Workspace", n: int) -> np.ndarray:
+        """The first n points' mode sums as (n, K-1) floats in mode order:
+        the conjugate rows are filled and the sums transposed into the
+        workspace's (N, F) buffer, a row of which, viewed as float64, reads
+        cos, sin, cos, sin, ..."""
+        sums = ws.sums[:, :n]
+        self._fill_conjugates(sums)
+        trans = ws.trans[:n]
+        np.copyto(trans, sums.T)
+        return trans.view(np.float64)[:, :self.truncation - 1]
 
     def phi_values(self, points) -> np.ndarray:
         """phi_i at each point, shape (N, K)."""
@@ -125,64 +163,94 @@ class TestFunctionFamily:
         out[:, 0] = 1.0
         # row blocks keep the complex temporaries cache-sized on long atom
         # lists; the output is the only array of full length
+        ws = self.zero_sums(min(len(p), _PHI_ROWS))
         for i in range(0, len(p), _PHI_ROWS):
             rows = p[i:i + _PHI_ROWS]
-            modes = self.zero_sums(len(rows))
-            self._add_modes(rows, modes)
+            ws.sums[...] = 0.0
+            self._add_modes(rows, ws)
             block = out[i:i + _PHI_ROWS, 1:]
-            np.multiply(self._trig_modes(modes), 0.5, out=block)
+            np.multiply(self._trig_modes(ws, len(rows)), 0.5, out=block)
             block += 0.5
         return out
 
     def weighted_sum(self, points, weights) -> np.ndarray:
         """sum_i w_i phi(x_i) over the N points, shape (K,).
 
-        Blocks of _PHI_ROWS points reuse one complex (F, block) array of
-        mode values, so memory stays at one block for any N; each block
-        adds its weighted mode sum, and a trig moment is W/2 plus half the
-        weighted cos or sin sum, W = sum_i w_i."""
+        Blocks of _PHI_ROWS points reuse one workspace, so memory stays at
+        one block for any N; each block adds its weighted mode sum, and a
+        trig moment is W/2 plus half the weighted cos or sin sum,
+        W = sum_i w_i."""
         p = np.asarray(points, dtype=float)
         w = np.asarray(weights, dtype=float)
-        modes = self.zero_sums(min(len(p), _PHI_ROWS))
-        acc = np.zeros(len(self._pairs), dtype=complex)
+        ws = self.zero_sums(min(len(p), _PHI_ROWS))
+        acc = np.zeros(self._nfreq, dtype=complex)
         for i in range(0, len(p), _PHI_ROWS):
             rows = p[i:i + _PHI_ROWS]
-            block = modes[:, :len(rows)]
+            block = ws.sums[:, :len(rows)]
             block[...] = 0.0
-            self._add_modes(rows, block)
+            self._add_modes(rows, ws)
+            self._fill_conjugates(block)
             acc += block @ w[i:i + _PHI_ROWS]
         total = float(np.sum(w))
         out = np.empty(self.truncation)
         out[0] = total
-        out[1:] = 0.5 * total + 0.5 * self._trig_modes(acc[:, None])[0]
+        out[1:] = (0.5 * total
+                   + 0.5 * acc.view(np.float64)[:self.truncation - 1])
         return out
 
-    def zero_sums(self, npoints: int) -> np.ndarray:
-        """Empty running sums for `accumulate`: complex (F, npoints), one
-        row per frequency."""
-        return np.zeros((len(self._pairs), npoints), dtype=complex)
+    def zero_sums(self, npoints: int) -> "_Workspace":
+        """A workspace for `accumulate` and `sum_distances` on npoints
+        points: zeroed complex (F, npoints) running sums, one row per
+        frequency, plus every buffer the kernel writes.  One workspace
+        serves one thread; nothing in it is shared."""
+        return _Workspace(self._nfreq, self._kmax, npoints)
 
-    def accumulate(self, points, sums) -> None:
+    def accumulate(self, points, sums: "_Workspace") -> None:
         """Add e^(2 pi i k.x) at each point, for every frequency k of the
-        family, into the running sums from `zero_sums` in place."""
+        family, into the running sums of a `zero_sums` workspace in place.
+        Conjugate rows are left to `sum_distances`."""
         self._add_modes(np.asarray(points, dtype=float), sums)
 
-    def sum_distances(self, sums, n: int, target) -> np.ndarray:
+    def sum_distances(self, sums: "_Workspace", n: int,
+                      target) -> np.ndarray:
         """dist* from the mean over n accumulated steps to the target moment
-        values, one per point of `sums`.  Mean phi_0 is exactly 1 and a mean
-        trig mode is 1/2 + (1/2n) times the summed cos or sin."""
+        values, one per point of the workspace `sums`.  Mean phi_0 is
+        exactly 1 and a mean trig mode is 1/2 + (1/2n) times the summed cos
+        or sin.  The result is the workspace's distance vector, overwritten
+        by the next call."""
         t = np.asarray(target, dtype=float)
-        dev = self._trig_modes(sums) * (0.5 / n)
+        dev = self._trig_modes(sums, len(sums.dist))
+        dev *= 0.5 / n
         dev += 0.5
         dev -= t[1:]
         np.abs(dev, out=dev)
-        return dev @ self.weights[1:] + self.weights[0] * abs(1.0 - t[0])
+        np.matmul(dev, self.weights[1:], out=sums.dist)
+        sums.dist += self.weights[0] * abs(1.0 - t[0])
+        return sums.dist
 
     def lebesgue_moments(self) -> np.ndarray:
         """Exact integrals: 1 for phi_0, 1/2 for every trig mode."""
         m = np.full(self.truncation, 0.5)
         m[0] = 1.0
         return m
+
+
+class _Workspace:
+    """Buffers of the mode kernel for up to N points: the complex (F, N)
+    running sums, the power table (2, 2 kmax + 1, N), whose z^1 rows also
+    hold the exponential's argument, one mode row, the (N, F) transposed
+    sums and the distance vector.  Built by `TestFunctionFamily.zero_sums`.
+    """
+
+    __slots__ = ("sums", "power", "mode", "trans", "dist")
+
+    def __init__(self, nfreq: int, kmax: int, npoints: int):
+        self.sums = np.zeros((nfreq, npoints), dtype=complex)
+        self.power = np.empty((2, 2 * kmax + 1, npoints), dtype=complex)
+        self.power[:, kmax] = 1.0
+        self.mode = np.empty(npoints, dtype=complex)
+        self.trans = np.empty((npoints, nfreq), dtype=complex)
+        self.dist = np.empty(npoints)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -120,6 +122,26 @@ class TestCurves:
         ref = _ref_accumulate_hits(cat, grid.chunk(0, grid.size),
                                    leb_target.values, [0.2], ns, family)
         assert np.array_equal(h1, ref[0])
+
+    def test_shared_family_across_threads(self, cat, family, dirac_target):
+        # one family, more workers than cores, a short switch interval: each
+        # call must keep its own workspace, or chunks corrupt each other
+        grid = SampleGrid(resolution=48, jitter=True, seed=5)
+        pts = grid.chunk(0, grid.size, grid._offsets())
+        chunks = np.array_split(pts, 8)
+        args = (dirac_target.values, [0.3, 0.1], [1, 4, 9, 16], family)
+        serial = [_accumulate_hits(cat, c, *args) for c in chunks]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(_accumulate_hits, cat, c, *args)
+                           for _ in range(3) for c in chunks]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for i, got in enumerate(results):
+            assert np.array_equal(got, serial[i % len(chunks)])
 
     def test_jitter_deterministic(self, cat, family, leb_target):
         grid = SampleGrid(resolution=64, jitter=True, seed=99)
@@ -347,7 +369,7 @@ def _ref_accumulate_hits(map, points, target, epsilons, n_values, family):
     return hits
 
 
-TRUNCATIONS = [1, 2, 8, 33, 34, 65]
+TRUNCATIONS = [1, 2, 8, 10, 13, 17, 33, 34, 65]
 PERTURBED = HyperbolicToralMap([[2, 1], [1, 1]], 0.005,
                                [((1.0, 0.0), (0, 1))])
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toruslab.dynamics import (HyperbolicToralMap, NotHyperbolic,
-                               torus_distance, verify_hyperbolicity, wrap)
+from toruslab.dynamics import (ConeReport, HyperbolicToralMap, NotHyperbolic,
+                               _grid_points, torus_distance, unstable_warmup,
+                               verify_hyperbolicity, wrap)
 
 LAMBDA_CAT = (3.0 + math.sqrt(5.0)) / 2.0
 LAMBDA_GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -77,6 +78,9 @@ STEP_ORBIT_MAPS = {
         [[2, 1], [1, 1]], 0.004,
         [((1.0, 0.3), (0, 1)), ((0.2, -0.5), (1, 1)),
          ((0.7, 0.1), (2, -1))]),
+    "axis-terms": HyperbolicToralMap(
+        [[2, 1], [1, 1]], 0.004,
+        [((0.0, 1.0), (1, 0)), ((0.5, 1.0), (2, 0)), ((1.0, 1.0), (0, -1))]),
 }
 
 
@@ -94,6 +98,26 @@ class TestStepFollowsOrbit:
             x = m.step(x)
 
 
+def reference_inverse(m, p):
+    """`step_inverse` with each series term in its former allocating form,
+    sin(2 pi (k0 x + k1 y)) summed into fresh arrays."""
+    ainv = m.matrix_inv.T.astype(float)
+    q = p @ ainv
+    psi = np.empty(p.shape)
+    while True:
+        px = py = 0.0
+        for (c0, c1), (k0, k1) in zip(m._coeffs.tolist(), m._freqs.tolist()):
+            s = np.sin(2.0 * math.pi * (k0 * q[..., 0] + k1 * q[..., 1]))
+            px = px + c0 * s
+            py = py + c1 * s
+        psi[..., 0], psi[..., 1] = px, py
+        q_next = (p - m.amplitude * psi) @ ainv
+        delta = float(np.max(np.abs(q_next - q)))
+        q = q_next
+        if delta < 1e-12:
+            return mod_wrap(q)
+
+
 class TestInverse:
     def test_linear_example(self, cat):
         # A^-1 = [[1,-1],[-1,2]], A^-1 (1/2, 0) = (1/2, -1/2) = (1/2, 1/2)
@@ -107,6 +131,15 @@ class TestInverse:
     def test_roundtrip_linear(self, cat, p):
         q = cat.step_inverse(cat.step(np.array(p)))
         assert torus_distance(q, np.array(p)) <= 1e-10
+
+    @pytest.mark.parametrize("name", ["cat-sin-y", "3211-sin-y",
+                                      "three-terms", "axis-terms"])
+    def test_matches_allocating_series(self, name):
+        m = STEP_ORBIT_MAPS[name]
+        pts = np.random.default_rng(5).random((2000, 2))
+        for p in (pts, pts[0]):
+            got, ref = m.step_inverse(p), reference_inverse(m, p)
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
     def test_roundtrip_perturbed_bulk(self):
         m = HyperbolicToralMap([[2, 1], [1, 1]], 0.004,
@@ -234,10 +267,34 @@ class TestOrbit:
             ea, eb = (2 * ea + eb) % q, (ea + eb) % q
 
 
+def mod_wrap(points):
+    """The np.mod form of `wrap` that the floor form replaced."""
+    p = np.mod(np.asarray(points, dtype=float), 1.0)
+    return np.where(p >= 1.0, 0.0, p)
+
+
 class TestWrap:
     def test_tiny_negative(self):
         w = wrap(np.array([-1e-18, 0.5]))
         assert w[0] < 1.0 and w[0] >= 0.0
+
+    def test_bitwise_equals_mod(self):
+        special = [0.0, -0.0, -5e-324, 5e-324, -1e-18, 1e-18, 1 - 2.0 ** -53,
+                   -(1 - 2.0 ** -53), 2.0 ** 52 + 0.5, 2.0 ** 51 + 0.5,
+                   -(2.0 ** 51 + 0.5), 1e300, -1e300, np.nan, np.inf,
+                   -np.inf]
+        integers = [float(k) for k in range(-10, 11)] + [2.0 ** 53]
+        seeded = np.random.default_rng(2024).uniform(-8.0, 8.0, 10 ** 5)
+        p = np.concatenate([special, integers, seeded]).reshape(-1, 2)
+        with np.errstate(invalid="ignore"):
+            got, ref = wrap(p), mod_wrap(p)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+    def test_input_unchanged(self):
+        p = np.array([[-0.25, 1.5], [2.0, -1e-18]])
+        before = p.copy()
+        wrap(p)
+        assert np.array_equal(p, before)
 
     @settings(max_examples=50, deadline=None)
     @given(p=points)
@@ -246,7 +303,68 @@ class TestWrap:
         assert 0.0 <= d <= math.sqrt(2.0) / 2.0 + 1e-15
 
 
+def full_grid_cone_report(map, grid_resolution, cone_half_angle=0.15,
+                          warmup=30):
+    """`verify_hyperbolicity` as it was before linear maps were checked on
+    one point: every check at every point of the grid."""
+    pts = _grid_points(grid_resolution)
+    basis = np.column_stack([map.v_u, map.v_s])
+    basis_inv = np.linalg.inv(basis)
+    tan_a = math.tan(cone_half_angle)
+    D = map.differential(pts)
+    Dinv = np.linalg.inv(D)
+
+    def worst_angle(mats, axis_u):
+        worst = 0.0
+        for sign in (1.0, -1.0):
+            if axis_u:
+                ray = map.v_u + sign * tan_a * map.v_s
+            else:
+                ray = map.v_s + sign * tan_a * map.v_u
+            comp = (mats @ ray) @ basis_inv.T
+            if axis_u:
+                ang = np.arctan2(np.abs(comp[:, 1]), np.abs(comp[:, 0]))
+            else:
+                ang = np.arctan2(np.abs(comp[:, 0]), np.abs(comp[:, 1]))
+            worst = max(worst, float(np.max(ang)))
+        return worst
+
+    assert worst_angle(D, True) < cone_half_angle
+    assert worst_angle(Dinv, False) < cone_half_angle
+    v = unstable_warmup(map, pts, warmup)
+    lam_expand = float(np.min(np.linalg.norm(
+        np.einsum("nij,nj->ni", D, v), axis=1)))
+    w = np.broadcast_to(np.array([0.6180339887498949, -1.0]),
+                        pts.shape).copy()
+    forward = pts
+    fpath = [pts]
+    for _ in range(warmup - 1):
+        forward = map.step(forward)
+        fpath.append(forward)
+    for q in reversed(fpath):
+        w = np.einsum("nij,nj->ni", np.linalg.inv(map.differential(q)), w)
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+    lam_contract = float(np.max(np.linalg.norm(
+        np.einsum("nij,nj->ni", D, w), axis=1)))
+    return ConeReport(lambda_expand=lam_expand, lambda_contract=lam_contract,
+                      cone_half_angle=cone_half_angle,
+                      grid_resolution=grid_resolution,
+                      passed=lam_expand > 1.0 and lam_contract < 1.0)
+
+
+LINEAR_CONE_MAPS = [[[2, 1], [1, 1]], [[1, 1], [1, 0]], [[3, 1], [2, 1]],
+                    [[1, 1], [1, 2]]]
+
+
 class TestConeVerification:
+    @pytest.mark.parametrize("resolution", [16, 32, 64])
+    @pytest.mark.parametrize("matrix", LINEAR_CONE_MAPS, ids=str)
+    def test_linear_report_equals_full_grid(self, matrix, resolution):
+        m = HyperbolicToralMap(matrix)
+        rep = verify_hyperbolicity(m, resolution)
+        assert rep == full_grid_cone_report(m, resolution)
+        assert rep.grid_resolution == resolution
+
     def test_cat_exact_expansion(self, cat):
         rep = verify_hyperbolicity(cat, 32)
         assert rep.passed

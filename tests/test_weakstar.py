@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toruslab.weakstar import (LEBESGUE, DiscreteMeasure, FamilyMismatch,
-                               TestFunctionFamily, invariance_defect, moments,
-                               weak_star_distance)
+                               TestFunctionFamily, _enumerate_frequencies,
+                               invariance_defect, moments, weak_star_distance)
 
 unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True,
                  allow_nan=False)
@@ -210,3 +210,23 @@ class TestDiscreteMeasureValidation:
     def test_seam_coalescing(self):
         mu = DiscreteMeasure(np.array([[1.0 - 1e-13, 0.2], [0.0, 0.2]]))
         assert len(mu) == 1
+
+
+class TestModePlan:
+    @pytest.mark.parametrize("truncation", [1, 2, 3, 10, 13, 17, 33, 34, 65,
+                                            200])
+    def test_rows_cover_the_family_once(self, truncation):
+        fam = TestFunctionFamily(truncation)
+        rows = ([j for j, _ in fam._conj] + [j for j, _ in fam._axis]
+                + [j for j, _, _ in fam._products])
+        assert sorted(rows) == list(range(fam._nfreq))
+        freqs = _enumerate_frequencies(truncation // 2)
+        for j, partner in fam._conj:
+            assert partner < j
+            assert np.array_equal(freqs[partner], -freqs[j])
+        for j, _ in fam._axis:
+            assert np.count_nonzero(freqs[j]) == 1
+
+    def test_k33_needs_eight_products(self):
+        fam = TestFunctionFamily(33)
+        assert (len(fam._products), len(fam._axis), len(fam._conj)) == (8, 4, 4)
