@@ -22,19 +22,22 @@ from toruslab.config import ConfigInvalid, load_config
 from toruslab.dynamics import NotHyperbolic, verify_hyperbolicity
 
 
-def _thread_count(value: str) -> int:
-    try:
-        n = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer, got {value!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
-    return n
+def _int_at_least(minimum: int):
+    """argparse type: an integer >= minimum, else a usage error."""
+    def parse(value: str) -> int:
+        try:
+            n = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer, got {value!r}") from None
+        if n < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {n}")
+        return n
+    return parse
 
 
 def _add_threads_flag(p: argparse.ArgumentParser):
-    p.add_argument("--threads", type=_thread_count, default=None,
+    p.add_argument("--threads", type=_int_at_least(1), default=None,
                    help=f"worker threads, at least 1 (overrides "
                         f"${THREADS_ENV_VAR})")
 
@@ -63,8 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify-map", help="cone verification only")
     p_ver.add_argument("config")
-    p_ver.add_argument("--grid", type=int, default=None,
-                       help="override verification grid resolution")
+    p_ver.add_argument("--grid", type=_int_at_least(16), default=None,
+                       help="override verification grid resolution, at "
+                            "least 16")
 
     p_acc = sub.add_parser("acceptance",
                            help="run the registered acceptance suite")

@@ -159,15 +159,25 @@ class HyperbolicToralMap:
     # -- perturbation field ------------------------------------------------
 
     def _dpsi(self, points):
-        """Derivative of psi, shape (..., 2, 2)."""
+        """Derivative of psi, shape (..., 2, 2).
+
+        Entry (i, j) is the sum over terms m of (amp_m * c_mi) * k_mj, added
+        term by term from zero, the order of the einsum it replaced
+        ("...m,mi,mj->...ij"), so the result is that einsum's bit for bit.
+        The cheaper-looking amp_m * (c_mi * k_mj) rounds differently.
+        """
         p = np.asarray(points, dtype=float)
-        out_shape = p.shape[:-1] + (2, 2)
+        out = np.zeros(p.shape[:-1] + (2, 2))
         if self.is_linear:
-            return np.zeros(out_shape)
+            return out
         phases = TWO_PI * (p @ self._freqs.T.astype(float))
         amps = TWO_PI * np.cos(phases)
-        return np.einsum("...m,mi,mj->...ij", amps, self._coeffs,
-                         self._freqs.astype(float))
+        for m, (c0, c1, k0, k1) in enumerate(self._terms):
+            for i, c in enumerate((c0, c1)):
+                ac = amps[..., m] * c
+                for j, k in enumerate((k0, k1)):
+                    out[..., i, j] += ac * k
+        return out
 
     # -- operations --------------------------------------------------------
 
@@ -316,6 +326,36 @@ def _seed_vector(map: HyperbolicToralMap) -> np.ndarray:
     return v
 
 
+def _matvec(D, v0, v1):
+    """D v at each point for a stack D of 2x2 matrices, as the two components
+    of the result; the rounding of the einsum "nij,nj->ni" it replaced."""
+    return (D[:, 0, 0] * v0 + D[:, 0, 1] * v1,
+            D[:, 1, 0] * v0 + D[:, 1, 1] * v1)
+
+
+def _adjugate_matvec(D, w0, w1):
+    """adj(D) w at each point, adj(D) = [[d11, -d01], [-d10, d00]].
+
+    adj(D) = det(D) D^-1, so wherever only the direction of D^-1 w counts,
+    this gives it with no inverse and no division."""
+    return (D[:, 1, 1] * w0 - D[:, 0, 1] * w1,
+            D[:, 0, 0] * w1 - D[:, 1, 0] * w0)
+
+
+def _length(v0, v1):
+    """Euclidean length of each vector, rounded as np.linalg.norm(v, axis=1)
+    rounds it."""
+    return np.sqrt(v0 * v0 + v1 * v1)
+
+
+def _normalize(v0, v1):
+    """Scale the vectors (v0, v1) to unit length, in place."""
+    r = _length(v0, v1)
+    v0 /= r
+    v1 /= r
+    return v0, v1
+
+
 def unstable_warmup(map: HyperbolicToralMap, points,
                     warmup_n: int) -> np.ndarray:
     """Unit vectors close to the unstable direction at each point, (N, 2).
@@ -337,11 +377,10 @@ def unstable_warmup(map: HyperbolicToralMap, points,
         for _ in range(warmup_n):
             back = map.step_inverse(back)
             path.append(back)
-    v = np.broadcast_to(_seed_vector(map), start.shape).copy()
+    v0, v1 = (np.full(len(start), c) for c in _seed_vector(map))
     for q in reversed(path):
-        v = np.einsum("nij,nj->ni", map.differential(q), v)
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-    return np.broadcast_to(v, points.shape)
+        v0, v1 = _normalize(*_matvec(map.differential(q), v0, v1))
+    return np.broadcast_to(np.column_stack([v0, v1]), points.shape)
 
 
 def verify_hyperbolicity(map: HyperbolicToralMap, grid_resolution: int,
@@ -354,7 +393,14 @@ def verify_hyperbolicity(map: HyperbolicToralMap, grid_resolution: int,
     itself under Df^-1.  lambda_expand is the minimal growth along the
     numerically aligned unstable direction (warmup pushes a generic vector
     forward along the backward orbit), lambda_contract the maximal stable
-    contraction.  Raises NotHyperbolic on any cone violation.
+    contraction (a vector pulled back along the forward orbit).
+
+    No inverse is formed.  Df^-1 enters only through the direction of an
+    image, and adj(Df) = det(Df) Df^-1 gives the same direction, so the
+    stable cone check and the pull-back use the adjugate, renormalizing
+    after every step.  Every product is written out term by term, in the
+    order of the einsum it replaced.  Raises NotHyperbolic on any cone
+    violation.
 
     For a linear map Df is A at every point, so every per-point quantity is
     the same at every grid point: the checks run on the first grid point
@@ -367,31 +413,29 @@ def verify_hyperbolicity(map: HyperbolicToralMap, grid_resolution: int,
     pts = _grid_points(grid_resolution)
     if map.is_linear:
         pts = pts[:1]
-    basis = np.column_stack([map.v_u, map.v_s])
-    basis_inv = np.linalg.inv(basis)
+    (u0, u1), (s0, s1) = map.v_u, map.v_s
     tan_a = math.tan(cone_half_angle)
 
     D = map.differential(pts)               # (N,2,2)
-    Dinv = np.linalg.inv(D)
+    d00, d01, d10, d11 = D[:, 0, 0], D[:, 0, 1], D[:, 1, 0], D[:, 1, 1]
 
-    def worst_angle(mats, axis_u: bool) -> float:
+    def worst_angle(m00, m01, m10, m11, axis_u: bool) -> float:
+        axis, side = (map.v_u, map.v_s) if axis_u else (map.v_s, map.v_u)
         worst = 0.0
         for sign in (1.0, -1.0):
-            if axis_u:
-                ray = map.v_u + sign * tan_a * map.v_s
-            else:
-                ray = map.v_s + sign * tan_a * map.v_u
-            img = mats @ ray                 # (N,2)
-            comp = img @ basis_inv.T         # coords in (v_u, v_s)
-            if axis_u:
-                ang = np.arctan2(np.abs(comp[:, 1]), np.abs(comp[:, 0]))
-            else:
-                ang = np.arctan2(np.abs(comp[:, 0]), np.abs(comp[:, 1]))
+            r0, r1 = axis + sign * tan_a * side
+            x = m00 * r0 + m01 * r1
+            y = m10 * r0 + m11 * r1
+            # coordinates along (v_u, v_s) times det[v_u v_s] (Cramer)
+            cu = s1 * x - s0 * y
+            cs = u0 * y - u1 * x
+            along, across = (cu, cs) if axis_u else (cs, cu)
+            ang = np.arctan2(np.abs(across), np.abs(along))
             worst = max(worst, float(np.max(ang)))
         return worst
 
-    wu = worst_angle(D, axis_u=True)
-    ws = worst_angle(Dinv, axis_u=False)
+    wu = worst_angle(d00, d01, d10, d11, axis_u=True)
+    ws = worst_angle(d11, -d01, -d10, d00, axis_u=False)
     if wu >= cone_half_angle or ws >= cone_half_angle:
         raise NotHyperbolic(
             f"cone field not strictly invariant: unstable image angle "
@@ -400,22 +444,19 @@ def verify_hyperbolicity(map: HyperbolicToralMap, grid_resolution: int,
 
     # aligned expansion/contraction via warmup
     v = unstable_warmup(map, pts, warmup)
-    lam_expand = float(np.min(np.linalg.norm(
-        np.einsum("nij,nj->ni", D, v), axis=1)))
+    lam_expand = float(np.min(_length(*_matvec(D, v[:, 0], v[:, 1]))))
 
-    w = np.broadcast_to(np.array([0.6180339887498949, -1.0]),
-                        pts.shape).copy()
+    w0 = np.full(len(pts), 0.6180339887498949)
+    w1 = np.full(len(pts), -1.0)
     forward = pts
     fpath = [pts]
     for _ in range(warmup - 1):
         forward = map.step(forward)
         fpath.append(forward)
     for q in reversed(fpath):
-        Dq_inv = np.linalg.inv(map.differential(q))
-        w = np.einsum("nij,nj->ni", Dq_inv, w)
-        w /= np.linalg.norm(w, axis=1, keepdims=True)
-    lam_contract = float(np.max(np.linalg.norm(
-        np.einsum("nij,nj->ni", D, w), axis=1)))
+        Dq = D if q is pts else map.differential(q)
+        w0, w1 = _normalize(*_adjugate_matvec(Dq, w0, w1))
+    lam_contract = float(np.max(_length(*_matvec(D, w0, w1))))
 
     return ConeReport(
         lambda_expand=lam_expand,

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from toruslab.dynamics import HyperbolicToralMap, _grid_points, unstable_warmup
+from toruslab.dynamics import (HyperbolicToralMap, _grid_points, _length,
+                               _matvec, unstable_warmup)
 from toruslab.weakstar import (DiscreteMeasure, LebesgueMeasure, MeasureLike,
                                OrbitMeasure)
 
@@ -137,8 +138,8 @@ def log_unstable_jacobian(map: HyperbolicToralMap, point,
 def _psi_batch(map: HyperbolicToralMap, points: np.ndarray,
                warmup_n: int) -> np.ndarray:
     u = unstable_warmup(map, points, warmup_n)
-    w = np.einsum("nij,nj->ni", map.differential(points), u)
-    return np.log(np.linalg.norm(w, axis=1))
+    w = _matvec(map.differential(points), u[:, 0], u[:, 1])
+    return np.log(_length(*w))
 
 
 def unstable_integral(map: HyperbolicToralMap, measure: MeasureLike,

@@ -13,9 +13,9 @@ from toruslab.basin import (CHUNK, THREADS_ENV_VAR, InsufficientData,
                             epsilon_sweep, pesin_defect, rate_estimate,
                             rate_residual, weak_pseudo_physical_verdict)
 from toruslab.dynamics import TWO_PI, HyperbolicToralMap
-from toruslab.weakstar import (LEBESGUE, DiscreteMeasure, TestFunctionFamily,
-                               _enumerate_frequencies, moments,
-                               weak_star_distance)
+from toruslab.weakstar import (LEBESGUE, DiscreteMeasure, OrbitMeasure,
+                               TestFunctionFamily, _enumerate_frequencies,
+                               moments, weak_star_distance)
 
 LOG_CAT = math.log((3.0 + math.sqrt(5.0)) / 2.0)
 
@@ -412,3 +412,27 @@ class TestKernelReference:
         assert np.array_equal(new, ref)
         if truncation >= 8:
             assert np.any((ref > 0) & (ref < grid.size))
+
+
+class TestHitCountsPinned:
+    """Literal hit tables: any change to the step, the moments or the
+    distances that moves a single hit fails here.  Recorded before the
+    cone-check and `_dpsi` rewrites, which left them unchanged."""
+
+    GRID = SampleGrid(resolution=64, jitter=True, seed=1)
+
+    def test_cat_dirac(self, cat, family, dirac_target):
+        curves = curve_sweep(cat, dirac_target, [0.2, 0.1],
+                             list(range(4, 13)), self.GRID, family)
+        assert [c.hits.tolist() for c in curves] == [
+            [114, 68, 92, 65, 54, 43, 37, 30, 31],
+            [33, 18, 11, 7, 3, 3, 2, 1, 1]]
+
+    def test_perturbed_empirical_orbit(self, family):
+        target = moments(OrbitMeasure(PERTURBED, (0.1234, 0.5678), 5000),
+                         family)
+        curves = curve_sweep(PERTURBED, target, [0.05, 0.03],
+                             [30, 60, 90, 120], self.GRID, family)
+        assert [c.hits.tolist() for c in curves] == [
+            [2164, 3295, 3754, 3971],
+            [702, 1600, 2286, 2816]]

@@ -467,7 +467,9 @@ class TestCli:
     @pytest.mark.parametrize("argv, message", [
         (["run", "cfg.json", "--bogus"], "unrecognized arguments: --bogus"),
         ([], "the following arguments are required: command"),
-    ], ids=["unknown-flag", "no-subcommand"])
+        (["verify-map", "cfg.json", "--grid", "8"],
+         "argument --grid: must be >= 16, got 8"),
+    ], ids=["unknown-flag", "no-subcommand", "verify-grid-below-16"])
     def test_usage_error_exit_1(self, capsys, argv, message):
         # 2 is reserved for a failed verdict or expectation
         with pytest.raises(SystemExit) as info:

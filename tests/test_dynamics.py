@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toruslab.dynamics import (ConeReport, HyperbolicToralMap, NotHyperbolic,
-                               _grid_points, torus_distance, unstable_warmup,
-                               verify_hyperbolicity, wrap)
+from toruslab.dynamics import (TWO_PI, ConeReport, HyperbolicToralMap,
+                               NotHyperbolic, _grid_points, torus_distance,
+                               unstable_warmup, verify_hyperbolicity, wrap)
 
 LAMBDA_CAT = (3.0 + math.sqrt(5.0)) / 2.0
 LAMBDA_GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -184,6 +184,29 @@ class TestDifferential:
             fd = (lift(pts + e) - lift(pts - e)) / (2 * h)
             assert float(np.max(np.abs(fd - D[:, :, axis]))) < 1e-6
 
+    def test_dpsi_equals_einsum(self):
+        # the former three-operand einsum, bit for bit, over seeded random
+        # multi-term maps; coefficients are mostly non-unit, with some 0 and
+        # +-1 entries, and some frequencies have a zero component
+        rng = np.random.default_rng(2026)
+        for _ in range(100):
+            terms = []
+            for _ in range(int(rng.integers(2, 6))):
+                c = rng.normal(size=2)
+                c[rng.random(2) < 0.2] = rng.choice([0.0, 1.0, -1.0])
+                k = rng.integers(-3, 4, size=2)
+                if not k.any():
+                    k[int(rng.integers(2))] = 1
+                terms.append((c, k))
+            m = HyperbolicToralMap([[2, 1], [1, 1]], 1e-4, terms)
+            pts = rng.random((3, 70, 2))
+            phases = TWO_PI * (pts @ m._freqs.T.astype(float))
+            ref = np.einsum("...m,mi,mj->...ij", TWO_PI * np.cos(phases),
+                            m._coeffs, m._freqs.astype(float))
+            got = m._dpsi(pts)
+            assert got.shape == ref.shape
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
 
 def reference_orbit(m, point, n):
     """Element-by-element copy of the scalar orbit loop; HyperbolicToralMap
@@ -303,16 +326,26 @@ class TestWrap:
         assert 0.0 <= d <= math.sqrt(2.0) / 2.0 + 1e-15
 
 
+def adjugate(D):
+    """adj(D) = [[d11, -d01], [-d10, d00]] = det(D) D^-1 for a stack of 2x2
+    matrices."""
+    adj = np.empty_like(D)
+    adj[:, 0, 0], adj[:, 0, 1] = D[:, 1, 1], -D[:, 0, 1]
+    adj[:, 1, 0], adj[:, 1, 1] = -D[:, 1, 0], D[:, 0, 0]
+    return adj
+
+
 def full_grid_cone_report(map, grid_resolution, cone_half_angle=0.15,
-                          warmup=30):
+                          warmup=30, pull_back=adjugate):
     """`verify_hyperbolicity` as it was before linear maps were checked on
-    one point: every check at every point of the grid."""
+    one point: every check at every point of the grid, with batched products.
+    pull_back(Df) stands for Df^-1 in the stable cone check and the backward
+    push: the adjugate by default, np.linalg.inv for the former route."""
     pts = _grid_points(grid_resolution)
     basis = np.column_stack([map.v_u, map.v_s])
     basis_inv = np.linalg.inv(basis)
     tan_a = math.tan(cone_half_angle)
     D = map.differential(pts)
-    Dinv = np.linalg.inv(D)
 
     def worst_angle(mats, axis_u):
         worst = 0.0
@@ -330,7 +363,7 @@ def full_grid_cone_report(map, grid_resolution, cone_half_angle=0.15,
         return worst
 
     assert worst_angle(D, True) < cone_half_angle
-    assert worst_angle(Dinv, False) < cone_half_angle
+    assert worst_angle(pull_back(D), False) < cone_half_angle
     v = unstable_warmup(map, pts, warmup)
     lam_expand = float(np.min(np.linalg.norm(
         np.einsum("nij,nj->ni", D, v), axis=1)))
@@ -342,7 +375,7 @@ def full_grid_cone_report(map, grid_resolution, cone_half_angle=0.15,
         forward = map.step(forward)
         fpath.append(forward)
     for q in reversed(fpath):
-        w = np.einsum("nij,nj->ni", np.linalg.inv(map.differential(q)), w)
+        w = np.einsum("nij,nj->ni", pull_back(map.differential(q)), w)
         w /= np.linalg.norm(w, axis=1, keepdims=True)
     lam_contract = float(np.max(np.linalg.norm(
         np.einsum("nij,nj->ni", D, w), axis=1)))
@@ -354,6 +387,11 @@ def full_grid_cone_report(map, grid_resolution, cone_half_angle=0.15,
 
 LINEAR_CONE_MAPS = [[[2, 1], [1, 1]], [[1, 1], [1, 0]], [[3, 1], [2, 1]],
                     [[1, 1], [1, 2]]]
+# (matrix, amplitude, perturbation) of the benchmark's perturbed-run map and
+# of a two-term map with non-unit coefficients
+PERTURBED_RUN_MAP = ([[2, 1], [1, 1]], 0.005, [((1.0, 0.0), (0, 1))])
+TWO_TERM_MAP = ([[2, 1], [1, 1]], 0.004,
+                [((0.7, -0.3), (1, 2)), ((0.2, 0.5), (1, -1))])
 
 
 class TestConeVerification:
@@ -364,6 +402,37 @@ class TestConeVerification:
         rep = verify_hyperbolicity(m, resolution)
         assert rep == full_grid_cone_report(m, resolution)
         assert rep.grid_resolution == resolution
+
+    @pytest.mark.parametrize("matrix, amplitude, perturbation", [
+        *((matrix, 0.0, ()) for matrix in LINEAR_CONE_MAPS),
+        PERTURBED_RUN_MAP,
+        TWO_TERM_MAP,
+    ], ids=["linear-" + str(m) for m in LINEAR_CONE_MAPS]
+        + ["perturbed-run", "two-term"])
+    def test_adjugate_agrees_with_inverse(self, matrix, amplitude,
+                                          perturbation):
+        # the former np.linalg.inv route as a second reference: the
+        # adjugate changes only the rounding of the renormalized pull-back
+        m = HyperbolicToralMap(matrix, amplitude, perturbation)
+        rep = verify_hyperbolicity(m, 32)
+        ref = full_grid_cone_report(m, 32, pull_back=np.linalg.inv)
+        assert rep.lambda_expand == ref.lambda_expand
+        assert rep.lambda_contract == pytest.approx(ref.lambda_contract,
+                                                    rel=1e-15, abs=0.0)
+        assert rep.passed and ref.passed
+
+    def test_perturbed_run_report_pinned(self):
+        # the values of the np.linalg.inv route, kept bit for bit
+        rep = verify_hyperbolicity(HyperbolicToralMap(*PERTURBED_RUN_MAP), 64)
+        assert rep.lambda_expand == 2.603942051616345
+        assert rep.lambda_contract == 0.3960766002519866
+
+    def test_three_one_contract_exact(self):
+        # the adjugate route gives the correctly rounded 2 - sqrt(3); the
+        # inverse route read 0.26794919243112275, as LAPACK's inverse of
+        # [[3, 1], [2, 1]] was not exact
+        rep = verify_hyperbolicity(HyperbolicToralMap([[3, 1], [2, 1]]), 16)
+        assert rep.lambda_contract == 0.2679491924311227
 
     def test_cat_exact_expansion(self, cat):
         rep = verify_hyperbolicity(cat, 32)
