@@ -10,13 +10,15 @@ large-deviation lower bound the eps-rate is at least rho(eps) (-0.3850 at
 eps = 0.2, -0.6737 at eps = 0.1).  For each eps the script prints the slope
 with its gap to rho(eps), the reference acceptance criterion 5 gates at
 eps = 0.1, and its gap to the limit; as eps decreases, rho(eps) tends to
--0.9624 and so should the slope.
+-0.9624 and so should the slope.  The run is the config of criterion 5
+(dirac-rate) with the grid resolution and the eps list as given.
 """
 
 import argparse
 
 from toruslab.config import parse_config
-from toruslab.experiments import LOG_LAMBDA, dirac_rate_bound
+from toruslab.experiments import (DIRAC_RATE_CONFIG, LOG_LAMBDA,
+                                  dirac_rate_bound)
 from toruslab.runner import run
 
 
@@ -30,19 +32,10 @@ def main():
     args = ap.parse_args()
 
     cfg = parse_config({
-        "label": f"dirac-rate-G{args.grid}",
-        "map": {"matrix": [[2, 1], [1, 1]]},
-        "family": {"truncation": 33},
+        **DIRAC_RATE_CONFIG, "label": f"dirac-rate-G{args.grid}",
         "grid": {"resolution": args.grid},
-        "target": {"kind": "dirac", "point": [0.0, 0.0]},
-        "basin": {
-            "epsilons": args.epsilons,
-            "n_values": list(range(4, 13)),
-            "window": [4, 12],
-            "min_hits": 30,
-        },
-        "output_dir": args.out,
-    })
+        "basin": {**DIRAC_RATE_CONFIG["basin"], "epsilons": args.epsilons},
+        "output_dir": args.out})
     record = run(cfg, threads=args.threads)
     st = record["stages"]["basin"]
     print(f"limit rate: {-LOG_LAMBDA:+.4f}")

@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Lebesgue is rate-zero: basin fractions of the Leb target stay flat.
 
-Runs the grid sweep at a configurable resolution and prints the per-epsilon
-slopes and the verdict.  With the defaults this reproduces the registered
-lebesgue-rate-zero acceptance experiment.
+Runs the config of acceptance criterion 4 (lebesgue-rate-zero) at a
+configurable grid resolution and prints the per-epsilon slopes and the
+verdict.  With the defaults this is that criterion's run.
 """
 
 import argparse
 
 from toruslab.config import parse_config
+from toruslab.experiments import LEB_RATE_CONFIG
 from toruslab.runner import run
 
 
@@ -19,22 +20,9 @@ def main():
     ap.add_argument("--out", default="records")
     args = ap.parse_args()
 
-    cfg = parse_config({
-        "label": f"leb-rate-G{args.grid}",
-        "map": {"matrix": [[2, 1], [1, 1]]},
-        "family": {"truncation": 33},
-        "grid": {"resolution": args.grid},
-        "target": {"kind": "lebesgue"},
-        "basin": {
-            "epsilons": [0.2, 0.1],
-            "n_values": list(range(100, 501, 50)),
-            "window": [100, 500],
-            "verdict_tol": 0.01,
-        },
-        "output_dir": args.out,
-        "expect": {"verdict": "consistent_with_zero",
-                   "max_abs_slope": 0.005},
-    })
+    cfg = parse_config({**LEB_RATE_CONFIG, "label": f"leb-rate-G{args.grid}",
+                        "grid": {"resolution": args.grid},
+                        "output_dir": args.out})
     record = run(cfg, threads=args.threads)
     st = record["stages"]["basin"]
     for r in st["rates"]:

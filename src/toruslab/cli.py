@@ -7,8 +7,8 @@ Subcommands:
   acceptance                 run the registered acceptance suite
 
 Exit codes: 0 success, 2 verdict/tolerance failure, 1 error.  Thread count
-comes from --threads, else the TORUSLAB_THREADS environment variable, else
-the available parallelism.
+comes from --threads, else the config's `threads` field (`run` only), else
+the TORUSLAB_THREADS environment variable, else the CPU count.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from toruslab.basin import THREADS_ENV_VAR
 from toruslab.config import ConfigInvalid, load_config
@@ -38,8 +39,8 @@ def _int_at_least(minimum: int):
 
 def _add_threads_flag(p: argparse.ArgumentParser):
     p.add_argument("--threads", type=_int_at_least(1), default=None,
-                   help=f"worker threads, at least 1 (overrides "
-                        f"${THREADS_ENV_VAR})")
+                   help=f"worker threads, at least 1 (overrides a config's "
+                        f"threads and ${THREADS_ENV_VAR})")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,21 +78,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args) -> int:
-    from toruslab.runner import check_expectations, run
+    from toruslab.runner import check_expectations, run, stage_errors
     cfg = load_config(args.config)
     record = run(cfg, threads=args.threads)
     print(f"record written to {record['record_path']}")
-    stage_errors = [f"{name}: {st['error']}"
-                    for name, st in record["stages"].items()
-                    if isinstance(st, dict) and "error" in st]
+    errors = stage_errors(record)
     for w in record["warnings"]:
         print(f"warning: {w}", file=sys.stderr)
-    for e in stage_errors:
+    for e in errors:
         print(f"stage error: {e}", file=sys.stderr)
     failures = check_expectations(record, cfg.expect)
     for f in failures:
         print(f"expectation failed: {f}", file=sys.stderr)
-    if stage_errors:
+    if errors:
         return 1
     return 2 if failures else 0
 
@@ -116,13 +115,7 @@ def cmd_verify_map(args) -> int:
     except NotHyperbolic as exc:
         print(f"NOT HYPERBOLIC: {exc}")
         return 2
-    print(json.dumps({
-        "lambda_expand": rep.lambda_expand,
-        "lambda_contract": rep.lambda_contract,
-        "cone_half_angle": rep.cone_half_angle,
-        "grid_resolution": rep.grid_resolution,
-        "passed": rep.passed,
-    }, indent=2))
+    print(json.dumps(asdict(rep), indent=2))
     return 0 if rep.passed else 2
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from toruslab.basin import SampleGrid
+from toruslab.basin import SampleGrid, Verdict
 from toruslab.dynamics import HyperbolicToralMap, torus_distance
 from toruslab.weakstar import (DEFAULT_TRUNCATION, LEBESGUE, DiscreteMeasure,
                                MomentVector, OrbitMeasure, TestFunctionFamily,
@@ -170,33 +170,38 @@ def target_components(target: TargetSpec, map: HyperbolicToralMap
     return [(1.0, target_measure(target, map))]
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_point(value, path: str) -> tuple[float, float]:
-    try:
-        point = tuple(float(v) for v in value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(
-            path, f"must be two finite numbers: {exc}") from exc
-    if len(point) != 2 or not all(math.isfinite(v) for v in point):
+    if not (isinstance(value, (list, tuple)) and len(value) == 2 and all(
+            _is_number(v) and math.isfinite(v) for v in value)):
         raise ConfigInvalid(path,
                             f"must be two finite numbers, got {value!r}")
-    return point
+    return tuple(float(v) for v in value)
+
+
+def _is_integer(value) -> bool:
+    """A JSON integer: an int but not a bool, or an integral float (1e6)."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer())
 
 
 def _at_least(value, least: int, path: str) -> int:
-    try:
-        n = int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(path, f"must be an integer: {exc}") from exc
+    if not _is_integer(value):
+        raise ConfigInvalid(path, f"must be an integer, got {value!r}")
+    n = int(value)
     if n < least:
         raise ConfigInvalid(path, f"must be >= {least}, got {n}")
     return n
 
 
 def _number_at_least(value, least: float, path: str) -> float:
-    try:
-        x = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(path, f"must be a number: {exc}") from exc
+    if not _is_number(value):
+        raise ConfigInvalid(path, f"must be a number, got {value!r}")
+    x = float(value)
     if not math.isfinite(x) or x < least:
         raise ConfigInvalid(path, f"must be finite and >= {least}, got {x!r}")
     return x
@@ -218,13 +223,39 @@ def _parse_depths(value, path: str) -> list[int]:
 
 
 def _parse_grid(spec: dict, path: str) -> SampleGrid:
-    _object(spec, path)
+    spec = {"resolution": 256, "jitter": False, "seed": 0,
+            **_object(spec, path)}
+    for key in ("resolution", "seed"):
+        if not _is_integer(spec[key]):
+            raise ConfigInvalid(path, f"{key} must be an integer, got "
+                                      f"{spec[key]!r}")
+    if not isinstance(spec["jitter"], bool):
+        raise ConfigInvalid(path, f"jitter must be true or false, got "
+                                  f"{spec['jitter']!r}")
     try:
-        return SampleGrid(resolution=int(spec.get("resolution", 256)),
-                          jitter=bool(spec.get("jitter", False)),
-                          seed=int(spec.get("seed", 0)))
-    except (TypeError, ValueError) as exc:
+        return SampleGrid(resolution=int(spec["resolution"]),
+                          jitter=spec["jitter"], seed=int(spec["seed"]))
+    except ValueError as exc:
         raise ConfigInvalid(path, str(exc)) from exc
+
+
+# least value of each numeric expectation; "verdict" names a Verdict
+_EXPECT_NUMBERS = {"max_abs_slope": 0.0, "max_abs_rate_residual": 0.0,
+                   "bound_margin_min": -math.inf}
+
+
+def _parse_expect(spec: dict) -> dict:
+    expect = dict(_object(spec, "expect"))
+    for key, value in expect.items():
+        path = f"expect.{key}"
+        if key in _EXPECT_NUMBERS:
+            expect[key] = _number_at_least(value, _EXPECT_NUMBERS[key], path)
+        elif key != "verdict":
+            raise ConfigInvalid(path, "unknown expectation; known: verdict, "
+                                      + ", ".join(_EXPECT_NUMBERS))
+        elif value not in [v.value for v in Verdict]:
+            raise ConfigInvalid(path, f"must be a verdict name, got {value!r}")
+    return expect
 
 
 def _parse_label(value) -> str:
@@ -268,20 +299,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     basin = raw.get("basin")
     if basin is not None:
-        eps = _require(basin, "epsilons", "basin")
-        try:
-            eps = [float(e) for e in eps]
-        except (TypeError, ValueError) as exc:
-            raise ConfigInvalid("basin.epsilons", str(exc)) from exc
-        if not eps:
-            raise ConfigInvalid("basin.epsilons", "must be non-empty")
-        bad = [e for e in eps if not (math.isfinite(e) and e > 0)]
-        if bad:
-            raise ConfigInvalid("basin.epsilons",
-                                f"must be finite and > 0, got {bad[0]!r}")
-        if any(b >= a for a, b in zip(eps, eps[1:])):
-            raise ConfigInvalid("basin.epsilons",
-                                "must be strictly decreasing")
+        eps = [_number_at_least(e, 0.0, "basin.epsilons")
+               for e in _list(_require(basin, "epsilons", "basin"),
+                              "basin.epsilons")]
+        if (not eps or eps[-1] == 0
+                or any(b >= a for a, b in zip(eps, eps[1:]))):
+            raise ConfigInvalid("basin.epsilons", f"must be a non-empty, "
+                                f"strictly decreasing list of numbers > 0, "
+                                f"got {eps!r}")
         ns = _int_list(_require(basin, "n_values", "basin"), 1,
                        "basin.n_values")
         if any(b <= a for a, b in zip(ns, ns[1:])) or not ns:
@@ -369,7 +394,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         basin=basin,
         entropy=entropy,
         lyapunov=lyapunov,
-        expect=_object(raw.get("expect", {}), "expect"),
+        expect=_parse_expect(raw.get("expect", {})),
         output_dir=str(raw.get("output_dir", "records")),
         threads=threads,
         verify_grid=_at_least(raw.get("verify_grid", 64), 16, "verify_grid"),

@@ -78,8 +78,9 @@ class HyperbolicToralMap:
     real 2-vector, frequency a nonzero integer 2-vector.  amplitude scales the
     whole series.
 
-    Construction enforces |det A| = 1, no eigenvalue on the unit circle, and
-    amp * |A^-1| * Lip(psi) < 1/2 so the inverse iteration contracts.
+    Construction enforces |det A| = 1, no eigenvalue on the unit circle, a
+    finite amplitude and finite coefficients, and amp * |A^-1| * Lip(psi)
+    < 1/2 so the inverse iteration contracts.
     """
 
     def __init__(self, matrix, amplitude: float = 0.0,
@@ -104,16 +105,21 @@ class HyperbolicToralMap:
                                      [-A[1, 0], A[0, 0]]], dtype=np.int64) * det)
 
         amplitude = float(amplitude)
-        if amplitude < 0:
-            raise ValueError("amplitude must be >= 0")
+        if not (math.isfinite(amplitude) and amplitude >= 0):
+            raise ValueError(f"amplitude must be finite and >= 0, got "
+                             f"{amplitude!r}")
         self.amplitude = amplitude
 
         coeffs, freqs = [], []
         for i, term in enumerate(perturbation):
             c, k = term
             c = np.asarray(c, dtype=float).reshape(2)
+            if not np.all(np.isfinite(c)):
+                raise ValueError(f"perturbation term {i}: coefficient must be "
+                                 f"finite, got {c.tolist()}")
             k = np.asarray(k)
-            if k.shape != (2,) or not np.all(k == np.round(k)):
+            if k.shape != (2,) or not np.all(np.isfinite(k)
+                                             & (k == np.round(k))):
                 raise ValueError(f"perturbation term {i}: frequency must be an integer 2-vector")
             k = k.astype(np.int64)
             if k[0] == 0 and k[1] == 0:

@@ -4,12 +4,16 @@ Each criterion is a method on AcceptanceSuite returning a CriterionResult;
 heavy artifacts (the 1e7 reference orbit and its cylinder tables) are built
 once and shared.  The suite is what `toruslab acceptance` runs and what
 tests/test_acceptance.py asserts, so the tolerances here are the authoritative
-gate for the whole package.
+gate for the whole package.  Criteria 4, 5 and 10 test the rate identity end
+to end: each gates the record of one config run through `runner.run`, the
+path of `toruslab run` and of the rate scripts.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import tempfile
 import time
 from dataclasses import dataclass, field
 
@@ -18,19 +22,57 @@ import numpy as np
 from toruslab import basin as basin_mod
 from toruslab import lyapunov as lyap_mod
 from toruslab import markov as markov_mod
-from toruslab.basin import SampleGrid, Verdict
-from toruslab.dynamics import HyperbolicToralMap, verify_hyperbolicity
-from toruslab.markov import cat_map_partition
+from toruslab.basin import Verdict
+from toruslab.config import parse_config
+from toruslab.dynamics import HyperbolicToralMap
+from toruslab.markov import CAT_MATRIX, cat_map_partition
+from toruslab.runner import run, stage_errors
 from toruslab.weakstar import (LEBESGUE, DiscreteMeasure, OrbitMeasure,
                                TestFunctionFamily, invariance_defect, moments,
                                weak_star_distance)
 
-CAT = ((2, 1), (1, 1))
 LOG_LAMBDA = math.log((3.0 + math.sqrt(5.0)) / 2.0)  # 0.9624236501192069
 ORBIT_SEED_POINT = (0.2137214321, 0.5721347123)
 REFERENCE_ORBIT_LENGTH = 10_000_000
 PERIOD2_POINT = (0.4, 0.8)
 PERIOD3_POINT = (0.75, 0.5)
+
+# the runner configs of criteria 4, 5 and 10; the family (K = 33), basin
+# window (the n_values range), min_hits (30) and verdict_tol (0.01) not
+# given are the config defaults
+LEB_RATE_CONFIG = {
+    "label": "lebesgue-rate-zero", "map": {"matrix": [[2, 1], [1, 1]]},
+    "grid": {"resolution": 512}, "target": {"kind": "lebesgue"},
+    "basin": {"epsilons": [0.2, 0.1], "n_values": list(range(100, 501, 50))},
+    "expect": {"verdict": "consistent_with_zero", "max_abs_slope": 0.005},
+}
+DIRAC_RATE_CONFIG = {
+    "label": "dirac-rate", "map": {"matrix": [[2, 1], [1, 1]]},
+    "grid": {"resolution": 2048},
+    "target": {"kind": "dirac", "point": [0.0, 0.0]},
+    "basin": {"epsilons": [0.2, 0.1], "n_values": list(range(4, 13))},
+}
+PERTURBED_PROXY_CONFIG = {
+    "label": "perturbed-robustness",
+    "map": {"matrix": [[2, 1], [1, 1]], "amplitude": 0.005,
+            "perturbation": [{"coeff": [1.0, 0.0], "freq": [0, 1]}]},
+    "grid": {"resolution": 256},
+    # one orbit serves the target moments, the entropy stream and the
+    # Birkhoff pass of the unstable integral
+    "target": {"kind": "empirical_orbit", "point": list(ORBIT_SEED_POINT),
+               "length": 1_000_000},
+    "basin": {"epsilons": [0.2, 0.1], "n_values": list(range(100, 401, 50)),
+              "verdict_tol": 0.02},
+    "entropy": {"source": {"kind": "target_atoms"},
+                "depths": list(range(1, 13))},
+}
+
+
+def run_config(raw: dict, threads: int | None = None) -> dict:
+    """The record of `runner.run` on a raw config; its record files go to a
+    temporary directory, removed on return."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return run(parse_config({**raw, "output_dir": tmp}), threads=threads)
 
 
 def dirac_rate_bound(epsilon: float, family: TestFunctionFamily
@@ -81,15 +123,47 @@ class _Checks:
         return "; ".join(parts)
 
 
+class _StageError(RuntimeError):
+    """A stage of a criterion's run record recorded an error."""
+
+
+def _stages(record: dict) -> dict:
+    """The stages of a run record; _StageError names every stage that
+    recorded an error."""
+    errors = stage_errors(record)
+    if errors:
+        raise _StageError("; ".join(errors))
+    return record["stages"]
+
+
+def _criterion(index: int, name: str):
+    """Criterion `index` from a method that adds its checks to a _Checks:
+    the criterion times them and returns their CriterionResult.  A crash,
+    a stage error included, is a failed check naming the exception."""
+    def register(checks):
+        @functools.wraps(checks)
+        def criterion(self) -> CriterionResult:
+            t0 = time.time()
+            c = _Checks()
+            try:
+                checks(self, c)
+            except Exception as exc:  # a crashed criterion is a failure
+                c.add("run", False, f"raised {type(exc).__name__}: {exc}")
+            return CriterionResult(index, name, c.passed, c.summary(),
+                                   time.time() - t0)
+        return criterion
+    return register
+
+
 class AcceptanceSuite:
     """All registered acceptance experiments with shared heavy artifacts."""
 
     def __init__(self, threads: int | None = None):
         self.threads = threads
-        self.cat = HyperbolicToralMap(CAT)
+        self.cat = HyperbolicToralMap(CAT_MATRIX)
         self.family = TestFunctionFamily(33)
         self._leb_tables = None
-        self._dirac_sweep = None
+        self._dirac_record = None
 
     # -- shared artifacts ---------------------------------------------------
 
@@ -104,49 +178,38 @@ class AcceptanceSuite:
                                                          list(range(1, 14)))
         return self._leb_tables
 
-    def leb_entropy_estimate(self):
-        """(depth, H/depth) at the largest adequate depth among 1..13 for the
-        reference orbit."""
-        est = markov_mod.entropy_rate_estimate(self.leb_tables())
-        return est.depth_used, est.h_est
-
     def cylinder_table(self, source, n: int):
         """Depth-n cylinder table of a source under the cat map."""
         stream = markov_mod.itineraries(self.cat, cat_map_partition(),
                                         source, n)
         return markov_mod.entropy_tables(stream, [n])[n]
 
-    def dirac_sweep(self):
-        if self._dirac_sweep is None:
-            target = moments(DiscreteMeasure.dirac((0.0, 0.0)), self.family)
-            self._dirac_sweep = basin_mod.epsilon_sweep(
-                self.cat, target, [0.2, 0.1], list(range(4, 13)),
-                SampleGrid(resolution=2048), self.family, window=(4, 12),
-                min_hits=30, threads=self.threads)
-        return self._dirac_sweep
+    def dirac_record(self) -> dict:
+        """The run record of DIRAC_RATE_CONFIG."""
+        if self._dirac_record is None:
+            self._dirac_record = run_config(DIRAC_RATE_CONFIG, self.threads)
+        return self._dirac_record
 
     # -- criteria -------------------------------------------------------------
 
-    def criterion_1(self) -> CriterionResult:
+    @_criterion(1, "lyapunov-exactness")
+    def criterion_1(self, c: _Checks):
         """QR exponents on the linear cat map match the eigenvalue values."""
         t0 = time.time()
         spec = lyap_mod.lyapunov_spectrum_qr(self.cat, (0.2, 0.7), 10_000)
         dt = time.time() - t0
-        c = _Checks()
         c.add("chi+ error", abs(spec.chi_plus - LOG_LAMBDA) < 1e-9,
               f"{abs(spec.chi_plus - LOG_LAMBDA):.2e} < 1e-9")
         c.add("chi sum", abs(spec.chi_plus + spec.chi_minus) < 1e-9,
               f"{abs(spec.chi_plus + spec.chi_minus):.2e} < 1e-9")
         c.add("runtime", dt < 1.0, f"{dt:.2f}s < 1s")
-        return CriterionResult(1, "lyapunov-exactness", c.passed, c.summary(),
-                               dt)
 
-    def criterion_2(self) -> CriterionResult:
+    @_criterion(2, "metric-axioms")
+    def criterion_2(self, c: _Checks):
         """Metric axioms and ball convexity for the weak* distance."""
         t0 = time.time()
         rng = np.random.default_rng(20260809)
         fam = self.family
-        c = _Checks()
         worst_sym = 0.0
         worst_tri = 0.0
         min_ident = math.inf
@@ -178,7 +241,6 @@ class AcceptanceSuite:
             d2 = moments(m2, fam).distance(rho)
             eps = max(d1, d2) + 1e-9
             t = float(rng.random())
-            n1, n2 = len(m1.atoms), len(m2.atoms)
             mix = DiscreteMeasure(
                 np.vstack([m1.atoms, m2.atoms]),
                 np.concatenate([t * m1.weights, (1 - t) * m2.weights]))
@@ -188,9 +250,9 @@ class AcceptanceSuite:
               f"max excess {worst_conv:.2e} < 0")
         dt = time.time() - t0
         c.add("runtime", dt < 5.0, f"{dt:.2f}s < 5s")
-        return CriterionResult(2, "metric-axioms", c.passed, c.summary(), dt)
 
-    def criterion_3(self) -> CriterionResult:
+    @_criterion(3, "invariance-defect")
+    def criterion_3(self, c: _Checks):
         """Pushforward defect of empirical measures obeys the 2/n bound."""
         t0 = time.time()
         rng = np.random.default_rng(3)
@@ -200,36 +262,25 @@ class AcceptanceSuite:
             for n in worst:
                 d = invariance_defect(self.cat, p, n, self.family)
                 worst[n] = max(worst[n], d - 2.0 / n)
-        c = _Checks()
         for n, excess in worst.items():
             c.add(f"n={n}", excess <= 0.0, f"excess {excess:.2e} <= 0")
         dt = time.time() - t0
         c.add("runtime", dt < 5.0, f"{dt:.2f}s < 5s")
-        return CriterionResult(3, "invariance-defect", c.passed, c.summary(),
-                               dt)
 
-    def criterion_4(self) -> CriterionResult:
+    @_criterion(4, "lebesgue-rate-zero")
+    def criterion_4(self, c: _Checks):
         """Lebesgue target: basin fractions stay flat (rate zero)."""
-        t0 = time.time()
-        target = moments(LEBESGUE, self.family)
-        sweep = basin_mod.epsilon_sweep(
-            self.cat, target, [0.2, 0.1], list(range(100, 501, 50)),
-            SampleGrid(resolution=512), self.family, window=(100, 500),
-            min_hits=30, threads=self.threads)
-        c = _Checks()
-        for est in sweep.estimates:
-            c.add(f"slope eps={est.epsilon}", abs(est.slope) <= 0.005,
-                  f"{est.slope:+.6f} within +-0.005")
-        c.add("all epsilons estimated", len(sweep.estimates) == 2,
-              f"{len(sweep.estimates)}/2")
-        verdict = basin_mod.weak_pseudo_physical_verdict(sweep.estimates, 0.01)
-        c.add("verdict", verdict is Verdict.CONSISTENT_WITH_ZERO,
-              verdict.value)
-        dt = time.time() - t0
-        return CriterionResult(4, "lebesgue-rate-zero", c.passed, c.summary(),
-                               dt)
+        basin = _stages(run_config(LEB_RATE_CONFIG, self.threads))["basin"]
+        for r in basin["rates"]:
+            c.add(f"slope eps={r['epsilon']}", abs(r["slope"]) <= 0.005,
+                  f"{r['slope']:+.6f} within +-0.005")
+        c.add("all epsilons estimated", len(basin["rates"]) == 2,
+              f"{len(basin['rates'])}/2")
+        c.add("verdict", basin["verdict"] == Verdict.CONSISTENT_WITH_ZERO,
+              str(basin["verdict"]))
 
-    def criterion_5(self) -> CriterionResult:
+    @_criterion(5, "dirac-rate")
+    def criterion_5(self, c: _Checks):
         """Dirac target at the fixed point: negative rate matching the rate
         identity at the smallest measured eps within 25%.
 
@@ -246,39 +297,34 @@ class AcceptanceSuite:
         rate may sit is not settled by the theory: the band's upper side is
         the declared 25% tolerance, not a theorem.
         """
-        t0 = time.time()
-        sweep = self.dirac_sweep()
-        c = _Checks()
-        c.add("all epsilons estimated", len(sweep.estimates) == 2,
-              f"{len(sweep.estimates)}/2")
-        slopes = {e.epsilon: e.slope for e in sweep.estimates}
-        final = sweep.estimates[-1]
-        h, integral = dirac_rate_bound(final.epsilon, self.family)
+        basin = _stages(self.dirac_record())["basin"]
+        rates = basin["rates"]
+        c.add("all epsilons estimated", len(rates) == 2, f"{len(rates)}/2")
+        slopes = {r["epsilon"]: r["slope"] for r in rates}
+        eps, slope = rates[-1]["epsilon"], rates[-1]["slope"]
+        h, integral = dirac_rate_bound(eps, self.family)
         rho = h - integral
         band = 0.25 * abs(rho)
-        c.add("slope band", abs(final.slope - rho) <= band,
-              f"slope(eps={final.epsilon}) {final.slope:+.4f} vs "
+        c.add("slope band", abs(slope - rho) <= band,
+              f"slope(eps={eps}) {slope:+.4f} vs "
               f"rho {rho:+.4f} +- {band:.4f}, gap to rho "
-              f"{abs(final.slope - rho):.4f}, gap to -log lambda "
-              f"{abs(final.slope + LOG_LAMBDA):.4f}")
+              f"{abs(slope - rho):.4f}, gap to -log lambda "
+              f"{abs(slope + LOG_LAMBDA):.4f}")
         c.add("trend toward limit",
               slopes.get(0.1, 0.0) <= slopes.get(0.2, 0.0),
               " -> ".join(f"{slopes[e]:+.4f}" if e in slopes else "missing"
                           for e in (0.2, 0.1)))
-        verdict = basin_mod.weak_pseudo_physical_verdict(sweep.estimates, 0.01)
-        c.add("verdict", verdict is Verdict.NEGATIVE_RATE, verdict.value)
-        residual = basin_mod.rate_residual(final.slope, h, integral)
+        c.add("verdict", basin["verdict"] == Verdict.NEGATIVE_RATE,
+              str(basin["verdict"]))
+        # the rate residual a - (h - integral of psi) against the mixture
+        residual = slope - rho
         c.add("rate residual", abs(residual) <= 0.25,
               f"{residual:+.4f} within +-0.25")
-        dt = time.time() - t0
-        return CriterionResult(5, "dirac-rate", c.passed, c.summary(), dt)
 
-    def criterion_6(self) -> CriterionResult:
+    @_criterion(6, "entropy-pipeline")
+    def criterion_6(self, c: _Checks):
         """Cylinder entropy of the reference orbit and exact word-count rate."""
-        t0 = time.time()
-        tables = self.leb_tables()
-        h12 = markov_mod.partition_entropy(tables[12]) / 12
-        c = _Checks()
+        h12 = markov_mod.partition_entropy(self.leb_tables()[12]) / 12
         c.add("H(12)/12", abs(h12 - LOG_LAMBDA) <= 0.1,
               f"{h12:.4f} vs {LOG_LAMBDA:.4f} +- 0.1")
         rates = markov_mod.cylinder_count_rate(cat_map_partition(),
@@ -286,16 +332,12 @@ class AcceptanceSuite:
         r14 = dict(rates.rates)[14]
         c.add("count rate n=14", abs(r14 - LOG_LAMBDA) <= 0.1 * LOG_LAMBDA,
               f"{r14:.4f} within 10% of {LOG_LAMBDA:.4f}")
-        dt = time.time() - t0
-        return CriterionResult(6, "entropy-pipeline", c.passed, c.summary(),
-                               dt)
 
-    def criterion_7(self) -> CriterionResult:
+    @_criterion(7, "cylinder-count-bound")
+    def criterion_7(self, c: _Checks):
         """Counting bound margin: statistical for Lebesgue, exact for the
         trivial sources."""
-        t0 = time.time()
         part = cat_map_partition()
-        c = _Checks()
         margin = markov_mod.entropy_count_bound_check(
             part, self.cylinder_table(
                 OrbitMeasure(self.cat, ORBIT_SEED_POINT, 2_000_000), 10),
@@ -310,20 +352,18 @@ class AcceptanceSuite:
             part, self.cylinder_table(
                 DiscreteMeasure(self.cat.orbit(PERIOD2_POINT, 2)), 8), 0.2)
         c.add("period-2 margin", per2 >= 0.0, f"{per2:+.4f} >= 0")
-        dt = time.time() - t0
-        return CriterionResult(7, "cylinder-count-bound", c.passed,
-                               c.summary(), dt)
 
-    def criterion_8(self) -> CriterionResult:
+    @_criterion(8, "entropy-integral-guard")
+    def criterion_8(self, c: _Checks):
         """Entropy estimates never exceed the unstable integral by more
         than 0.05."""
-        t0 = time.time()
-        c = _Checks()
-        depth, h_leb = self.leb_entropy_estimate()
+        # H/depth at the largest adequate depth of the reference orbit
+        est = markov_mod.entropy_rate_estimate(self.leb_tables())
         i_leb = lyap_mod.unstable_integral(self.cat, LEBESGUE,
                                            grid_resolution=256)
-        c.add("lebesgue", h_leb <= i_leb + 0.05,
-              f"h={h_leb:.4f} (depth {depth}) <= {i_leb:.4f}+0.05")
+        c.add("lebesgue", est.h_est <= i_leb + 0.05,
+              f"h={est.h_est:.4f} (depth {est.depth_used}) <= "
+              f"{i_leb:.4f}+0.05")
         for name, pt, period in (("fixed-point", (0.0, 0.0), 1),
                                  ("period-2", PERIOD2_POINT, 2),
                                  ("period-3", PERIOD3_POINT, 3)):
@@ -333,19 +373,15 @@ class AcceptanceSuite:
             integral = lyap_mod.unstable_integral(self.cat, atoms)
             c.add(name, h <= integral + 0.05,
                   f"h={h:.4f} <= {integral:.4f}+0.05")
-        dt = time.time() - t0
-        return CriterionResult(8, "entropy-integral-guard", c.passed,
-                               c.summary(), dt)
 
-    def criterion_9(self) -> CriterionResult:
+    @_criterion(9, "mixture-affinity")
+    def criterion_9(self, c: _Checks):
         """Mixture entropy is affine: the half-and-half mixture violates the
         entropy formula by half the unstable integral."""
-        t0 = time.time()
-        tables = self.leb_tables()
         dirac_table = self.cylinder_table(DiscreteMeasure.dirac((0.0, 0.0)),
                                           12)
-        merged = markov_mod.weighted_merge([tables[12], dirac_table],
-                                           [0.5, 0.5])
+        merged = markov_mod.weighted_merge([self.leb_tables()[12],
+                                            dirac_table], [0.5, 0.5])
         h_mix = markov_mod.partition_entropy(merged) / 12
         i_leb = lyap_mod.unstable_integral(self.cat, LEBESGUE,
                                            grid_resolution=256)
@@ -354,64 +390,37 @@ class AcceptanceSuite:
         defect_mix = basin_mod.pesin_defect(h_mix,
                                             0.5 * i_leb + 0.5 * i_dirac)
         expected = -0.5 * LOG_LAMBDA
-        c = _Checks()
         c.add("mixture defect", abs(defect_mix - expected) <= 0.2 * abs(expected),
               f"{defect_mix:+.4f} within 20% of {expected:+.4f}")
-        depth, h_leb = self.leb_entropy_estimate()
+        h_leb = markov_mod.entropy_rate_estimate(self.leb_tables()).h_est
         defect_leb = basin_mod.pesin_defect(h_leb, i_leb)
         c.add("lebesgue defect", abs(defect_leb) <= 0.05,
               f"{defect_leb:+.4f} within +-0.05")
-        dt = time.time() - t0
-        return CriterionResult(9, "mixture-affinity", c.passed, c.summary(),
-                               dt)
 
-    def criterion_10(self) -> CriterionResult:
+    @_criterion(10, "perturbed-robustness")
+    def criterion_10(self, c: _Checks):
         """C1 perturbation: the empirical proxy of the physical measure is
         rate-zero and satisfies the entropy formula on the reused partition."""
-        t0 = time.time()
-        pert = HyperbolicToralMap(CAT, 0.005, [((1.0, 0.0), (0, 1))])
-        c = _Checks()
-        rep = verify_hyperbolicity(pert, 64)
-        c.add("cone verification", rep.passed,
-              f"expand {rep.lambda_expand:.4f} contract "
-              f"{rep.lambda_contract:.4f}")
-        # one orbit serves the target moments, the entropy stream and the
-        # Birkhoff pass of the unstable integral
-        proxy = OrbitMeasure(pert, ORBIT_SEED_POINT, 1_000_000)
-        target = moments(proxy, self.family)
-        sweep = basin_mod.epsilon_sweep(
-            pert, target, [0.2, 0.1], list(range(100, 401, 50)),
-            SampleGrid(resolution=256), self.family, window=(100, 400),
-            min_hits=30, threads=self.threads)
-        verdict = basin_mod.weak_pseudo_physical_verdict(sweep.estimates, 0.02)
-        c.add("verdict", verdict is Verdict.CONSISTENT_WITH_ZERO,
-              f"{verdict.value}, slopes "
-              + ", ".join(f"{e.slope:+.5f}" for e in sweep.estimates))
-        stream = markov_mod.itineraries(pert, cat_map_partition(), proxy, 12)
-        est = markov_mod.entropy_rate_estimate(
-            markov_mod.entropy_tables(stream, range(1, 13)))
-        non_exact = not pert.is_linear
-        c.add("non-exact-partition flag", non_exact, str(non_exact))
-        integral = lyap_mod.unstable_integral(pert, proxy)
-        c.add("entropy vs integral",
-              abs(est.h_est - integral) <= 0.1,
-              f"|{est.h_est:.4f} - {integral:.4f}| <= 0.1 "
-              f"(depth {est.depth_used})")
-        dt = time.time() - t0
-        return CriterionResult(10, "perturbed-robustness", c.passed,
-                               c.summary(), dt)
+        stages = _stages(run_config(PERTURBED_PROXY_CONFIG, self.threads))
+        rep, basin, ent = (stages[k] for k in ("verify_map", "basin",
+                                               "entropy"))
+        c.add("cone verification", rep["passed"],
+              f"expand {rep['lambda_expand']:.4f} contract "
+              f"{rep['lambda_contract']:.4f}")
+        c.add("verdict", basin["verdict"] == Verdict.CONSISTENT_WITH_ZERO,
+              f"{basin['verdict']}, slopes "
+              + ", ".join(f"{r['slope']:+.5f}" for r in basin["rates"]))
+        c.add("non-exact-partition flag", ent["non_exact_partition"],
+              str(ent["non_exact_partition"]))
+        res = stages["residuals"]
+        c.add("entropy vs integral", abs(res["pesin_defect"]) <= 0.1,
+              f"|{res['h_est']:.4f} - {res['unstable_integral']:.4f}| <= 0.1 "
+              f"(depth {ent['depth_used']})")
 
     def run_all(self, echo=print) -> list[CriterionResult]:
         results = []
         for i in range(1, 11):
-            method = getattr(self, f"criterion_{i}")
-            try:
-                res = method()
-            except Exception as exc:  # a crashed criterion is a failure
-                res = CriterionResult(i, method.__doc__.split("\n")[0][:40],
-                                      False, f"raised {type(exc).__name__}: "
-                                      f"{exc}", 0.0)
-            results.append(res)
+            results.append(getattr(self, f"criterion_{i}")())
             if echo:
-                echo(res.line())
+                echo(results[-1].line())
         return results

@@ -37,21 +37,6 @@ class MissingRecord(FileNotFoundError):
     pass
 
 
-def _utc_now() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).replace(
-        microsecond=0).isoformat()
-
-
-def environment_stamp(threads: int) -> dict:
-    return {
-        "python": sys.version.split()[0],
-        "numpy": np.__version__,
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "threads": threads,
-    }
-
-
 def run(cfg: ExperimentConfig, threads: int | None = None) -> dict:
     """Execute all configured stages; returns the record (also written to
     disk under cfg.output_dir)."""
@@ -62,10 +47,13 @@ def run(cfg: ExperimentConfig, threads: int | None = None) -> dict:
         "label": cfg.label,
         "config": cfg.raw,
         "config_hash": cfg.hash,
-        "created_utc": _utc_now(),
+        "created_utc": datetime.datetime.now(datetime.timezone.utc).replace(
+            microsecond=0).isoformat(),
         "family": {"truncation": cfg.family.truncation,
                    "version": cfg.family.version},
-        "env": environment_stamp(nthreads),
+        "env": {"python": sys.version.split()[0], "numpy": np.__version__,
+                "platform": platform.platform(),
+                "machine": platform.machine(), "threads": nthreads},
         "stages": {},
         "warnings": [],
     }
@@ -97,31 +85,31 @@ def run(cfg: ExperimentConfig, threads: int | None = None) -> dict:
                 f"{cfg.grid.resolution}x{cfg.grid.resolution} grid is exactly "
                 f"periodic with period {period}, and n reaches "
                 f"{cfg.basin['n_values'][-1]}")
-        try:
-            stages["basin"] = _run_basin(cfg, target_mv, nthreads)
-        except Exception as exc:  # recorded, remaining stages still run
-            stages["basin"] = {"error": f"{type(exc).__name__}: {exc}"}
-
+        _run_stage(stages, "basin", _run_basin, cfg, target_mv, nthreads)
     if cfg.entropy is not None:
-        try:
-            stages["entropy"] = _run_entropy(cfg, components)
-        except Exception as exc:
-            stages["entropy"] = {"error": f"{type(exc).__name__}: {exc}"}
-
+        _run_stage(stages, "entropy", _run_entropy, cfg, components)
     if cfg.lyapunov.get("enabled"):
-        try:
-            stages["lyapunov"] = _run_lyapunov(cfg, components)
-        except Exception as exc:
-            stages["lyapunov"] = {"error": f"{type(exc).__name__}: {exc}"}
-
+        _run_stage(stages, "lyapunov", _run_lyapunov, cfg, components)
     # rate identity residuals when the pieces are available
-    try:
-        stages["residuals"] = _run_residuals(cfg, stages, h_exact)
-    except Exception as exc:
-        stages["residuals"] = {"error": f"{type(exc).__name__}: {exc}"}
+    _run_stage(stages, "residuals", _run_residuals, cfg, stages, h_exact)
 
     _persist(record, cfg)
     return record
+
+
+def _run_stage(stages: dict, name: str, stage, *args) -> None:
+    """stages[name] = stage(*args); an exception is recorded under the
+    name instead, and the remaining stages still run."""
+    try:
+        stages[name] = stage(*args)
+    except Exception as exc:
+        stages[name] = {"error": f"{type(exc).__name__}: {exc}"}
+
+
+def stage_errors(record: dict) -> list[str]:
+    """'stage: error' for every stage of a record that recorded an error."""
+    return [f"{name}: {st['error']}" for name, st in record["stages"].items()
+            if "error" in st]
 
 
 def _grid_period(cfg: ExperimentConfig) -> int | None:
@@ -286,14 +274,10 @@ def _logf(hits: int, samples: int) -> float:
 
 # -- persistence and reporting ------------------------------------------------
 
-def record_path(cfg_label: str, outdir: str) -> str:
-    return os.path.join(outdir, f"{cfg_label}.json")
-
-
 def _persist(record: dict, cfg: ExperimentConfig) -> None:
     outdir = cfg.output_dir
     os.makedirs(outdir, exist_ok=True)
-    path = record_path(cfg.label, outdir)
+    path = os.path.join(outdir, f"{cfg.label}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2, allow_nan=True)
         fh.write("\n")

@@ -380,13 +380,11 @@ def invariance_defect(map: HyperbolicToralMap, point, n: int,
     """dist* between the time-n empirical measure and its pushforward.
 
     The pushforward of the empirical measure of x is the empirical measure of
-    f(x), so both moment vectors come from one orbit of length n+1.  The two
-    sums differ only in the endpoint terms, which bounds the result by 2/n.
+    f(x), so both moment vectors are sums over one orbit x_0..x_n.  They
+    differ only in the endpoint terms, (phi(x_0) - phi(x_n))/n, which bounds
+    the result by 2/n; only those two points are evaluated.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    orbit = map.orbit(point, n + 1)
-    phis = family.phi_values(orbit)
-    m_here = phis[:n].sum(axis=0) / n
-    m_next = phis[1:].sum(axis=0) / n
-    return float(np.abs(m_here - m_next) @ family.weights)
+    first, last = family.phi_values(map.orbit(point, n + 1)[[0, n]])
+    return float(np.abs(first - last) / n @ family.weights)

@@ -8,7 +8,6 @@ session-scoped suite.  Run with `pytest tests/test_acceptance.py -v -s`.
 import numpy as np
 import pytest
 
-from toruslab.basin import RateEstimate, SweepResult
 from toruslab.experiments import AcceptanceSuite
 from toruslab.markov import weighted_merge
 from toruslab.weakstar import DiscreteMeasure
@@ -79,17 +78,15 @@ def test_criterion_09_merge_reports_rounding(suite):
     assert abs(merged.total - leb.total) <= merged.rounded_mass
 
 
-def _dirac_sweep(slopes):
-    """A sweep result holding only the given {eps: slope} estimates."""
-    sweep = SweepResult()
-    for eps in (0.2, 0.1):
-        if eps in slopes:
-            sweep.estimates.append(RateEstimate(
-                epsilon=eps, slope=slopes[eps], stderr=0.01, window=(4, 12),
-                censored=[], min_hits=30, rows_used=9))
-        else:
-            sweep.errors[eps] = "only 2 uncensored rows"
-    return sweep
+def _dirac_record(slopes):
+    """A run record whose basin stage holds only the given {eps: slope}
+    rates.  Every slope here lies below -3 stderr - 0.01 at the measured
+    stderr (0.015 at eps=0.2, 0.025 at eps=0.1), so the runner's verdict
+    is a negative rate."""
+    rates = [{"epsilon": eps, "slope": slope}
+             for eps, slope in slopes.items()]
+    return {"stages": {"basin": {"rates": rates,
+                                 "verdict": "negative_rate"}}}
 
 
 @pytest.mark.parametrize("slopes, failed", [
@@ -102,8 +99,19 @@ def test_criterion_05_gate_on_synthetic_sweeps(slopes, failed):
     """The eps=0.1 gate accepts the measured slope and rejects both the
     eps -> 0 limit -log(lambda) and a slope too shallow for rho(0.1)."""
     suite = AcceptanceSuite()
-    suite._dirac_sweep = _dirac_sweep(slopes)
+    suite._dirac_record = _dirac_record(slopes)
     result = suite.criterion_5()
     assert result.passed == (not failed), result.details
     for label in failed:
         assert f"{label} FAILED" in result.details
+
+
+def test_stage_error_fails_criterion():
+    """A stage that recorded an error fails the criterion with its message."""
+    suite = AcceptanceSuite()
+    suite._dirac_record = {"stages": {
+        "verify_map": {"passed": True},
+        "basin": {"error": "InsufficientData: only 2 uncensored rows"}}}
+    result = suite.criterion_5()
+    assert not result.passed
+    assert "basin: InsufficientData: only 2 uncensored rows" in result.details

@@ -77,6 +77,8 @@ class TestConfigValidation:
         ("qr_point", [float("inf"), 0.7], "two finite numbers"),
         ("qr_point", ["a", 0.7], "two finite numbers"),
         ("qr_point", 0.5, "two finite numbers"),
+        ("qr_point", [False, 0.7], "two finite numbers"),
+        ("qr_point", ["0.2", 0.7], "two finite numbers"),
     ])
     def test_bad_lyapunov_values_named(self, tmp_path, key, value, message):
         cfg = minimal_config(tmp_path, lyapunov={key: value})
@@ -165,6 +167,47 @@ class TestConfigValidation:
         ({"label": "../escape"}, "label", "plain file name"),
         ({"label": "a/b"}, "label", "plain file name"),
         ({"label": ""}, "label", "plain file name"),
+        ({"map": {**PERTURBED_MAP, "amplitude": math.nan}}, "map",
+         "amplitude must be finite"),
+        ({"map": {**PERTURBED_MAP, "perturbation": [
+            {"coeff": [math.inf, 0.0], "freq": [0, 1]}]}}, "map",
+         "coefficient must be finite"),
+        ({"basin": {"epsilons": [0.2], "n_values": [10.9, 20]}},
+         "basin.n_values", "integer, got 10.9"),
+        ({"basin": {"epsilons": [0.2], "n_values": [10, 20],
+                    "min_hits": 30.5}}, "basin.min_hits", "integer"),
+        ({"basin": {"epsilons": [0.2], "n_values": [10, 20],
+                    "min_hits": "30"}}, "basin.min_hits", "integer"),
+        ({"basin": {"epsilons": [0.2], "n_values": [10, 20],
+                    "verdict_tol": True}}, "basin.verdict_tol", "number"),
+        ({"lyapunov": {"warmup": True}}, "lyapunov.warmup", "integer"),
+        ({"threads": 1.5}, "threads", "integer"),
+        ({"grid": {"resolution": 2.7}}, "grid",
+         "resolution must be an integer"),
+        ({"grid": {"resolution": 64, "seed": "1"}}, "grid",
+         "seed must be an integer"),
+        ({"grid": {"resolution": 64, "jitter": "false"}}, "grid",
+         "jitter must be true or false"),
+        ({"grid": {"resolution": 64, "jitter": 1}}, "grid",
+         "jitter must be true or false"),
+        ({"entropy": {"source": {"kind": "grid", "resolution": 16.5}}},
+         "entropy.source", "resolution must be an integer"),
+        ({"expect": {"verdikt": "negative_rate"}}, "expect.verdikt",
+         "unknown expectation"),
+        ({"expect": {"verdict": "rate zero"}}, "expect.verdict",
+         "verdict name"),
+        ({"expect": {"max_abs_slope": "0.1"}}, "expect.max_abs_slope",
+         "number"),
+        ({"expect": {"max_abs_rate_residual": -0.1}},
+         "expect.max_abs_rate_residual", ">= 0"),
+        ({"expect": {"bound_margin_min": math.nan}},
+         "expect.bound_margin_min", "finite"),
+        ({"target": {"kind": "dirac", "point": [0.1, True]}},
+         "target.point", "two finite numbers"),
+        ({"basin": {"epsilons": [True], "n_values": [10, 20]}},
+         "basin.epsilons", "number, got True"),
+        ({"basin": {"epsilons": [0.2, "0.1"], "n_values": [10, 20]}},
+         "basin.epsilons", "number, got '0.1'"),
     ])
     def test_bad_fields_named(self, tmp_path, overrides, field_path,
                               message):
@@ -173,6 +216,24 @@ class TestConfigValidation:
             parse_config(cfg)
         assert info.value.field_path == field_path
         assert str(info.value).count(f"{field_path}:") == 1
+
+    def test_integral_floats_accepted(self, tmp_path):
+        cfg = minimal_config(tmp_path, grid={"resolution": 64.0,
+                                             "jitter": True, "seed": 3.0})
+        cfg["basin"].update(n_values=[10.0, 20], min_hits=1e1)
+        parsed = parse_config(cfg)
+        assert parsed.grid == SampleGrid(resolution=64, jitter=True, seed=3)
+        assert parsed.basin["n_values"] == [10, 20]
+        assert type(parsed.basin["min_hits"]) is int
+        assert parsed.basin["min_hits"] == 10
+
+    def test_expectations_parsed(self, tmp_path):
+        cfg = minimal_config(tmp_path, expect={
+            "verdict": "negative_rate", "max_abs_slope": 1,
+            "max_abs_rate_residual": 0.25, "bound_margin_min": -0.05})
+        assert parse_config(cfg).expect == {
+            "verdict": "negative_rate", "max_abs_slope": 1.0,
+            "max_abs_rate_residual": 0.25, "bound_margin_min": -0.05}
 
     def test_lyapunov_bounds_accepted(self, tmp_path):
         cfg = minimal_config(tmp_path, lyapunov={
@@ -437,6 +498,16 @@ class TestCli:
         cfg["expect"] = {"verdict": "negative_rate"}
         path.write_text(json.dumps(cfg))
         assert self._run("run", str(path)).returncode == 2
+
+    def test_unknown_expectation_exit_1(self, tmp_path):
+        cfg = minimal_config(tmp_path, expect={"verdikt": "negative_rate"})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        r = self._run("run", str(path))
+        assert r.returncode == 1
+        assert ("invalid config: expect.verdikt: unknown expectation"
+                in r.stderr)
+        assert not (tmp_path / "mini.json").exists()
 
     def test_invalid_config_exit_1(self, tmp_path):
         cfg = minimal_config(tmp_path, map={"matrix": [[1, 0], [0, 1]]})

@@ -48,6 +48,19 @@ class TestConstruction:
         with pytest.raises(ValueError, match="nonzero"):
             HyperbolicToralMap([[2, 1], [1, 1]], 0.01, [((1.0, 0.0), (0, 0))])
 
+    @pytest.mark.parametrize("amplitude, coeff, freq, message", [
+        (math.nan, (1.0, 0.0), (0, 1), "amplitude must be finite"),
+        (math.inf, (1.0, 0.0), (0, 1), "amplitude must be finite"),
+        (0.005, (math.nan, 0.0), (0, 1), "coefficient must be finite"),
+        (0.005, (0.0, math.inf), (0, 1), "coefficient must be finite"),
+        (0.005, (1.0, 0.0), (math.inf, 1), "integer 2-vector"),
+    ])
+    def test_non_finite_rejected(self, amplitude, coeff, freq, message):
+        # NaN fails every comparison, so it passed the contraction bound and
+        # every step returned NaN
+        with pytest.raises(ValueError, match=message):
+            HyperbolicToralMap([[2, 1], [1, 1]], amplitude, [(coeff, freq)])
+
 
 class TestStep:
     def test_fixed_point(self, cat):
