@@ -16,6 +16,7 @@ eps = 0.1, and its gap to the limit; as eps decreases, rho(eps) tends to
 
 import argparse
 
+from toruslab.cli import _int_at_least
 from toruslab.config import parse_config
 from toruslab.experiments import (DIRAC_RATE_CONFIG, LOG_LAMBDA,
                                   dirac_rate_bound)
@@ -24,10 +25,10 @@ from toruslab.runner import run
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--grid", type=int, default=2048)
+    ap.add_argument("--grid", type=_int_at_least(1), default=2048)
     ap.add_argument("--epsilons", type=float, nargs="+",
                     default=[0.2, 0.1, 0.05, 0.025])
-    ap.add_argument("--threads", type=int, default=None)
+    ap.add_argument("--threads", type=_int_at_least(1), default=None)
     ap.add_argument("--out", default="records")
     args = ap.parse_args()
 

@@ -9,14 +9,15 @@ reused across the conjugacy and results carry the non-exact-partition flag).
 
 import argparse
 
+from toruslab.cli import _int_at_least
 from toruslab.config import parse_config
 from toruslab.runner import run
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--length", type=int, default=10_000_000)
-    ap.add_argument("--depth", type=int, default=12)
+    ap.add_argument("--length", type=_int_at_least(1), default=10_000_000)
+    ap.add_argument("--depth", type=_int_at_least(1), default=12)
     ap.add_argument("--amplitude", type=float, default=0.0)
     ap.add_argument("--seed-point", type=float, nargs=2,
                     default=[0.2137214321, 0.5721347123])

@@ -8,6 +8,7 @@ verdict.  With the defaults this is that criterion's run.
 
 import argparse
 
+from toruslab.cli import _int_at_least
 from toruslab.config import parse_config
 from toruslab.experiments import LEB_RATE_CONFIG
 from toruslab.runner import run
@@ -15,8 +16,8 @@ from toruslab.runner import run
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--grid", type=int, default=512)
-    ap.add_argument("--threads", type=int, default=None)
+    ap.add_argument("--grid", type=_int_at_least(1), default=512)
+    ap.add_argument("--threads", type=_int_at_least(1), default=None)
     ap.add_argument("--out", default="records")
     args = ap.parse_args()
 

@@ -17,6 +17,22 @@ axis rows are table rows (see `weakstar`).  Weak* distances are formed only
 at the requested n.  CHUNK start points keep the workspace within a few MB,
 so it stays in cache; it is a fixed constant, not a setting.
 
+Pruning: a start point that can never again be a hit is dropped, and the
+chunk is compacted so that later steps touch only live points.  Every
+phi_i, i >= 1, lies in [0, 1], so after n steps with phi-sum S_i the mean at
+a later n' lies in [S_i/n', (S_i + n' - n)/n'].  These boxes are nested and
+grow with n', so the box at the last requested n, N, bounds every remaining
+row at once: it is centered at 1/2 + u_i/(2N), u_i the cos or sin sum, with
+half-width (N - n)/(2N), and the weighted distance from the target to it
+over the first `weakstar.BOUND_MODES` modes is a lower bound on the distance
+at every later row (`TestFunctionFamily.box_bound`).  After each requested
+row but the last, a point whose bound is at least max(eps) + PRUNE_SLACK is
+dropped; the slack covers the float reduction order of a distance against
+its bound.  A row where even the largest possible bound stays below that
+limit (`box_bound_ceiling`) skips the bound.  Distances of live points are
+bit for bit those of the unpruned kernel, so hit counts do not change; the
+sweep reports the point-steps it actually stepped.
+
 Work is split into fixed-size chunks of start points that are independent of
 the worker count; hit counters are integers merged by addition, so counts are
 bit-identical for any thread count.
@@ -25,6 +41,7 @@ bit-identical for any thread count.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -37,6 +54,8 @@ from toruslab.dynamics import HyperbolicToralMap
 from toruslab.weakstar import MomentVector, TestFunctionFamily
 
 CHUNK = 1 << 13
+# covers the float reduction order of a distance against its box bound
+PRUNE_SLACK = 1e-9
 THREADS_ENV_VAR = "TORUSLAB_THREADS"
 
 
@@ -52,7 +71,8 @@ class Verdict(str, Enum):
 
 def default_threads() -> int:
     """Worker count from $TORUSLAB_THREADS (a positive integer), else the
-    CPU count."""
+    number of CPUs this process may run on (its affinity mask, where the
+    platform has one), else the CPU count."""
     env = os.environ.get(THREADS_ENV_VAR)
     if env:
         try:
@@ -63,7 +83,17 @@ def default_threads() -> int:
             raise ValueError(f"{THREADS_ENV_VAR}={env!r} is not a positive "
                              "integer")
         return n
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def check_threads(threads: int | None) -> None:
+    """A worker count must be None (the default) or a positive integer."""
+    if threads is not None and not (isinstance(threads, numbers.Integral)
+                                    and threads >= 1):
+        raise ValueError(f"threads must be a positive integer, got "
+                         f"{threads!r}")
 
 
 @dataclass(frozen=True)
@@ -126,23 +156,36 @@ class RateEstimate:
 
 @dataclass
 class SweepResult:
+    """One grid traversal: a curve per epsilon and the point-steps stepped,
+    after pruning.  `epsilon_sweep` adds the rate estimates, or the reason
+    an epsilon has none."""
     estimates: list[RateEstimate] = field(default_factory=list)
     errors: dict[float, str] = field(default_factory=dict)
     curves: list[BasinCurve] = field(default_factory=list)
+    point_steps: int = 0
 
 
 def _accumulate_hits(map: HyperbolicToralMap, points: np.ndarray,
                      target: np.ndarray, epsilons: Sequence[float],
                      n_values: Sequence[int],
-                     family: TestFunctionFamily) -> np.ndarray:
-    """Hit counts for one chunk, shape (n_eps, n_rows)."""
+                     family: TestFunctionFamily) -> tuple[np.ndarray, int]:
+    """Hit counts for one chunk, shape (n_eps, n_rows), and the point-steps
+    it took.
+
+    After each requested row but the last, a point whose box bound reaches
+    the largest eps plus PRUNE_SLACK is dead and compacted away; when no
+    point can reach it (`box_bound_ceiling`) the bound is not formed."""
     hits = np.zeros((len(epsilons), len(n_values)), dtype=np.int64)
     sums = family.zero_sums(len(points))
+    limit = max(epsilons) + PRUNE_SLACK
     x = points
     row = 0
     n_max = n_values[-1]
+    bounded = family.box_bound_ceiling(n_values[:-1], n_max, target) >= limit
+    steps = 0
     for n in range(1, n_max + 1):
         family.accumulate(x, sums)
+        steps += len(x)
         if n == n_values[row]:
             dist = family.sum_distances(sums, n, target)
             for ei, eps in enumerate(epsilons):
@@ -150,8 +193,14 @@ def _accumulate_hits(map: HyperbolicToralMap, points: np.ndarray,
             row += 1
             if row == len(n_values):
                 break
+            if bounded[row - 1]:
+                live = family.box_bound(sums, n, n_max, target) < limit
+                if not live.all():
+                    x = x.take(family.compact(sums, live), axis=0)
+                    if not len(x):
+                        break
         x = map.step(x)
-    return hits
+    return hits, steps
 
 
 def _check_epsilon(eps: float) -> None:
@@ -162,8 +211,9 @@ def _check_epsilon(eps: float) -> None:
 def curve_sweep(map: HyperbolicToralMap, target: MomentVector,
                 epsilons: Sequence[float], n_values: Sequence[int],
                 grid: SampleGrid, family: TestFunctionFamily,
-                threads: int | None = None) -> list[BasinCurve]:
-    """One grid traversal shared by every epsilon; returns one curve per eps."""
+                threads: int | None = None) -> SweepResult:
+    """One grid traversal shared by every epsilon: one curve per eps and the
+    traversal's point-steps."""
     if target.truncation != family.truncation:
         raise ValueError("target moments and family disagree on truncation")
     n_values = list(n_values)
@@ -176,6 +226,7 @@ def curve_sweep(map: HyperbolicToralMap, target: MomentVector,
         raise ValueError("epsilons must be non-empty")
     for eps in epsilons:
         _check_epsilon(eps)
+    check_threads(threads)
     workers = threads if threads is not None else default_threads()
     offsets = grid._offsets() if grid.jitter else None
     tvals = target.values
@@ -192,12 +243,13 @@ def curve_sweep(map: HyperbolicToralMap, target: MomentVector,
             parts = list(pool.map(work, spans))
     else:
         parts = [work(s) for s in spans]
-    hits = np.sum(parts, axis=0)
+    hits = np.sum([h for h, _ in parts], axis=0)
 
     ns = np.array(n_values)
-    return [BasinCurve(epsilon=eps, target=target, ns=ns,
-                       hits=hits[ei].copy(), samples=grid.size)
-            for ei, eps in enumerate(epsilons)]
+    curves = [BasinCurve(epsilon=eps, target=target, ns=ns,
+                         hits=hits[ei].copy(), samples=grid.size)
+              for ei, eps in enumerate(epsilons)]
+    return SweepResult(curves=curves, point_steps=sum(s for _, s in parts))
 
 
 def basin_membership(map: HyperbolicToralMap, point, target: MomentVector,
@@ -209,7 +261,8 @@ def basin_membership(map: HyperbolicToralMap, point, target: MomentVector,
         raise ValueError("n must be >= 1")
     _check_epsilon(epsilon)
     pts = np.asarray(point, dtype=float).reshape(1, 2)
-    hits = _accumulate_hits(map, pts, target.values, [epsilon], [n], family)
+    hits, _ = _accumulate_hits(map, pts, target.values, [epsilon], [n],
+                               family)
     return bool(hits[0, 0])
 
 
@@ -254,9 +307,7 @@ def epsilon_sweep(map: HyperbolicToralMap, target: MomentVector,
     eps = [float(e) for e in epsilons]
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilons must be strictly decreasing")
-    result = SweepResult()
-    result.curves = curve_sweep(map, target, eps, n_values, grid, family,
-                                threads)
+    result = curve_sweep(map, target, eps, n_values, grid, family, threads)
     for curve in result.curves:
         try:
             result.estimates.append(rate_estimate(curve, window, min_hits))

@@ -40,6 +40,7 @@ class MissingRecord(FileNotFoundError):
 def run(cfg: ExperimentConfig, threads: int | None = None) -> dict:
     """Execute all configured stages; returns the record (also written to
     disk under cfg.output_dir)."""
+    basin_mod.check_threads(threads)
     nthreads = threads if threads is not None else (
         cfg.threads if cfg.threads is not None else default_threads())
     record: dict = {
@@ -138,6 +139,7 @@ def _run_basin(cfg: ExperimentConfig, target_mv, nthreads: int) -> dict:
         cfg.family, b["window"], b["min_hits"], threads=nthreads)
     out = {
         "samples": cfg.grid.size,
+        "point_steps": sweep.point_steps,
         "curves": [
             {
                 "epsilon": c.epsilon,

@@ -26,6 +26,13 @@ alike.  `phi_values`, the blocked `weighted_sum` behind `moments` and the
 basin kernel's running sums share this evaluator.  Every buffer it writes
 lives in a workspace from `zero_sums`, which `accumulate` and
 `sum_distances` reuse at every step; a workspace belongs to one thread.
+
+The basin kernel drops start points that can never again be in a basin.
+Every phi_i, i >= 1, lies in [0, 1], so after n of N steps each mean trig
+mode lies in a box of half-width (N - n)/(2N) about 1/2 + u/(2N), u the cos
+or sin sum; `box_bound` is the weighted distance from the target to that box
+over the first BOUND_MODES modes, `compact` moves the live points into the
+first `live` columns of the workspace, and `sum_distances` reads only those.
 """
 
 from __future__ import annotations
@@ -39,7 +46,10 @@ from toruslab.dynamics import TWO_PI, HyperbolicToralMap, wrap
 FAMILY_VERSION = "fourier-maxnorm-lex-v1"
 DEFAULT_TRUNCATION = 33
 ATOM_MERGE_TOL = 1e-12
+BOUND_MODES = 8
 _PHI_ROWS = 1 << 13
+# BLAS gemv kernels take rows in blocks and round a short tail differently
+_GEMV_BLOCK = 16
 
 
 class FamilyMismatch(ValueError):
@@ -214,19 +224,98 @@ class TestFunctionFamily:
     def sum_distances(self, sums: "_Workspace", n: int,
                       target) -> np.ndarray:
         """dist* from the mean over n accumulated steps to the target moment
-        values, one per point of the workspace `sums`.  Mean phi_0 is
+        values, one per live point of the workspace `sums`.  Mean phi_0 is
         exactly 1 and a mean trig mode is 1/2 + (1/2n) times the summed cos
-        or sin.  The result is the workspace's distance vector, overwritten
-        by the next call."""
+        or sin.  The result is a view of the workspace's distance vector,
+        overwritten by the next call.
+
+        The row is formed over the live count rounded up to _GEMV_BLOCK
+        (the columns past it hold zeros or the sums of dropped points), so
+        the BLAS kernel takes every live row in a full block and a point's
+        distance is the same at any live count and chunk size."""
         t = np.asarray(target, dtype=float)
-        dev = self._trig_modes(sums, len(sums.dist))
+        m = sums.live
+        rows = _padded(m)
+        dev = self._trig_modes(sums, rows)
         dev *= 0.5 / n
         dev += 0.5
         dev -= t[1:]
         np.abs(dev, out=dev)
-        np.matmul(dev, self.weights[1:], out=sums.dist)
-        sums.dist += self.weights[0] * abs(1.0 - t[0])
-        return sums.dist
+        np.matmul(dev, self.weights[1:], out=sums.dist[:rows])
+        dist = sums.dist[:m]
+        dist += self.weights[0] * abs(1.0 - t[0])
+        return dist
+
+    def _bound_terms(self, target):
+        """What `box_bound` needs of the target: the offsets 1/2 - m_i and
+        weights w_i of the first BOUND_MODES trig modes as (2R, 1) and (2R,)
+        arrays in the order of the float view of R mode-sum rows (a slot
+        past the family's last mode has weight 0), and w_0 |1 - m_0|."""
+        t = np.asarray(target, dtype=float)
+        b = min(BOUND_MODES, self.truncation - 1)
+        off = np.zeros(b + b % 2)
+        w = np.zeros(b + b % 2)
+        off[:b] = 0.5 - t[1:b + 1]
+        w[:b] = self.weights[1:b + 1]
+        return off[:, None], w, self.weights[0] * abs(1.0 - t[0])
+
+    def box_bound(self, sums: "_Workspace", n: int, horizon: int,
+                  target) -> np.ndarray:
+        """A lower bound, per live point of the workspace, on the distance
+        after any n' in (n, horizon] steps, given the sums after n.
+
+        phi_i lies in [0, 1], so the mean of mode i after n' steps lies in
+        [S/n', (S + n' - n)/n'], S the phi-sum after n; these boxes grow
+        with n', and the one at n' = horizon is centered at 1/2 + u/(2N),
+        u the cos or sin sum, with half-width (N - n)/(2N), N = horizon.
+        The bound is w_0 |1 - m_0| plus the weighted distance from the
+        target to that box over the first BOUND_MODES modes.  Those are the
+        cos and sin of the first rows of the sums, which are never conjugate
+        rows, so the bound reads the running sums as they stand.
+
+        The work is done in the transposed-sums and mode buffers, which the
+        kernel has touched already, so no fresh pages are faulted in; the
+        result is a view of the mode buffer, overwritten by the next
+        `accumulate` or `box_bound`."""
+        off, w, base = self._bound_terms(target)
+        m = sums.live
+        rows = sums.sums[:len(off) // 2, :m]
+        box = sums.trans.view(np.float64).reshape(-1)[:len(off) * m]
+        box = box.reshape(len(off), m)
+        np.multiply(rows.real, 0.5 / horizon, out=box[0::2])
+        np.multiply(rows.imag, 0.5 / horizon, out=box[1::2])
+        box += off
+        np.abs(box, out=box)
+        box -= (horizon - n) / (2 * horizon)
+        np.maximum(box, 0.0, out=box)
+        bound = sums.mode.view(np.float64)[:m]
+        np.matmul(w, box, out=bound)
+        bound += base
+        return bound
+
+    def box_bound_ceiling(self, ns, horizon: int, target) -> np.ndarray:
+        """The largest value `box_bound` can take at each row n of `ns` (a
+        number or a sequence): |u| <= n puts each box center at most n/(2N)
+        from 1/2."""
+        off, w, base = self._bound_terms(target)
+        n = np.asarray(ns, dtype=float)[..., None]
+        reach = np.abs(off[:, 0]) + (2 * n - horizon) / (2 * horizon)
+        return base + np.maximum(reach, 0.0) @ w
+
+    def compact(self, sums: "_Workspace", live: np.ndarray) -> np.ndarray:
+        """Keep the live points where the mask `live` (one entry per live
+        point) is true as the first columns of the workspace, and return
+        where each came from: kept point k was point order[k].  A dead
+        point among the first columns is overwritten by a live one from
+        past them, so no more columns move than the fewer of the dead and
+        the live points."""
+        m = int(np.count_nonzero(live))
+        holes = np.flatnonzero(~live[:m])
+        order = np.arange(m)
+        order[holes] = m + np.flatnonzero(live[m:])
+        sums.sums[:, holes] = sums.sums[:, order[holes]]
+        sums.live = m
+        return order
 
     def lebesgue_moments(self) -> np.ndarray:
         """Exact integrals: 1 for phi_0, 1/2 for every trig mode."""
@@ -235,22 +324,31 @@ class TestFunctionFamily:
         return m
 
 
+def _padded(npoints: int) -> int:
+    return -(-npoints // _GEMV_BLOCK) * _GEMV_BLOCK
+
+
 class _Workspace:
     """Buffers of the mode kernel for up to N points: the complex (F, N)
     running sums, the power table (2, 2 kmax + 1, N), whose z^1 rows also
     hold the exponential's argument, one mode row, the (N, F) transposed
-    sums and the distance vector.  Built by `TestFunctionFamily.zero_sums`.
+    sums and the distance vector.  The sums, the transposed sums and the
+    distances have N rounded up to _GEMV_BLOCK points (see
+    `sum_distances`).  The first `live` points are the ones `sum_distances`
+    and `box_bound` read; `compact` lowers it.  Built by
+    `TestFunctionFamily.zero_sums`.
     """
 
-    __slots__ = ("sums", "power", "mode", "trans", "dist")
+    __slots__ = ("sums", "power", "mode", "trans", "dist", "live")
 
     def __init__(self, nfreq: int, kmax: int, npoints: int):
-        self.sums = np.zeros((nfreq, npoints), dtype=complex)
+        self.sums = np.zeros((nfreq, _padded(npoints)), dtype=complex)
         self.power = np.empty((2, 2 * kmax + 1, npoints), dtype=complex)
         self.power[:, kmax] = 1.0
         self.mode = np.empty(npoints, dtype=complex)
-        self.trans = np.empty((npoints, nfreq), dtype=complex)
-        self.dist = np.empty(npoints)
+        self.trans = np.empty((_padded(npoints), nfreq), dtype=complex)
+        self.dist = np.empty(_padded(npoints))
+        self.live = npoints
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -58,14 +59,14 @@ class TestMembership:
 class TestVolumeEstimate:
     def test_huge_epsilon_full(self, cat, family, leb_target):
         curve, = curve_sweep(cat, leb_target, [2.1], [3],
-                             SampleGrid(resolution=32), family)
+                             SampleGrid(resolution=32), family).curves
         assert curve.fractions()[0] == 1.0
         assert curve.hits[0] == curve.samples == 1024
 
     def test_dirac_n1_matches_fine_grid(self, cat, family, dirac_target):
         # coarse fraction vs an independent finer brute-force of the same set
         curve, = curve_sweep(cat, dirac_target, [0.1], [1],
-                             SampleGrid(resolution=256), family)
+                             SampleGrid(resolution=256), family).curves
         coarse = curve.fractions()[0]
         xs = (np.arange(1024) + 0.5) / 1024
         gx, gy = np.meshgrid(xs, xs, indexing="ij")
@@ -77,26 +78,26 @@ class TestVolumeEstimate:
 
     def test_lebesgue_high_fraction(self, cat, family, leb_target):
         curve, = curve_sweep(cat, leb_target, [0.1], [300],
-                             SampleGrid(resolution=128), family)
+                             SampleGrid(resolution=128), family).curves
         assert curve.fractions()[0] >= 0.99
 
 
 class TestCurves:
     def test_huge_epsilon_rows_full(self, cat, family, leb_target):
         curve, = curve_sweep(cat, leb_target, [2.1], [1, 3, 5],
-                             SampleGrid(resolution=32), family)
+                             SampleGrid(resolution=32), family).curves
         assert np.all(curve.hits == curve.samples)
 
     def test_epsilon_domination(self, cat, family, dirac_target):
         c1, c2 = curve_sweep(cat, dirac_target, [0.2, 0.1],
                              list(range(1, 9)), SampleGrid(resolution=128),
-                             family)
+                             family).curves
         assert c1.epsilon == 0.2 and c2.epsilon == 0.1
         assert np.all(c2.hits <= c1.hits)
 
     def test_dirac_hits_decay(self, cat, family, dirac_target):
         curve, = curve_sweep(cat, dirac_target, [0.1], list(range(4, 11)),
-                             SampleGrid(resolution=512), family)
+                             SampleGrid(resolution=512), family).curves
         assert np.all(np.diff(curve.hits) < 0)
         # fractions cannot grow exponentially: slope at most noise above 0
         est = rate_estimate(curve, (4, 10))
@@ -117,7 +118,8 @@ class TestCurves:
         assert grid.size % CHUNK and grid.size > 2 * CHUNK
         ns = [5, 10]
         h1, h2, h3 = (curve_sweep(cat, leb_target, [0.2], ns, grid, family,
-                                  threads=t)[0].hits for t in (1, 2, 3))
+                                  threads=t).curves[0].hits
+                      for t in (1, 2, 3))
         assert np.array_equal(h1, h2) and np.array_equal(h1, h3)
         ref = _ref_accumulate_hits(cat, grid.chunk(0, grid.size),
                                    leb_target.values, [0.2], ns, family)
@@ -140,13 +142,14 @@ class TestCurves:
                 results = [f.result(timeout=120) for f in futures]
         finally:
             sys.setswitchinterval(interval)
-        for i, got in enumerate(results):
-            assert np.array_equal(got, serial[i % len(chunks)])
+        for i, (hits, steps) in enumerate(results):
+            want_hits, want_steps = serial[i % len(chunks)]
+            assert np.array_equal(hits, want_hits) and steps == want_steps
 
     def test_jitter_deterministic(self, cat, family, leb_target):
         grid = SampleGrid(resolution=64, jitter=True, seed=99)
-        a = curve_sweep(cat, leb_target, [0.3], [5], grid, family)[0].hits
-        b = curve_sweep(cat, leb_target, [0.3], [5], grid, family)[0].hits
+        a, b = (curve_sweep(cat, leb_target, [0.3], [5], grid,
+                            family).curves[0].hits for _ in range(2))
         assert np.array_equal(a, b)
 
     def test_bad_n_values(self, cat, family, leb_target):
@@ -270,7 +273,7 @@ class TestMonotonicityProperty:
                                       scale):
         e2 = e1 * scale
         curves = curve_sweep(cat, dirac_target, [e2, e1], [2, 5, 8],
-                             SampleGrid(resolution=48), family)
+                             SampleGrid(resolution=48), family).curves
         assert np.all(curves[1].hits <= curves[0].hits)
 
 
@@ -307,6 +310,26 @@ class TestDefaultThreads:
         with pytest.raises(ValueError) as info:
             default_threads()
         assert f"{THREADS_ENV_VAR}={value!r}" in str(info.value)
+
+    def test_affinity_mask_used(self, monkeypatch):
+        # a process pinned to fewer CPUs than the machine has
+        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert default_threads() == 3
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert default_threads() == 5
+
+    @pytest.mark.parametrize("threads", [0, -2, 1.5])
+    def test_bad_threads_named(self, cat, family, leb_target, threads):
+        with pytest.raises(ValueError, match="threads"):
+            curve_sweep(cat, leb_target, [0.2], [5],
+                        SampleGrid(resolution=16), family, threads=threads)
 
 
 # -- reference kernel -------------------------------------------------------
@@ -408,10 +431,57 @@ class TestKernelReference:
         epsilons = [0.3, 0.1, 0.05, 0.03]
         ns = [1, 3, 8, 20, 40]
         ref = _ref_accumulate_hits(map, pts, target, epsilons, ns, family)
-        new = _accumulate_hits(map, pts, target, epsilons, ns, family)
+        new, _ = _accumulate_hits(map, pts, target, epsilons, ns, family)
         assert np.array_equal(new, ref)
         if truncation >= 8:
             assert np.any((ref > 0) & (ref < grid.size))
+
+
+class TestPruning:
+    """The kernel drops points that can never again be hits; its tables
+    must still equal the reference kernel's, which drops nothing."""
+
+    GRID = SampleGrid(resolution=24, jitter=True, seed=7)
+    NS = [1, 2, 4, 8, 16, 24]
+
+    def _target(self, truncation, kind):
+        family = TestFunctionFamily(truncation)
+        dirac = moments(DiscreteMeasure.dirac((0.0, 0.0)), family).values
+        # unnormalized: m_0 = 0.98, so every distance is at least 0.02
+        return family, dirac if kind == "dirac" else 0.98 * dirac
+
+    # K = 1 and 2 clip the bound's modes to none and one
+    @pytest.mark.parametrize("truncation, kind, epsilons", [
+        (1, "unnormalized", [0.01, 0.005]),
+        (2, "dirac", [0.05, 0.02]),
+        (8, "dirac", [0.05, 0.02]),
+        (33, "dirac", [0.05, 0.02]),
+        (33, "unnormalized", [0.01, 0.005]),
+    ])
+    @pytest.mark.parametrize("map_name", ["cat", "perturbed"])
+    def test_every_point_dropped_before_last_row(self, cat, truncation, kind,
+                                                 epsilons, map_name):
+        map = cat if map_name == "cat" else PERTURBED
+        family, target = self._target(truncation, kind)
+        pts = self.GRID.chunk(0, self.GRID.size, self.GRID._offsets())
+        new, steps = _accumulate_hits(map, pts, target, epsilons, self.NS,
+                                      family)
+        ref = _ref_accumulate_hits(map, pts, target, epsilons, self.NS,
+                                   family)
+        assert np.array_equal(new, ref)
+        # no point was accumulated past the second-to-last row
+        assert steps <= len(pts) * self.NS[-2]
+        assert not new[:, -1].any()
+
+    def test_point_steps_any_thread_count(self, cat, family, dirac_target):
+        grid = SampleGrid(resolution=math.isqrt(5 * CHUNK // 2) + 1,
+                          jitter=True, seed=3)
+        ns = list(range(4, 13))
+        a, b = (curve_sweep(cat, dirac_target, [0.2, 0.1], ns, grid, family,
+                            threads=t) for t in (1, 2))
+        assert a.point_steps == b.point_steps
+        # pruned, but never below the first row's work
+        assert grid.size * ns[0] < a.point_steps < grid.size * ns[-1]
 
 
 class TestHitCountsPinned:
@@ -423,7 +493,7 @@ class TestHitCountsPinned:
 
     def test_cat_dirac(self, cat, family, dirac_target):
         curves = curve_sweep(cat, dirac_target, [0.2, 0.1],
-                             list(range(4, 13)), self.GRID, family)
+                             list(range(4, 13)), self.GRID, family).curves
         assert [c.hits.tolist() for c in curves] == [
             [114, 68, 92, 65, 54, 43, 37, 30, 31],
             [33, 18, 11, 7, 3, 3, 2, 1, 1]]
@@ -432,7 +502,7 @@ class TestHitCountsPinned:
         target = moments(OrbitMeasure(PERTURBED, (0.1234, 0.5678), 5000),
                          family)
         curves = curve_sweep(PERTURBED, target, [0.05, 0.03],
-                             [30, 60, 90, 120], self.GRID, family)
+                             [30, 60, 90, 120], self.GRID, family).curves
         assert [c.hits.tolist() for c in curves] == [
             [2164, 3295, 3754, 3971],
             [702, 1600, 2286, 2816]]

@@ -325,6 +325,13 @@ class TestRunner:
                 == rec["stages"]["basin"]["curves"])
         assert rec2["config_hash"] == rec["config_hash"]
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_bad_threads_named(self, tmp_path, threads):
+        cfg = parse_config(minimal_config(tmp_path))
+        with pytest.raises(ValueError, match="threads"):
+            run(cfg, threads=threads)
+        assert not (tmp_path / "mini.json").exists()
+
     def test_expectations(self, record):
         rec, _ = record
         assert check_expectations(rec, {"verdict": "consistent_with_zero"}) == []
@@ -348,6 +355,16 @@ class TestRunner:
         assert abs(res["unstable_integral"]
                    - math.log((3 + math.sqrt(5)) / 2)) < 1e-9
         assert "rate_residual" in res
+
+    def test_point_steps_recorded(self, dirac_record, tmp_path):
+        # pruned below samples x n_max, and the same on two threads
+        st = dirac_record["stages"]["basin"]
+        assert isinstance(st["point_steps"], int)
+        assert st["samples"] * 4 < st["point_steps"] < st["samples"] * 10
+        cfg = parse_config({**dirac_record["config"],
+                            "output_dir": str(tmp_path)})
+        assert (run(cfg, threads=2)["stages"]["basin"]
+                == dirac_record["stages"]["basin"])
 
     def test_rate_residual_names_its_epsilon(self, dirac_record):
         # the residual is measured at the smallest eps of the sweep

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toruslab.weakstar import (LEBESGUE, DiscreteMeasure, FamilyMismatch,
+                               OrbitMeasure,
                                TestFunctionFamily, _enumerate_frequencies,
                                invariance_defect, moments, weak_star_distance)
 
@@ -230,3 +231,63 @@ class TestModePlan:
     def test_k33_needs_eight_products(self):
         fam = TestFunctionFamily(33)
         assert (len(fam._products), len(fam._axis), len(fam._conj)) == (8, 4, 4)
+
+
+def _bound_target(truncation, kind, map):
+    family = TestFunctionFamily(truncation)
+    if kind == "orbit":
+        values = moments(OrbitMeasure(map, (0.1, 0.2), 500), family).values
+    else:
+        values = moments(DiscreteMeasure.dirac((0.0, 0.0)), family).values
+    # unnormalized: m_0 = 0.98, off the probability simplex
+    return family, 0.98 * values if kind == "unnormalized" else values
+
+
+class TestBoxBound:
+    """The basin kernel's pruning bound and compaction."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(truncation=st.sampled_from([2, 8, 33]),
+           kind=st.sampled_from(["dirac", "orbit", "unnormalized"]),
+           seed=st.integers(0, 2 ** 32 - 1),
+           ns=st.lists(st.integers(1, 30), min_size=2, max_size=5,
+                       unique=True).map(sorted))
+    def test_lower_bound_at_every_later_row(self, cat, truncation, kind,
+                                            seed, ns):
+        family, target = _bound_target(truncation, kind, cat)
+        # the fixed point makes every cos exactly 1, a box corner
+        x = np.concatenate([[[0.0, 0.0]],
+                            np.random.default_rng(seed).random((63, 2))])
+        ws = family.zero_sums(len(x))
+        bounds = []
+        for n in range(1, ns[-1] + 1):
+            family.accumulate(x, ws)
+            if n in ns:
+                dist = family.sum_distances(ws, n, target)
+                if n < ns[-1]:
+                    bound = family.box_bound(ws, n, ns[-1], target).copy()
+                    ceiling = family.box_bound_ceiling(n, ns[-1], target)
+                    assert np.all(bound <= ceiling + 1e-12)
+                    bounds.append(bound)
+                # the row's own distance too: its box holds the mean at n
+                for bound in bounds:
+                    assert np.all(bound <= dist + 1e-12)
+            x = cat.step(x)
+
+    @pytest.mark.parametrize("truncation", [1, 2, 8, 17, 33, 34])
+    def test_compacted_distances_bit_identical(self, cat, truncation, rng):
+        # each live point keeps its distance to the last bit at any live
+        # count and in any column, however the BLAS kernel blocks the rows
+        family, target = _bound_target(truncation, "dirac", cat)
+        pts = rng.random((1003, 2))
+        full, part = family.zero_sums(len(pts)), family.zero_sums(len(pts))
+        idx = np.arange(len(pts))
+        for n in range(1, 13):
+            family.accumulate(pts, full)
+            family.accumulate(pts[idx], part)
+            want = family.sum_distances(full, n, target)[idx]
+            assert np.array_equal(family.sum_distances(part, n, target), want)
+            live = rng.random(len(idx)) < 0.8
+            idx = idx[family.compact(part, live)]
+            assert part.live == len(idx)
+            pts = cat.step(pts)
