@@ -111,6 +111,8 @@ class SampleGrid:
     def __post_init__(self):
         if self.resolution < 1:
             raise ValueError("resolution must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @property
     def size(self) -> int:

@@ -7,15 +7,16 @@ default warmup of 60 steps is far below float precision for every admitted
 map.  Since F is one dimensional on the 2-torus, log |det Df restricted to F|
 at x is just log |Df_x u| for a unit vector u spanning F(x).
 
-The orbit cocycles (QR spectrum, Birkhoff average) generate the orbit once,
-take all its Jacobians in one batched call, and run the recursion on Python
-floats.  The unstable integral of an orbit measure is the Birkhoff pass
-along its stored orbit, so it needs one warmup, not one per point.
+Both orbit cocycles are one pass: take all Jacobians along the orbit in one
+batched call and push a unit vector u <- Df u / |Df u| on plain Python
+floats, summing log |Df u|.  The QR spectrum pushes (1, 0) and gets the
+second exponent from log |det Df| = log r11 + log r22; the unstable
+integral of an orbit measure pushes its warmed-up unstable vector along the
+stored orbit, so it needs one warmup, not one per point.
 """
 
 from __future__ import annotations
 
-import array
 import math
 from dataclasses import dataclass
 
@@ -29,11 +30,10 @@ from toruslab.weakstar import (DiscreteMeasure, LebesgueMeasure, MeasureLike,
 DEFAULT_WARMUP = 60
 DEFAULT_QUAD_GRID = 512
 _ATOM_CHUNK = 65536
-_SPLIT = 134217729.0    # 2^27 + 1, Dekker's splitting constant
 
 
 class DegenerateCocycle(RuntimeError):
-    """Re-orthonormalization produced a vanishing column (bug guard)."""
+    """A QR column vanished: |Df u| or |det Df| below 1e-300 (bug guard)."""
 
 
 @dataclass(frozen=True)
@@ -43,69 +43,49 @@ class LyapunovSpectrum:
     n_steps: int
 
 
-def _fma(x: float, y: float, z: float) -> float:
-    """x*y + z with a single rounding (math.fma needs Python 3.13).
+def _log_growth(jac: np.ndarray, u0: float, u1: float, skip: int = 0
+                ) -> float:
+    """Sum of log |Df u| over the Jacobians after the first `skip`.
 
-    The cocycles round each two-term product as the per-step NumPy products
-    they replace did with OpenBLAS on x86-64, whose 2x2 @ 2 and 2 @ 2 kernels
-    fuse one of the two multiplications; so the scalar passes reproduce those
-    results bit for bit, whatever BLAS is installed.  Splitting x and y into
-    26-bit halves (Dekker) makes the four partial products exact, and fsum
-    rounds their sum with z once.
+    u starts at (u0, u1) and is pushed by u <- Df u / |Df u| at every step,
+    on plain Python floats read straight from the (n, 2, 2) array.
     """
-    t = _SPLIT * x
-    xh = t - (t - x)
-    xl = x - xh
-    t = _SPLIT * y
-    yh = t - (t - y)
-    yl = y - yh
-    return math.fsum((xh * yh, xh * yl, xl * yh, xl * yl, z))
-
-
-def _jacobians(map: HyperbolicToralMap, orbit: np.ndarray) -> array.array:
-    """Df along an orbit as unboxed doubles, d00 d01 d10 d11 per point."""
-    return array.array("d", map.differential(orbit).tobytes())
+    d = iter(memoryview(jac.reshape(-1)))
+    hypot, log = math.hypot, math.log
+    total = 0.0
+    for i, (d00, d01, d10, d11) in enumerate(zip(d, d, d, d)):
+        w0 = d00 * u0 + d01 * u1
+        w1 = d10 * u0 + d11 * u1
+        r = hypot(w0, w1)
+        if r < 1e-300:
+            raise DegenerateCocycle("first column vanished")
+        u0 = w0 / r
+        u1 = w1 / r
+        if i >= skip:
+            total += log(r)
+    return total
 
 
 def lyapunov_spectrum_qr(map: HyperbolicToralMap, point, n: int,
                          warmup: int = 64) -> LyapunovSpectrum:
-    """Both exponents by QR re-orthonormalization along an orbit of length n.
+    """Both exponents along an orbit of length n.
 
-    The frame is pushed `warmup` steps before accumulation starts so the
-    transient alignment error does not enter the averages; without it the
-    first-column average carries an O(1/n) bias that would swamp the 1e-9
-    accuracy the linear maps admit.
+    chi_plus is the first QR column: (1, 0) pushed along the orbit, its log
+    growth summed once `warmup` steps have aligned it with the unstable
+    direction; without them the average carries an O(1/n) bias that would
+    swamp the 1e-9 accuracy the linear maps admit.  The QR diagonal has
+    r11 * r22 = |det Df| at every step, so chi_minus is the mean of
+    log |det Df| over the same window minus chi_plus.
     """
     if n < 100:
         raise ValueError("n must be >= 100")
-    jac = iter(_jacobians(map, map.orbit(point, warmup + n)))
-    hypot, log = math.hypot, math.log
-    q10, q11, q20, q21 = 1.0, 0.0, 0.0, 1.0
-    log_r11 = 0.0
-    log_r22 = 0.0
-    for i, (d00, d01, d10, d11) in enumerate(zip(jac, jac, jac, jac)):
-        # rows of Df @ q fuse their first product, the dot q1 . b its second
-        a0 = _fma(d00, q10, d01 * q11)
-        a1 = _fma(d10, q10, d11 * q11)
-        b0 = _fma(d00, q20, d01 * q21)
-        b1 = _fma(d10, q20, d11 * q21)
-        r11 = hypot(a0, a1)
-        if r11 < 1e-300:
-            raise DegenerateCocycle("first column vanished")
-        q10 = a0 / r11
-        q11 = a1 / r11
-        r12 = _fma(q11, b1, q10 * b0)
-        b0 = b0 - r12 * q10
-        b1 = b1 - r12 * q11
-        r22 = hypot(b0, b1)
-        if r22 < 1e-300:
-            raise DegenerateCocycle("second column vanished")
-        q20 = b0 / r22
-        q21 = b1 / r22
-        if i >= warmup:
-            log_r11 += log(r11)
-            log_r22 += log(r22)
-    return LyapunovSpectrum(chi_plus=log_r11 / n, chi_minus=log_r22 / n,
+    jac = map.differential(map.orbit(point, warmup + n))
+    top = _log_growth(jac, 1.0, 0.0, skip=warmup)
+    det = np.abs(jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0])
+    if det.min() < 1e-300:
+        raise DegenerateCocycle("second column vanished")
+    log_det = float(np.sum(np.log(det[warmup:])))
+    return LyapunovSpectrum(chi_plus=top / n, chi_minus=(log_det - top) / n,
                             n_steps=n)
 
 
@@ -163,17 +143,7 @@ def unstable_integral(map: HyperbolicToralMap, measure: MeasureLike,
         orbit = measure.atoms
         u0, u1 = (float(c)
                   for c in unstable_warmup(map, orbit[:1], warmup_n)[0])
-        jac = iter(_jacobians(map, orbit))
-        hypot, log = math.hypot, math.log
-        total = 0.0
-        for d00, d01, d10, d11 in zip(jac, jac, jac, jac):
-            w0 = _fma(d00, u0, d01 * u1)
-            w1 = _fma(d10, u0, d11 * u1)
-            r = hypot(w0, w1)
-            total += log(r)
-            u0 = w0 / r
-            u1 = w1 / r
-        return total / len(orbit)
+        return _log_growth(map.differential(orbit), u0, u1) / len(orbit)
     if isinstance(measure, LebesgueMeasure):
         atoms = _grid_points(grid_resolution)
         weights = np.broadcast_to(1.0 / len(atoms), (len(atoms),))

@@ -206,7 +206,7 @@ class MarkovPartition:
             raise ConstructionInvalid(
                 f"piece torus diameter {self.max_diameter:.4f} exceeds "
                 f"gate {DIAMETER_GATE}")
-        rho = self._power_iteration(self.transition)
+        rho = float(max(abs(np.linalg.eigvals(self.transition))))
         if abs(rho - self.expansion) > SPECTRAL_RADIUS_TOL:
             raise ConstructionInvalid(
                 f"transition spectral radius {rho!r} != {self.expansion!r}")
@@ -214,16 +214,6 @@ class MarkovPartition:
         # every point of a probe grid must be claimed by some piece
         probe = SampleGrid(resolution=64).chunk(0, 64 * 64)
         locate(self, probe)
-
-    @staticmethod
-    def _power_iteration(M: np.ndarray, iters: int = 200) -> float:
-        v = np.ones(M.shape[0])
-        rho = 0.0
-        for _ in range(iters):
-            w = M @ v
-            rho = float(np.linalg.norm(w) / np.linalg.norm(v))
-            v = w / np.linalg.norm(w)
-        return rho
 
     def validate_markov_boundary(self, samples_per_edge: int = 1000) -> float:
         """Re-assert the boundary conditions by sampling.

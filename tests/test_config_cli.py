@@ -208,6 +208,10 @@ class TestConfigValidation:
          "basin.epsilons", "number, got True"),
         ({"basin": {"epsilons": [0.2, "0.1"], "n_values": [10, 20]}},
          "basin.epsilons", "number, got '0.1'"),
+        ({"grid": {"resolution": 64, "jitter": True, "seed": -1}}, "grid",
+         "seed must be >= 0"),
+        ({"entropy": {"source": {**GRID_SOURCE, "seed": -1}}},
+         "entropy.source", "seed must be >= 0"),
     ])
     def test_bad_fields_named(self, tmp_path, overrides, field_path,
                               message):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from toruslab.dynamics import (TWO_PI, ConeReport, HyperbolicToralMap,
                                NotHyperbolic, _grid_points, torus_distance,
                                unstable_warmup, verify_hyperbolicity, wrap)
+from toruslab.lyapunov import lyapunov_spectrum_qr, unstable_integral
+from toruslab.weakstar import OrbitMeasure
 
 LAMBDA_CAT = (3.0 + math.sqrt(5.0)) / 2.0
 LAMBDA_GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -439,6 +441,16 @@ class TestConeVerification:
         rep = verify_hyperbolicity(HyperbolicToralMap(*PERTURBED_RUN_MAP), 64)
         assert rep.lambda_expand == 2.603942051616345
         assert rep.lambda_contract == 0.3960766002519866
+
+    def test_perturbed_lyapunov_pinned(self):
+        # the Lyapunov stage of the same map, kept bit for bit; chi_minus is
+        # the mean log |det Df| over the QR window minus chi_plus
+        m = HyperbolicToralMap(*PERTURBED_RUN_MAP)
+        spec = lyapunov_spectrum_qr(m, (0.2, 0.7), 10_000)
+        assert spec.chi_plus == 0.9624435122612309
+        assert spec.chi_minus == -0.9628460593173288
+        orbit = OrbitMeasure(m, (0.271, 0.653), 10_000)
+        assert unstable_integral(m, orbit) == 0.9624327582709847
 
     def test_three_one_contract_exact(self):
         # the adjugate route gives the correctly rounded 2 - sqrt(3); the
