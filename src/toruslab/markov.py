@@ -24,13 +24,22 @@ segment).  `_max_min_distance` answers it in blocks of samples, evaluating for
 each block only the translates that can be nearest to it by a box bound, and
 its result equals the all-translates loop exactly.
 
+`locate` reads most points' symbols from a table over a 128 x 128 grid of
+cells of [0,1)^2.  A cell carries a symbol only when its frame box, widened by
+_CELL_MARGIN = 1e-9, meets exactly one listed piece translate and lies inside
+it, so the table gives the symbol the piece scan `_locate_chunk` would give.
+Points in unlabelled cells (about 5% of the square), outside [0,1)^2 or not
+finite go to the scan, the one exact point-in-piece test, so the lowest-index
+tie-break and LocationFailure are the scan's.
+
 A cylinder source (orbit measure, grid or atoms) is walked and located once by
 `itineraries`; `entropy_tables` reduces that symbol stream to tables of sorted
-int64 base-k word codes with int64 counts, building each depth's codes from
-the previous depth's with one multiply-add.  Words are decoded to tuples only
-on request (`CylinderTable.words`).  Cylinder tables built from a common start
-set are exactly shift-consistent: marginalizing a depth-n table over its last
-symbol reproduces the depth-(n-1) table.
+int64 base-k word codes with int64 counts.  It builds the deepest codes with
+one multiply-add per depth, sorts them once, and takes every shallower table
+as a marginal.  That is exact because cylinder tables built from a common start
+set are shift-consistent: marginalizing a depth-n table over its last symbol
+reproduces the depth-(n-1) table.  Words are decoded to tuples only on request
+(`CylinderTable.words`).
 """
 
 from __future__ import annotations
@@ -55,6 +64,12 @@ LOCATE_TOL = 1e-12
 DIAMETER_GATE = 0.6
 ADEQUACY_FACTOR = 10
 _LOCATE_CHUNK = 1 << 20
+# side of the cell table over [0,1)^2 that `locate` reads before scanning; a
+# power of two, so the cell index of a point is exact
+_CELLS = 128
+# a cell is labelled only if its frame box, widened by this much, meets one
+# listed translate and lies inside it
+_CELL_MARGIN = 1e-9
 # side of the square sample tiles of the nearest-translate kernel; 1-d samples
 # go in runs of _TILE**2
 _TILE = 16
@@ -108,6 +123,7 @@ class MarkovPartition:
         self._piece_offsets = self._compute_offsets()
         self.transition = self._transition_matrix()
         self.max_diameter = max(self._torus_diameter(b) for b in self.boxes)
+        self._cells = self._cell_table()
         self._validate()
 
     # -- geometry helpers ----------------------------------------------------
@@ -142,6 +158,41 @@ class MarkovPartition:
                     keep.append(gvec)
             out.append(np.array(keep))
         return out
+
+    def _cell_table(self) -> np.ndarray:
+        """Flat int8 table over the _CELLS x _CELLS grid of [0,1)^2, cell
+        (a, b) at a*_CELLS + b: the symbol the scan gives every point of the
+        cell, or -1 where the cell is not safely inside one piece.
+
+        A cell is labelled when its bounding box in frame coordinates (from
+        its corners), widened by _CELL_MARGIN, meets exactly one listed
+        translate and lies inside it.  The margin dwarfs LOCATE_TOL and the
+        rounding of `to_frame`, so the scan claims every point of a labelled
+        cell for that translate's piece and for no other translate.
+        """
+        ticks = np.arange(_CELLS + 1) / _CELLS
+        corners = self.to_frame(np.stack(np.meshgrid(ticks, ticks,
+                                                     indexing="ij"), axis=-1))
+        quad = np.stack([corners[:-1, :-1], corners[1:, :-1],
+                         corners[:-1, 1:], corners[1:, 1:]])
+        # one contiguous row per frame axis
+        lo_u, lo_s = quad.min(axis=0).reshape(-1, 2).T.copy() - _CELL_MARGIN
+        hi_u, hi_s = quad.max(axis=0).reshape(-1, 2).T.copy() + _CELL_MARGIN
+        # every listed translate as (xi0, xi1, eta0, eta1), with its piece
+        piece = np.concatenate([np.full(len(o), j)
+                                for j, o in enumerate(self._piece_offsets)])
+        off = np.concatenate(self._piece_offsets)
+        x0, x1, e0, e1 = (np.array(self.boxes)[piece] + off[:, [0, 0, 1, 1]]).T
+        # meets[t, c]: translate t meets the widened box of cell c
+        meets = lo_u <= x1[:, None]
+        meets &= hi_u >= x0[:, None]
+        meets &= lo_s <= e1[:, None]
+        meets &= hi_s >= e0[:, None]
+        t = meets.argmax(axis=0)
+        ok = ((np.count_nonzero(meets, axis=0) == 1)
+              & (lo_u >= x0[t]) & (hi_u <= x1[t])
+              & (lo_s >= e0[t]) & (hi_s <= e1[t]))
+        return np.where(ok, piece[t], -1).astype(np.int8)
 
     def _transition_matrix(self) -> np.ndarray:
         """Pair admissibility from exact interval geometry of the images.
@@ -345,17 +396,37 @@ def locate(partition: MarkovPartition, points) -> np.ndarray | int:
     Boundary points go to the lowest piece index whose closed rectangle
     contains them (tolerance LOCATE_TOL).  Raises LocationFailure if any
     point is unclaimed.
+
+    A point in [0,1)^2 whose cell of the partition's cell table is labelled
+    takes that label, which is the symbol the scan would give it; every
+    other point (an unlabelled cell, outside [0,1)^2, not finite) is
+    scanned by `_locate_chunk`, the one exact test.
     """
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
     out = np.full(len(pts), -1, dtype=np.int8)
     for i0 in range(0, len(pts), _LOCATE_CHUNK):
-        out[i0:i0 + _LOCATE_CHUNK] = _locate_chunk(partition,
+        out[i0:i0 + _LOCATE_CHUNK] = _locate_cells(partition,
                                                    pts[i0:i0 + _LOCATE_CHUNK])
     if single:
         return int(out[0])
     return out
+
+
+def _locate_cells(partition: MarkovPartition, pts: np.ndarray) -> np.ndarray:
+    """`locate` on one chunk: cell-table labels, the scan for the rest."""
+    x, y = pts[:, 0], pts[:, 1]
+    inside = (x >= 0.0) & (x < 1.0) & (y >= 0.0) & (y < 1.0)
+    # x * _CELLS is exact, so the truncation is the cell of x
+    cell = (np.where(inside, x, 0.0) * _CELLS).astype(np.intp) * _CELLS
+    cell += (np.where(inside, y, 0.0) * _CELLS).astype(np.intp)
+    sym = partition._cells[cell]
+    sym[~inside] = -1
+    scan = np.flatnonzero(sym < 0)
+    if len(scan):
+        sym[scan] = _locate_chunk(partition, pts[scan])
+    return sym
 
 
 def _locate_chunk(partition: MarkovPartition, pts: np.ndarray) -> np.ndarray:
@@ -485,27 +556,28 @@ def entropy_tables(stream: Itineraries,
     """Cylinder tables at several depths from one shared start set.
 
     Every table counts the same starts: for an orbit stream of length L,
-    starts 0..L-max(depths).  Depth-d codes are built from the depth-(d-1)
-    codes with one multiply-add.
+    starts 0..L-max(depths).  The deepest table is sorted from codes built
+    with one multiply-add per depth; each shallower table is a marginal of
+    the one below it, which is exact because the starts are shared.
     """
     depths = sorted(set(int(d) for d in depths))
     if depths[0] < 1:
         raise ValueError("depths must be >= 1")
     if stream.k ** depths[-1] > np.iinfo(np.int64).max:
         raise ValueError(f"depth {depths[-1]} overflows int64 word codes")
-    out = {}
-    codes = None
-    for d, row in enumerate(stream.rows(depths[-1]), start=1):
-        if codes is None:
-            codes = row.astype(np.int64)
-        else:
-            codes *= stream.k
-            codes += row
-        if d in depths:
-            vals, cnts = np.unique(codes, return_counts=True)
-            out[d] = CylinderTable(d, stream.k, vals,
-                                   cnts.astype(np.int64, copy=False))
-    return out
+    rows = iter(stream.rows(depths[-1]))
+    codes = next(rows).astype(np.int64)
+    for row in rows:
+        codes *= stream.k
+        codes += row
+    vals, cnts = np.unique(codes, return_counts=True)
+    table = CylinderTable(depths[-1], stream.k, vals,
+                          cnts.astype(np.int64, copy=False))
+    out = {table.depth: table}
+    while table.depth > depths[0]:
+        table = table.marginal()
+        out[table.depth] = table
+    return {d: out[d] for d in depths}
 
 
 def weighted_merge(tables: Sequence[CylinderTable],

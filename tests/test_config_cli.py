@@ -430,6 +430,25 @@ class TestRunner:
                    - 0.9624236501192069) <= 0.09624236501192069
 
 
+    def test_entropy_stage_unchanged_by_cell_table(self, tmp_path,
+                                                   monkeypatch):
+        # with every cell unlabelled `locate` scans every point; cylinder
+        # counts, entropies and the bound margin must not move
+        cfg = parse_config(minimal_config(
+            tmp_path, label="ent-cells", basin=None,
+            entropy={"source": {"kind": "orbit",
+                                "point": [0.2137214321, 0.5721347123],
+                                "length": 100_000},
+                     "depths": list(range(1, 14)),
+                     "bound_check": {"epsilon": 0.1, "depth": 10}}))
+        part = cat_map_partition()
+        assert np.any(part._cells >= 0)
+        shipped = run(cfg, threads=1)["stages"]["entropy"]
+        monkeypatch.setattr(part, "_cells", np.full_like(part._cells, -1))
+        scanned = run(cfg, threads=1)["stages"]["entropy"]
+        assert shipped == scanned
+        assert "margin" in shipped["bound_check"]
+
     @pytest.mark.parametrize("source, depths, bound_depth", [
         ({"kind": "orbit", "point": [0.2137214321, 0.5721347123],
           "length": 200000}, list(range(1, 9)), 10),

@@ -6,9 +6,10 @@ import pytest
 
 from toruslab.basin import SampleGrid
 from toruslab.dynamics import wrap
-from toruslab.markov import (ConstructionInvalid, CylinderTable,
-                             InsufficientSamples,
-                             cylinder_count_rate, entropy_count_bound_check,
+from toruslab.markov import (_CELLS, _locate_chunk, ConstructionInvalid,
+                             CylinderTable, InsufficientSamples,
+                             LocationFailure, cylinder_count_rate,
+                             entropy_count_bound_check,
                              entropy_rate_estimate, entropy_tables,
                              itineraries, locate,
                              partition_entropy, weighted_merge)
@@ -189,12 +190,88 @@ class TestLocate:
         syms = locate(partition, pts)
         fractions = np.bincount(syms, minlength=5) / len(pts)
         assert np.all(np.abs(fractions - np.array(partition.areas)) < 3e-3)
+        # the cell table gives the scan's symbol for every point
+        assert np.array_equal(syms, _locate_chunk(partition, pts))
 
     def test_vectorized_matches_scalar(self, partition, rng):
         pts = rng.random((200, 2))
         vec = locate(partition, pts)
         scal = [locate(partition, p) for p in pts]
         assert list(vec) == scal
+
+
+def wall_points(partition, offsets, along=257):
+    """Points at each signed distance in `offsets` across every wall of
+    every listed piece translate, `along` per wall, that fall in [0,1)^2."""
+    t = np.linspace(0.0, 1.0, along)
+    coords = []
+    for (x0, x1, e0, e1), offs in zip(partition.boxes,
+                                      partition._piece_offsets):
+        for gx, gy in offs:
+            for d in offsets:
+                for xw in (x0, x1):  # stable walls
+                    coords.append(np.column_stack([
+                        np.full_like(t, xw + gx + d),
+                        e0 + gy + (e1 - e0) * t]))
+                for ew in (e0, e1):  # unstable walls
+                    coords.append(np.column_stack([
+                        x0 + gx + (x1 - x0) * t,
+                        np.full_like(t, ew + gy + d)]))
+    pts = partition.from_frame(np.concatenate(coords))
+    return pts[np.all((pts >= 0.0) & (pts < 1.0), axis=1)]
+
+
+class TestCellTable:
+    """`locate` reads labelled cells from a table and scans the rest; every
+    result must be the scan's."""
+
+    def test_wall_neighbourhoods_match_scan(self, partition):
+        offsets = [0.0] + [s * d for d in (1e-13, 1e-12, 1e-10, 1e-9)
+                           for s in (1, -1)]
+        pts = wall_points(partition, offsets)
+        assert len(pts) > 40_000
+        assert np.array_equal(locate(partition, pts),
+                              _locate_chunk(partition, pts))
+
+    def test_cell_corners_match_scan(self, partition):
+        ticks = np.arange(_CELLS + 1) / _CELLS
+        pts = np.stack(np.meshgrid(ticks, ticks, indexing="ij"),
+                       axis=-1).reshape(-1, 2)
+        assert np.array_equal(locate(partition, pts),
+                              _locate_chunk(partition, pts))
+
+    @pytest.mark.parametrize("x", [1.0, -1e-17, 1.5])
+    def test_outside_unit_square_scanned(self, partition, x):
+        # per point, the symbol or the LocationFailure message
+        def outcome(f, p):
+            try:
+                return f(partition, p[None]).tolist()
+            except LocationFailure as exc:
+                return str(exc)
+
+        pts = np.column_stack([np.full(9, x), np.linspace(0.0, 0.99, 9)])
+        for p in np.concatenate([pts, pts[:, ::-1]]):
+            assert outcome(locate, p) == outcome(_locate_chunk, p), p
+
+    def test_nan_raises_scan_failure(self, partition):
+        pts = np.array([[0.3, 0.4], [np.nan, 0.2], [0.5, np.nan]])
+        with pytest.raises(LocationFailure) as scanned:
+            _locate_chunk(partition, pts)
+        with pytest.raises(LocationFailure) as located:
+            locate(partition, pts)
+        assert str(located.value) == str(scanned.value)
+        assert str(located.value) == "no piece claims point [nan, 0.2]"
+
+    def test_labelled_cells_scan_to_label(self, partition):
+        cells = partition._cells
+        assert cells.shape == (_CELLS * _CELLS,) and cells.dtype == np.int8
+        assert np.mean(cells >= 0) >= 0.95
+        labelled = np.flatnonzero(cells >= 0)
+        a, b = np.divmod(labelled, _CELLS)
+        for da, db in ((0.5, 0.5), (0, 0), (1, 0), (0, 1), (1, 1)):
+            pts = np.column_stack([(a + da) / _CELLS, (b + db) / _CELLS])
+            assert np.array_equal(_locate_chunk(partition, pts),
+                                  cells[labelled])
 
 
 class TestItinerary:
@@ -239,10 +316,11 @@ def make_table(depth, counts, k=5):
 
 def reference_tables(m, partition, source, depths):
     """{depth: {word: count}} from the element-wise base-k code and tuple
-    decode loop, in code order; independent of CylinderTable."""
+    decode loop, in code order; independent of CylinderTable and of the
+    cell table of `locate` (symbols come from the piece scan)."""
     k, top = partition.k, max(depths)
     if isinstance(source, OrbitMeasure):
-        sym = locate(partition, m.orbit(source.atoms[0], len(source)))
+        sym = _locate_chunk(partition, m.orbit(source.atoms[0], len(source)))
         n_starts = len(sym) - top + 1
         rows = [sym[j:j + n_starts] for j in range(top)]
     else:
@@ -250,7 +328,7 @@ def reference_tables(m, partition, source, depths):
              else source.atoms)
         rows = []
         for j in range(top):
-            rows.append(locate(partition, x))
+            rows.append(_locate_chunk(partition, x))
             x = m.step(x)
     out = {}
     for d in depths:
@@ -317,15 +395,18 @@ class TestCylinderTables:
     def test_words_match_reference_decoder(self, cat, partition,
                                            make_source):
         source = make_source(cat)
-        depths = list(range(1, 9))
-        tables = walk_tables(cat, partition, source, depths)
-        ref = reference_tables(cat, partition, source, depths)
-        for d in depths:
-            t = tables[d]
-            assert t.words() == list(ref[d])
-            assert t.counts.tolist() == list(ref[d].values())
-            assert t.total == sum(ref[d].values())
-            assert np.all(np.diff(t.codes) > 0)
+        for depths in (list(range(1, 9)), [2, 5, 9], [7]):
+            tables = walk_tables(cat, partition, source, depths)
+            ref = reference_tables(cat, partition, source, depths)
+            assert sorted(tables) == depths
+            for d in depths:
+                t = tables[d]
+                assert t.words() == list(ref[d])
+                assert t.counts.tolist() == list(ref[d].values())
+                assert t.counts.dtype == np.int64
+                assert t.codes.dtype == np.int64
+                assert t.total == sum(ref[d].values())
+                assert np.all(np.diff(t.codes) > 0)
 
     def test_one_walk_serves_every_depth(self, cat, partition):
         # tables of one walk equal tables of separate walks that stop at the
