@@ -37,9 +37,7 @@ from toruslab.weakstar import (
 from toruslab.lyapunov import (
     DegenerateCocycle,
     LyapunovSpectrum,
-    log_unstable_jacobian,
     lyapunov_spectrum_qr,
-    unstable_direction,
     unstable_integral,
 )
 from toruslab.basin import (

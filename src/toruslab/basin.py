@@ -140,9 +140,6 @@ class BasinCurve:
     hits: np.ndarray
     samples: int
 
-    def fractions(self) -> np.ndarray:
-        return self.hits / self.samples
-
 
 @dataclass
 class RateEstimate:

@@ -80,9 +80,15 @@ def _require(d: dict, key: str, path: str):
     return d[key]
 
 
-def _object(value, path: str) -> dict:
+def _object(value, path: str, known=None) -> dict:
+    """value, checked to be an object with no key outside known, if given."""
     if not isinstance(value, dict):
         raise ConfigInvalid(path, f"must be an object, got {value!r}")
+    for key in value if known is not None else ():
+        if key not in known:
+            name = key if path == "$" else f"{path}.{key}"
+            raise ConfigInvalid(name, "unknown field; known: "
+                                + ", ".join(known))
     return value
 
 
@@ -96,11 +102,14 @@ def parse_target(spec: dict, map: HyperbolicToralMap, path: str = "target"
                  ) -> TargetSpec:
     kind = _require(spec, "kind", path)
     if kind == "lebesgue":
+        _object(spec, path, ("kind",))
         return TargetSpec(kind="lebesgue")
     if kind == "dirac":
+        _object(spec, path, ("kind", "point"))
         pt = _parse_point(_require(spec, "point", path), f"{path}.point")
         return TargetSpec(kind="dirac", point=pt)
     if kind == "periodic":
+        _object(spec, path, ("kind", "point", "period"))
         pt = _parse_point(_require(spec, "point", path), f"{path}.point")
         period = _at_least(_require(spec, "period", path), 1,
                            f"{path}.period")
@@ -114,6 +123,7 @@ def parse_target(spec: dict, map: HyperbolicToralMap, path: str = "target"
     if kind == "empirical_orbit":
         return _orbit_spec(spec, path)
     if kind == "mixture":
+        _object(spec, path, ("kind", "components", "weights"))
         comps = _list(_require(spec, "components", path),
                       f"{path}.components")
         weights = [_number_at_least(w, 0.0, f"{path}.weights")
@@ -136,6 +146,7 @@ def parse_target(spec: dict, map: HyperbolicToralMap, path: str = "target"
 
 def _orbit_spec(spec: dict, path: str) -> TargetSpec:
     """Orbit point and length only: `target_measure` builds the orbit."""
+    _object(spec, path, ("kind", "point", "length"))
     return TargetSpec(
         kind="empirical_orbit",
         point=_parse_point(_require(spec, "point", path), f"{path}.point"),
@@ -222,9 +233,10 @@ def _parse_depths(value, path: str) -> list[int]:
     return depths
 
 
-def _parse_grid(spec: dict, path: str) -> SampleGrid:
+def _parse_grid(spec: dict, path: str,
+                known=("resolution", "jitter", "seed")) -> SampleGrid:
     spec = {"resolution": 256, "jitter": False, "seed": 0,
-            **_object(spec, path)}
+            **_object(spec, path, known)}
     for key in ("resolution", "seed"):
         if not _is_integer(spec[key]):
             raise ConfigInvalid(path, f"{key} must be an integer, got "
@@ -270,15 +282,20 @@ def _parse_label(value) -> str:
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    _object(raw, "$")
+    _object(raw, "$", ("label", "map", "family", "grid", "target", "basin",
+                       "entropy", "lyapunov", "expect", "output_dir",
+                       "threads", "verify_grid"))
     label = _parse_label(raw.get("label", "experiment"))
 
-    mspec = _require(raw, "map", "$")
+    mspec = _object(_require(raw, "map", "$"), "map",
+                    ("matrix", "amplitude", "perturbation"))
     matrix = _require(mspec, "matrix", "map")
-    terms = [(_require(t, "coeff", f"map.perturbation[{i}]"),
-              _require(t, "freq", f"map.perturbation[{i}]"))
-             for i, t in enumerate(_list(mspec.get("perturbation", []),
-                                         "map.perturbation"))]
+    terms = []
+    for i, t in enumerate(_list(mspec.get("perturbation", []),
+                                "map.perturbation")):
+        path = f"map.perturbation[{i}]"
+        _object(t, path, ("coeff", "freq"))
+        terms.append((_require(t, "coeff", path), _require(t, "freq", path)))
     try:
         map = HyperbolicToralMap(
             matrix,
@@ -288,7 +305,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid("map", str(exc)) from exc
 
-    fam_spec = _object(raw.get("family", {}), "family")
+    fam_spec = _object(raw.get("family", {}), "family", ("truncation",))
     family = TestFunctionFamily(_at_least(
         fam_spec.get("truncation", DEFAULT_TRUNCATION), 1,
         "family.truncation"))
@@ -299,6 +316,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     basin = raw.get("basin")
     if basin is not None:
+        _object(basin, "basin", ("epsilons", "n_values", "window",
+                                 "min_hits", "verdict_tol"))
         eps = [_number_at_least(e, 0.0, "basin.epsilons")
                for e in _list(_require(basin, "epsilons", "basin"),
                               "basin.epsilons")]
@@ -328,13 +347,17 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     entropy = raw.get("entropy")
     if entropy is not None:
+        _object(entropy, "entropy", ("source", "depths", "count_depths",
+                                     "bound_check"))
         src = _require(entropy, "source", "entropy")
         kind = _require(src, "kind", "entropy.source")
         if kind == "orbit":
             source = _orbit_spec(src, "entropy.source")
         elif kind == "grid":
-            source = _parse_grid(src, "entropy.source")
+            source = _parse_grid(src, "entropy.source",
+                                 ("kind", "resolution", "jitter", "seed"))
         elif kind == "target_atoms":
+            _object(src, "entropy.source", ("kind",))
             if target.kind not in ("dirac", "periodic", "empirical_orbit"):
                 raise ConfigInvalid("entropy.source",
                                     "target_atoms needs an atomic target")
@@ -353,6 +376,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         }
         bc = entropy["bound_check"]
         if bc is not None:
+            _object(bc, "entropy.bound_check", ("epsilon", "depth",
+                                                "tolerance"))
             e = _number_at_least(_require(bc, "epsilon",
                                           "entropy.bound_check"),
                                  0.0, "entropy.bound_check.epsilon")
@@ -369,7 +394,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
                     "entropy.bound_check.tolerance"),
             }
 
-    lyap = _object(raw.get("lyapunov", {}), "lyapunov")
+    lyap = _object(raw.get("lyapunov", {}), "lyapunov",
+                   ("warmup", "quad_grid", "qr_steps", "qr_point"))
     lyapunov = {
         "warmup": _at_least(lyap.get("warmup", 60), 1, "lyapunov.warmup"),
         "quad_grid": _at_least(lyap.get("quad_grid", 512), 1,

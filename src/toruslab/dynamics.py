@@ -8,6 +8,10 @@ enters any cocycle computation.
 
 All operations accept arrays of shape (..., 2) and broadcast over leading
 axes.  Points are kept in the canonical representative [0, 1)^2.
+
+The unstable direction u has one implementation, unstable_warmup, and the
+expansion |Df u| one, unstable_growth: the cone report's lambda_expand and
+the psi = log |Df u| of lyapunov's unstable integral both read it.
 """
 
 from __future__ import annotations
@@ -373,6 +377,8 @@ def unstable_warmup(map: HyperbolicToralMap, points,
     the point: they are computed once, for the first point, with no inverse
     steps, and broadcast.  The result is a read-only array.
     """
+    if warmup_n < 1:
+        raise ValueError(f"warmup_n must be >= 1, got {warmup_n}")
     points = np.asarray(points, dtype=float)
     if map.is_linear:
         start = points[:1]
@@ -387,6 +393,13 @@ def unstable_warmup(map: HyperbolicToralMap, points,
     for q in reversed(path):
         v0, v1 = _normalize(*_matvec(map.differential(q), v0, v1))
     return np.broadcast_to(np.column_stack([v0, v1]), points.shape)
+
+
+def unstable_growth(map: HyperbolicToralMap, points,
+                    warmup_n: int) -> np.ndarray:
+    """|Df_x u| at each point x, u the unstable_warmup direction, (N,)."""
+    u = unstable_warmup(map, points, warmup_n)
+    return _length(*_matvec(map.differential(points), u[:, 0], u[:, 1]))
 
 
 def verify_hyperbolicity(map: HyperbolicToralMap, grid_resolution: int,
@@ -416,6 +429,8 @@ def verify_hyperbolicity(map: HyperbolicToralMap, grid_resolution: int,
         raise ValueError("grid_resolution must be >= 16")
     if not 0 < cone_half_angle < math.pi / 4:
         raise ValueError("cone_half_angle must be in (0, pi/4)")
+    if warmup < 1:
+        raise ValueError(f"warmup must be >= 1, got {warmup}")
     pts = _grid_points(grid_resolution)
     if map.is_linear:
         pts = pts[:1]
@@ -449,8 +464,7 @@ def verify_hyperbolicity(map: HyperbolicToralMap, grid_resolution: int,
             f"{cone_half_angle:.5f}")
 
     # aligned expansion/contraction via warmup
-    v = unstable_warmup(map, pts, warmup)
-    lam_expand = float(np.min(_length(*_matvec(D, v[:, 0], v[:, 1]))))
+    lam_expand = float(np.min(unstable_growth(map, pts, warmup)))
 
     w0 = np.full(len(pts), 0.6180339887498949)
     w1 = np.full(len(pts), -1.0)

@@ -1,11 +1,9 @@
-"""Lyapunov spectrum, unstable directions and unstable log-Jacobian averages.
+"""Lyapunov spectrum and unstable log-Jacobian integrals.
 
-The unstable direction F(x) comes from dynamics.unstable_warmup: a fixed
-generic vector pushed forward along the orbit that ends at x (a backward
-warmup); alignment is exponential with rate (lam_s/lam_u)^2 per step, so the
-default warmup of 60 steps is far below float precision for every admitted
-map.  Since F is one dimensional on the 2-torus, log |det Df restricted to F|
-at x is just log |Df_x u| for a unit vector u spanning F(x).
+psi(x) = log |det Df restricted to F(x)| is log dynamics.unstable_growth,
+|Df_x u| for u from dynamics.unstable_warmup spanning the unstable line
+F(x).  That backward warmup aligns u at rate (lam_s/lam_u)^2 per step, so
+the default of 60 steps is far below float precision for every admitted map.
 
 Both orbit cocycles are one pass: take all Jacobians along the orbit in one
 batched call and push a unit vector u <- Df u / |Df u| on plain Python
@@ -22,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from toruslab.dynamics import (HyperbolicToralMap, _grid_points, _length,
-                               _matvec, unstable_warmup)
+from toruslab.dynamics import (HyperbolicToralMap, _grid_points,
+                               unstable_growth, unstable_warmup)
 from toruslab.weakstar import (DiscreteMeasure, LebesgueMeasure, MeasureLike,
                                OrbitMeasure)
 
@@ -79,6 +77,8 @@ def lyapunov_spectrum_qr(map: HyperbolicToralMap, point, n: int,
     """
     if n < 100:
         raise ValueError("n must be >= 100")
+    if warmup < 0:
+        raise ValueError(f"warmup must be >= 0, got {warmup}")
     jac = map.differential(map.orbit(point, warmup + n))
     top = _log_growth(jac, 1.0, 0.0, skip=warmup)
     det = np.abs(jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0])
@@ -87,39 +87,6 @@ def lyapunov_spectrum_qr(map: HyperbolicToralMap, point, n: int,
     log_det = float(np.sum(np.log(det[warmup:])))
     return LyapunovSpectrum(chi_plus=top / n, chi_minus=(log_det - top) / n,
                             n_steps=n)
-
-
-def _canonical_sign(v: np.ndarray) -> np.ndarray:
-    lead = np.take_along_axis(v, np.argmax(np.abs(v), axis=-1, keepdims=True),
-                              axis=-1)
-    return v * np.where(lead < 0, -1.0, 1.0)
-
-
-def unstable_direction(map: HyperbolicToralMap, point,
-                       warmup_n: int = DEFAULT_WARMUP) -> np.ndarray:
-    """Unit vector spanning the unstable line F(point).
-
-    Sign is canonicalized (largest component positive), so results are
-    comparable across points; the direction itself is only defined up to sign.
-    """
-    if warmup_n < 1:
-        raise ValueError("warmup_n must be >= 1")
-    p = np.asarray(point, dtype=float).reshape(1, 2)
-    return _canonical_sign(unstable_warmup(map, p, warmup_n))[0]
-
-
-def log_unstable_jacobian(map: HyperbolicToralMap, point,
-                          warmup_n: int = DEFAULT_WARMUP) -> float:
-    """psi(x) = log |Df_x u| for u spanning F(x)."""
-    p = np.asarray(point, dtype=float).reshape(1, 2)
-    return float(_psi_batch(map, p, warmup_n)[0])
-
-
-def _psi_batch(map: HyperbolicToralMap, points: np.ndarray,
-               warmup_n: int) -> np.ndarray:
-    u = unstable_warmup(map, points, warmup_n)
-    w = _matvec(map.differential(points), u[:, 0], u[:, 1])
-    return np.log(_length(*w))
 
 
 def unstable_integral(map: HyperbolicToralMap, measure: MeasureLike,
@@ -138,8 +105,6 @@ def unstable_integral(map: HyperbolicToralMap, measure: MeasureLike,
     if isinstance(measure, OrbitMeasure):
         if measure.map is not map:
             raise ValueError("orbit measure was built for another map")
-        if warmup_n < 1:
-            raise ValueError("warmup_n must be >= 1")
         orbit = measure.atoms
         u0, u1 = (float(c)
                   for c in unstable_warmup(map, orbit[:1], warmup_n)[0])
@@ -153,7 +118,8 @@ def unstable_integral(map: HyperbolicToralMap, measure: MeasureLike,
         raise TypeError(f"unsupported measure {type(measure).__name__}")
     total = 0.0
     for i in range(0, len(atoms), _ATOM_CHUNK):
-        psis = _psi_batch(map, atoms[i:i + _ATOM_CHUNK], warmup_n)
+        psis = np.log(unstable_growth(map, atoms[i:i + _ATOM_CHUNK],
+                                      warmup_n))
         # not `w @ psi`: with the exact weight of a power-of-two grid, this
         # is the plain sum of the chunk's psi values, scaled
         total += float(np.sum(weights[i:i + _ATOM_CHUNK] * psis))

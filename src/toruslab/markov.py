@@ -682,8 +682,7 @@ def cylinder_count_rate(partition: MarkovPartition,
 
 
 def entropy_count_bound_check(partition: MarkovPartition,
-                              table: CylinderTable, epsilon: float,
-                              k0_range: Sequence[int] = range(1, 15)) -> float:
+                              table: CylinderTable, epsilon: float) -> float:
     """Margin of the cylinder-counting entropy bound on a depth-n table.
 
     A is the smallest union of depth-n cylinders with empirical mass above
@@ -691,13 +690,15 @@ def entropy_count_bound_check(partition: MarkovPartition,
 
         log #A  -  [ H_n - n K0 eps + eps log eps + (1-eps) log(1-eps) ]
 
-    which should be nonnegative up to sampling error.
+    which should be nonnegative up to sampling error.  K0 is log k: word
+    counts are submultiplicative (c_(m+n) <= c_m c_n), so the largest
+    count rate log(c_n)/n is the depth-1 rate log c_1 = log k.
     """
     if not 0 < epsilon < 0.25:
         raise ValueError("epsilon must be in (0, 1/4)")
     n = table.depth
     h = partition_entropy(table)
-    k0 = cylinder_count_rate(partition, k0_range).k0_est
+    k0 = math.log(partition.k)
     mass = np.cumsum(np.sort(table.counts)[::-1])
     need = (1.0 - epsilon) * table.total
     taken = min(int(np.searchsorted(mass, need, side="right")) + 1, len(mass))

@@ -117,9 +117,6 @@ class TestFunctionFamily:
     def __repr__(self):
         return f"TestFunctionFamily(K={self.truncation})"
 
-    def tail_bound(self) -> float:
-        return 2.0 ** (1 - self.truncation)
-
     def _add_modes(self, p: np.ndarray, ws: "_Workspace") -> None:
         """Add e^(2 pi i k.x) at each of the n points p into row k of the
         workspace sums, for every frequency k of the family that is not the

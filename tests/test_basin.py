@@ -60,14 +60,14 @@ class TestVolumeEstimate:
     def test_huge_epsilon_full(self, cat, family, leb_target):
         curve, = curve_sweep(cat, leb_target, [2.1], [3],
                              SampleGrid(resolution=32), family).curves
-        assert curve.fractions()[0] == 1.0
+        assert curve.hits[0] / curve.samples == 1.0
         assert curve.hits[0] == curve.samples == 1024
 
     def test_dirac_n1_matches_fine_grid(self, cat, family, dirac_target):
         # coarse fraction vs an independent finer brute-force of the same set
         curve, = curve_sweep(cat, dirac_target, [0.1], [1],
                              SampleGrid(resolution=256), family).curves
-        coarse = curve.fractions()[0]
+        coarse = curve.hits[0] / curve.samples
         xs = (np.arange(1024) + 0.5) / 1024
         gx, gy = np.meshgrid(xs, xs, indexing="ij")
         pts = np.column_stack([gx.ravel(), gy.ravel()])
@@ -79,7 +79,7 @@ class TestVolumeEstimate:
     def test_lebesgue_high_fraction(self, cat, family, leb_target):
         curve, = curve_sweep(cat, leb_target, [0.1], [300],
                              SampleGrid(resolution=128), family).curves
-        assert curve.fractions()[0] >= 0.99
+        assert curve.hits[0] / curve.samples >= 0.99
 
 
 class TestCurves:

@@ -1,6 +1,9 @@
+import importlib.util
 import json
 import math
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -18,6 +21,7 @@ from toruslab.markov import (cat_map_partition, entropy_count_bound_check,
 from toruslab.runner import check_expectations, report, run, MissingRecord
 
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 GRID_SOURCE = {"kind": "grid", "resolution": 16}
 PERTURBED_MAP = {"matrix": [[2, 1], [1, 1]], "amplitude": 0.005,
                  "perturbation": [{"coeff": [1.0, 0.0], "freq": [0, 1]}]}
@@ -220,6 +224,84 @@ class TestConfigValidation:
             parse_config(cfg)
         assert info.value.field_path == field_path
         assert str(info.value).count(f"{field_path}:") == 1
+
+    @pytest.mark.parametrize("overrides, field_path", [
+        ({"verfy_grid": 64}, "verfy_grid"),
+        ({"map": {"matrix": [[2, 1], [1, 1]], "amp": 0.1}}, "map.amp"),
+        ({"map": {**PERTURBED_MAP, "perturbation": [
+            {"coeff": [1.0, 0.0], "freq": [0, 1], "phase": 0.5}]}},
+         "map.perturbation[0].phase"),
+        ({"family": {"trunc": 9}}, "family.trunc"),
+        ({"grid": {"resolution": 64, "jiter": True}}, "grid.jiter"),
+        ({"target": {"kind": "lebesgue", "point": [0, 0]}}, "target.point"),
+        ({"target": {"kind": "dirac", "point": [0, 0], "period": 1}},
+         "target.period"),
+        ({"target": {"kind": "periodic", "point": [0.4, 0.8], "period": 2,
+                     "length": 2}}, "target.length"),
+        ({"target": {"kind": "empirical_orbit", "point": [0.1, 0.2],
+                     "length": 10, "period": 1}}, "target.period"),
+        ({"target": {"kind": "mixture", "weights": [1.0], "components": [
+            {"kind": "lebesgue", "weight": 1.0}]}},
+         "target.components[0].weight"),
+        ({"target": {"kind": "mixture", "weights": [1.0], "components": [
+            {"kind": "lebesgue"}], "weight": [1.0]}}, "target.weight"),
+        ({"basin": {"epsilons": [0.2], "n_values": [10, 20],
+                    "min_hit": 5}}, "basin.min_hit"),
+        ({"entropy": {"source": GRID_SOURCE, "depth": 5}}, "entropy.depth"),
+        ({"entropy": {"source": {**GRID_SOURCE, "length": 5}}},
+         "entropy.source.length"),
+        ({"entropy": {"source": {"kind": "orbit", "point": [0.1, 0.2],
+                                 "length": 100, "seed": 1}}},
+         "entropy.source.seed"),
+        ({"target": {"kind": "dirac", "point": [0, 0]},
+          "entropy": {"source": {"kind": "target_atoms", "length": 5}}},
+         "entropy.source.length"),
+        ({"entropy": {"source": GRID_SOURCE,
+                      "bound_check": {"epsilon": 0.1, "depth": 4,
+                                      "eps": 0.1}}},
+         "entropy.bound_check.eps"),
+        ({"lyapunov": {"wramup": 5}}, "lyapunov.wramup"),
+    ])
+    def test_unknown_fields_named(self, tmp_path, overrides, field_path):
+        # before, each of these keys was ignored and its default used
+        cfg = minimal_config(tmp_path, **overrides)
+        with pytest.raises(ConfigInvalid, match="unknown field; known: "
+                           ) as info:
+            parse_config(cfg)
+        assert info.value.field_path == field_path
+
+    def test_shipped_configs_parse(self, tmp_path, monkeypatch):
+        # every config the project ships uses only known fields: the
+        # benchmark workloads, the acceptance runs, the scripts' runs and
+        # the README example
+        from toruslab.experiments import (DIRAC_RATE_CONFIG, LEB_RATE_CONFIG,
+                                          PERTURBED_PROXY_CONFIG)
+        monkeypatch.syspath_prepend(str(ROOT / "benchmark"))
+        from workloads import WORKLOADS
+        raws = [w(1, str(tmp_path)).raw_config() for w in WORKLOADS.values()]
+        raws += [DIRAC_RATE_CONFIG, LEB_RATE_CONFIG, PERTURBED_PROXY_CONFIG]
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        raws += [json.loads(block) for block in
+                 re.findall(r"```json\n(.*?)```", readme, re.S)]
+        assert len(raws) == 8
+        for raw in raws:
+            parse_config(raw)
+
+        class Parsed(Exception):
+            pass
+
+        def stop(cfg, **kwargs):
+            raise Parsed(cfg)
+
+        for path in sorted((ROOT / "scripts").glob("*.py")):
+            spec = importlib.util.spec_from_file_location(path.stem, path)
+            script = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(script)
+            monkeypatch.setattr(script, "run", stop)
+            monkeypatch.setattr(sys, "argv", [str(path), "--out",
+                                              str(tmp_path)])
+            with pytest.raises(Parsed):
+                script.main()
 
     def test_integral_floats_accepted(self, tmp_path):
         cfg = minimal_config(tmp_path, grid={"resolution": 64.0,

@@ -483,6 +483,14 @@ class TestConeVerification:
         with pytest.raises(ValueError):
             verify_hyperbolicity(cat, 8)
 
+    @pytest.mark.parametrize("warmup", [0, -2])
+    def test_nonpositive_warmup_rejected(self, warmup):
+        # warmup 0 reported lambda_expand 3.0613 for this map, the growth
+        # of the seed vector, instead of 2.6040
+        m = HyperbolicToralMap(*PERTURBED_RUN_MAP)
+        with pytest.raises(ValueError, match="warmup"):
+            verify_hyperbolicity(m, 32, warmup=warmup)
+
     def test_perturbed_passes_default(self):
         m = HyperbolicToralMap([[2, 1], [1, 1]], 0.005, [((1.0, 0.0), (0, 1))])
         rep = verify_hyperbolicity(m, 32)

@@ -1,5 +1,6 @@
-"""Unused-import gate: every module-level import of the package, its tests
-and its scripts is used.
+"""Dead-code gates: every module-level import of the package, its tests
+and its scripts is used, and every public function and class of the
+package has a caller outside the tests.
 
 A stand-in for a linter's unused-import rule.  The package's `__init__.py`
 is skipped because its imports are the package's exports.
@@ -12,9 +13,12 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "toruslab"
-MODULES = sorted([p for p in SRC.glob("*.py") if p.name != "__init__.py"]
-                 + list((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE + list((ROOT / "tests").glob("*.py"))
                  + list((ROOT / "scripts").glob("*.py")))
+# code that counts as a caller: the package, its scripts and the benchmark
+PRODUCTION = PACKAGE + sorted((ROOT / "scripts").glob("*.py")) + sorted(
+    (ROOT / "benchmark").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -48,3 +52,45 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def public_definitions(source: str) -> set[str]:
+    """Module-level functions and classes whose names do not start with _."""
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names read or attributes taken, each top-level definition's own name
+    inside its body excepted (a recursive call is not a caller)."""
+    names = set()
+    for stmt in ast.parse(source).body:
+        own = getattr(stmt, "name", None)
+        for n in ast.walk(stmt):
+            name = n.id if isinstance(n, ast.Name) else getattr(n, "attr",
+                                                                None)
+            if name is not None and name != own:
+                names.add(name)
+    return names
+
+
+def test_caller_gate_sees_dead_names():
+    src = ("def used():\n    return 1\n"
+           "def recursive(n):\n    return recursive(n - 1)\n"
+           "class Helper:\n    pass\n"
+           "def _private():\n    return used() + Helper.x\n")
+    defined = public_definitions(src)
+    assert defined == {"used", "recursive", "Helper"}
+    assert defined - referenced_names(src) == {"recursive"}
+
+
+def test_public_names_have_production_callers():
+    # methods are not checked: the acceptance criteria are found by getattr
+    defined, referenced = set(), set()
+    for path in PRODUCTION:
+        source = path.read_text(encoding="utf-8")
+        if path in PACKAGE:
+            defined |= public_definitions(source)
+        referenced |= referenced_names(source)
+    assert sorted(defined - referenced) == []

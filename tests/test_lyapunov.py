@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from toruslab.dynamics import (HyperbolicToralMap, _grid_points,
-                               unstable_warmup, verify_hyperbolicity)
-from toruslab.lyapunov import (DegenerateCocycle, log_unstable_jacobian,
-                               lyapunov_spectrum_qr, unstable_direction,
+                               unstable_growth, unstable_warmup,
+                               verify_hyperbolicity)
+from toruslab.lyapunov import (DegenerateCocycle, lyapunov_spectrum_qr,
                                unstable_integral)
 from toruslab.weakstar import LEBESGUE, DiscreteMeasure, OrbitMeasure
 
@@ -15,6 +15,21 @@ LOG_CAT = math.log((3.0 + math.sqrt(5.0)) / 2.0)
 LOG_GOLDEN = math.log((1.0 + math.sqrt(5.0)) / 2.0)
 PERTURBED = HyperbolicToralMap([[2, 1], [1, 1]], 0.005,
                                [((1.0, 0.0), (0, 1))])
+
+
+def direction(map, point, warmup_n=60):
+    """Unit vector spanning the unstable line F(point), up to sign."""
+    return unstable_warmup(map, np.reshape(point, (1, 2)), warmup_n)[0]
+
+
+def psi(map, point):
+    """log |Df u| at one point: the unstable integral of its Dirac mass."""
+    return unstable_integral(map, DiscreteMeasure.dirac(point))
+
+
+def line_gap(u, v):
+    """Distance between two unit vectors as lines (sign ignored)."""
+    return min(np.linalg.norm(u - v), np.linalg.norm(u + v))
 
 
 class TestSpectrumQR:
@@ -33,42 +48,63 @@ class TestSpectrumQR:
         with pytest.raises(ValueError):
             lyapunov_spectrum_qr(cat, (0.1, 0.1), 99)
 
+    @pytest.mark.parametrize("warmup", [-1, -5])
+    def test_negative_warmup_rejected(self, cat, warmup):
+        # det[warmup:] would slice from the end instead
+        with pytest.raises(ValueError, match="warmup"):
+            lyapunov_spectrum_qr(cat, (0.2, 0.7), 1000, warmup=warmup)
+
 
 class TestUnstableDirection:
     def test_linear_matches_eigenvector(self, cat):
-        u = unstable_direction(cat, (0.31, 0.64))
-        assert np.linalg.norm(u - cat.v_u) < 1e-9
+        assert line_gap(direction(cat, (0.31, 0.64)), cat.v_u) < 1e-9
 
     def test_golden_matches_eigenvector(self, golden):
-        u = unstable_direction(golden, (0.12, 0.93))
-        assert min(np.linalg.norm(u - golden.v_u),
-                   np.linalg.norm(u + golden.v_u)) < 1e-9
+        assert line_gap(direction(golden, (0.12, 0.93)), golden.v_u) < 1e-9
 
     def test_covariance_relation(self):
         m = HyperbolicToralMap([[2, 1], [1, 1]], 0.005, [((1.0, 0.0), (0, 1))])
         p = np.array([0.22, 0.58])
-        u_here = unstable_direction(m, p)
-        pushed = m.differential(p) @ u_here
+        pushed = m.differential(p) @ direction(m, p)
         pushed /= np.linalg.norm(pushed)
-        u_next = unstable_direction(m, m.step(p))
-        assert min(np.linalg.norm(pushed - u_next),
-                   np.linalg.norm(pushed + u_next)) < 1e-8
+        assert line_gap(pushed, direction(m, m.step(p))) < 1e-8
 
     def test_perturbed_close_to_linear_and_self_consistent(self, cat):
         m = HyperbolicToralMap([[2, 1], [1, 1]], 0.005, [((1.0, 0.0), (0, 1))])
         p = (0.41, 0.17)
-        u60 = unstable_direction(m, p, warmup_n=60)
-        u120 = unstable_direction(m, p, warmup_n=120)
-        assert np.linalg.norm(u60 - u120) < 1e-12
+        u60 = direction(m, p, warmup_n=60)
+        u120 = direction(m, p, warmup_n=120)
+        assert line_gap(u60, u120) < 1e-12
         angle = math.acos(min(1.0, abs(float(u60 @ cat.v_u))))
         assert angle < 10 * m.amplitude
+
+    @pytest.mark.parametrize("warmup_n", [0, -3])
+    def test_nonpositive_warmup_rejected(self, cat, warmup_n):
+        # without the check, the unnormalized seed vector's log length
+        # (log lambda + 0.1618) came back as psi
+        with pytest.raises(ValueError, match="warmup_n"):
+            unstable_warmup(cat, np.array([[0.3, 0.4]]), warmup_n)
+        with pytest.raises(ValueError, match="warmup_n"):
+            unstable_integral(cat, DiscreteMeasure.dirac((0.3, 0.4)),
+                              warmup_n=warmup_n)
+        with pytest.raises(ValueError, match="warmup_n"):
+            unstable_integral(cat, OrbitMeasure(cat, (0.3, 0.4), 10),
+                              warmup_n=warmup_n)
 
 
 class TestLogUnstableJacobian:
     def test_linear_constant(self, cat, rng):
         for _ in range(5):
-            psi = log_unstable_jacobian(cat, rng.random(2))
-            assert abs(psi - LOG_CAT) < 1e-12
+            assert abs(psi(cat, rng.random(2)) - LOG_CAT) < 1e-12
+
+    @pytest.mark.parametrize("name", ["cat", "perturbed"])
+    def test_dirac_integral_is_log_growth(self, name):
+        m = MAPS[name]
+        # one point at a time: a batch's inverse iteration runs until its
+        # slowest point converges, which moves the last bits of the others
+        for p in np.random.default_rng(11).random((20, 2)):
+            growth = unstable_growth(m, p.reshape(1, 2), 60)
+            assert psi(m, p) == math.log(growth[0])
 
     def test_chain_rule_telescoping(self):
         m = HyperbolicToralMap([[2, 1], [1, 1]], 0.005, [((1.0, 0.0), (0, 1))])
@@ -77,10 +113,9 @@ class TestLogUnstableJacobian:
         total = 0.0
         x = p
         for _ in range(n):
-            total += log_unstable_jacobian(m, x)
+            total += psi(m, x)
             x = m.step(x)
-        u = unstable_direction(m, p)
-        v = u.copy()
+        v = direction(m, p).copy()
         x = p
         for _ in range(n):
             v = m.differential(x) @ v
@@ -94,12 +129,10 @@ class TestLogUnstableJacobian:
         assert abs(val - LOG_CAT) < 10 * m.amplitude
 
     def test_sample_unstable_fields(self, cat):
-        direction = unstable_direction(cat, (0.2, 0.9))
-        psi = log_unstable_jacobian(cat, (0.2, 0.9))
-        assert abs(np.linalg.norm(direction) - 1.0) < 1e-12
-        assert abs(psi - LOG_CAT) < 1e-12
-        for f in (unstable_direction, log_unstable_jacobian):
-            assert inspect.signature(f).parameters["warmup_n"].default == 60
+        assert abs(np.linalg.norm(direction(cat, (0.2, 0.9))) - 1.0) < 1e-12
+        assert abs(psi(cat, (0.2, 0.9)) - LOG_CAT) < 1e-12
+        default = inspect.signature(unstable_integral).parameters["warmup_n"]
+        assert default.default == 60
 
 
 class TestIntegrals:
@@ -153,16 +186,15 @@ class TestPsiContinuity:
     def test_grid_increments_scale_with_spacing(self):
         # psi is Lipschitz for the perturbed map: neighboring grid values
         # differ by O(h), and halving h roughly halves the worst increment
-        from toruslab.lyapunov import _psi_batch
         m = HyperbolicToralMap([[2, 1], [1, 1]], 0.005, [((1.0, 0.0), (0, 1))])
 
         def worst_increment(res):
             xs = (np.arange(res) + 0.5) / res
             gx, gy = np.meshgrid(xs, xs, indexing="ij")
             pts = np.column_stack([gx.ravel(), gy.ravel()])
-            psi = _psi_batch(m, pts, 40).reshape(res, res)
-            dx = np.abs(np.diff(psi, axis=0)).max()
-            dy = np.abs(np.diff(psi, axis=1)).max()
+            values = np.log(unstable_growth(m, pts, 40)).reshape(res, res)
+            dx = np.abs(np.diff(values, axis=0)).max()
+            dy = np.abs(np.diff(values, axis=1)).max()
             return max(dx, dy)
 
         w32 = worst_increment(32)
@@ -219,7 +251,8 @@ def reference_warmup(map, points, warmup_n):
 
 def reference_birkhoff(map, point, n, warmup_n=60):
     x = np.asarray(point, dtype=float).reshape(2)
-    u0, u1 = unstable_direction(map, x, warmup_n).tolist()
+    # the pass reads only |Df u|, so the sign of u does not matter
+    u0, u1 = direction(map, x, warmup_n).tolist()
     total = 0.0
     for _ in range(n):
         (d00, d01), (d10, d11) = map.differential(x).tolist()

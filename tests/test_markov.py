@@ -523,6 +523,12 @@ class TestCountRates:
         assert all(rates.k0_est >= r for _, r in rates.rates)
         assert rates.k0_est == rates.rates[0][1]
 
+    def test_k0_is_log_k(self, partition):
+        # the bound check's K0: word counts are submultiplicative, so the
+        # largest count rate over depths 1..14 is the depth-1 rate log k
+        rates = cylinder_count_rate(partition, range(1, 15))
+        assert math.log(partition.k) == max(r for _, r in rates.rates)
+
 
 class TestCountBound:
     def test_fixed_point_nonnegative(self, cat, partition):

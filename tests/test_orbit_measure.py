@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from toruslab.config import parse_config
-from toruslab.dynamics import HyperbolicToralMap
-from toruslab.lyapunov import unstable_direction, unstable_integral
+from toruslab.dynamics import HyperbolicToralMap, unstable_warmup
+from toruslab.lyapunov import unstable_integral
 from toruslab.markov import entropy_tables, itineraries
 from toruslab.runner import run
 from toruslab.weakstar import (DiscreteMeasure, OrbitMeasure,
@@ -71,7 +71,7 @@ class TestStreamedEqualsAtoms:
 
     def test_integral_is_the_birkhoff_average(self, orbit_2000):
         # (1/L) sum of log |Df u| along the orbit, u pushed forward by Df
-        u = unstable_direction(PERTURBED, POINT)
+        u = unstable_warmup(PERTURBED, np.array([POINT]), 60)[0]
         total = 0.0
         for jac in PERTURBED.differential(orbit_2000.atoms):
             w = jac @ u
