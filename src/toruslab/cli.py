@@ -3,7 +3,7 @@
 Subcommands:
   run <config.json>          execute the configured pipelines, write a record
   report <records...>        merge records into csv / json / plotdata files
-  verify-map <config.json>   cone verification only
+  verify-map <config.json>   certified cone verification only
   acceptance                 run the registered acceptance suite
 
 Exit codes: 0 success, 2 verdict/tolerance failure, 1 error.  Thread count
@@ -65,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default="csv")
     p_rep.add_argument("--out", default="reports")
 
-    p_ver = sub.add_parser("verify-map", help="cone verification only")
+    p_ver = sub.add_parser("verify-map",
+                           help="certified cone verification only")
     p_ver.add_argument("config")
     p_ver.add_argument("--grid", type=_int_at_least(16), default=None,
                        help="override verification grid resolution, at "

@@ -10,8 +10,17 @@ All operations accept arrays of shape (..., 2) and broadcast over leading
 axes.  Points are kept in the canonical representative [0, 1)^2.
 
 The unstable direction u has one implementation, unstable_warmup, and the
-expansion |Df u| one, unstable_growth: the cone report's lambda_expand and
-the psi = log |Df u| of lyapunov's unstable integral both read it.
+expansion |Df u| one, unstable_growth, whose log is the psi of lyapunov's
+unstable integral.
+
+verify_hyperbolicity certifies the Anosov property from Df alone, in one
+pass over a grid: constant cones around the eigendirections of A must map
+strictly into themselves (the unstable cone under Df, the stable one under
+Df^-1), with |Df| bounded below on the first and above on the second.  Df
+is Lipschitz with the closed-form constant differential_lipschitz, so the
+checks at the cell centres, widened by a slack of that constant times the
+half cell diagonal plus the rounding allowance CONE_ROUNDING, hold at every
+point of the torus.
 """
 
 from __future__ import annotations
@@ -30,6 +39,11 @@ TWO_PI = 2.0 * math.pi
 # iterations are far more than the ~40 needed for 1e-12
 INVERSE_TOL = 1e-12
 INVERSE_MAX_ITER = 100
+
+# float-rounding allowance in the cone slack (verify_hyperbolicity): the
+# computed Df, ray images and arc extremes carry relative rounding errors of
+# a few units of 2^-53 on entries of order |Df|, far below it
+CONE_ROUNDING = 1e-12
 
 # start vector of the unstable-direction warmup (see _seed_vector)
 _SEED_VECTOR = np.array([1.0, 0.6180339887498949])
@@ -135,15 +149,21 @@ class HyperbolicToralMap:
         # (c0, c1, k0, k1) of every term as Python floats, for the series
         self._terms = [(float(c[0]), float(c[1]), float(k[0]), float(k[1]))
                        for c, k in zip(self._coeffs, self._freqs)]
-        # rows of A as Python floats (step, orbit); A^-1 transposed as a
-        # float array (step_inverse)
+        # rows of A (step, orbit) and of A^-1 (step_inverse) as Python floats
         self._rows = tuple(map(tuple, A.astype(float).tolist()))
-        self._inv_t = self.matrix_inv.T.astype(float)
+        self._inv_rows = tuple(map(tuple,
+                                   self.matrix_inv.astype(float).tolist()))
 
         # Lip(psi) <= sum 2 pi |c_k| |k|
         self.lipschitz_bound = float(
             TWO_PI * np.sum(np.linalg.norm(self._coeffs, axis=1)
                             * np.linalg.norm(self._freqs, axis=1)))
+        # |Df(x) - Df(y)|_2 <= differential_lipschitz * |x - y|: each term
+        # of amp * Dpsi is the rank-one 2 pi c_k k^T cos(2 pi k.x), and cos
+        # is 1-Lipschitz, giving amp * sum (2 pi)^2 |c_k| |k|^2
+        self.differential_lipschitz = self.amplitude * float(
+            TWO_PI ** 2 * np.sum(np.linalg.norm(self._coeffs, axis=1)
+                                 * np.sum(self._freqs ** 2, axis=1)))
         inv_norm = float(np.linalg.norm(self.matrix_inv.astype(float), 2))
         contraction = self.amplitude * inv_norm * self.lipschitz_bound
         if contraction >= 0.5:
@@ -237,20 +257,37 @@ class HyperbolicToralMap:
         return wrap(q)
 
     def step_inverse(self, points):
-        """Inverse iterate via the contracting lift q <- A^-1 (p - amp psi(q))."""
+        """Inverse iterate via the contracting lift q <- A^-1 (p - amp psi(q)).
+
+        A^-1 is applied by element-wise products and sums, and each point
+        stops at the first iterate where its own step |q_next - q|_inf falls
+        below INVERSE_TOL, so a point's inverse does not depend on its
+        batch: a batch gives what a loop over its points gives, bit for bit.
+        (A BLAS product would not: OpenBLAS rounds a one-row product without
+        the fused multiply-adds of a larger one.)
+        """
         p = np.asarray(points, dtype=float)
-        ainv = self._inv_t
+        (b00, b01), (b10, b11) = self._inv_rows
+
+        def lift(x, y):
+            return np.column_stack([b00 * x + b01 * y, b10 * x + b11 * y])
+
+        flat = p.reshape(-1, 2)
+        q = lift(flat[:, 0], flat[:, 1])
         if self.is_linear:
-            return wrap(p @ ainv)
-        q = p @ ainv
-        psi = np.empty(p.shape)
+            return wrap(q.reshape(p.shape))
+        out = np.empty(flat.shape)
+        todo, x, y = np.arange(len(flat)), flat[:, 0], flat[:, 1]
         for _ in range(INVERSE_MAX_ITER):
-            psi[..., 0], psi[..., 1] = self._series(q[..., 0], q[..., 1])
-            q_next = (p - self.amplitude * psi) @ ainv
-            delta = float(np.abs(q_next - q).max())
-            q = q_next
-            if delta < INVERSE_TOL:
-                return wrap(q)
+            px, py = self._series(q[:, 0], q[:, 1])
+            q_next = lift(x - self.amplitude * px, y - self.amplitude * py)
+            done = np.abs(q_next - q).max(axis=1) < INVERSE_TOL
+            if done.all():
+                out[todo] = q_next
+                return wrap(out.reshape(p.shape))
+            out[todo[done]] = q_next[done]
+            keep = ~done
+            todo, x, y, q = todo[keep], x[keep], y[keep], q_next[keep]
         raise IterationDivergence(
             f"inverse iteration stalled above {INVERSE_TOL} after "
             f"{INVERSE_MAX_ITER} iterations")
@@ -310,11 +347,21 @@ class HyperbolicToralMap:
 
 @dataclass(frozen=True)
 class ConeReport:
-    """Outcome of the cone-field verification on a sample grid."""
-    lambda_expand: float
-    lambda_contract: float
+    """Certified outcome of the cone-field verification on a sample grid.
+
+    expand_bound and contract_bound bound |Df v| from below on the unstable
+    cone and from above on the stable cone, at every point of the torus;
+    unstable_angle and stable_angle are the certified image angles and slack
+    the bound on |Df(y) - Df(c)| within a grid cell (see
+    verify_hyperbolicity)."""
+    expand_bound: float
+    contract_bound: float
+    unstable_angle: float
+    stable_angle: float
+    slack: float
     cone_half_angle: float
     grid_resolution: int
+    certified: bool
     passed: bool
 
 
@@ -341,15 +388,6 @@ def _matvec(D, v0, v1):
     of the result; the rounding of the einsum "nij,nj->ni" it replaced."""
     return (D[:, 0, 0] * v0 + D[:, 0, 1] * v1,
             D[:, 1, 0] * v0 + D[:, 1, 1] * v1)
-
-
-def _adjugate_matvec(D, w0, w1):
-    """adj(D) w at each point, adj(D) = [[d11, -d01], [-d10, d00]].
-
-    adj(D) = det(D) D^-1, so wherever only the direction of D^-1 w counts,
-    this gives it with no inverse and no division."""
-    return (D[:, 1, 1] * w0 - D[:, 0, 1] * w1,
-            D[:, 0, 0] * w1 - D[:, 1, 0] * w0)
 
 
 def _length(v0, v1):
@@ -402,86 +440,144 @@ def unstable_growth(map: HyperbolicToralMap, points,
     return _length(*_matvec(map.differential(points), u[:, 0], u[:, 1]))
 
 
+def _arc(axis, side, tan_a: float) -> tuple[float, float]:
+    """(start, width) of the angles t whose unit vector (cos t, sin t) lies
+    in the cone {axis + s side : |s| <= tan_a}, one of its two halves."""
+    (p0, p1), (m0, m1) = axis + tan_a * side, axis - tan_a * side
+    cross = m0 * p1 - m1 * p0
+    start = (m0, m1) if cross > 0 else (p0, p1)
+    return (math.atan2(start[1], start[0]),
+            math.atan2(abs(cross), m0 * p0 + m1 * p1))
+
+
+def _arc_extreme(D, start: float, width: float, largest: bool):
+    """max (largest) or min of |D v| over the unit vectors v of the arc, for
+    each matrix of the stack D, in closed form.
+
+    On v(t) = (cos t, sin t), |D v|^2 = a + b cos 2t + c sin 2t with a, b, c
+    read off D^T D.  Its maximum is at 2t = atan2(c, b) and its minimum half
+    a turn of 2t away; the extreme over the arc is at one of its ends, or at
+    that angle when the angle lies on the arc."""
+    d00, d01, d10, d11 = D[:, 0, 0], D[:, 0, 1], D[:, 1, 0], D[:, 1, 1]
+    ends = [_length(*_matvec(D, math.cos(t), math.sin(t)))
+            for t in (start, start + width)]
+    g00 = d00 * d00 + d10 * d10
+    g11 = d01 * d01 + d11 * d11
+    b, c = 0.5 * (g00 - g11), d00 * d01 + d10 * d11
+    crit = 0.5 * np.arctan2(c, b)
+    if largest:
+        inner = np.sqrt(0.5 * (g00 + g11) + np.hypot(b, c))
+        out = np.maximum(*ends)
+        on_arc = np.mod(crit - start, math.pi) <= width
+        return np.where(on_arc, np.maximum(out, inner), out)
+    inner = np.sqrt(np.maximum(0.5 * (g00 + g11) - np.hypot(b, c), 0.0))
+    out = np.minimum(*ends)
+    on_arc = np.mod(crit + 0.5 * math.pi - start, math.pi) <= width
+    return np.where(on_arc, np.minimum(out, inner), out)
+
+
 def verify_hyperbolicity(map: HyperbolicToralMap, grid_resolution: int,
-                         cone_half_angle: float = 0.15,
-                         warmup: int = 30) -> ConeReport:
-    """Check the constant cone field around the eigendirections of A.
+                         cone_half_angle: float = 0.15) -> ConeReport:
+    """Certify the constant cone fields around the eigendirections of A.
 
-    At every grid point the boundary rays of the unstable cone must map
-    strictly inside the cone under Df, and the stable cone strictly inside
-    itself under Df^-1.  lambda_expand is the minimal growth along the
-    numerically aligned unstable direction (warmup pushes a generic vector
-    forward along the backward orbit), lambda_contract the maximal stable
-    contraction (a vector pulled back along the forward orbit).
+    The unstable cone C_u = {v_u + s v_s} and the stable cone C_s =
+    {v_s + s v_u}, |s| <= tan(cone_half_angle), are checked at the centres
+    c of a grid_resolution^2 grid, and the result is made to hold at every
+    point y of the torus:
 
-    No inverse is formed.  Df^-1 enters only through the direction of an
-    image, and adj(Df) = det(Df) Df^-1 gives the same direction, so the
-    stable cone check and the pull-back use the adjugate, renormalizing
-    after every step.  Every product is written out term by term, in the
-    order of the einsum it replaced.  Raises NotHyperbolic on any cone
-    violation.
+    - Sampled checks.  At each centre the images under Df of the two
+      boundary rays r of C_u must lie strictly inside C_u, at an angle below
+      the half-angle from v_u, and on the same side of the stable axis (two
+      edges inside the cone on opposite sides would let the image sector
+      cross it).  The stable cone is checked the same way under adj(Df) =
+      det(Df) Df^-1, which gives the direction of Df^-1 with no inverse.
+      Any violation raises NotHyperbolic.
+    - Slack.  |Df(x) - Df(y)|_2 <= L_D |x - y| with L_D =
+      map.differential_lipschitz, and every y lies within h = sqrt(2)/(2G)
+      of a centre, so |Df(y) - Df(c)|_2 <= slack = L_D h + CONE_ROUNDING.
+      For a 2x2 matrix |adj E|_2 = |E|_2, so the same slack bounds adj(Df).
+      L_D is 0 on a linear map, whose slack is CONE_ROUNDING alone.
+    - Certified angles.  With (along, across) = P Df(c) r the coordinates
+      of an image on (v_u, v_s) by Cramer's rule, the image of r at y moves
+      by at most eta |r|, eta = |P|_2 slack, so its angle is at most
+      arctan2(|across| + eta |r|, |along| - eta |r|).  Both cones are
+      certified when every such angle is below the half-angle; the image
+      then keeps the side of its centre, and each cone maps strictly inside
+      itself everywhere.
+    - Rates.  expand_bound is the minimum over the centres of min |Df v|
+      over the unit vectors of C_u, minus slack; contract_bound the maximum
+      of max |Df v| over C_s, plus slack.  Each arc extreme is exact, in
+      closed form (_arc_extreme).
 
-    For a linear map Df is A at every point, so every per-point quantity is
-    the same at every grid point: the checks run on the first grid point
-    alone, and the report (grid_resolution included) is the full grid's.
+    certified is the verdict of the angles; passed adds expand_bound > 1 >
+    contract_bound.  A report that is not certified does not raise: a finer
+    grid shrinks the slack.  For a linear map Df is A at every point, so
+    every per-point quantity is the same at every grid point: the checks run
+    on the first grid point alone, and the report (grid_resolution
+    included) is the full grid's.
     """
     if grid_resolution < 16:
         raise ValueError("grid_resolution must be >= 16")
     if not 0 < cone_half_angle < math.pi / 4:
         raise ValueError("cone_half_angle must be in (0, pi/4)")
-    if warmup < 1:
-        raise ValueError(f"warmup must be >= 1, got {warmup}")
     pts = _grid_points(grid_resolution)
     if map.is_linear:
         pts = pts[:1]
     (u0, u1), (s0, s1) = map.v_u, map.v_s
     tan_a = math.tan(cone_half_angle)
+    slack = (map.differential_lipschitz * math.sqrt(2.0)
+             / (2 * grid_resolution) + CONE_ROUNDING)
+    # P x = (s1 x0 - s0 x1, u0 x1 - u1 x0), the coordinates of x along
+    # (v_u, v_s) times det[v_u v_s]
+    eta = float(np.linalg.norm([[s1, -s0], [-u1, u0]], 2)) * slack
 
     D = map.differential(pts)               # (N,2,2)
     d00, d01, d10, d11 = D[:, 0, 0], D[:, 0, 1], D[:, 1, 0], D[:, 1, 1]
 
-    def worst_angle(m00, m01, m10, m11, axis_u: bool) -> float:
+    def image_angles(m00, m01, m10, m11, axis_u: bool):
+        """Worst sampled and certified image angle of the boundary rays, and
+        whether their images lie on opposite sides of the other axis."""
         axis, side = (map.v_u, map.v_s) if axis_u else (map.v_s, map.v_u)
-        worst = 0.0
+        sampled = certified = 0.0
+        sides = []
         for sign in (1.0, -1.0):
             r0, r1 = axis + sign * tan_a * side
             x = m00 * r0 + m01 * r1
             y = m10 * r0 + m11 * r1
-            # coordinates along (v_u, v_s) times det[v_u v_s] (Cramer)
             cu = s1 * x - s0 * y
             cs = u0 * y - u1 * x
             along, across = (cu, cs) if axis_u else (cs, cu)
-            ang = np.arctan2(np.abs(across), np.abs(along))
-            worst = max(worst, float(np.max(ang)))
-        return worst
+            sides.append(along > 0)
+            along, across = np.abs(along), np.abs(across)
+            e = eta * math.hypot(r0, r1)
+            sampled = max(sampled, float(np.max(np.arctan2(across, along))))
+            certified = max(certified, float(np.max(
+                np.arctan2(across + e, along - e))))
+        return sampled, certified, bool(np.any(sides[0] != sides[1]))
 
-    wu = worst_angle(d00, d01, d10, d11, axis_u=True)
-    ws = worst_angle(d11, -d01, -d10, d00, axis_u=False)
-    if wu >= cone_half_angle or ws >= cone_half_angle:
+    wu, cert_u, flip_u = image_angles(d00, d01, d10, d11, axis_u=True)
+    ws, cert_s, flip_s = image_angles(d11, -d01, -d10, d00, axis_u=False)
+    if (wu >= cone_half_angle or ws >= cone_half_angle
+            or flip_u or flip_s):
         raise NotHyperbolic(
             f"cone field not strictly invariant: unstable image angle "
             f"{wu:.5f}, stable image angle {ws:.5f}, half-angle "
-            f"{cone_half_angle:.5f}")
+            f"{cone_half_angle:.5f}, boundary ray images on opposite sides: "
+            f"unstable {flip_u}, stable {flip_s}")
 
-    # aligned expansion/contraction via warmup
-    lam_expand = float(np.min(unstable_growth(map, pts, warmup)))
-
-    w0 = np.full(len(pts), 0.6180339887498949)
-    w1 = np.full(len(pts), -1.0)
-    forward = pts
-    fpath = [pts]
-    for _ in range(warmup - 1):
-        forward = map.step(forward)
-        fpath.append(forward)
-    for q in reversed(fpath):
-        Dq = D if q is pts else map.differential(q)
-        w0, w1 = _normalize(*_adjugate_matvec(Dq, w0, w1))
-    lam_contract = float(np.max(_length(*_matvec(D, w0, w1))))
-
+    expand = float(np.min(_arc_extreme(
+        D, *_arc(map.v_u, map.v_s, tan_a), largest=False))) - slack
+    contract = float(np.max(_arc_extreme(
+        D, *_arc(map.v_s, map.v_u, tan_a), largest=True))) + slack
+    certified = cert_u < cone_half_angle and cert_s < cone_half_angle
     return ConeReport(
-        lambda_expand=lam_expand,
-        lambda_contract=lam_contract,
+        expand_bound=expand,
+        contract_bound=contract,
+        unstable_angle=cert_u,
+        stable_angle=cert_s,
+        slack=slack,
         cone_half_angle=cone_half_angle,
         grid_resolution=grid_resolution,
-        passed=lam_expand > 1.0 and lam_contract < 1.0,
+        certified=certified,
+        passed=certified and expand > 1.0 and contract < 1.0,
     )

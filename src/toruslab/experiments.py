@@ -404,9 +404,12 @@ class AcceptanceSuite:
         stages = _stages(run_config(PERTURBED_PROXY_CONFIG, self.threads))
         rep, basin, ent = (stages[k] for k in ("verify_map", "basin",
                                                "entropy"))
-        c.add("cone verification", rep["passed"],
-              f"expand {rep['lambda_expand']:.4f} contract "
-              f"{rep['lambda_contract']:.4f}")
+        bounds = (f"expand >= {rep['expand_bound']:.4f}, contract <= "
+                  f"{rep['contract_bound']:.4f}, slack {rep['slack']:.2e}")
+        c.add("cone verification", rep["passed"], bounds)
+        c.add("certified cone verification", rep["certified"],
+              f"image angles {rep['unstable_angle']:.4f}, "
+              f"{rep['stable_angle']:.4f} < {rep['cone_half_angle']:.4f}")
         c.add("verdict", basin["verdict"] == Verdict.CONSISTENT_WITH_ZERO,
               f"{basin['verdict']}, slopes "
               + ", ".join(f"{r['slope']:+.5f}" for r in basin["rates"]))

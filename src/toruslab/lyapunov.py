@@ -39,6 +39,7 @@ class LyapunovSpectrum:
     chi_plus: float
     chi_minus: float
     n_steps: int
+    warmup: int
 
 
 def _log_growth(jac: np.ndarray, u0: float, u1: float, skip: int = 0
@@ -86,7 +87,7 @@ def lyapunov_spectrum_qr(map: HyperbolicToralMap, point, n: int,
         raise DegenerateCocycle("second column vanished")
     log_det = float(np.sum(np.log(det[warmup:])))
     return LyapunovSpectrum(chi_plus=top / n, chi_minus=(log_det - top) / n,
-                            n_steps=n)
+                            n_steps=n, warmup=warmup)
 
 
 def unstable_integral(map: HyperbolicToralMap, measure: MeasureLike,

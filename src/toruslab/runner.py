@@ -65,7 +65,10 @@ def run(cfg: ExperimentConfig, threads: int | None = None) -> dict:
         rep = verify_hyperbolicity(cfg.map, cfg.verify_grid)
         stages["verify_map"] = asdict(rep)
         if not rep.passed:
-            record["warnings"].append("cone report did not pass")
+            record["warnings"].append(
+                "cone report did not pass" if rep.certified else
+                "cone report did not pass: cone field not certified "
+                "between grid points")
     except NotHyperbolic as exc:
         stages["verify_map"] = {"error": str(exc)}
         record["warnings"].append("map failed hyperbolicity verification; "
@@ -236,7 +239,9 @@ def _run_lyapunov(cfg: ExperimentConfig, components: list) -> dict:
         "chi_minus": spec.chi_minus,
         "qr_steps": spec.n_steps,
         "unstable_integral_target": integral,
+        # the unstable integral's warmup; the QR spectrum runs its own
         "warmup": ly["warmup"],
+        "qr_warmup": spec.warmup,
         "quad_grid": ly["quad_grid"],
     }
 

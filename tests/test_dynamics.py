@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toruslab.dynamics import (TWO_PI, ConeReport, HyperbolicToralMap,
-                               NotHyperbolic, _grid_points, torus_distance,
-                               unstable_warmup, verify_hyperbolicity, wrap)
+from toruslab.dynamics import (CONE_ROUNDING, TWO_PI, ConeReport,
+                               HyperbolicToralMap, NotHyperbolic,
+                               _arc_extreme, _grid_points, torus_distance,
+                               unstable_growth, verify_hyperbolicity, wrap)
 from toruslab.lyapunov import lyapunov_spectrum_qr, unstable_integral
 from toruslab.weakstar import OrbitMeasure
 
@@ -115,22 +116,29 @@ class TestStepFollowsOrbit:
 
 def reference_inverse(m, p):
     """`step_inverse` with each series term in its former allocating form,
-    sin(2 pi (k0 x + k1 y)) summed into fresh arrays."""
-    ainv = m.matrix_inv.T.astype(float)
-    q = p @ ainv
+    sin(2 pi (k0 x + k1 y)) summed into fresh arrays, iterating every point
+    and holding each one fixed from its first step below 1e-12 on."""
+    (b00, b01), (b10, b11) = m.matrix_inv.astype(float).tolist()
+
+    def lift(v):
+        x, y = v[..., 0], v[..., 1]
+        return np.stack([b00 * x + b01 * y, b10 * x + b11 * y], axis=-1)
+
+    q = lift(p)
     psi = np.empty(p.shape)
-    while True:
+    done = np.zeros(p.shape[:-1], dtype=bool)
+    while not done.all():
         px = py = 0.0
         for (c0, c1), (k0, k1) in zip(m._coeffs.tolist(), m._freqs.tolist()):
             s = np.sin(2.0 * math.pi * (k0 * q[..., 0] + k1 * q[..., 1]))
             px = px + c0 * s
             py = py + c1 * s
         psi[..., 0], psi[..., 1] = px, py
-        q_next = (p - m.amplitude * psi) @ ainv
-        delta = float(np.max(np.abs(q_next - q)))
-        q = q_next
-        if delta < 1e-12:
-            return mod_wrap(q)
+        q_next = lift(p - m.amplitude * psi)
+        delta = np.max(np.abs(q_next - q), axis=-1)
+        q = np.where(done[..., None], q, q_next)
+        done = done | (delta < 1e-12)
+    return mod_wrap(q)
 
 
 class TestInverse:
@@ -155,6 +163,20 @@ class TestInverse:
         for p in (pts, pts[0]):
             got, ref = m.step_inverse(p), reference_inverse(m, p)
             assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+    @pytest.mark.parametrize("name", ["cat-sin-y", "3211-sin-y",
+                                      "three-terms", "axis-terms"])
+    def test_batch_equals_point_loop(self, name):
+        # each point stops at its own tolerance step, so neither its inverse
+        # nor its warmed-up growth depends on the batch it is stepped in
+        m = STEP_ORBIT_MAPS[name]
+        pts = np.random.default_rng(9).random((40, 2))
+        inv = np.array([m.step_inverse(p) for p in pts])
+        assert np.array_equal(m.step_inverse(pts).view(np.int64),
+                              inv.view(np.int64))
+        growth = np.array([unstable_growth(m, p[None], 60)[0] for p in pts])
+        assert np.array_equal(unstable_growth(m, pts, 60).view(np.int64),
+                              growth.view(np.int64))
 
     def test_roundtrip_perturbed_bulk(self):
         m = HyperbolicToralMap([[2, 1], [1, 1]], 0.004,
@@ -350,72 +372,95 @@ def adjugate(D):
     return adj
 
 
-def full_grid_cone_report(map, grid_resolution, cone_half_angle=0.15,
-                          warmup=30, pull_back=adjugate):
-    """`verify_hyperbolicity` as it was before linear maps were checked on
-    one point: every check at every point of the grid, with batched products.
-    pull_back(Df) stands for Df^-1 in the stable cone check and the backward
-    push: the adjugate by default, np.linalg.inv for the former route."""
+def scaled_inverse(D):
+    """det(D) D^-1 by np.linalg.inv, the former route to the stable cone."""
+    return np.linalg.det(D)[:, None, None] * np.linalg.inv(D)
+
+
+def reference_cone_report(map, grid_resolution, cone_half_angle=0.15,
+                          pull_back=adjugate, n_dirs=2001):
+    """The certified cone report with every check at every grid point, by
+    batched products in the coordinates of the basis (v_u, v_s), and each
+    arc extreme taken over n_dirs sampled directions, the arc's two ends
+    among them.  pull_back(Df) stands for adj(Df) in the stable cone."""
     pts = _grid_points(grid_resolution)
-    basis = np.column_stack([map.v_u, map.v_s])
-    basis_inv = np.linalg.inv(basis)
+    basis_inv = np.linalg.inv(np.column_stack([map.v_u, map.v_s]))
     tan_a = math.tan(cone_half_angle)
+    slack = (map.differential_lipschitz * math.sqrt(2.0)
+             / (2 * grid_resolution) + CONE_ROUNDING)
+    eta = np.linalg.norm(basis_inv, 2) * slack
     D = map.differential(pts)
+    dirs = tan_a * np.linspace(-1.0, 1.0, n_dirs)
 
-    def worst_angle(mats, axis_u):
-        worst = 0.0
+    def cone(mats, axis, side, along):
+        angle = 0.0
         for sign in (1.0, -1.0):
-            if axis_u:
-                ray = map.v_u + sign * tan_a * map.v_s
-            else:
-                ray = map.v_s + sign * tan_a * map.v_u
+            ray = axis + sign * tan_a * side
             comp = (mats @ ray) @ basis_inv.T
-            if axis_u:
-                ang = np.arctan2(np.abs(comp[:, 1]), np.abs(comp[:, 0]))
-            else:
-                ang = np.arctan2(np.abs(comp[:, 0]), np.abs(comp[:, 1]))
-            worst = max(worst, float(np.max(ang)))
-        return worst
+            e = eta * np.linalg.norm(ray)
+            angle = max(angle, float(np.max(np.arctan2(
+                np.abs(comp[:, 1 - along]) + e, np.abs(comp[:, along]) - e))))
+        v = axis + dirs[:, None] * side
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        return angle, np.linalg.norm(np.einsum("nij,tj->nti", D, v), axis=2)
 
-    assert worst_angle(D, True) < cone_half_angle
-    assert worst_angle(pull_back(D), False) < cone_half_angle
-    v = unstable_warmup(map, pts, warmup)
-    lam_expand = float(np.min(np.linalg.norm(
-        np.einsum("nij,nj->ni", D, v), axis=1)))
-    w = np.broadcast_to(np.array([0.6180339887498949, -1.0]),
-                        pts.shape).copy()
-    forward = pts
-    fpath = [pts]
-    for _ in range(warmup - 1):
-        forward = map.step(forward)
-        fpath.append(forward)
-    for q in reversed(fpath):
-        w = np.einsum("nij,nj->ni", pull_back(map.differential(q)), w)
-        w /= np.linalg.norm(w, axis=1, keepdims=True)
-    lam_contract = float(np.max(np.linalg.norm(
-        np.einsum("nij,nj->ni", D, w), axis=1)))
-    return ConeReport(lambda_expand=lam_expand, lambda_contract=lam_contract,
-                      cone_half_angle=cone_half_angle,
-                      grid_resolution=grid_resolution,
-                      passed=lam_expand > 1.0 and lam_contract < 1.0)
+    unstable_angle, grow = cone(D, map.v_u, map.v_s, 0)
+    stable_angle, shrink = cone(pull_back(D), map.v_s, map.v_u, 1)
+    expand = float(np.min(grow)) - slack
+    contract = float(np.max(shrink)) + slack
+    certified = max(unstable_angle, stable_angle) < cone_half_angle
+    return ConeReport(expand_bound=expand, contract_bound=contract,
+                      unstable_angle=unstable_angle, stable_angle=stable_angle,
+                      slack=slack, cone_half_angle=cone_half_angle,
+                      grid_resolution=grid_resolution, certified=certified,
+                      passed=certified and expand > 1.0 > contract)
+
+
+def symmetric_bounds(lam_u, lam_s, alpha):
+    """min |A v| on the unstable arc and max on the stable one, for a
+    symmetric A: its eigenvectors are orthonormal, and both extremes sit at
+    the arc's ends."""
+    c2, s2 = math.cos(alpha) ** 2, math.sin(alpha) ** 2
+    return (math.sqrt(lam_u ** 2 * c2 + lam_s ** 2 * s2),
+            math.sqrt(lam_s ** 2 * c2 + lam_u ** 2 * s2))
+
+
+class ConstantDifferential(HyperbolicToralMap):
+    """The cat map with Df replaced by one constant matrix everywhere."""
+
+    def __init__(self, jacobian):
+        super().__init__([[2, 1], [1, 1]])
+        self._jacobian = np.asarray(jacobian, dtype=float)
+
+    def differential(self, points):
+        shape = np.shape(points)[:-1] + (2, 2)
+        return np.broadcast_to(self._jacobian, shape).copy()
 
 
 LINEAR_CONE_MAPS = [[[2, 1], [1, 1]], [[1, 1], [1, 0]], [[3, 1], [2, 1]],
                     [[1, 1], [1, 2]]]
-# (matrix, amplitude, perturbation) of the benchmark's perturbed-run map and
-# of a two-term map with non-unit coefficients
+# (matrix, amplitude, perturbation) of the benchmark's perturbed-run map, of
+# a two-term map with non-unit coefficients and of a steep map that passes
+# the construction bound but turns directions by up to 0.09 rad
 PERTURBED_RUN_MAP = ([[2, 1], [1, 1]], 0.005, [((1.0, 0.0), (0, 1))])
 TWO_TERM_MAP = ([[2, 1], [1, 1]], 0.004,
                 [((0.7, -0.3), (1, 2)), ((0.2, 0.5), (1, -1))])
+STEEP_MAP = ([[2, 1], [1, 1]], 0.4, [((0.075, 0.0), (0, 1))])
+DENSE_MAPS = {"amp-0.02": ([[2, 1], [1, 1]], 0.02, [((1.0, 0.0), (0, 1))]),
+              "two-term": TWO_TERM_MAP, "steep": STEEP_MAP}
 
 
 class TestConeVerification:
     @pytest.mark.parametrize("resolution", [16, 32, 64])
     @pytest.mark.parametrize("matrix", LINEAR_CONE_MAPS, ids=str)
     def test_linear_report_equals_full_grid(self, matrix, resolution):
+        # a zero coefficient keeps Df = A exactly but takes the full-grid
+        # path, which the one-point report of the linear map must equal
         m = HyperbolicToralMap(matrix)
+        twin = HyperbolicToralMap(matrix, 0.01, [((0.0, 0.0), (1, 0))])
+        assert m.is_linear and not twin.is_linear
         rep = verify_hyperbolicity(m, resolution)
-        assert rep == full_grid_cone_report(m, resolution)
+        assert rep == verify_hyperbolicity(twin, resolution)
         assert rep.grid_resolution == resolution
 
     @pytest.mark.parametrize("matrix, amplitude, perturbation", [
@@ -426,21 +471,47 @@ class TestConeVerification:
         + ["perturbed-run", "two-term"])
     def test_adjugate_agrees_with_inverse(self, matrix, amplitude,
                                           perturbation):
-        # the former np.linalg.inv route as a second reference: the
-        # adjugate changes only the rounding of the renormalized pull-back
+        # the reference takes the stable cone through np.linalg.inv and
+        # every arc extreme from 2001 sampled directions per grid point
         m = HyperbolicToralMap(matrix, amplitude, perturbation)
-        rep = verify_hyperbolicity(m, 32)
-        ref = full_grid_cone_report(m, 32, pull_back=np.linalg.inv)
-        assert rep.lambda_expand == ref.lambda_expand
-        assert rep.lambda_contract == pytest.approx(ref.lambda_contract,
-                                                    rel=1e-15, abs=0.0)
-        assert rep.passed and ref.passed
+        rep = verify_hyperbolicity(m, 16)
+        ref = reference_cone_report(m, 16, pull_back=scaled_inverse)
+        for field in ("expand_bound", "contract_bound", "unstable_angle",
+                      "stable_angle", "slack"):
+            assert abs(getattr(rep, field) - getattr(ref, field)) <= 1e-12, \
+                field
+        assert (rep.certified, rep.passed) == (ref.certified, ref.passed)
+        assert rep.passed
+
+    def test_arc_extreme_closed_form(self):
+        # random matrices put the extreme directions on the arc as often as
+        # off it; against 20001 sampled directions the closed form is never
+        # beaten and is within the sampling error
+        D = np.random.default_rng(3).normal(size=(100, 2, 2))
+        start, width = 0.4, 1.1
+        t = np.linspace(start, start + width, 20_001)
+        v = np.column_stack([np.cos(t), np.sin(t)])
+        lengths = np.linalg.norm(np.einsum("nij,tj->nti", D, v), axis=2)
+        lo = _arc_extreme(D, start, width, largest=False)
+        hi = _arc_extreme(D, start, width, largest=True)
+        assert np.all(lo <= lengths.min(axis=1) + 1e-12)
+        assert np.all(hi >= lengths.max(axis=1) - 1e-12)
+        assert np.all(lengths.min(axis=1) - lo <= 1e-7)
+        assert np.all(hi - lengths.max(axis=1) <= 1e-7)
+        inner = [(0 < np.argmin(row) < len(t) - 1)
+                 or (0 < np.argmax(row) < len(t) - 1) for row in lengths]
+        assert 0 < sum(inner) < len(D)
 
     def test_perturbed_run_report_pinned(self):
-        # the values of the np.linalg.inv route, kept bit for bit
         rep = verify_hyperbolicity(HyperbolicToralMap(*PERTURBED_RUN_MAP), 64)
-        assert rep.lambda_expand == 2.603942051616345
-        assert rep.lambda_contract == 0.3960766002519866
+        assert rep.expand_bound == 2.570079655400678
+        assert rep.contract_bound == 0.5693705241745074
+        assert rep.slack == 0.00218089506338715
+        assert rep.unstable_angle == pytest.approx(0.027213370680092178,
+                                                   rel=1e-14)
+        assert rep.stable_angle == pytest.approx(0.03258254428971291,
+                                                 rel=1e-14)
+        assert rep.certified and rep.passed
 
     def test_perturbed_lyapunov_pinned(self):
         # the Lyapunov stage of the same map, kept bit for bit; chi_minus is
@@ -453,28 +524,88 @@ class TestConeVerification:
         assert unstable_integral(m, orbit) == 0.9624327582709847
 
     def test_three_one_contract_exact(self):
-        # the adjugate route gives the correctly rounded 2 - sqrt(3); the
-        # inverse route read 0.26794919243112275, as LAPACK's inverse of
-        # [[3, 1], [2, 1]] was not exact
-        rep = verify_hyperbolicity(HyperbolicToralMap([[3, 1], [2, 1]]), 16)
-        assert rep.lambda_contract == 0.2679491924311227
+        # [[3, 1], [2, 1]] is not symmetric, so v_u and v_s are not
+        # orthogonal; the largest |A v| on its stable arc is still at a
+        # boundary ray
+        m = HyperbolicToralMap([[3, 1], [2, 1]])
+        tan_a = math.tan(0.15)
+        ends = [float(np.linalg.norm(m.matrix @ r) / np.linalg.norm(r))
+                for r in (m.v_s + tan_a * m.v_u, m.v_s - tan_a * m.v_u)]
+        rep = verify_hyperbolicity(m, 16)
+        assert abs(rep.contract_bound - (max(ends) + CONE_ROUNDING)) < 1e-15
 
     def test_cat_exact_expansion(self, cat):
         rep = verify_hyperbolicity(cat, 32)
-        assert rep.passed
-        assert abs(rep.lambda_expand - LAMBDA_CAT) < 1e-9
-        assert abs(rep.lambda_contract - 1.0 / LAMBDA_CAT) < 1e-9
+        expand, contract = symmetric_bounds(LAMBDA_CAT, 1.0 / LAMBDA_CAT,
+                                            0.15)
+        assert rep.passed and rep.certified
+        assert rep.slack == CONE_ROUNDING
+        assert abs(rep.expand_bound - (expand - CONE_ROUNDING)) < 1e-14
+        assert abs(rep.contract_bound - (contract + CONE_ROUNDING)) < 1e-14
+        assert round(rep.expand_bound, 4) == 2.5893
+        assert round(rep.contract_bound, 4) == 0.5438
 
     def test_golden_exact_expansion(self, golden):
         rep = verify_hyperbolicity(golden, 32)
-        assert rep.passed
-        assert abs(rep.lambda_expand - LAMBDA_GOLDEN) < 1e-9
-        assert rep.lambda_contract < 1.0
+        expand, contract = symmetric_bounds(LAMBDA_GOLDEN,
+                                            1.0 / LAMBDA_GOLDEN, 0.15)
+        assert rep.passed and rep.certified
+        assert abs(rep.expand_bound - (expand - CONE_ROUNDING)) < 1e-14
+        assert abs(rep.contract_bound - (contract + CONE_ROUNDING)) < 1e-14
+
+    @pytest.mark.parametrize("name", sorted(DENSE_MAPS))
+    def test_dense_samples_inside_bounds(self, name):
+        # the report holds at every point of the torus, not only at the
+        # centres: 10^5 random points, 17 directions across each cone
+        m = HyperbolicToralMap(*DENSE_MAPS[name])
+        rep = verify_hyperbolicity(m, 32)
+        assert rep.certified
+        pts = np.random.default_rng(17).random((100_000, 2))
+        D = m.differential(pts)
+        basis_inv = np.linalg.inv(np.column_stack([m.v_u, m.v_s]))
+        tan_a = math.tan(rep.cone_half_angle)
+        for mats, axis, side, along, angle, bound, worst in (
+                (D, m.v_u, m.v_s, 0, rep.unstable_angle,
+                 rep.expand_bound, np.min),
+                (adjugate(D), m.v_s, m.v_u, 1, rep.stable_angle,
+                 -rep.contract_bound, lambda x: -np.max(x))):
+            sides = []
+            for s in tan_a * np.linspace(-1.0, 1.0, 17):
+                v = axis + s * side
+                comp = (mats @ v) @ basis_inv.T
+                a, c = comp[:, along], comp[:, 1 - along]
+                assert np.max(np.arctan2(np.abs(c), np.abs(a))) <= angle
+                sides.append(a > 0)
+                length = np.linalg.norm(D @ (v / np.linalg.norm(v)), axis=1)
+                assert worst(length) >= bound
+            assert all(np.array_equal(x, sides[0]) for x in sides)
+
+    def test_uncertified_report_does_not_raise(self):
+        # every sampled image angle fits a 0.08 cone on the G = 16 grid, but
+        # the slack between grid points does not; G = 32 certifies it
+        m = HyperbolicToralMap(*STEEP_MAP)
+        rep = verify_hyperbolicity(m, 16, cone_half_angle=0.08)
+        assert rep.stable_angle >= 0.08
+        assert not rep.certified and not rep.passed
+        assert verify_hyperbolicity(m, 32, cone_half_angle=0.08).certified
+
+    def test_opposite_sides_raise(self, cat):
+        # in (v_u, v_s) coordinates [[0.01, 1], [0, 0.01]] sends both
+        # boundary rays of the unstable cone within 0.011 rad of the v_u
+        # axis, but to opposite sides of the stable axis: the image sector
+        # holds -v_s, and only the side check sees it
+        basis = np.column_stack([cat.v_u, cat.v_s])
+        jac = basis @ np.array([[0.01, 1.0], [0.0, 0.01]]) \
+            @ np.linalg.inv(basis)
+        with pytest.raises(NotHyperbolic,
+                           match=r"unstable image angle 0\.01.*"
+                                 r"opposite sides: unstable True"):
+            verify_hyperbolicity(ConstantDifferential(jac), 16)
 
     def test_steep_perturbation_fails_tight_cone(self):
         # passes the construction contraction bound but rotates directions
         # past a 0.02 cone; the same map is fine at the default angle
-        m = HyperbolicToralMap([[2, 1], [1, 1]], 0.4, [((0.075, 0.0), (0, 1))])
+        m = HyperbolicToralMap(*STEEP_MAP)
         with pytest.raises(NotHyperbolic):
             verify_hyperbolicity(m, 32, cone_half_angle=0.02)
         assert verify_hyperbolicity(m, 32, cone_half_angle=0.15).passed
@@ -483,16 +614,8 @@ class TestConeVerification:
         with pytest.raises(ValueError):
             verify_hyperbolicity(cat, 8)
 
-    @pytest.mark.parametrize("warmup", [0, -2])
-    def test_nonpositive_warmup_rejected(self, warmup):
-        # warmup 0 reported lambda_expand 3.0613 for this map, the growth
-        # of the seed vector, instead of 2.6040
-        m = HyperbolicToralMap(*PERTURBED_RUN_MAP)
-        with pytest.raises(ValueError, match="warmup"):
-            verify_hyperbolicity(m, 32, warmup=warmup)
-
     def test_perturbed_passes_default(self):
-        m = HyperbolicToralMap([[2, 1], [1, 1]], 0.005, [((1.0, 0.0), (0, 1))])
+        m = HyperbolicToralMap(*PERTURBED_RUN_MAP)
         rep = verify_hyperbolicity(m, 32)
-        assert rep.passed
-        assert rep.lambda_expand > 1.0 > rep.lambda_contract
+        assert rep.passed and rep.certified
+        assert rep.expand_bound > 1.0 > rep.contract_bound
