@@ -268,26 +268,29 @@ class HyperbolicToralMap:
         """
         p = np.asarray(points, dtype=float)
         (b00, b01), (b10, b11) = self._inv_rows
-
-        def lift(x, y):
-            return np.column_stack([b00 * x + b01 * y, b10 * x + b11 * y])
-
         flat = p.reshape(-1, 2)
-        q = lift(flat[:, 0], flat[:, 1])
-        if self.is_linear:
-            return wrap(q.reshape(p.shape))
+        x, y = flat[:, 0], flat[:, 1]
+        q0, q1 = b00 * x + b01 * y, b10 * x + b11 * y
         out = np.empty(flat.shape)
-        todo, x, y = np.arange(len(flat)), flat[:, 0], flat[:, 1]
+        if self.is_linear:
+            out[:, 0], out[:, 1] = q0, q1
+            return wrap(out.reshape(p.shape))
+        amp = self.amplitude
+        todo = np.arange(len(flat))
         for _ in range(INVERSE_MAX_ITER):
-            px, py = self._series(q[:, 0], q[:, 1])
-            q_next = lift(x - self.amplitude * px, y - self.amplitude * py)
-            done = np.abs(q_next - q).max(axis=1) < INVERSE_TOL
+            px, py = self._series(q0, q1)
+            rx, ry = x - amp * px, y - amp * py
+            n0, n1 = b00 * rx + b01 * ry, b10 * rx + b11 * ry
+            done = np.maximum(np.abs(n0 - q0), np.abs(n1 - q1)) < INVERSE_TOL
             if done.all():
-                out[todo] = q_next
+                out[todo, 0], out[todo, 1] = n0, n1
                 return wrap(out.reshape(p.shape))
-            out[todo[done]] = q_next[done]
-            keep = ~done
-            todo, x, y, q = todo[keep], x[keep], y[keep], q_next[keep]
+            if done.any():
+                out[todo[done], 0], out[todo[done], 1] = n0[done], n1[done]
+                keep = ~done
+                todo, x, y = todo[keep], x[keep], y[keep]
+                n0, n1 = n0[keep], n1[keep]
+            q0, q1 = n0, n1
         raise IterationDivergence(
             f"inverse iteration stalled above {INVERSE_TOL} after "
             f"{INVERSE_MAX_ITER} iterations")
