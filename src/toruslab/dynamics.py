@@ -466,17 +466,14 @@ def _arc_extreme(D, start: float, width: float, largest: bool):
             for t in (start, start + width)]
     g00 = d00 * d00 + d10 * d10
     g11 = d01 * d01 + d11 * d11
-    b, c = 0.5 * (g00 - g11), d00 * d01 + d10 * d11
-    crit = 0.5 * np.arctan2(c, b)
-    if largest:
-        inner = np.sqrt(0.5 * (g00 + g11) + np.hypot(b, c))
-        out = np.maximum(*ends)
-        on_arc = np.mod(crit - start, math.pi) <= width
-        return np.where(on_arc, np.maximum(out, inner), out)
-    inner = np.sqrt(np.maximum(0.5 * (g00 + g11) - np.hypot(b, c), 0.0))
-    out = np.minimum(*ends)
-    on_arc = np.mod(crit + 0.5 * math.pi - start, math.pi) <= width
-    return np.where(on_arc, np.minimum(out, inner), out)
+    a, b, c = 0.5 * (g00 + g11), 0.5 * (g00 - g11), d00 * d01 + d10 * d11
+    r = np.hypot(b, c)
+    pick = np.maximum if largest else np.minimum
+    inner = np.sqrt(np.maximum(a + r if largest else a - r, 0.0))
+    crit = 0.5 * np.arctan2(c, b) + (0.0 if largest else 0.5 * math.pi)
+    on_arc = np.mod(crit - start, math.pi) <= width
+    out = pick(*ends)
+    return np.where(on_arc, pick(out, inner), out)
 
 
 def verify_hyperbolicity(map: HyperbolicToralMap, grid_resolution: int,

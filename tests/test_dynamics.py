@@ -372,17 +372,13 @@ def adjugate(D):
     return adj
 
 
-def scaled_inverse(D):
-    """det(D) D^-1 by np.linalg.inv, the former route to the stable cone."""
-    return np.linalg.det(D)[:, None, None] * np.linalg.inv(D)
-
-
 def reference_cone_report(map, grid_resolution, cone_half_angle=0.15,
-                          pull_back=adjugate, n_dirs=2001):
+                          n_dirs=2001):
     """The certified cone report with every check at every grid point, by
-    batched products in the coordinates of the basis (v_u, v_s), and each
-    arc extreme taken over n_dirs sampled directions, the arc's two ends
-    among them.  pull_back(Df) stands for adj(Df) in the stable cone."""
+    batched products in the coordinates of the basis (v_u, v_s), the stable
+    cone through det(Df) Df^-1 by np.linalg.inv in place of adj(Df), and
+    each arc extreme taken over n_dirs sampled directions, the arc's two
+    ends among them."""
     pts = _grid_points(grid_resolution)
     basis_inv = np.linalg.inv(np.column_stack([map.v_u, map.v_s]))
     tan_a = math.tan(cone_half_angle)
@@ -405,7 +401,8 @@ def reference_cone_report(map, grid_resolution, cone_half_angle=0.15,
         return angle, np.linalg.norm(np.einsum("nij,tj->nti", D, v), axis=2)
 
     unstable_angle, grow = cone(D, map.v_u, map.v_s, 0)
-    stable_angle, shrink = cone(pull_back(D), map.v_s, map.v_u, 1)
+    scaled_inverse = np.linalg.det(D)[:, None, None] * np.linalg.inv(D)
+    stable_angle, shrink = cone(scaled_inverse, map.v_s, map.v_u, 1)
     expand = float(np.min(grow)) - slack
     contract = float(np.max(shrink)) + slack
     certified = max(unstable_angle, stable_angle) < cone_half_angle
@@ -475,7 +472,7 @@ class TestConeVerification:
         # every arc extreme from 2001 sampled directions per grid point
         m = HyperbolicToralMap(matrix, amplitude, perturbation)
         rep = verify_hyperbolicity(m, 16)
-        ref = reference_cone_report(m, 16, pull_back=scaled_inverse)
+        ref = reference_cone_report(m, 16)
         for field in ("expand_bound", "contract_bound", "unstable_angle",
                       "stable_angle", "slack"):
             assert abs(getattr(rep, field) - getattr(ref, field)) <= 1e-12, \
