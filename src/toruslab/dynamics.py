@@ -9,6 +9,17 @@ enters any cocycle computation.
 All operations accept arrays of shape (..., 2) and broadcast over leading
 axes.  Points are kept in the canonical representative [0, 1)^2.
 
+orbit is a scalar loop with step's rounding.  For a linear map it is exact
+integer arithmetic once a point lies on the lattice 2^-e Z^2, e =
+lattice_exponent (51 for the cat map): on that lattice every product, row
+sum and % 1.0 of the loop is exact, so the float orbit is the integer map
+X -> A X mod 2^e on a finite lattice (Percival & Vivaldi, Physica D 25,
+1987).  orbit tests for the lattice after every LATTICE_CHECK steps and,
+once there, writes the rest of the orbit by doubling, X[L:L+c] = (A^L mod
+2^e) X[0:c], in O(log n) NumPy passes with the loop's floats bit for bit.
+Cat-map orbits from generic points reach the lattice within about a hundred
+steps; a point that never does runs the loop to the end.
+
 The unstable direction u has one implementation, unstable_warmup, and the
 expansion |Df u| one, unstable_growth, whose log is the psi of lyapunov's
 unstable integral.
@@ -40,6 +51,11 @@ TWO_PI = 2.0 * math.pi
 INVERSE_TOL = 1e-12
 INVERSE_MAX_ITER = 100
 
+# steps of orbit's scalar loop between two lattice tests, and rows per NumPy
+# pass of the lattice fill (which bounds its temporaries)
+LATTICE_CHECK = 64
+LATTICE_BLOCK = 8192
+
 # float-rounding allowance in the cone slack (verify_hyperbolicity): the
 # computed Df, ray images and arc extremes carry relative rounding errors of
 # a few units of 2^-53 on entries of order |Df|, far below it
@@ -70,6 +86,22 @@ def wrap(points):
     np.subtract(p, r, out=r)
     r[r >= 1.0] = 0.0
     return r
+
+
+def _combine(c0: float, u, c1: float, v):
+    """c0 u + c1 v with every product by a coefficient of +-1 left out.
+
+    1 u = u and w + (-1) v = w - v exactly, and float addition commutes, so
+    the result is the plain expression's bit for bit at one or two NumPy
+    calls fewer.  With both coefficients -1 it is (-u) - v, not -(u + v),
+    which differs in the sign of a zero sum."""
+    if c1 == 1.0 or c1 == -1.0:
+        w = u if c0 == 1.0 else -u if c0 == -1.0 else c0 * u
+        return w + v if c1 == 1.0 else w - v
+    if c0 == 1.0 or c0 == -1.0:
+        w = c1 * v
+        return w + u if c0 == 1.0 else w - u
+    return c0 * u + c1 * v
 
 
 def torus_distance(p, q):
@@ -153,6 +185,15 @@ class HyperbolicToralMap:
         self._rows = tuple(map(tuple, A.astype(float).tolist()))
         self._inv_rows = tuple(map(tuple,
                                    self.matrix_inv.astype(float).tolist()))
+
+        # orbit's lattice: the largest e with M 2^e <= 2^53, M the largest
+        # |a x + b y| over [0, 1]^2 of a row (a, b) of A, so that on points
+        # of 2^-e Z^2 in [0, 1)^2 every product and row sum is an integer
+        # multiple of 2^-e below 2^53 of them, exact, and so is % 1.0
+        reach = max(max(sum(a for a in row if a > 0),
+                        -sum(a for a in row if a < 0))
+                    for row in A.tolist())
+        self.lattice_exponent = 53 - (reach - 1).bit_length()
 
         # Lip(psi) <= sum 2 pi |c_k| |k|
         self.lipschitz_bound = float(
@@ -259,10 +300,11 @@ class HyperbolicToralMap:
     def step_inverse(self, points):
         """Inverse iterate via the contracting lift q <- A^-1 (p - amp psi(q)).
 
-        A^-1 is applied by element-wise products and sums, and each point
-        stops at the first iterate where its own step |q_next - q|_inf falls
-        below INVERSE_TOL, so a point's inverse does not depend on its
-        batch: a batch gives what a loop over its points gives, bit for bit.
+        A^-1 is applied by element-wise products and sums (`_combine`), and
+        each point stops at the first iterate where its own step
+        |q_next - q|_inf falls below INVERSE_TOL, so a point's inverse does
+        not depend on its batch: a batch gives what a loop over its points
+        gives, bit for bit.
         (A BLAS product would not: OpenBLAS rounds a one-row product without
         the fused multiply-adds of a larger one.)
         """
@@ -270,7 +312,7 @@ class HyperbolicToralMap:
         (b00, b01), (b10, b11) = self._inv_rows
         flat = p.reshape(-1, 2)
         x, y = flat[:, 0], flat[:, 1]
-        q0, q1 = b00 * x + b01 * y, b10 * x + b11 * y
+        q0, q1 = _combine(b00, x, b01, y), _combine(b10, x, b11, y)
         out = np.empty(flat.shape)
         if self.is_linear:
             out[:, 0], out[:, 1] = q0, q1
@@ -280,7 +322,7 @@ class HyperbolicToralMap:
         for _ in range(INVERSE_MAX_ITER):
             px, py = self._series(q0, q1)
             rx, ry = x - amp * px, y - amp * py
-            n0, n1 = b00 * rx + b01 * ry, b10 * rx + b11 * ry
+            n0, n1 = _combine(b00, rx, b01, ry), _combine(b10, rx, b11, ry)
             done = np.maximum(np.abs(n0 - q0), np.abs(n1 - q1)) < INVERSE_TOL
             if done.all():
                 out[todo, 0], out[todo, 1] = n0, n1
@@ -307,8 +349,16 @@ class HyperbolicToralMap:
     def orbit(self, point, n: int) -> np.ndarray:
         """[p, f(p), ..., f^(n-1)(p)] for a single point, shape (n, 2).
 
-        Scalar loop; orbits are inherently sequential and this stays fast for
-        the 1e7-length runs the entropy pipeline uses.
+        A scalar loop, `step`'s products and sums in the same order.  A
+        linear map runs it in blocks of LATTICE_CHECK steps until the current
+        point lies on the lattice 2^-e Z^2, e = `lattice_exponent`; on that
+        lattice every product, row sum and `% 1.0` of the loop is exact, so
+        from there on the float orbit is the integer map X -> A X mod 2^e,
+        and `_lattice_fill` writes the rest of it by doubling, bit for bit
+        the values the loop would give.  A point that never reaches the
+        lattice runs the loop to the end.  A sum in (-2^-54, 0) rounds to
+        1.0 under `% 1.0`; on every map the loop continues from 0.0, as
+        `wrap` and `step` do.
         """
         if n < 1:
             raise ValueError("orbit length must be >= 1")
@@ -316,32 +366,92 @@ class HyperbolicToralMap:
         # interleaved x, y doubles: array.array stores them unboxed and one
         # frombuffer wraps them without a copy
         buf = array.array("d", bytes(16 * n))
+        out = np.frombuffer(buf).reshape(n, 2)
         (a00, a01), (a10, a11) = self._rows
         x, y = float(p[0]), float(p[1])
         if self.is_linear:
-            for i in range(0, 2 * n, 2):
-                buf[i] = x
-                buf[i + 1] = y
-                x, y = (a00 * x + a01 * y) % 1.0, (a10 * x + a11 * y) % 1.0
+            scale = float(2 ** self.lattice_exponent)
+            for start in range(0, n, LATTICE_CHECK):
+                # every point of the loop is in [0, 1)^2, so the lattice
+                # test is integrality alone
+                if (start and (x * scale).is_integer()
+                        and (y * scale).is_integer()):
+                    self._lattice_fill(out[start:], int(x * scale),
+                                       int(y * scale))
+                    break
+                for i in range(2 * start, 2 * min(start + LATTICE_CHECK, n),
+                               2):
+                    buf[i] = x
+                    buf[i + 1] = y
+                    x, y = (a00 * x + a01 * y) % 1.0, (a10 * x + a11 * y) % 1.0
+                    # this loop runs for a prefix or a fallback only, so a
+                    # 1.0 is tested at every step
+                    if x == 1.0:
+                        x = 0.0
+                    if y == 1.0:
+                        y = 0.0
         else:
             amp = self.amplitude
             terms = self._terms
             sin = math.sin
-            for i in range(0, 2 * n, 2):
-                buf[i] = x
-                buf[i + 1] = y
-                px = py = 0.0
-                for c0, c1, k0, k1 in terms:
-                    s = sin(TWO_PI * (k0 * x + k1 * y))
-                    px += c0 * s
-                    py += c1 * s
-                x, y = ((a00 * x + a01 * y + amp * px) % 1.0,
-                        (a10 * x + a11 * y + amp * py) % 1.0)
-        out = np.frombuffer(buf).reshape(n, 2)
-        # mod of a float already in [0,1) is itself, so only the seeds needed
-        # wrapping; still guard the pathological 1.0 case
-        out[out >= 1.0] = 0.0
+            start = 0
+            while True:
+                for i in range(2 * start, 2 * n, 2):
+                    buf[i] = x
+                    buf[i + 1] = y
+                    px = py = 0.0
+                    for c0, c1, k0, k1 in terms:
+                        s = sin(TWO_PI * (k0 * x + k1 * y))
+                        px += c0 * s
+                        py += c1 * s
+                    x, y = ((a00 * x + a01 * y + amp * px) % 1.0,
+                            (a10 * x + a11 * y + amp * py) % 1.0)
+                # a stored 1.0 is rare: test once after the loop, not at
+                # every step, and run it again from 0.0 at the first one
+                ones = np.flatnonzero(out[start:] == 1.0)
+                if not len(ones):
+                    break
+                start += int(ones[0]) // 2
+                x, y = (0.0 if v == 1.0 else float(v) for v in out[start])
         return out
+
+    def _lattice_fill(self, out, x0: int, y0: int) -> None:
+        """Write the orbit of the lattice point (x0, y0) 2^-e into out,
+        shape (m, 2), in place.
+
+        The integer orbit X_j = A^j X_0 mod 2^e is filled by doubling in an
+        int64 view of out: X[L:L+c] = (A^L mod 2^e) X[0:c] mod 2^e, with
+        A^L squared in Python ints, the products wrapping mod 2^64 (exact
+        mod 2^e) and cut to e bits by a mask, at most LATTICE_BLOCK rows per
+        NumPy pass.  Each row is then scaled by 2^-e, which is exact."""
+        e = self.lattice_exponent
+        mask = (1 << e) - 1
+        lat = out.view(np.int64)
+        lat[0] = x0, y0
+        m = len(lat)
+        (b00, b01), (b10, b11) = [[v & mask for v in row]
+                                  for row in self.matrix.tolist()]
+        filled = 1
+        while filled < m:
+            count = min(filled, m - filled)
+            for s in range(0, count, LATTICE_BLOCK):
+                src = lat[s:min(s + LATTICE_BLOCK, count)]
+                dst = lat[filled + s:filled + s + len(src)]
+                x, y = src[:, 0], src[:, 1]
+                np.multiply(x, b00, out=dst[:, 0])
+                dst[:, 0] += y * b01
+                np.multiply(x, b10, out=dst[:, 1])
+                dst[:, 1] += y * b11
+                dst &= mask
+            filled += count
+            b00, b01, b10, b11 = ((b00 * b00 + b01 * b10) & mask,
+                                  (b00 * b01 + b01 * b11) & mask,
+                                  (b10 * b00 + b11 * b10) & mask,
+                                  (b10 * b01 + b11 * b11) & mask)
+        scale = 2.0 ** -e
+        for s in range(0, m, LATTICE_BLOCK):
+            rows = out[s:s + LATTICE_BLOCK]
+            np.multiply(rows.view(np.int64), scale, out=rows)
 
     def __repr__(self):
         return (f"HyperbolicToralMap({self.matrix.tolist()}, "

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from toruslab.dynamics import (CONE_ROUNDING, TWO_PI, ConeReport,
                                HyperbolicToralMap, NotHyperbolic,
                                _arc_extreme, _grid_points, torus_distance,
                                unstable_growth, verify_hyperbolicity, wrap)
+from toruslab.experiments import ORBIT_SEED_POINT
 from toruslab.lyapunov import lyapunov_spectrum_qr, unstable_integral
 from toruslab.weakstar import OrbitMeasure
 
@@ -97,7 +99,16 @@ STEP_ORBIT_MAPS = {
     "axis-terms": HyperbolicToralMap(
         [[2, 1], [1, 1]], 0.004,
         [((0.0, 1.0), (1, 0)), ((0.5, 1.0), (2, 0)), ((1.0, 1.0), (0, -1))]),
+    "1-1-12": HyperbolicToralMap([[1, -1], [-1, 2]]),
+    "1-1-12-sin-y": HyperbolicToralMap([[1, -1], [-1, 2]], 0.004,
+                                       [((1.0, 0.0), (0, 1))]),
 }
+
+# starts whose orbits under [[1, -1], [-1, 2]], without and with the sine
+# term, reach a row sum in (-2^-54, 0), which % 1.0 rounds to 1.0: the loop
+# must go on from 0.0, as step does
+CARRY_POINTS = [(6.22901694889702e-06, 6.229016948897021e-06),
+                (0.001954562132438126, 0.0009772810662190628)]
 
 
 class TestStepFollowsOrbit:
@@ -106,7 +117,8 @@ class TestStepFollowsOrbit:
         # the basin sweep iterates step on arrays, the scalar stages read
         # orbit; both must follow the same float orbit bit for bit
         m = STEP_ORBIT_MAPS[name]
-        pts = np.random.default_rng(11).random((5, 2))
+        pts = np.concatenate([np.random.default_rng(11).random((5, 2)),
+                              CARRY_POINTS])
         orbits = np.stack([m.orbit(p, 300) for p in pts], axis=1)
         x = pts
         for t in range(300):
@@ -246,30 +258,65 @@ class TestDifferential:
 
 
 def reference_orbit(m, point, n):
-    """Element-by-element copy of the scalar orbit loop; HyperbolicToralMap
-    .orbit must return exactly these floats."""
-    out = np.empty((n, 2))
+    """Element-by-element copy of the scalar orbit loop, a row sum that
+    % 1.0 rounds to 1.0 continued from 0.0; HyperbolicToralMap.orbit must
+    return exactly these floats."""
     a00, a01 = float(m.matrix[0, 0]), float(m.matrix[0, 1])
     a10, a11 = float(m.matrix[1, 0]), float(m.matrix[1, 1])
     p = wrap(np.asarray(point, dtype=float).reshape(2))
     x, y = float(p[0]), float(p[1])
     terms = [(float(c[0]), float(c[1]), float(k[0]), float(k[1]))
              for c, k in zip(m._coeffs, m._freqs)] if not m.is_linear else []
-    for i in range(n):
-        out[i, 0] = x
-        out[i, 1] = y
-        if m.is_linear:
-            x, y = (a00 * x + a01 * y) % 1.0, (a10 * x + a11 * y) % 1.0
-            continue
+    xs, ys = [], []
+    for _ in range(n):
+        xs.append(x)
+        ys.append(y)
         px = py = 0.0
         for c0, c1, k0, k1 in terms:
             s = math.sin(2.0 * math.pi * (k0 * x + k1 * y))
             px += c0 * s
             py += c1 * s
-        x, y = ((a00 * x + a01 * y + m.amplitude * px) % 1.0,
-                (a10 * x + a11 * y + m.amplitude * py) % 1.0)
-    out[out >= 1.0] = 0.0
-    return out
+        if terms:
+            x, y = ((a00 * x + a01 * y + m.amplitude * px) % 1.0,
+                    (a10 * x + a11 * y + m.amplitude * py) % 1.0)
+        else:
+            x, y = (a00 * x + a01 * y) % 1.0, (a10 * x + a11 * y) % 1.0
+        x, y = (0.0 if x == 1.0 else x), (0.0 if y == 1.0 else y)
+    return np.column_stack([xs, ys])
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+LATTICE_MAPS = [[[2, 1], [1, 1]], [[1, 1], [1, 2]], [[3, 1], [2, 1]],
+                [[1, -1], [-1, 2]], [[3, 2], [1, 1]]]
+ORBIT_LENGTHS = [1, 63, 64, 65, 128, 129, 4097]
+
+
+def lattice_starts(seed, uniform):
+    """Six special starts (a fixed point, tiny and out-of-range coordinates,
+    the smallest subnormal, a carry point), six uniform starts scaled by
+    1e-8, which reach the cat lattice late, and `uniform` uniform ones."""
+    rng = random.Random(seed)
+    starts = [(0.0, 0.0), (1e-20, 0.3), (5e-324, 0.0), (-1e-17, 0.2),
+              (1.25, -0.5), CARRY_POINTS[0]]
+    starts += [(1e-8 * rng.random(), 1e-8 * rng.random()) for _ in range(6)]
+    return starts + [(rng.random(), rng.random()) for _ in range(uniform)]
+
+
+@pytest.fixture()
+def lattice_fills(monkeypatch):
+    """Record the number of rows each _lattice_fill call writes."""
+    rows = []
+    fill = HyperbolicToralMap._lattice_fill
+
+    def record(self, out, x0, y0):
+        rows.append(len(out))
+        fill(self, out, x0, y0)
+
+    monkeypatch.setattr(HyperbolicToralMap, "_lattice_fill", record)
+    return rows
 
 
 class TestOrbit:
@@ -316,6 +363,52 @@ class TestOrbit:
                 assert step <= q * q
                 return
         pytest.fail("no period within q^2 steps")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("matrix", LATTICE_MAPS, ids=str)
+    def test_lattice_path_equals_reference(self, matrix):
+        # from the first point on 2^-e Z^2 the orbit is filled by doubling
+        # the integer map; every prefix length must give the loop's floats
+        m = HyperbolicToralMap(matrix)
+        for start in lattice_starts(sum(map(sum, matrix)), 88):
+            ref = bits(reference_orbit(m, start, ORBIT_LENGTHS[-1]))
+            for n in ORBIT_LENGTHS:
+                assert np.array_equal(bits(m.orbit(start, n)), ref[:n]), (
+                    start, n)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("matrix", LATTICE_MAPS, ids=str)
+    def test_long_lattice_path_equals_reference(self, matrix):
+        m = HyperbolicToralMap(matrix)
+        # one start scaled by 1e-8 and two uniform ones
+        for start in lattice_starts(7, 2)[-3:]:
+            assert np.array_equal(bits(m.orbit(start, 70_001)),
+                                  bits(reference_orbit(m, start, 70_001)))
+
+    def test_lattice_exponent(self):
+        # M 2^e <= 2^53, M the largest |row sum| over [0, 1]^2
+        assert [HyperbolicToralMap(a).lattice_exponent
+                for a in LATTICE_MAPS] == [51, 51, 51, 52, 50]
+
+    def test_seed_point_takes_lattice_path(self, cat, lattice_fills):
+        # the fast path must not switch off unseen: the cat orbit from the
+        # experiments' seed is on the lattice after one block of the loop
+        cat.orbit(ORBIT_SEED_POINT, 10_000)
+        assert lattice_fills == [10_000 - 64]
+
+    def test_late_and_never_entering_starts(self, cat, lattice_fills):
+        # the smallest subnormal grows onto the cat lattice at step 781;
+        # under [[1, -1], [-1, 2]] it is a fixed point off the lattice, so
+        # the loop runs to the end
+        subnormal = (5e-324, 0.0)
+        o = cat.orbit(subnormal, 2000)
+        assert lattice_fills == [2000 - 832]
+        assert np.array_equal(bits(o), bits(reference_orbit(cat, subnormal,
+                                                             2000)))
+        m = HyperbolicToralMap([[1, -1], [-1, 2]])
+        o = m.orbit(subnormal, 2000)
+        assert lattice_fills == [2000 - 832]
+        assert np.array_equal(bits(o), bits(np.tile(subnormal, (2000, 1))))
 
     def test_rational_float_orbit_matches_exact(self, cat):
         q = 7
