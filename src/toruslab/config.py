@@ -186,9 +186,14 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_pair(value, is_kind) -> bool:
+    """A JSON list of two values that each pass is_kind."""
+    return (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(map(is_kind, value)))
+
+
 def _parse_point(value, path: str) -> tuple[float, float]:
-    if not (isinstance(value, (list, tuple)) and len(value) == 2 and all(
-            _is_number(v) and math.isfinite(v) for v in value)):
+    if not _is_pair(value, lambda v: _is_number(v) and math.isfinite(v)):
         raise ConfigInvalid(path,
                             f"must be two finite numbers, got {value!r}")
     return tuple(float(v) for v in value)
@@ -290,18 +295,28 @@ def parse_config(raw: dict) -> ExperimentConfig:
     mspec = _object(_require(raw, "map", "$"), "map",
                     ("matrix", "amplitude", "perturbation"))
     matrix = _require(mspec, "matrix", "map")
+    if not _is_pair(matrix, lambda row: _is_pair(row, _is_integer)):
+        raise ConfigInvalid("map.matrix", f"must be a 2x2 list of integers, "
+                                          f"got {matrix!r}")
+    amplitude = mspec.get("amplitude", 0.0)
+    if not _is_number(amplitude):
+        raise ConfigInvalid("map.amplitude", f"must be a number, got "
+                                             f"{amplitude!r}")
     terms = []
     for i, t in enumerate(_list(mspec.get("perturbation", []),
                                 "map.perturbation")):
         path = f"map.perturbation[{i}]"
         _object(t, path, ("coeff", "freq"))
-        terms.append((_require(t, "coeff", path), _require(t, "freq", path)))
+        coeff, freq = _require(t, "coeff", path), _require(t, "freq", path)
+        if not _is_pair(coeff, _is_number):
+            raise ConfigInvalid(f"{path}.coeff", f"must be two numbers, got "
+                                                 f"{coeff!r}")
+        if not _is_pair(freq, _is_integer):
+            raise ConfigInvalid(f"{path}.freq", f"must be two integers, got "
+                                                f"{freq!r}")
+        terms.append((coeff, freq))
     try:
-        map = HyperbolicToralMap(
-            matrix,
-            amplitude=float(mspec.get("amplitude", 0.0)),
-            perturbation=terms,
-        )
+        map = HyperbolicToralMap(matrix, float(amplitude), terms)
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid("map", str(exc)) from exc
 

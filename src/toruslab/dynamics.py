@@ -9,16 +9,18 @@ enters any cocycle computation.
 All operations accept arrays of shape (..., 2) and broadcast over leading
 axes.  Points are kept in the canonical representative [0, 1)^2.
 
-orbit is a scalar loop with step's rounding.  For a linear map it is exact
-integer arithmetic once a point lies on the lattice 2^-e Z^2, e =
-lattice_exponent (51 for the cat map): on that lattice every product, row
-sum and % 1.0 of the loop is exact, so the float orbit is the integer map
-X -> A X mod 2^e on a finite lattice (Percival & Vivaldi, Physica D 25,
-1987).  orbit tests for the lattice after every LATTICE_CHECK steps and,
-once there, writes the rest of the orbit by doubling, X[L:L+c] = (A^L mod
-2^e) X[0:c], in O(log n) NumPy passes with the loop's floats bit for bit.
-Cat-map orbits from generic points reach the lattice within about a hundred
-steps; a point that never does runs the loop to the end.
+orbit is one scalar loop for every map, with step's rounding and wrap's
+carry: a % 1.0 that rounds to 1.0 goes on as 0.0.  On a linear map the
+loop's series is empty, and the orbit is exact integer arithmetic once a
+point lies on the lattice 2^-e Z^2, e = lattice_exponent (51 for the cat
+map): there every product, row sum and % 1.0 of the loop is exact, so the
+float orbit is the integer map X -> A X mod 2^e on a finite lattice
+(Percival & Vivaldi, Physica D 25, 1987).  orbit tests for the lattice
+after every LATTICE_CHECK steps and, once there, writes the rest of the
+orbit by doubling, X[L:L+c] = (A^L mod 2^e) X[0:c], in O(log n) NumPy
+passes with the loop's floats bit for bit.  Cat-map orbits from generic
+points reach the lattice within about a hundred steps; a point that never
+does runs the loop to the end.
 
 The unstable direction u has one implementation, unstable_warmup, and the
 expansion |Df u| one, unstable_growth, whose log is the psi of lyapunov's
@@ -36,7 +38,6 @@ point of the torus.
 
 from __future__ import annotations
 
-import array
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -349,54 +350,43 @@ class HyperbolicToralMap:
     def orbit(self, point, n: int) -> np.ndarray:
         """[p, f(p), ..., f^(n-1)(p)] for a single point, shape (n, 2).
 
-        A scalar loop, `step`'s products and sums in the same order.  A
-        linear map runs it in blocks of LATTICE_CHECK steps until the current
-        point lies on the lattice 2^-e Z^2, e = `lattice_exponent`; on that
-        lattice every product, row sum and `% 1.0` of the loop is exact, so
-        from there on the float orbit is the integer map X -> A X mod 2^e,
-        and `_lattice_fill` writes the rest of it by doubling, bit for bit
-        the values the loop would give.  A point that never reaches the
-        lattice runs the loop to the end.  A sum in (-2^-54, 0) rounds to
-        1.0 under `% 1.0`; on every map the loop continues from 0.0, as
-        `wrap` and `step` do.
+        One scalar loop, `step`'s products and sums in the same order; on a
+        linear map its series is empty, which adds +0.0 to each row sum and
+        leaves `% 1.0` unchanged.  A nonlinear map runs one block of n
+        steps, a linear map blocks of LATTICE_CHECK steps until the current
+        point lies on the lattice 2^-e Z^2, e = `lattice_exponent`; from
+        there the float orbit is the integer map X -> A X mod 2^e, and
+        `_lattice_fill` writes the rest of it by doubling, bit for bit the
+        loop's values.  A point that never reaches the lattice runs the loop
+        to the end.  A sum in (-2^-54, 0) rounds to 1.0 under `% 1.0`; as in
+        `wrap` and `step`, a 1.0 entering a block, carried or restarted,
+        goes on as 0.0, and a 1.0 stored inside a block runs the block again
+        from its row.
         """
         if n < 1:
             raise ValueError("orbit length must be >= 1")
         p = wrap(np.asarray(point, dtype=float).reshape(2))
-        # interleaved x, y doubles: array.array stores them unboxed and one
-        # frombuffer wraps them without a copy
-        buf = array.array("d", bytes(16 * n))
-        out = np.frombuffer(buf).reshape(n, 2)
+        out = np.empty((n, 2))
+        # the interleaved x, y doubles of out, which the loop stores unboxed
+        buf = memoryview(out).cast("B").cast("d")
         (a00, a01), (a10, a11) = self._rows
+        amp, sin = self.amplitude, math.sin
+        linear = self.is_linear
+        terms = () if linear else self._terms
+        scale = float(2 ** self.lattice_exponent)
         x, y = float(p[0]), float(p[1])
-        if self.is_linear:
-            scale = float(2 ** self.lattice_exponent)
-            for start in range(0, n, LATTICE_CHECK):
-                # every point of the loop is in [0, 1)^2, so the lattice
-                # test is integrality alone
-                if (start and (x * scale).is_integer()
-                        and (y * scale).is_integer()):
-                    self._lattice_fill(out[start:], int(x * scale),
-                                       int(y * scale))
-                    break
-                for i in range(2 * start, 2 * min(start + LATTICE_CHECK, n),
-                               2):
-                    buf[i] = x
-                    buf[i + 1] = y
-                    x, y = (a00 * x + a01 * y) % 1.0, (a10 * x + a11 * y) % 1.0
-                    # this loop runs for a prefix or a fallback only, so a
-                    # 1.0 is tested at every step
-                    if x == 1.0:
-                        x = 0.0
-                    if y == 1.0:
-                        y = 0.0
-        else:
-            amp = self.amplitude
-            terms = self._terms
-            sin = math.sin
-            start = 0
-            while True:
-                for i in range(2 * start, 2 * n, 2):
+        block = LATTICE_CHECK if linear else n
+        for start in range(0, n, block):
+            # every point entering a block is in [0, 1)^2, so the lattice
+            # test is integrality alone
+            if (linear and start and (x * scale).is_integer()
+                    and (y * scale).is_integer()):
+                self._lattice_fill(out[start:], int(x * scale),
+                                   int(y * scale))
+                break
+            row, stop = start, min(start + block, n)
+            while row < stop:
+                for i in range(2 * row, 2 * stop, 2):
                     buf[i] = x
                     buf[i + 1] = y
                     px = py = 0.0
@@ -406,13 +396,17 @@ class HyperbolicToralMap:
                         py += c1 * s
                     x, y = ((a00 * x + a01 * y + amp * px) % 1.0,
                             (a10 * x + a11 * y + amp * py) % 1.0)
-                # a stored 1.0 is rare: test once after the loop, not at
-                # every step, and run it again from 0.0 at the first one
-                ones = np.flatnonzero(out[start:] == 1.0)
-                if not len(ones):
-                    break
-                start += int(ones[0]) // 2
-                x, y = (0.0 if v == 1.0 else float(v) for v in out[start])
+                # a stored 1.0 is rare: look for one once per block, not at
+                # every step
+                ones = np.flatnonzero(out[row:stop] == 1.0)
+                if len(ones):
+                    row += int(ones[0]) // 2
+                    x, y = buf[2 * row], buf[2 * row + 1]
+                else:
+                    row = stop
+                # a 1.0 entering a block, carried or restarted, goes on as 0.0
+                x = 0.0 if x == 1.0 else x
+                y = 0.0 if y == 1.0 else y
         return out
 
     def _lattice_fill(self, out, x0: int, y0: int) -> None:

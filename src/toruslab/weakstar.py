@@ -382,6 +382,8 @@ class DiscreteMeasure:
         a = np.atleast_2d(np.asarray(atoms, dtype=float))
         if a.size == 0:
             raise ValueError("atom list must be non-empty")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("atoms must be finite")
         a = wrap(a)
         if weights is None:
             w = np.full(len(a), 1.0 / len(a))
@@ -389,6 +391,8 @@ class DiscreteMeasure:
             w = np.asarray(weights, dtype=float)
             if w.shape != (len(a),):
                 raise ValueError("weights must match atoms")
+            if not np.all(np.isfinite(w)):
+                raise ValueError("weights must be finite")
             if np.any(w < 0):
                 raise ValueError("weights must be nonnegative")
             total = float(w.sum())

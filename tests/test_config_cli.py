@@ -216,6 +216,33 @@ class TestConfigValidation:
          "seed must be >= 0"),
         ({"entropy": {"source": {**GRID_SOURCE, "seed": -1}}},
          "entropy.source", "seed must be >= 0"),
+        # float() and NumPy would read "0.005" and true as 0.005 and 1.0,
+        # and fail on "2" inside a ufunc, not naming the field
+        ({"map": {**PERTURBED_MAP, "amplitude": "0.005"}}, "map.amplitude",
+         "number, got '0.005'"),
+        ({"map": {**PERTURBED_MAP, "amplitude": True}}, "map.amplitude",
+         "number, got True"),
+        ({"map": {**PERTURBED_MAP, "perturbation": [
+            {"coeff": ["1.0", 0], "freq": [0, 1]}]}},
+         "map.perturbation[0].coeff", "two numbers"),
+        ({"map": {**PERTURBED_MAP, "perturbation": [
+            {"coeff": [1.0, 0.0], "freq": [0, 1]},
+            {"coeff": [True, 0], "freq": [0, 1]}]}},
+         "map.perturbation[1].coeff", "two numbers"),
+        ({"map": {**PERTURBED_MAP, "perturbation": [
+            {"coeff": [1.0, 0.0], "freq": [True, 0]}]}},
+         "map.perturbation[0].freq", "two integers"),
+        ({"map": {**PERTURBED_MAP, "perturbation": [
+            {"coeff": [1.0, 0.0], "freq": [0.5, 1]}]}},
+         "map.perturbation[0].freq", "two integers"),
+        ({"map": {"matrix": [[2, 1], [1, True]]}}, "map.matrix",
+         "2x2 list of integers"),
+        ({"map": {"matrix": [["2", 1], [1, 1]]}}, "map.matrix",
+         "2x2 list of integers"),
+        ({"map": {"matrix": [[2, 1], [1, 1.5]]}}, "map.matrix",
+         "2x2 list of integers"),
+        ({"map": {"matrix": [2, 1, 1, 1]}}, "map.matrix",
+         "2x2 list of integers"),
     ])
     def test_bad_fields_named(self, tmp_path, overrides, field_path,
                               message):

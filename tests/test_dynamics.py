@@ -1,5 +1,7 @@
+import array
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +104,9 @@ STEP_ORBIT_MAPS = {
     "1-1-12": HyperbolicToralMap([[1, -1], [-1, 2]]),
     "1-1-12-sin-y": HyperbolicToralMap([[1, -1], [-1, 2]], 0.004,
                                        [((1.0, 0.0), (0, 1))]),
+    # amplitude 0 with a sine term is linear: orbit sums an empty series
+    "cat-amp-0-sin-y": HyperbolicToralMap([[2, 1], [1, 1]], 0.0,
+                                          [((1.0, 0.0), (0, 1))]),
 }
 
 # starts whose orbits under [[1, -1], [-1, 2]], without and with the sine
@@ -350,19 +355,39 @@ class TestOrbit:
         o2 = cat.orbit(cat.step(np.array(p)), n - 1)
         assert np.allclose(o[1:], o2)
 
-    @pytest.mark.parametrize("q", range(2, 21))
-    def test_rational_points_periodic(self, q):
-        # exact arithmetic: the map permutes the q^2 rational points (a/q, b/q)
-        A = np.array([[2, 1], [1, 1]], dtype=object)
-        state = (1 % q, max(q - 1, 0))
-        seen = {state: 0}
-        a, b = state
-        for step in range(1, q * q + 1):
-            a, b = (2 * a + b) % q, (a + b) % q
-            if (a, b) == state:
-                assert step <= q * q
-                return
-        pytest.fail("no period within q^2 steps")
+    @pytest.mark.parametrize("k", range(1, 21))
+    def test_rational_points_periodic(self, cat, k):
+        # the cat map permutes the dyadic points (a/q, b/q), q = 2^k, which
+        # are exact floats: over one period (up to 3 * 2^18 steps) orbit
+        # must be the integer orbit divided by q, bit for bit, and come back
+        # to its start
+        q = 2 ** k
+        rng = random.Random(k)
+        for start in [(1, q - 1), (rng.randrange(q), rng.randrange(q))]:
+            exact = array.array("q", start)
+            a, b = (2 * start[0] + start[1]) % q, (start[0] + start[1]) % q
+            while (a, b) != start:
+                exact.extend((a, b))
+                a, b = (2 * a + b) % q, (a + b) % q
+            exact.extend(start)
+            ref = np.frombuffer(exact, dtype=np.int64).reshape(-1, 2) / q
+            got = cat.orbit(ref[0], len(ref))
+            assert np.array_equal(bits(got), bits(ref)), (q, start)
+
+    @pytest.mark.parametrize("map, n", [
+        (HyperbolicToralMap([[2, 1], [1, 1]]), 10 ** 6),
+        (HyperbolicToralMap([[2, 1], [1, 1]], 0.005, [((1.0, 0.0), (0, 1))]),
+         10 ** 5)], ids=["cat", "perturbed"])
+    def test_peak_memory_is_the_output(self, map, n):
+        # orbit allocates its output once and writes it in place: no
+        # zero-filled copy and no full-size temporary
+        tracemalloc.start()
+        try:
+            out = map.orbit(ORBIT_SEED_POINT, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * out.nbytes, (peak, out.nbytes)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("matrix", LATTICE_MAPS, ids=str)

@@ -211,6 +211,21 @@ class TestDiscreteMeasureValidation:
         with pytest.raises(ValueError, match="nonnegative"):
             DiscreteMeasure(rng.random((2, 2)), np.array([1.5, -0.5]))
 
+    @pytest.mark.parametrize("atom", [(math.nan, 0.2), (0.3, math.inf),
+                                      (-math.inf, 0.4)])
+    def test_non_finite_atom_rejected(self, atom):
+        # a NaN atom would give NaN moments
+        with pytest.raises(ValueError, match="atoms must be finite"):
+            DiscreteMeasure([atom, (0.3, 0.4)])
+
+    @pytest.mark.parametrize("weights", [(math.nan, 1.0), (math.inf, 0.0),
+                                         (0.5, math.nan)])
+    def test_non_finite_weight_rejected(self, weights):
+        # the sum check alone lets [nan, 1.0] through: abs(nan - 1) > 1e-12
+        # is False
+        with pytest.raises(ValueError, match="weights must be finite"):
+            DiscreteMeasure([(0.1, 0.2), (0.3, 0.4)], weights)
+
     def test_seam_coalescing(self):
         mu = DiscreteMeasure(np.array([[1.0 - 1e-13, 0.2], [0.0, 0.2]]))
         assert len(mu) == 1
