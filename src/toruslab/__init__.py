@@ -58,7 +58,6 @@ from toruslab.markov import (
     ConstructionInvalid,
     CylinderTable,
     InsufficientSamples,
-    Itineraries,
     LocationFailure,
     MarkovPartition,
     cat_map_partition,
@@ -66,7 +65,6 @@ from toruslab.markov import (
     entropy_count_bound_check,
     entropy_rate_estimate,
     entropy_tables,
-    itineraries,
     locate,
     partition_entropy,
     weighted_merge,

@@ -135,7 +135,6 @@ class SampleGrid:
 class BasinCurve:
     """Hit counts of A(eps, n) over the grid, one row per requested n."""
     epsilon: float
-    target: MomentVector
     ns: np.ndarray
     hits: np.ndarray
     samples: int
@@ -245,8 +244,8 @@ def curve_sweep(map: HyperbolicToralMap, target: MomentVector,
     hits = np.sum([h for h, _ in parts], axis=0)
 
     ns = np.array(n_values)
-    curves = [BasinCurve(epsilon=eps, target=target, ns=ns,
-                         hits=hits[ei].copy(), samples=grid.size)
+    curves = [BasinCurve(epsilon=eps, ns=ns, hits=hits[ei].copy(),
+                         samples=grid.size)
               for ei, eps in enumerate(epsilons)]
     return SweepResult(curves=curves, point_steps=sum(s for _, s in parts))
 

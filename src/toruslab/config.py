@@ -275,10 +275,16 @@ def _parse_expect(spec: dict) -> dict:
     return expect
 
 
+def _string(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigInvalid(path, f"must be a string, got {value!r}")
+    return value
+
+
 def _parse_label(value) -> str:
     """The label names the record files in output_dir, so it must be one
     plain file name."""
-    label = str(value)
+    label = _string(value, "label")
     if label in ("", ".", "..") or any(
             sep and sep in label for sep in ("/", os.sep, os.altsep)):
         raise ConfigInvalid("label", f"must be a plain file name, got "
@@ -436,7 +442,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         entropy=entropy,
         lyapunov=lyapunov,
         expect=_parse_expect(raw.get("expect", {})),
-        output_dir=str(raw.get("output_dir", "records")),
+        output_dir=_string(raw.get("output_dir", "records"), "output_dir"),
         threads=threads,
         verify_grid=_at_least(raw.get("verify_grid", 64), 16, "verify_grid"),
     )

@@ -129,16 +129,19 @@ class HyperbolicToralMap:
     real 2-vector, frequency a nonzero integer 2-vector.  amplitude scales the
     whole series.
 
-    Construction enforces |det A| = 1, no eigenvalue on the unit circle, a
-    finite amplitude and finite coefficients, and amp * |A^-1| * Lip(psi)
-    < 1/2 so the inverse iteration contracts.
+    Construction enforces |det A| = 1, no eigenvalue on the unit circle,
+    entries small enough that `orbit` has a lattice (`lattice_exponent` >=
+    1), a finite amplitude and finite coefficients, and amp * |A^-1| *
+    Lip(psi) < 1/2 so the inverse iteration contracts.
     """
 
     def __init__(self, matrix, amplitude: float = 0.0,
                  perturbation: Sequence = ()):
         A = _as_int_matrix(matrix)
-        det = int(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])
-        tr = int(A[0, 0] + A[1, 1])
+        # Python ints: int64 products of large entries wrap
+        (a00, a01), (a10, a11) = A.tolist()
+        det = a00 * a11 - a01 * a10
+        tr = a00 + a11
         if abs(det) != 1:
             raise ValueError(f"matrix must be unimodular, det = {det}")
         # no eigenvalue on the unit circle: for det=1 this is |tr|>2, for
@@ -150,7 +153,6 @@ class HyperbolicToralMap:
             raise ValueError("matrix is not hyperbolic: det=-1, trace=0")
         self.matrix = A
         self.det = det
-        self.trace = tr
         # adjugate over det is exact for integer unimodular matrices
         self.matrix_inv = (np.array([[A[1, 1], -A[0, 1]],
                                      [-A[1, 0], A[0, 0]]], dtype=np.int64) * det)
@@ -195,6 +197,10 @@ class HyperbolicToralMap:
                         -sum(a for a in row if a < 0))
                     for row in A.tolist())
         self.lattice_exponent = 53 - (reach - 1).bit_length()
+        if self.lattice_exponent < 1:
+            raise ValueError(
+                f"matrix entries too large for exact orbits: |a x + b y| of "
+                f"a row reaches {reach} > 2**52 over [0, 1]^2")
 
         # Lip(psi) <= sum 2 pi |c_k| |k|
         self.lipschitz_bound = float(
@@ -212,13 +218,11 @@ class HyperbolicToralMap:
             raise ValueError(
                 "inverse iteration does not contract: "
                 f"amp * |A^-1| * Lip(psi) = {contraction:.4f} >= 0.5")
-        self.inverse_contraction = contraction
 
         # eigendata of the linear part
         lam, vecs = np.linalg.eig(A.astype(float))
         iu = int(np.argmax(np.abs(lam)))
         self.lam_u = float(lam[iu])
-        self.lam_s = float(lam[1 - iu])
         vu = vecs[:, iu] / np.linalg.norm(vecs[:, iu])
         vs = vecs[:, 1 - iu] / np.linalg.norm(vecs[:, 1 - iu])
         self.v_u = vu if vu[np.argmax(np.abs(vu))] > 0 else -vu

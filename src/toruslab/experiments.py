@@ -170,19 +170,16 @@ class AcceptanceSuite:
     def leb_tables(self):
         """Cylinder tables of the 1e7 reference orbit at depths 1..13."""
         if self._leb_tables is None:
-            stream = markov_mod.itineraries(
+            self._leb_tables = markov_mod.entropy_tables(
                 self.cat, cat_map_partition(),
                 OrbitMeasure(self.cat, ORBIT_SEED_POINT,
-                             REFERENCE_ORBIT_LENGTH), 13)
-            self._leb_tables = markov_mod.entropy_tables(stream,
-                                                         list(range(1, 14)))
+                             REFERENCE_ORBIT_LENGTH), list(range(1, 14)))
         return self._leb_tables
 
     def cylinder_table(self, source, n: int):
         """Depth-n cylinder table of a source under the cat map."""
-        stream = markov_mod.itineraries(self.cat, cat_map_partition(),
-                                        source, n)
-        return markov_mod.entropy_tables(stream, [n])[n]
+        return markov_mod.entropy_tables(self.cat, cat_map_partition(),
+                                         source, [n])[n]
 
     def dirac_record(self) -> dict:
         """The run record of DIRAC_RATE_CONFIG."""
@@ -337,19 +334,17 @@ class AcceptanceSuite:
     def criterion_7(self, c: _Checks):
         """Counting bound margin: statistical for Lebesgue, exact for the
         trivial sources."""
-        part = cat_map_partition()
         margin = markov_mod.entropy_count_bound_check(
-            part, self.cylinder_table(
+            self.cylinder_table(
                 OrbitMeasure(self.cat, ORBIT_SEED_POINT, 2_000_000), 10),
             0.1)
         c.add("lebesgue margin", margin >= -0.05,
               f"{margin:+.4f} >= -0.05 (declared statistical tolerance)")
         fixed = markov_mod.entropy_count_bound_check(
-            part, self.cylinder_table(DiscreteMeasure.dirac((0.0, 0.0)), 10),
-            0.1)
+            self.cylinder_table(DiscreteMeasure.dirac((0.0, 0.0)), 10), 0.1)
         c.add("fixed-point margin", fixed >= 0.0, f"{fixed:+.4f} >= 0")
         per2 = markov_mod.entropy_count_bound_check(
-            part, self.cylinder_table(
+            self.cylinder_table(
                 DiscreteMeasure(self.cat.orbit(PERIOD2_POINT, 2)), 8), 0.2)
         c.add("period-2 margin", per2 >= 0.0, f"{per2:+.4f} >= 0")
 

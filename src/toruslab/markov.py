@@ -32,14 +32,14 @@ Points in unlabelled cells (about 5% of the square), outside [0,1)^2 or not
 finite go to the scan, the one exact point-in-piece test, so the lowest-index
 tie-break and LocationFailure are the scan's.
 
-A cylinder source (orbit measure, grid or atoms) is walked and located once by
-`itineraries`; `entropy_tables` reduces that symbol stream to tables of sorted
-int64 base-k word codes with int64 counts.  It builds the deepest codes with
-one multiply-add per depth, sorts them once, and takes every shallower table
-as a marginal.  That is exact because cylinder tables built from a common start
-set are shift-consistent: marginalizing a depth-n table over its last symbol
-reproduces the depth-(n-1) table.  Words are decoded to tuples only on request
-(`CylinderTable.words`).
+`entropy_tables` walks and locates a cylinder source (orbit measure, grid or
+atoms) once and reduces its symbols to tables of sorted int64 base-k word
+codes with int64 counts, every table over one start set.  It builds the
+deepest codes with one multiply-add per depth, sorts them once, and takes
+every shallower table as a marginal.  That is exact because cylinder tables
+built from a common start set are shift-consistent: marginalizing a depth-n
+table over its last symbol reproduces the depth-(n-1) table.  Words are
+decoded to tuples only on request (`CylinderTable.words`).
 """
 
 from __future__ import annotations
@@ -493,44 +493,54 @@ def _sum_runs(codes: np.ndarray, counts: np.ndarray):
     return codes[starts], np.add.reduceat(counts, starts)
 
 
-@dataclass(frozen=True)
-class Itineraries:
-    """Partition symbols of every start of a walked cylinder source.
+def entropy_tables(map: HyperbolicToralMap, partition: MarkovPartition,
+                   source: CylinderSource,
+                   depths: Sequence[int]) -> Dict[int, CylinderTable]:
+    """Cylinder tables of a source at several depths from one walk.
 
-    Orbit measure: `symbols` is the 1-d symbol stream of the orbit, and
-    start t reads symbols[t:].  Grid or atom source: `symbols` has shape
-    (depth, N) and column i is the itinerary of start i.
+    The source is walked and located once, and every table counts the same
+    starts: for an orbit measure of length L, starts 0..L-max(depths); for a
+    grid or atom source, every start, stepped max(depths) - 1 times.  The
+    deepest table is sorted from codes built with one multiply-add per
+    depth; each shallower table is a marginal of the one below it, which is
+    exact because the starts are shared.
     """
-    symbols: np.ndarray
-    k: int
+    depths = sorted(set(int(d) for d in depths))
+    if depths[0] < 1:
+        raise ValueError("depths must be >= 1")
+    k = partition.k
+    if k ** depths[-1] > np.iinfo(np.int64).max:
+        raise ValueError(f"depth {depths[-1]} overflows int64 word codes")
+    rows = iter(_symbol_rows(map, partition, source, depths[-1]))
+    # a long orbit is not kept alive through the sort
+    del source
+    codes = next(rows).astype(np.int64)
+    for row in rows:
+        codes *= k
+        codes += row
+    vals, cnts = np.unique(codes, return_counts=True)
+    table = CylinderTable(depths[-1], k, vals,
+                          cnts.astype(np.int64, copy=False))
+    out = {table.depth: table}
+    while table.depth > depths[0]:
+        table = table.marginal()
+        out[table.depth] = table
+    return {d: out[d] for d in depths}
 
-    def rows(self, depth: int):
-        """First `depth` symbols of every start that has that many: row j
-        holds symbol j of each start.  An orbit stream of length L gives
-        starts 0..L-depth."""
-        have = len(self.symbols)
-        if depth > have:
-            raise ValueError(f"itineraries hold {have} symbols per start, "
-                             f"depth {depth} requested")
-        if self.symbols.ndim == 2:
-            return self.symbols[:depth]
-        n_starts = have - depth + 1
-        return [self.symbols[j:j + n_starts] for j in range(depth)]
 
-
-def itineraries(map: HyperbolicToralMap, partition: MarkovPartition,
-                source: CylinderSource, max_depth: int) -> Itineraries:
-    """Walk and locate a cylinder source once, for tables up to max_depth.
-
-    An orbit measure is located once as a stream, starts 0..L-max_depth;
-    grid and atom sources are stepped max_depth - 1 times.
-    """
+def _symbol_rows(map: HyperbolicToralMap, partition: MarkovPartition,
+                 source: CylinderSource, depth: int):
+    """First `depth` partition symbols of every start of a source: row j
+    holds symbol j of each start.  An orbit measure is located once as a
+    stream; grid and atom sources are stepped depth - 1 times."""
     if isinstance(source, OrbitMeasure):
         if source.map is not map:
             raise ValueError("orbit measure was built for another map")
-        if len(source) < max_depth:
+        if len(source) < depth:
             raise ValueError("orbit shorter than requested depth")
-        return Itineraries(locate(partition, source.atoms), partition.k)
+        stream = locate(partition, source.atoms)
+        n_starts = len(stream) - depth + 1
+        return [stream[j:j + n_starts] for j in range(depth)]
     if isinstance(source, SampleGrid):
         starts = source.chunk(0, source.size,
                               source._offsets() if source.jitter else None)
@@ -542,42 +552,13 @@ def itineraries(map: HyperbolicToralMap, partition: MarkovPartition,
         starts = source.atoms
     else:
         raise TypeError(f"unsupported source {type(source).__name__}")
-    cols = np.empty((max_depth, len(starts)), dtype=np.int8)
+    rows = np.empty((depth, len(starts)), dtype=np.int8)
     x = starts
-    for j in range(max_depth):
-        cols[j] = locate(partition, x)
-        if j + 1 < max_depth:
+    for j in range(depth):
+        rows[j] = locate(partition, x)
+        if j + 1 < depth:
             x = map.step(x)
-    return Itineraries(cols, partition.k)
-
-
-def entropy_tables(stream: Itineraries,
-                   depths: Sequence[int]) -> Dict[int, CylinderTable]:
-    """Cylinder tables at several depths from one shared start set.
-
-    Every table counts the same starts: for an orbit stream of length L,
-    starts 0..L-max(depths).  The deepest table is sorted from codes built
-    with one multiply-add per depth; each shallower table is a marginal of
-    the one below it, which is exact because the starts are shared.
-    """
-    depths = sorted(set(int(d) for d in depths))
-    if depths[0] < 1:
-        raise ValueError("depths must be >= 1")
-    if stream.k ** depths[-1] > np.iinfo(np.int64).max:
-        raise ValueError(f"depth {depths[-1]} overflows int64 word codes")
-    rows = iter(stream.rows(depths[-1]))
-    codes = next(rows).astype(np.int64)
-    for row in rows:
-        codes *= stream.k
-        codes += row
-    vals, cnts = np.unique(codes, return_counts=True)
-    table = CylinderTable(depths[-1], stream.k, vals,
-                          cnts.astype(np.int64, copy=False))
-    out = {table.depth: table}
-    while table.depth > depths[0]:
-        table = table.marginal()
-        out[table.depth] = table
-    return {d: out[d] for d in depths}
+    return rows
 
 
 def weighted_merge(tables: Sequence[CylinderTable],
@@ -623,7 +604,6 @@ class EntropyRateResult:
     h_est: float
     depth_used: int
     sequence: list  # (depth, h_over_n, observed_cylinders, adequate)
-    adequacy_factor: int = ADEQUACY_FACTOR
 
 
 def entropy_rate_estimate(tables: Dict[int, CylinderTable]
@@ -681,8 +661,7 @@ def cylinder_count_rate(partition: MarkovPartition,
                       counts=[(n, counts[n]) for n in ns])
 
 
-def entropy_count_bound_check(partition: MarkovPartition,
-                              table: CylinderTable, epsilon: float) -> float:
+def entropy_count_bound_check(table: CylinderTable, epsilon: float) -> float:
     """Margin of the cylinder-counting entropy bound on a depth-n table.
 
     A is the smallest union of depth-n cylinders with empirical mass above
@@ -698,7 +677,7 @@ def entropy_count_bound_check(partition: MarkovPartition,
         raise ValueError("epsilon must be in (0, 1/4)")
     n = table.depth
     h = partition_entropy(table)
-    k0 = math.log(partition.k)
+    k0 = math.log(table.k)
     mass = np.cumsum(np.sort(table.counts)[::-1])
     need = (1.0 - epsilon) * table.total
     taken = min(int(np.searchsorted(mass, need, side="right")) + 1, len(mass))

@@ -183,12 +183,12 @@ def _run_entropy(cfg: ExperimentConfig, components: list) -> dict:
                          "[[2,1],[1,1]]")
     depths = cfg.entropy["depths"]
     bc = cfg.entropy.get("bound_check")
-    # one walk of the source serves the entropy tables and the bound table
-    stream = markov_mod.itineraries(
+    # one walk and one sort serve the entropy tables and the bound table,
+    # so every table of the stage counts one start set
+    tables = markov_mod.entropy_tables(
         cfg.map, part, _entropy_source(cfg, components),
-        max(depths + ([bc["depth"]] if bc else [])))
-    est = markov_mod.entropy_rate_estimate(
-        markov_mod.entropy_tables(stream, depths))
+        depths + ([bc["depth"]] if bc else []))
+    est = markov_mod.entropy_rate_estimate({d: tables[d] for d in depths})
     rates = markov_mod.cylinder_count_rate(part, cfg.entropy["count_depths"])
     out = {
         "h_est": est.h_est,
@@ -205,8 +205,7 @@ def _run_entropy(cfg: ExperimentConfig, components: list) -> dict:
         "non_exact_partition": not cfg.map.is_linear,
     }
     if bc:
-        table = markov_mod.entropy_tables(stream, [bc["depth"]])[bc["depth"]]
-        margin = markov_mod.entropy_count_bound_check(part, table,
+        margin = markov_mod.entropy_count_bound_check(tables[bc["depth"]],
                                                       bc["epsilon"])
         out["bound_check"] = {**bc, "margin": margin,
                               "ok": margin >= -bc["tolerance"]}
@@ -215,7 +214,7 @@ def _run_entropy(cfg: ExperimentConfig, components: list) -> dict:
 
 def _entropy_source(cfg: ExperimentConfig, components: list):
     """The cylinder source of the entropy stage.  An orbit source is built
-    here, so its orbit is freed once `itineraries` has located it."""
+    here, so its orbit is freed once `entropy_tables` has located it."""
     source = cfg.entropy["source"]
     if isinstance(source, TargetSpec):
         return target_measure(source, cfg.map)

@@ -179,9 +179,7 @@ class TestRateEstimate:
     def _synthetic(self, slope, samples=10**7, ns=range(1, 15)):
         ns = np.array(list(ns))
         hits = np.round(samples * np.exp(slope * ns)).astype(np.int64)
-        target = moments(LEBESGUE, TestFunctionFamily(5))
-        return BasinCurve(epsilon=0.1, target=target, ns=ns, hits=hits,
-                          samples=samples)
+        return BasinCurve(epsilon=0.1, ns=ns, hits=hits, samples=samples)
 
     def test_constant_curve_zero_slope(self):
         curve = self._synthetic(0.0)

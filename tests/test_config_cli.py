@@ -10,14 +10,14 @@ import sys
 import numpy as np
 import pytest
 
+from toruslab import markov as markov_mod
 from toruslab.basin import SampleGrid
 from toruslab.cli import main
 from toruslab.config import (ConfigInvalid, config_hash,
                              moment_vector_for_target, parse_config,
                              target_measure)
 from toruslab.markov import (cat_map_partition, entropy_count_bound_check,
-                             entropy_rate_estimate, entropy_tables,
-                             itineraries)
+                             entropy_rate_estimate, entropy_tables)
 from toruslab.runner import check_expectations, report, run, MissingRecord
 
 
@@ -243,6 +243,17 @@ class TestConfigValidation:
          "2x2 list of integers"),
         ({"map": {"matrix": [2, 1, 1, 1]}}, "map.matrix",
          "2x2 list of integers"),
+        # str() would name the record files "True", "['a']" and "None"
+        ({"label": True}, "label", "string, got True"),
+        ({"label": ["a"]}, "label", "string, got"),
+        ({"label": None}, "label", "string, got None"),
+        ({"output_dir": None}, "output_dir", "string, got None"),
+        ({"output_dir": 5}, "output_dir", "string, got 5"),
+        # int64 det and trace wrap: det 2^64 + 1 read as 1
+        ({"map": {"matrix": [[2**32, -1], [1, 2**32]]}}, "map",
+         "unimodular"),
+        ({"map": {"matrix": [[2**60 + 1, 2**60], [1, 1]]}}, "map",
+         "too large"),
     ])
     def test_bad_fields_named(self, tmp_path, overrides, field_path,
                               message):
@@ -558,6 +569,31 @@ class TestRunner:
         assert shipped == scanned
         assert "margin" in shipped["bound_check"]
 
+    def test_entropy_stage_takes_one_start_set(self, tmp_path, monkeypatch):
+        # one entropy_tables call per entropy stage; with the bound depth
+        # above every entropy depth, all tables count starts 0..L-n of the
+        # orbit, n the bound depth
+        calls = []
+        tables_of = markov_mod.entropy_tables
+
+        def spy(*args):
+            calls.append(tables_of(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(markov_mod, "entropy_tables", spy)
+        length, bound_depth = 20_000, 10
+        cfg = parse_config(minimal_config(
+            tmp_path, label="ent-once", basin=None,
+            entropy={"source": {"kind": "orbit", "point": [0.2137, 0.5721],
+                                "length": length},
+                     "depths": list(range(1, 9)),
+                     "bound_check": {"epsilon": 0.1, "depth": bound_depth}}))
+        assert "error" not in run(cfg, threads=1)["stages"]["entropy"]
+        assert len(calls) == 1
+        assert sorted(calls[0]) == list(range(1, 9)) + [bound_depth]
+        assert {t.total for t in calls[0].values()} == {
+            length - bound_depth + 1}
+
     @pytest.mark.parametrize("source, depths, bound_depth", [
         ({"kind": "orbit", "point": [0.2137214321, 0.5721347123],
           "length": 200000}, list(range(1, 9)), 10),
@@ -565,8 +601,9 @@ class TestRunner:
     ], ids=["orbit", "grid"])
     def test_entropy_stage_matches_standalone_calls(self, tmp_path, source,
                                                     depths, bound_depth):
-        # the runner walks its source once; its numbers must equal separate
-        # walks for the tables and for the depth-n bound table, bit for bit
+        # the runner takes every table of the stage from one call over the
+        # depths and the bound depth; its numbers must equal that call's,
+        # bit for bit
         cfg = parse_config(minimal_config(
             tmp_path, label="ent-walk", basin=None,
             entropy={"source": source, "depths": depths,
@@ -576,12 +613,10 @@ class TestRunner:
         src = cfg.entropy["source"]
         if source["kind"] == "orbit":
             src = target_measure(src, cfg.map)
-        table = entropy_tables(itineraries(cfg.map, part, src, bound_depth),
-                               [bound_depth])[bound_depth]
+        tables = entropy_tables(cfg.map, part, src, depths + [bound_depth])
         assert (ent["bound_check"]["margin"]
-                == entropy_count_bound_check(part, table, 0.1))
-        est = entropy_rate_estimate(entropy_tables(
-            itineraries(cfg.map, part, src, max(depths)), depths))
+                == entropy_count_bound_check(tables[bound_depth], 0.1))
+        est = entropy_rate_estimate({d: tables[d] for d in depths})
         assert ent["sequence"] == [
             {"depth": d, "h_over_n": h, "observed": obs, "adequate": ok}
             for d, h, obs, ok in est.sequence]

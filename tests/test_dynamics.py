@@ -46,6 +46,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match="unimodular"):
             HyperbolicToralMap([[2, 0], [0, 1]])
 
+    @pytest.mark.parametrize("matrix, message", [
+        # det 2^64 + 1 wraps to 1 in int64
+        ([[2**32, -1], [1, 2**32]], "unimodular"),
+        # lattice exponent -9: orbit's lattice fill would shift by it
+        ([[2**60 + 1, 2**60], [1, 1]], "too large"),
+    ])
+    def test_huge_entries_rejected(self, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            HyperbolicToralMap(matrix)
+
     def test_contraction_bound_enforced(self):
         # amp * |A^-1| * 2 pi |c| |k| must stay below 1/2
         with pytest.raises(ValueError, match="contract"):

@@ -94,3 +94,50 @@ def test_public_names_have_production_callers():
             defined |= public_definitions(source)
         referenced |= referenced_names(source)
     assert sorted(defined - referenced) == []
+
+
+# code whose attribute reads count for the instance-state gate
+READERS = MODULES + sorted((ROOT / "benchmark").glob("*.py"))
+
+
+def self_attributes(source: str) -> set[str]:
+    """Names stored as `self.<name>` inside the classes of a module."""
+    return {n.attr for cls in ast.walk(ast.parse(source))
+            if isinstance(cls, ast.ClassDef) for n in ast.walk(cls)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+            and isinstance(n.value, ast.Name) and n.value.id == "self"}
+
+
+def loaded_attributes(source: str) -> set[str]:
+    """Attribute names read anywhere in a module, on any object."""
+    return {n.attr for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def test_state_gate_sees_unread_attributes():
+    src = ("class Box:\n"
+           "    def __init__(self, n):\n"
+           "        self.n, self.spare = n, 0\n"
+           "        self.total = 0\n"
+           "        self.total += n\n"
+           "    def size(self):\n"
+           "        return self.n\n")
+    assert self_attributes(src) - loaded_attributes(src) == {"spare",
+                                                              "total"}
+
+
+def test_instance_state_is_read():
+    """Every attribute a package class stores on self is read somewhere in
+    the package, its scripts, the benchmark or the tests.
+
+    Reads are matched by name, not by owner: a stored `trace` would pass on
+    `args.trace` in benchmark/run.py, so a dead attribute that shares its
+    name with any read attribute goes unseen.
+    """
+    stored, loaded = set(), set()
+    for path in READERS:
+        source = path.read_text(encoding="utf-8")
+        if path in PACKAGE:
+            stored |= self_attributes(source)
+        loaded |= loaded_attributes(source)
+    assert sorted(stored - loaded) == []

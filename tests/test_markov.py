@@ -1,5 +1,6 @@
 import copy
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,8 +11,7 @@ from toruslab.markov import (_CELLS, _locate_chunk, ConstructionInvalid,
                              CylinderTable, InsufficientSamples,
                              LocationFailure, cylinder_count_rate,
                              entropy_count_bound_check,
-                             entropy_rate_estimate, entropy_tables,
-                             itineraries, locate,
+                             entropy_rate_estimate, entropy_tables, locate,
                              partition_entropy, weighted_merge)
 from toruslab.weakstar import DiscreteMeasure, OrbitMeasure
 
@@ -292,12 +292,7 @@ class TestItinerary:
 
 
 def walk_table(m, partition, source, n):
-    return entropy_tables(itineraries(m, partition, source, n), [n])[n]
-
-
-def walk_tables(m, partition, source, depths):
-    return entropy_tables(itineraries(m, partition, source, max(depths)),
-                          depths)
+    return entropy_tables(m, partition, source, [n])[n]
 
 
 def as_dict(table):
@@ -361,23 +356,23 @@ class TestCylinderTables:
             assert abs(t[(i,)] / total - a) < 2.0 / g
 
     def test_observed_at_most_admissible(self, cat, partition):
-        tables = walk_tables(cat, partition,
-                             OrbitMeasure(cat, SEED_POINT, 100_000),
-                             [1, 2, 3, 4, 5, 6])
+        tables = entropy_tables(cat, partition,
+                                OrbitMeasure(cat, SEED_POINT, 100_000),
+                                [1, 2, 3, 4, 5, 6])
         counts = dict(cylinder_count_rate(partition, range(1, 7)).counts)
         for d, t in tables.items():
             assert len(t.counts) <= counts[d]
 
     def test_shift_consistency_exact(self, cat, partition):
-        tables = walk_tables(cat, partition,
-                             OrbitMeasure(cat, SEED_POINT, 50_000), [7, 8])
+        tables = entropy_tables(cat, partition,
+                                OrbitMeasure(cat, SEED_POINT, 50_000), [7, 8])
         assert as_dict(tables[8].marginal()) == as_dict(tables[7])
         assert np.array_equal(tables[8].marginal().codes, tables[7].codes)
         assert np.array_equal(tables[8].marginal().counts, tables[7].counts)
 
     def test_shift_consistency_grid_source(self, cat, partition):
-        tables = walk_tables(cat, partition, SampleGrid(resolution=64),
-                             [3, 4])
+        tables = entropy_tables(cat, partition, SampleGrid(resolution=64),
+                                [3, 4])
         assert as_dict(tables[4].marginal()) == as_dict(tables[3])
         assert np.array_equal(tables[4].marginal().codes, tables[3].codes)
 
@@ -396,7 +391,7 @@ class TestCylinderTables:
                                            make_source):
         source = make_source(cat)
         for depths in (list(range(1, 9)), [2, 5, 9], [7]):
-            tables = walk_tables(cat, partition, source, depths)
+            tables = entropy_tables(cat, partition, source, depths)
             ref = reference_tables(cat, partition, source, depths)
             assert sorted(tables) == depths
             for d in depths:
@@ -409,25 +404,51 @@ class TestCylinderTables:
                 assert np.all(np.diff(t.codes) > 0)
 
     def test_one_walk_serves_every_depth(self, cat, partition):
-        # tables of one walk equal tables of separate walks that stop at the
-        # requested depth (orbit windows at starts 0..L-max(depths))
-        for source in (OrbitMeasure(cat, SEED_POINT, 5_000),
-                       SampleGrid(resolution=32)):
-            stream = itineraries(cat, partition, source, 9)
-            for n in (3, 6, 9):
-                t = entropy_tables(stream, [n])[n]
-                alone = walk_table(cat, partition, source, n)
-                assert np.array_equal(t.codes, alone.codes)
-                assert np.array_equal(t.counts, alone.counts)
-        with pytest.raises(ValueError, match="depth 10"):
-            entropy_tables(itineraries(cat, partition,
-                                       SampleGrid(resolution=8), 9), [10])
+        # every table of one call counts one start set: starts 0..L-9 of an
+        # orbit of length L when the deepest depth is 9, so the depth-n table
+        # is that of the orbit cut to L-9+n points; a grid counts every point
+        length = 5_000
+        tables = entropy_tables(cat, partition,
+                                OrbitMeasure(cat, SEED_POINT, length),
+                                [3, 6, 9])
+        for n in (3, 6, 9):
+            cut = OrbitMeasure(cat, SEED_POINT, length - 9 + n)
+            alone = walk_table(cat, partition, cut, n)
+            assert tables[n].total == length - 9 + 1
+            assert np.array_equal(tables[n].codes, alone.codes)
+            assert np.array_equal(tables[n].counts, alone.counts)
+        grid = SampleGrid(resolution=32)
+        tables = entropy_tables(cat, partition, grid, [3, 6, 9])
+        for n in (3, 6, 9):
+            alone = walk_table(cat, partition, grid, n)
+            assert tables[n].total == grid.size
+            assert np.array_equal(tables[n].codes, alone.codes)
+            assert np.array_equal(tables[n].counts, alone.counts)
+
+    def test_source_released_before_sort(self, cat, partition, monkeypatch):
+        # an orbit passed inline is freed once located, before its codes are
+        # sorted, and the codes are sorted once for every depth
+        refs, alive = [], []
+        unique = np.unique
+
+        def spy(*args, **kwargs):
+            alive.append(refs[0]() is not None)
+            return unique(*args, **kwargs)
+
+        def orbit():
+            mu = OrbitMeasure(cat, SEED_POINT, 1_000)
+            refs.append(weakref.ref(mu))
+            return mu
+
+        monkeypatch.setattr(np, "unique", spy)
+        tables = entropy_tables(cat, partition, orbit(), [2, 5])
+        assert alive == [False]
+        assert tables[2].total == tables[5].total == 1_000 - 5 + 1
 
     def test_code_overflow_rejected(self, cat, partition):
-        stream = itineraries(cat, partition,
-                             OrbitMeasure(cat, SEED_POINT, 100), 30)
         with pytest.raises(ValueError, match="int64"):
-            entropy_tables(stream, [28])
+            entropy_tables(cat, partition,
+                           OrbitMeasure(cat, SEED_POINT, 100), [28])
 
     def test_words_of_hand_built_table(self):
         t = make_table(3, {(4, 0, 2): 1, (0, 1, 0): 2})
@@ -457,19 +478,19 @@ class TestEntropy:
         assert abs(partition_entropy(t) - exact) < 1e-3
 
     def test_rate_estimate_dirac_zero(self, cat, partition):
-        est = entropy_rate_estimate(walk_tables(
+        est = entropy_rate_estimate(entropy_tables(
             cat, partition, OrbitMeasure(cat, (0.0, 0.0), 2000), range(1, 9)))
         assert est.h_est == 0.0
 
     def test_rate_estimate_leb_short(self, cat, partition):
-        est = entropy_rate_estimate(walk_tables(
+        est = entropy_rate_estimate(entropy_tables(
             cat, partition, OrbitMeasure(cat, SEED_POINT, 300_000),
             range(4, 9)))
         assert est.depth_used == 8
         assert abs(est.h_est - LOG_LAMBDA) < 0.15
 
     def test_adjacent_depths_stable(self, cat, partition):
-        est = entropy_rate_estimate(walk_tables(
+        est = entropy_rate_estimate(entropy_tables(
             cat, partition, OrbitMeasure(cat, SEED_POINT, 300_000),
             range(4, 9)))
         rates = [h for _, h, _, ok in est.sequence if ok]
@@ -477,7 +498,7 @@ class TestEntropy:
 
     def test_inadequate_raises(self, cat, partition):
         with pytest.raises(InsufficientSamples):
-            entropy_rate_estimate(walk_tables(
+            entropy_rate_estimate(entropy_tables(
                 cat, partition, OrbitMeasure(cat, SEED_POINT, 120), [10]))
 
     def test_weighted_merge_halves(self, cat, partition):
@@ -533,7 +554,6 @@ class TestCountRates:
 class TestCountBound:
     def test_fixed_point_nonnegative(self, cat, partition):
         m = entropy_count_bound_check(
-            partition,
             walk_table(cat, partition, DiscreteMeasure.dirac((0.0, 0.0)), 8),
             0.1)
         assert m >= 0.0
@@ -542,7 +562,6 @@ class TestCountBound:
         # tiny epsilon forces A to cover nearly everything observed:
         # log #A >= H always
         m = entropy_count_bound_check(
-            partition,
             walk_table(cat, partition,
                        OrbitMeasure(cat, SEED_POINT, 50_000), 5),
             0.01)
@@ -550,7 +569,6 @@ class TestCountBound:
 
     def test_lebesgue_margin(self, cat, partition):
         m = entropy_count_bound_check(
-            partition,
             walk_table(cat, partition,
                        OrbitMeasure(cat, SEED_POINT, 500_000), 8),
             0.1)
@@ -559,7 +577,6 @@ class TestCountBound:
     def test_epsilon_domain(self, cat, partition):
         with pytest.raises(ValueError):
             entropy_count_bound_check(
-                partition,
                 walk_table(cat, partition,
                            DiscreteMeasure.dirac((0.0, 0.0)), 5),
                 0.3)
@@ -579,4 +596,4 @@ class TestCountBound:
                     break
             want = math.log(taken) - (h - 6 * k0 * eps + eps * math.log(eps)
                                       + (1 - eps) * math.log(1 - eps))
-            assert entropy_count_bound_check(partition, t, eps) == want
+            assert entropy_count_bound_check(t, eps) == want

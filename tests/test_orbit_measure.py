@@ -15,7 +15,7 @@ import pytest
 from toruslab.config import parse_config
 from toruslab.dynamics import HyperbolicToralMap, unstable_warmup
 from toruslab.lyapunov import unstable_integral
-from toruslab.markov import entropy_tables, itineraries
+from toruslab.markov import entropy_tables
 from toruslab.runner import run
 from toruslab.weakstar import (DiscreteMeasure, OrbitMeasure,
                                TestFunctionFamily, moments)
@@ -46,7 +46,7 @@ class TestOrbitMeasure:
         with pytest.raises(ValueError, match="another map"):
             unstable_integral(cat, orbit_2000)
         with pytest.raises(ValueError, match="another map"):
-            itineraries(cat, partition, orbit_2000, 4)
+            entropy_tables(cat, partition, orbit_2000, [4])
 
 
 class TestStreamedEqualsAtoms:
@@ -84,11 +84,9 @@ class TestStreamedEqualsAtoms:
     def test_entropy_tables(self, orbit_2000, partition):
         # the stream's starts 0..L-8, stepped as atoms, give the same words
         depths = list(range(1, 9))
-        streamed = entropy_tables(
-            itineraries(PERTURBED, partition, orbit_2000, 8), depths)
+        streamed = entropy_tables(PERTURBED, partition, orbit_2000, depths)
         starts = DiscreteMeasure(orbit_2000.atoms[:2000 - 8 + 1])
-        stepped = entropy_tables(
-            itineraries(PERTURBED, partition, starts, 8), depths)
+        stepped = entropy_tables(PERTURBED, partition, starts, depths)
         for d in depths:
             assert np.array_equal(streamed[d].codes, stepped[d].codes)
             assert np.array_equal(streamed[d].counts, stepped[d].counts)
