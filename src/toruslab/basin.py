@@ -7,15 +7,24 @@ jittered inside cells with a seeded generator); membership is evaluated by
 accumulating the test-function sums along each orbit, so a single traversal
 of length max(n) yields every requested n and every epsilon at once.
 
-The chunk kernel keeps one workspace per chunk of N start points
-(`TestFunctionFamily.zero_sums`): the complex (F, N) running mode sums and
-every buffer a step writes, made by the chunk's own worker and reused at
-every step.  Each step adds e^(2 pi i k.x) for the family's frequencies,
-built from a power table with no trig call per frequency; at K=33 that is 8
-complex products, since conjugate rows are filled from their partners and
+A linear map's start points are stepped as uint64 phases X = floor(x 2^64)
+(`dynamics.to_phases`) by X -> A X mod 2^64, exactly, so every hit belongs
+to the true orbit of its own start point, floor(x 2^64) 2^-64; a float
+orbit of the cat map leaves the true one after about 35 steps.  A nonlinear
+map's points are stepped as floats and converted to phases at every step.
+Each step adds e^(2 pi i k.x) for the family's frequencies, from one table
+evaluator and a power table with no trig call per frequency; at K=33 that is
+8 complex products, since conjugate rows are filled from their partners and
 axis rows are table rows (see `weakstar`).  Weak* distances are formed only
-at the requested n.  CHUNK start points keep the workspace within a few MB,
-so it stays in cache; it is a fixed constant, not a setting.
+at the requested n.
+
+A sweep makes one workspace per worker (`TestFunctionFamily.zero_sums`):
+the complex (F, N) running mode sums and every buffer a step writes.  Each
+chunk takes a free one for its whole run, resets it and reuses it at every
+step.  The workspaces are made in the calling thread, so their memory comes
+from its malloc arena, not from arenas of the short-lived worker threads
+that keep what they held.  CHUNK start points keep a workspace within a few
+MB, so it stays in cache; it is a fixed constant, not a setting.
 
 Pruning: a start point that can never again be a hit is dropped, and the
 chunk is compacted so that later steps touch only live points.  Every
@@ -43,6 +52,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -50,7 +60,7 @@ from typing import Sequence
 
 import numpy as np
 
-from toruslab.dynamics import HyperbolicToralMap
+from toruslab.dynamics import HyperbolicToralMap, to_phases
 from toruslab.weakstar import MomentVector, TestFunctionFamily
 
 CHUNK = 1 << 13
@@ -165,36 +175,43 @@ class SweepResult:
 
 def _accumulate_hits(map: HyperbolicToralMap, points: np.ndarray,
                      target: np.ndarray, epsilons: Sequence[float],
-                     n_values: Sequence[int],
-                     family: TestFunctionFamily) -> tuple[np.ndarray, int]:
+                     n_values: Sequence[int], family: TestFunctionFamily,
+                     ws=None) -> tuple[np.ndarray, int]:
     """Hit counts for one chunk, shape (n_eps, n_rows), and the point-steps
-    it took.
+    it took, in the workspace ws (a fresh one if None).
 
-    After each requested row but the last, a point whose box bound reaches
-    the largest eps plus PRUNE_SLACK is dead and compacted away; when no
-    point can reach it (`box_bound_ceiling`) the bound is not formed."""
+    A linear map steps the points' uint64 phases, kept as (2, N) rows seen
+    as (N, 2), the layout `step` keeps and `accumulate` reads row by row; a
+    nonlinear map steps the float points.  After each requested
+    row but the last, a point whose box bound reaches the largest eps plus
+    PRUNE_SLACK is dead and compacted away; when no point can reach it
+    (`box_bound_ceiling`) the bound is not formed."""
     hits = np.zeros((len(epsilons), len(n_values)), dtype=np.int64)
-    sums = family.zero_sums(len(points))
+    if ws is None:
+        ws = family.zero_sums(len(points))
+    else:
+        ws.reset(len(points))
+    points = np.asarray(points, dtype=float)
+    x = to_phases(points.T).T if map.is_linear else points
     limit = max(epsilons) + PRUNE_SLACK
-    x = points
     row = 0
     n_max = n_values[-1]
     bounded = family.box_bound_ceiling(n_values[:-1], n_max, target) >= limit
     steps = 0
     for n in range(1, n_max + 1):
-        family.accumulate(x, sums)
+        family.accumulate(x, ws)
         steps += len(x)
         if n == n_values[row]:
-            dist = family.sum_distances(sums, n, target)
+            dist = family.sum_distances(ws, n, target)
             for ei, eps in enumerate(epsilons):
                 hits[ei, row] = int(np.count_nonzero(dist < eps))
             row += 1
             if row == len(n_values):
                 break
             if bounded[row - 1]:
-                live = family.box_bound(sums, n, n_max, target) < limit
+                live = family.box_bound(ws, n, n_max, target) < limit
                 if not live.all():
-                    x = x.take(family.compact(sums, live), axis=0)
+                    x = x.T[:, family.compact(ws, live)].T
                     if not len(x):
                         break
         x = map.step(x)
@@ -232,9 +249,20 @@ def curve_sweep(map: HyperbolicToralMap, target: MomentVector,
     spans = [(i, min(i + CHUNK, grid.size))
              for i in range(0, grid.size, CHUNK)]
 
+    # one workspace per worker, taken by a chunk for its whole run, so no
+    # two chunks share one at a time
+    spare = queue.SimpleQueue()
+    for _ in range(min(workers, len(spans))):
+        spare.put(family.zero_sums(min(CHUNK, grid.size)))
+
     def work(span):
-        pts = grid.chunk(span[0], span[1], offsets)
-        return _accumulate_hits(map, pts, tvals, epsilons, n_values, family)
+        ws = spare.get()
+        try:
+            pts = grid.chunk(span[0], span[1], offsets)
+            return _accumulate_hits(map, pts, tvals, epsilons, n_values,
+                                    family, ws)
+        finally:
+            spare.put(ws)
 
     if workers > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from toruslab.basin import SampleGrid, Verdict
-from toruslab.dynamics import HyperbolicToralMap, torus_distance
+from toruslab.dynamics import (HyperbolicToralMap, MatrixInvalid,
+                               torus_distance)
 from toruslab.weakstar import (DEFAULT_TRUNCATION, LEBESGUE, DiscreteMeasure,
                                MomentVector, OrbitMeasure, TestFunctionFamily,
                                moments)
@@ -323,6 +324,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         terms.append((coeff, freq))
     try:
         map = HyperbolicToralMap(matrix, float(amplitude), terms)
+    except MatrixInvalid as exc:
+        raise ConfigInvalid("map.matrix", str(exc)) from exc
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid("map", str(exc)) from exc
 

@@ -9,18 +9,18 @@ enters any cocycle computation.
 All operations accept arrays of shape (..., 2) and broadcast over leading
 axes.  Points are kept in the canonical representative [0, 1)^2.
 
-orbit is one scalar loop for every map, with step's rounding and wrap's
-carry: a % 1.0 that rounds to 1.0 goes on as 0.0.  On a linear map the
-loop's series is empty, and the orbit is exact integer arithmetic once a
-point lies on the lattice 2^-e Z^2, e = lattice_exponent (51 for the cat
-map): there every product, row sum and % 1.0 of the loop is exact, so the
-float orbit is the integer map X -> A X mod 2^e on a finite lattice
-(Percival & Vivaldi, Physica D 25, 1987).  orbit tests for the lattice
-after every LATTICE_CHECK steps and, once there, writes the rest of the
-orbit by doubling, X[L:L+c] = (A^L mod 2^e) X[0:c], in O(log n) NumPy
-passes with the loop's floats bit for bit.  Cat-map orbits from generic
-points reach the lattice within about a hundred steps; a point that never
-does runs the loop to the end.
+A linear map is exact integer arithmetic on the lattice 2^-64 Z^2: a point
+x is carried as its uint64 phases X = floor(x 2^64) (to_phases), and x ->
+A x mod 1 is X -> A X mod 2^64, which wrapping uint64 products and sums
+compute with no mask and no rounding (Percival & Vivaldi, Physica D 25,
+1987).  So a linear map's orbit is the true orbit of floor(x 2^64) 2^-64,
+which is x itself for coordinates of at least 2^-11 (a double there is a
+multiple of 2^-64) and moves a smaller one by less than 2^-64.  `step`
+takes such phases as well as floats, and `orbit` fills the phases by
+doubling, X[L:L+c] = (A^L mod 2^64) X[0:c], before it converts them to the
+nearest doubles in [0, 1) (from_phases).  A nonlinear map keeps the float
+arithmetic of `step` and one scalar loop in `orbit`, which follow the same
+float orbit bit for bit.
 
 The unstable direction u has one implementation, unstable_warmup, and the
 expansion |Df u| one, unstable_growth, whose log is the psi of lyapunov's
@@ -39,6 +39,7 @@ point of the torus.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -52,10 +53,13 @@ TWO_PI = 2.0 * math.pi
 INVERSE_TOL = 1e-12
 INVERSE_MAX_ITER = 100
 
-# steps of orbit's scalar loop between two lattice tests, and rows per NumPy
-# pass of the lattice fill (which bounds its temporaries)
-LATTICE_CHECK = 64
-LATTICE_BLOCK = 8192
+# rows per NumPy pass of a linear orbit's fill and conversion: NumPy copies
+# an operand that overlaps its output, so whole-orbit passes would double
+# the orbit's memory
+_ORBIT_ROWS = 1 << 13
+_WORD = (1 << 64) - 1
+# the largest double below 1
+_BELOW_ONE = 1.0 - 2.0 ** -53
 
 # float-rounding allowance in the cone slack (verify_hyperbolicity): the
 # computed Df, ray images and arc extremes carry relative rounding errors of
@@ -74,6 +78,11 @@ class NotHyperbolic(RuntimeError):
     """Cone-field verification failed at some sampled point."""
 
 
+class MatrixInvalid(ValueError):
+    """The matrix is not a 2x2 hyperbolic unimodular integer matrix with
+    entries below 2^63 in magnitude."""
+
+
 def wrap(points):
     """Reduce to the canonical representative in [0,1)^2, as a new array.
 
@@ -87,6 +96,45 @@ def wrap(points):
     np.subtract(p, r, out=r)
     r[r >= 1.0] = 0.0
     return r
+
+
+def to_phases(points) -> np.ndarray:
+    """uint64 phases X = floor(x 2^64) of the fractions x of the points.
+
+    The fraction is `wrap`'s, so it lies in [0, 1 - 2^-53]; scaling by 2^64
+    is exact, and the cast truncates toward 0, which is the floor here."""
+    r = wrap(points)
+    r *= 2.0 ** 64
+    return r.astype(np.uint64)
+
+
+def from_phases(phases, out=None) -> np.ndarray:
+    """The double in [0, 1) nearest to X 2^-64 for each uint64 phase X.
+
+    With X = hi 2^32 + lo, hi 2^-32 and lo 2^-64 are exact doubles, so
+    their sum is X 2^-64 rounded once, to nearest; NumPy's own uint64 cast
+    branches on the top bit and took 1.6 times as long on random phases.
+    The one value that rounds to 1.0, for X >= 2^64 - 2^10, goes to the
+    largest double below 1.  A phase with at most 53 significant bits, such
+    as to_phases gives for a fraction of at least 2^-11, converts exactly.
+    out, C-contiguous, may be the phases' own memory: the work goes in
+    blocks of 2 _ORBIT_ROWS values through two scratch buffers."""
+    phases = np.asarray(phases)
+    if out is None:
+        out = np.empty(phases.shape)
+    src, dst = phases.reshape(-1), out.reshape(-1)
+    block = min(2 * _ORBIT_ROWS, len(src)) or 1
+    part, low = np.empty(block, dtype=np.uint64), np.empty(block)
+    for s in range(0, len(src), block):
+        x, o = src[s:s + block], dst[s:s + block]
+        w, f = part[:len(x)], low[:len(x)]
+        np.bitwise_and(x, 0xFFFFFFFF, out=w)
+        np.multiply(w.view(np.int64), 2.0 ** -64, out=f)
+        np.right_shift(x, 32, out=w)
+        np.multiply(w.view(np.int64), 2.0 ** -32, out=o)
+        o += f
+        np.minimum(o, _BELOW_ONE, out=o)
+    return out
 
 
 def _combine(c0: float, u, c1: float, v):
@@ -113,13 +161,18 @@ def torus_distance(p, q):
     return np.sqrt(np.sum(d * d, axis=-1))
 
 
-def _as_int_matrix(matrix) -> np.ndarray:
-    m = np.asarray(matrix)
+def _as_int_matrix(matrix) -> list[list[int]]:
+    """The entries of a 2x2 matrix as Python ints, so that no product or
+    determinant of large entries wraps."""
+    m = np.asarray(matrix, dtype=object)
     if m.shape != (2, 2):
-        raise ValueError(f"matrix must be 2x2, got shape {m.shape}")
-    if not np.all(m == np.round(m)):
-        raise ValueError("matrix entries must be integers")
-    return m.astype(np.int64)
+        raise MatrixInvalid(f"matrix must be 2x2, got shape {m.shape}")
+    rows = m.tolist()
+    for v in (v for row in rows for v in row):
+        if not (isinstance(v, numbers.Integral) or isinstance(v, numbers.Real)
+                and math.isfinite(v) and float(v).is_integer()):
+            raise MatrixInvalid(f"matrix entries must be integers, got {v!r}")
+    return [[int(v) for v in row] for row in rows]
 
 
 class HyperbolicToralMap:
@@ -129,33 +182,37 @@ class HyperbolicToralMap:
     real 2-vector, frequency a nonzero integer 2-vector.  amplitude scales the
     whole series.
 
-    Construction enforces |det A| = 1, no eigenvalue on the unit circle,
-    entries small enough that `orbit` has a lattice (`lattice_exponent` >=
-    1), a finite amplitude and finite coefficients, and amp * |A^-1| *
-    Lip(psi) < 1/2 so the inverse iteration contracts.
+    Construction enforces |det A| = 1, no eigenvalue on the unit circle and
+    entries below 2^63 in magnitude (MatrixInvalid otherwise), a finite
+    amplitude and finite coefficients, and amp * |A^-1| * Lip(psi) < 1/2 so
+    the inverse iteration contracts.
     """
 
     def __init__(self, matrix, amplitude: float = 0.0,
                  perturbation: Sequence = ()):
-        A = _as_int_matrix(matrix)
-        # Python ints: int64 products of large entries wrap
-        (a00, a01), (a10, a11) = A.tolist()
+        (a00, a01), (a10, a11) = rows = _as_int_matrix(matrix)
         det = a00 * a11 - a01 * a10
         tr = a00 + a11
         if abs(det) != 1:
-            raise ValueError(f"matrix must be unimodular, det = {det}")
+            raise MatrixInvalid(f"matrix must be unimodular, det = {det}")
         # no eigenvalue on the unit circle: for det=1 this is |tr|>2, for
         # det=-1 any nonzero trace gives |lam| = (|tr|+sqrt(tr^2+4))/2 > 1
         if det == 1 and abs(tr) <= 2:
-            raise ValueError(
+            raise MatrixInvalid(
                 f"matrix is not hyperbolic: det=1 requires |trace| > 2, got {tr}")
         if det == -1 and tr == 0:
-            raise ValueError("matrix is not hyperbolic: det=-1, trace=0")
+            raise MatrixInvalid("matrix is not hyperbolic: det=-1, trace=0")
+        if any(abs(v) >= 2 ** 63 for row in rows for v in row):
+            raise MatrixInvalid(f"matrix entries too large: {rows} has an "
+                             "entry of magnitude 2**63 or more")
+        A = np.array(rows, dtype=np.int64)
         self.matrix = A
         self.det = det
         # adjugate over det is exact for integer unimodular matrices
         self.matrix_inv = (np.array([[A[1, 1], -A[0, 1]],
                                      [-A[1, 0], A[0, 0]]], dtype=np.int64) * det)
+        # A mod 2^64, for the uint64 phases of `step` and `orbit`
+        self._words = tuple(tuple(v & _WORD for v in row) for row in rows)
 
         amplitude = float(amplitude)
         if not (math.isfinite(amplitude) and amplitude >= 0):
@@ -188,19 +245,6 @@ class HyperbolicToralMap:
         self._rows = tuple(map(tuple, A.astype(float).tolist()))
         self._inv_rows = tuple(map(tuple,
                                    self.matrix_inv.astype(float).tolist()))
-
-        # orbit's lattice: the largest e with M 2^e <= 2^53, M the largest
-        # |a x + b y| over [0, 1]^2 of a row (a, b) of A, so that on points
-        # of 2^-e Z^2 in [0, 1)^2 every product and row sum is an integer
-        # multiple of 2^-e below 2^53 of them, exact, and so is % 1.0
-        reach = max(max(sum(a for a in row if a > 0),
-                        -sum(a for a in row if a < 0))
-                    for row in A.tolist())
-        self.lattice_exponent = 53 - (reach - 1).bit_length()
-        if self.lattice_exponent < 1:
-            raise ValueError(
-                f"matrix entries too large for exact orbits: |a x + b y| of "
-                f"a row reaches {reach} > 2**52 over [0, 1]^2")
 
         # Lip(psi) <= sum 2 pi |c_k| |k|
         self.lipschitz_bound = float(
@@ -284,10 +328,24 @@ class HyperbolicToralMap:
     def step(self, points):
         """One forward iterate, canonical representative.
 
-        Element-wise products and sums in the order of `orbit`'s scalar
-        loop, so iterating `step` from a point follows `orbit` bit for bit.
+        Float points: element-wise products and sums in the order of
+        `orbit`'s scalar loop, so iterating `step` from a point follows a
+        nonlinear map's `orbit` bit for bit.  uint64 phases (`to_phases`) of
+        a linear map: X -> A X mod 2^64 in wrapping arithmetic, exact, with
+        the layout of the input kept; iterated from to_phases(p), they are
+        the phases of `orbit(p, n)`.
         """
-        p = np.asarray(points, dtype=float)
+        p = np.asarray(points)
+        if p.dtype == np.uint64:
+            if not self.is_linear:
+                raise ValueError("phases step a linear map only")
+            (a00, a01), (a10, a11) = self._words
+            x, y = p[..., 0], p[..., 1]
+            q = np.empty_like(p)
+            q[..., 0] = _combine(a00, x, a01, y)
+            q[..., 1] = _combine(a10, x, a11, y)
+            return q
+        p = np.asarray(p, dtype=float)
         x, y = p[..., 0], p[..., 1]
         (a00, a01), (a10, a11) = self._rows
         q = np.empty(p.shape)
@@ -354,102 +412,74 @@ class HyperbolicToralMap:
     def orbit(self, point, n: int) -> np.ndarray:
         """[p, f(p), ..., f^(n-1)(p)] for a single point, shape (n, 2).
 
-        One scalar loop, `step`'s products and sums in the same order; on a
-        linear map its series is empty, which adds +0.0 to each row sum and
-        leaves `% 1.0` unchanged.  A nonlinear map runs one block of n
-        steps, a linear map blocks of LATTICE_CHECK steps until the current
-        point lies on the lattice 2^-e Z^2, e = `lattice_exponent`; from
-        there the float orbit is the integer map X -> A X mod 2^e, and
-        `_lattice_fill` writes the rest of it by doubling, bit for bit the
-        loop's values.  A point that never reaches the lattice runs the loop
-        to the end.  A sum in (-2^-54, 0) rounds to 1.0 under `% 1.0`; as in
-        `wrap` and `step`, a 1.0 entering a block, carried or restarted,
-        goes on as 0.0, and a 1.0 stored inside a block runs the block again
-        from its row.
+        A linear map's orbit is the true orbit of the phases X_0 =
+        to_phases(p): X_j = A^j X_0 mod 2^64, filled by doubling in a uint64
+        view of the output, X[L:L+c] = (A^L mod 2^64) X[0:c], with A^L
+        squared in Python ints, and converted in place by `from_phases`.
+
+        A nonlinear map runs one scalar loop, `step`'s products and sums in
+        the same order.  A sum in (-2^-54, 0) rounds to 1.0 under `% 1.0`;
+        as in `wrap` and `step` it goes on as 0.0: a stored 1.0 is looked
+        for once the loop ends, and the loop runs again from its row.
         """
         if n < 1:
             raise ValueError("orbit length must be >= 1")
-        p = wrap(np.asarray(point, dtype=float).reshape(2))
+        p = np.asarray(point, dtype=float).reshape(2)
         out = np.empty((n, 2))
+        if self.is_linear:
+            self._phase_fill(out.view(np.uint64), to_phases(p))
+            return from_phases(out.view(np.uint64), out=out)
         # the interleaved x, y doubles of out, which the loop stores unboxed
         buf = memoryview(out).cast("B").cast("d")
         (a00, a01), (a10, a11) = self._rows
-        amp, sin = self.amplitude, math.sin
-        linear = self.is_linear
-        terms = () if linear else self._terms
-        scale = float(2 ** self.lattice_exponent)
+        amp, sin, terms = self.amplitude, math.sin, self._terms
+        p = wrap(p)
         x, y = float(p[0]), float(p[1])
-        block = LATTICE_CHECK if linear else n
-        for start in range(0, n, block):
-            # every point entering a block is in [0, 1)^2, so the lattice
-            # test is integrality alone
-            if (linear and start and (x * scale).is_integer()
-                    and (y * scale).is_integer()):
-                self._lattice_fill(out[start:], int(x * scale),
-                                   int(y * scale))
+        row = 0
+        while row < n:
+            for i in range(2 * row, 2 * n, 2):
+                buf[i] = x
+                buf[i + 1] = y
+                px = py = 0.0
+                for c0, c1, k0, k1 in terms:
+                    s = sin(TWO_PI * (k0 * x + k1 * y))
+                    px += c0 * s
+                    py += c1 * s
+                x, y = ((a00 * x + a01 * y + amp * px) % 1.0,
+                        (a10 * x + a11 * y + amp * py) % 1.0)
+            ones = np.flatnonzero(out[row:] == 1.0)
+            if not len(ones):
                 break
-            row, stop = start, min(start + block, n)
-            while row < stop:
-                for i in range(2 * row, 2 * stop, 2):
-                    buf[i] = x
-                    buf[i + 1] = y
-                    px = py = 0.0
-                    for c0, c1, k0, k1 in terms:
-                        s = sin(TWO_PI * (k0 * x + k1 * y))
-                        px += c0 * s
-                        py += c1 * s
-                    x, y = ((a00 * x + a01 * y + amp * px) % 1.0,
-                            (a10 * x + a11 * y + amp * py) % 1.0)
-                # a stored 1.0 is rare: look for one once per block, not at
-                # every step
-                ones = np.flatnonzero(out[row:stop] == 1.0)
-                if len(ones):
-                    row += int(ones[0]) // 2
-                    x, y = buf[2 * row], buf[2 * row + 1]
-                else:
-                    row = stop
-                # a 1.0 entering a block, carried or restarted, goes on as 0.0
-                x = 0.0 if x == 1.0 else x
-                y = 0.0 if y == 1.0 else y
+            row += int(ones[0]) // 2
+            x, y = buf[2 * row], buf[2 * row + 1]
+            x = 0.0 if x == 1.0 else x
+            y = 0.0 if y == 1.0 else y
         return out
 
-    def _lattice_fill(self, out, x0: int, y0: int) -> None:
-        """Write the orbit of the lattice point (x0, y0) 2^-e into out,
-        shape (m, 2), in place.
-
-        The integer orbit X_j = A^j X_0 mod 2^e is filled by doubling in an
-        int64 view of out: X[L:L+c] = (A^L mod 2^e) X[0:c] mod 2^e, with
-        A^L squared in Python ints, the products wrapping mod 2^64 (exact
-        mod 2^e) and cut to e bits by a mask, at most LATTICE_BLOCK rows per
-        NumPy pass.  Each row is then scaled by 2^-e, which is exact."""
-        e = self.lattice_exponent
-        mask = (1 << e) - 1
-        lat = out.view(np.int64)
-        lat[0] = x0, y0
+    def _phase_fill(self, lat, start) -> None:
+        """Write the phase orbit of `start` into the uint64 array lat, shape
+        (m, 2), in place, by doubling: the products and sums wrap mod 2^64,
+        which is the map mod 1, and every NumPy pass takes at most
+        _ORBIT_ROWS rows."""
+        lat[0] = start
         m = len(lat)
-        (b00, b01), (b10, b11) = [[v & mask for v in row]
-                                  for row in self.matrix.tolist()]
+        (b00, b01), (b10, b11) = self._words
         filled = 1
         while filled < m:
             count = min(filled, m - filled)
-            for s in range(0, count, LATTICE_BLOCK):
-                src = lat[s:min(s + LATTICE_BLOCK, count)]
+            for s in range(0, count, _ORBIT_ROWS):
+                src = lat[s:min(s + _ORBIT_ROWS, count)]
                 dst = lat[filled + s:filled + s + len(src)]
                 x, y = src[:, 0], src[:, 1]
                 np.multiply(x, b00, out=dst[:, 0])
                 dst[:, 0] += y * b01
                 np.multiply(x, b10, out=dst[:, 1])
                 dst[:, 1] += y * b11
-                dst &= mask
             filled += count
-            b00, b01, b10, b11 = ((b00 * b00 + b01 * b10) & mask,
-                                  (b00 * b01 + b01 * b11) & mask,
-                                  (b10 * b00 + b11 * b10) & mask,
-                                  (b10 * b01 + b11 * b11) & mask)
-        scale = 2.0 ** -e
-        for s in range(0, m, LATTICE_BLOCK):
-            rows = out[s:s + LATTICE_BLOCK]
-            np.multiply(rows.view(np.int64), scale, out=rows)
+            b00, b01, b10, b11 = ((b00 * b00 + b01 * b10) & _WORD,
+                                  (b00 * b01 + b01 * b11) & _WORD,
+                                  (b10 * b00 + b11 * b10) & _WORD,
+                                  (b10 * b01 + b11 * b11) & _WORD)
 
     def __repr__(self):
         return (f"HyperbolicToralMap({self.matrix.tolist()}, "

@@ -11,8 +11,13 @@ Fourier coefficients), hence metrizes weak* convergence; distances computed
 at different K agree to the tail bound but are only comparable at fixed K, so
 the truncation and enumeration version are stamped into every result record.
 
-Every mode is evaluated without a trig call per frequency: with
-z_c = e^(2 pi i x_c) from one complex exponential per coordinate, the power
+Every mode is evaluated without a trig call per frequency.  A point enters
+as its uint64 phases X = floor(x 2^64) (`dynamics.to_phases`; the basin
+kernel steps a linear map's phases directly), and z_c = e^(2 pi i X_c/2^64)
+comes from one table evaluator, `_characters`: two 4096-entry tables of
+roots of unity on the top 12 and the next 12 bits of X, and the polynomial
+1 + i d - d^2/2 in d = 2 pi (X mod 2^40) 2^-64 < 4e-7, whose cut-off is
+below 1e-20.  It agrees with the exact value to about 1e-15.  The power
 table z_c^a, a = -kmax..kmax (kmax the largest max-norm among the family's
 frequencies, 2 for K=33), gives e^(2 pi i k.x) = z_1^k1 z_2^k2.  A plan built
 once per family sorts the frequencies: one whose negative came earlier is the
@@ -25,7 +30,8 @@ mode order, so its first K-1 entries are the trig modes for odd and even K
 alike.  `phi_values`, the blocked `weighted_sum` behind `moments` and the
 basin kernel's running sums share this evaluator.  Every buffer it writes
 lives in a workspace from `zero_sums`, which `accumulate` and
-`sum_distances` reuse at every step; a workspace belongs to one thread.
+`sum_distances` reuse at every step and the basin kernel across chunks
+(`reset`); a workspace belongs to one thread.
 
 The basin kernel drops start points that can never again be in a basin.
 Every phi_i, i >= 1, lies in [0, 1], so after n of N steps each mean trig
@@ -37,11 +43,12 @@ first `live` columns of the workspace, and `sum_distances` reads only those.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from toruslab.dynamics import TWO_PI, HyperbolicToralMap, wrap
+from toruslab.dynamics import TWO_PI, HyperbolicToralMap, to_phases, wrap
 
 FAMILY_VERSION = "fourier-maxnorm-lex-v1"
 DEFAULT_TRUNCATION = 33
@@ -50,6 +57,51 @@ BOUND_MODES = 8
 _PHI_ROWS = 1 << 13
 # BLAS gemv kernels take rows in blocks and round a short tail differently
 _GEMV_BLOCK = 16
+
+
+def _unit_circle(turns) -> np.ndarray:
+    """e^(2 pi i t) for each t of turns, from cos and sin."""
+    return np.array([complex(math.cos(TWO_PI * t), math.sin(TWO_PI * t))
+                     for t in turns])
+
+
+def _roots_of_unity(count: int) -> np.ndarray:
+    """e^(2 pi i j/count) for j < count, count a multiple of 8: cos and sin
+    on the first octant, where the argument rounds least, and the rest by
+    the exact symmetries e^(i(pi/2 - t)) = i conj(e^(it)) and
+    e^(i(t + pi/2)) = i e^(it)."""
+    e = count // 8
+    octant = _unit_circle(j / count for j in range(e + 1))
+    quarter = np.concatenate([octant, 1j * octant[e - 1:0:-1].conj()])
+    return np.concatenate([quarter, 1j * quarter, -quarter, -1j * quarter])
+
+
+# e^(2 pi i X/2^64) = _COARSE[X >> 52] _FINE[(X >> 40) & 4095] e^(i d)
+_COARSE = _roots_of_unity(4096)
+_FINE = _unit_circle(j * 2.0 ** -24 for j in range(4096))
+_LOW_BITS = (1 << 40) - 1
+_LOW_TURN = TWO_PI * 2.0 ** -64
+
+
+def _characters(phases, out, index, scratch) -> None:
+    """e^(2 pi i X/2^64) for each uint64 phase X into the complex array out,
+    as _COARSE[X >> 52] _FINE[(X >> 40) & 4095] (1 + i d - d^2/2) with
+    d = 2 pi (X & (2^40 - 1)) 2^-64.  index (uint64) and scratch (complex)
+    are buffers of the phases' shape."""
+    i = index.view(np.int64)
+    np.right_shift(phases, 52, out=index)
+    np.take(_COARSE, i, out=out, mode="clip")
+    np.right_shift(phases, 40, out=index)
+    index &= 4095
+    np.take(_FINE, i, out=scratch, mode="clip")
+    out *= scratch
+    np.bitwise_and(phases, _LOW_BITS, out=index)
+    d = scratch.imag
+    np.multiply(index, _LOW_TURN, out=d)
+    np.multiply(d, d, out=scratch.real)
+    scratch.real *= -0.5
+    scratch.real += 1.0
+    out *= scratch
 
 
 class FamilyMismatch(ValueError):
@@ -86,7 +138,7 @@ class TestFunctionFamily:
         self._kmax = k = max((max(abs(k1), abs(k2)) for k1, k2 in freqs),
                              default=0)
         # the mode plan, in rows of the flattened power table
-        # [z_1^-kmax .. z_1^kmax, z_2^-kmax .. z_2^kmax]: a frequency whose
+        # [z_1^-kmax, z_2^-kmax, .., z_1^kmax, z_2^kmax]: a frequency whose
         # negative came earlier is the conjugate of that row (_conj, filled
         # by _fill_conjugates); of the rest, one on an axis is a table row
         # (_axis), the others a product of two (_products).  Entries are
@@ -94,7 +146,7 @@ class TestFunctionFamily:
         index = {(k1, k2): j for j, (k1, k2) in enumerate(freqs)}
         self._conj, self._axis, self._products = [], [], []
         for j, (k1, k2) in enumerate(freqs):
-            a, b = k1 + k, k2 + 3 * k + 1
+            a, b = 2 * (k1 + k), 2 * (k2 + k) + 1
             partner = index.get((-k1, -k2), j)
             if partner < j:
                 self._conj.append((j, partner))
@@ -117,25 +169,27 @@ class TestFunctionFamily:
     def __repr__(self):
         return f"TestFunctionFamily(K={self.truncation})"
 
-    def _add_modes(self, p: np.ndarray, ws: "_Workspace") -> None:
-        """Add e^(2 pi i k.x) at each of the n points p into row k of the
-        workspace sums, for every frequency k of the family that is not the
-        conjugate of an earlier one (see _fill_conjugates).
+    def _add_modes(self, phases: np.ndarray, ws: "_Workspace") -> None:
+        """Add e^(2 pi i k.x) at each of the n points with uint64 phases
+        (n, 2) into row k of the workspace sums, for every frequency k of
+        the family that is not the conjugate of an earlier one (see
+        _fill_conjugates).
 
-        The power table holds z_c^a, a = -kmax..kmax, for both coordinates;
-        a mode on an axis is one of its rows, any other mode the product of
-        two.  Every temporary is a workspace buffer."""
+        The power table holds z_c^a, a = -kmax..kmax, for both coordinates,
+        z_c from `_characters`; a mode on an axis is one of its rows, any
+        other mode the product of two.  Every temporary is a workspace
+        buffer: the z^-kmax rows, written last, are the evaluator's
+        scratch."""
         if not self._nfreq:
             return
-        n, k = len(p), self._kmax
+        n, k = len(phases), self._kmax
         pw = ws.power[:, :, :n]
-        z = pw[:, k + 1]
-        np.multiply(p.T, 1j * TWO_PI, out=z)
-        np.exp(z, out=z)
+        z = pw[k + 1]
+        _characters(phases.T, z, ws.index[:, :n], pw[0])
         for a in range(2, k + 1):
-            np.multiply(pw[:, k + a - 1], z, out=pw[:, k + a])
+            np.multiply(pw[k + a - 1], z, out=pw[k + a])
         # |z| = 1, so z^-a is the conjugate of z^a
-        np.conjugate(pw[:, k + 1:], out=pw[:, k - 1::-1])
+        np.conjugate(pw[k + 1:], out=pw[k - 1::-1])
         rows = ws.power.reshape(-1, ws.power.shape[-1])[:, :n]
         sums = ws.sums[:, :n]
         for j, a in self._axis:
@@ -174,7 +228,7 @@ class TestFunctionFamily:
         for i in range(0, len(p), _PHI_ROWS):
             rows = p[i:i + _PHI_ROWS]
             ws.sums[...] = 0.0
-            self._add_modes(rows, ws)
+            self._add_modes(to_phases(rows), ws)
             block = out[i:i + _PHI_ROWS, 1:]
             np.multiply(self._trig_modes(ws, len(rows)), 0.5, out=block)
             block += 0.5
@@ -195,7 +249,7 @@ class TestFunctionFamily:
             rows = p[i:i + _PHI_ROWS]
             block = ws.sums[:, :len(rows)]
             block[...] = 0.0
-            self._add_modes(rows, ws)
+            self._add_modes(to_phases(rows), ws)
             self._fill_conjugates(block)
             acc += block @ w[i:i + _PHI_ROWS]
         total = float(np.sum(w))
@@ -206,17 +260,20 @@ class TestFunctionFamily:
         return out
 
     def zero_sums(self, npoints: int) -> "_Workspace":
-        """A workspace for `accumulate` and `sum_distances` on npoints
+        """A workspace for `accumulate` and `sum_distances` on up to npoints
         points: zeroed complex (F, npoints) running sums, one row per
         frequency, plus every buffer the kernel writes.  One workspace
-        serves one thread; nothing in it is shared."""
+        serves one thread; nothing in it is shared.  `reset` readies it for
+        the next set of points."""
         return _Workspace(self._nfreq, self._kmax, npoints)
 
     def accumulate(self, points, sums: "_Workspace") -> None:
         """Add e^(2 pi i k.x) at each point, for every frequency k of the
         family, into the running sums of a `zero_sums` workspace in place.
+        points are floats or their uint64 phases (`dynamics.to_phases`).
         Conjugate rows are left to `sum_distances`."""
-        self._add_modes(np.asarray(points, dtype=float), sums)
+        p = np.asarray(points)
+        self._add_modes(p if p.dtype == np.uint64 else to_phases(p), sums)
 
     def sum_distances(self, sums: "_Workspace", n: int,
                       target) -> np.ndarray:
@@ -327,24 +384,31 @@ def _padded(npoints: int) -> int:
 
 class _Workspace:
     """Buffers of the mode kernel for up to N points: the complex (F, N)
-    running sums, the power table (2, 2 kmax + 1, N), whose z^1 rows also
-    hold the exponential's argument, one mode row, the (N, F) transposed
+    running sums, the power table (2 kmax + 1, 2, N), one mode row, the
+    character evaluator's uint64 (2, N) index buffer, the (N, F) transposed
     sums and the distance vector.  The sums, the transposed sums and the
     distances have N rounded up to _GEMV_BLOCK points (see
     `sum_distances`).  The first `live` points are the ones `sum_distances`
-    and `box_bound` read; `compact` lowers it.  Built by
+    and `box_bound` read; `compact` lowers it and `reset` sets it.  Built by
     `TestFunctionFamily.zero_sums`.
     """
 
-    __slots__ = ("sums", "power", "mode", "trans", "dist", "live")
+    __slots__ = ("sums", "power", "mode", "index", "trans", "dist", "live")
 
     def __init__(self, nfreq: int, kmax: int, npoints: int):
         self.sums = np.zeros((nfreq, _padded(npoints)), dtype=complex)
-        self.power = np.empty((2, 2 * kmax + 1, npoints), dtype=complex)
-        self.power[:, kmax] = 1.0
+        self.power = np.empty((2 * kmax + 1, 2, npoints), dtype=complex)
+        self.power[kmax] = 1.0
         self.mode = np.empty(npoints, dtype=complex)
+        self.index = np.empty((2, npoints), dtype=np.uint64)
         self.trans = np.empty((_padded(npoints), nfreq), dtype=complex)
         self.dist = np.empty(_padded(npoints))
+        self.live = npoints
+
+    def reset(self, npoints: int) -> None:
+        """Make the first npoints points live with zero sums, for a new set
+        of points; the columns up to the next _GEMV_BLOCK are zeroed too."""
+        self.sums[:, :_padded(npoints)] = 0.0
         self.live = npoints
 
 

@@ -372,11 +372,18 @@ def _ref_phi_values(family, points):
 
 
 def _ref_accumulate_hits(map, points, target, epsilons, n_values, family):
+    """Hit counts along float `step` orbits for a nonlinear map and along
+    the true orbits `orbit` gives for a linear one."""
     hits = np.zeros((len(epsilons), len(n_values)), dtype=np.int64)
     sums = np.zeros((len(points), family.truncation))
+    if map.is_linear:
+        orbits = np.stack([map.orbit(p, n_values[-1]) for p in points],
+                          axis=1)
     x = points
     row = 0
     for n in range(1, n_values[-1] + 1):
+        if map.is_linear:
+            x = orbits[n - 1]
         sums[:, 0] += 1.0
         _ref_trig_into(family, x, sums[:, 1:], accumulate=True)
         if n == n_values[row]:
@@ -504,3 +511,42 @@ class TestHitCountsPinned:
         assert [c.hits.tolist() for c in curves] == [
             [2164, 3295, 3754, 3971],
             [702, 1600, 2286, 2816]]
+
+
+def _exact_distance(point, n, target, family):
+    """dist* from the time-n empirical measure of the true cat-map orbit of
+    the phases floor(x 2^64) of point to the target moments, from Python
+    ints and math.cos and math.sin."""
+    freqs = _enumerate_frequencies((family.truncation - 1) // 2).tolist()
+    x, y = (math.floor(v * 2**64) for v in point)
+    cos_sums, sin_sums = [0.0] * len(freqs), [0.0] * len(freqs)
+    for _ in range(n):
+        for j, (k1, k2) in enumerate(freqs):
+            angle = 2.0 * math.pi * (((k1 * x + k2 * y) % 2**64) / 2**64)
+            cos_sums[j] += math.cos(angle)
+            sin_sums[j] += math.sin(angle)
+        x, y = (2 * x + y) % 2**64, (x + y) % 2**64
+    means = [1.0] + [0.5 + 0.5 * s / n for j in range(len(freqs))
+                     for s in (cos_sums[j], sin_sums[j])]
+    return sum(w * abs(m - t)
+               for w, m, t in zip(family.weights, means, target))
+
+
+class TestTrueOrbitHits:
+    def test_hit_at_100_is_hit_of_exact_orbit(self, cat, family, leb_target):
+        # past n ~ 35 a float cat orbit is the orbit of another point: here
+        # float steps flip 121 of the 256 memberships; the kernel's uint64
+        # phases must give the exact orbit's membership at every point
+        grid = SampleGrid(resolution=16, jitter=True, seed=2)
+        pts = grid.chunk(0, grid.size, grid._offsets())
+        eps, n = 0.025, 100
+        exact = np.array([_exact_distance(p, n, leb_target.values, family)
+                          for p in pts.tolist()])
+        # no exact distance is within reach of the kernel's rounding
+        assert np.min(np.abs(exact - eps)) > 1e-6
+        members = [basin_membership(cat, p, leb_target, eps, n, family)
+                   for p in pts]
+        assert members == (exact < eps).tolist()
+        hits, _ = _accumulate_hits(cat, pts, leb_target.values, [eps], [n],
+                                   family)
+        assert hits[0, 0] == np.count_nonzero(exact < eps) == 117

@@ -250,10 +250,16 @@ class TestConfigValidation:
         ({"output_dir": None}, "output_dir", "string, got None"),
         ({"output_dir": 5}, "output_dir", "string, got 5"),
         # int64 det and trace wrap: det 2^64 + 1 read as 1
-        ({"map": {"matrix": [[2**32, -1], [1, 2**32]]}}, "map",
+        ({"map": {"matrix": [[2**32, -1], [1, 2**32]]}}, "map.matrix",
          "unimodular"),
-        ({"map": {"matrix": [[2**60 + 1, 2**60], [1, 1]]}}, "map",
+        ({"map": {"matrix": [[2**64 + 1, 2**64], [1, 1]]}}, "map.matrix",
          "too large"),
+        # through uint64 and int64, 2^63 gave det -2^63 - 1 and 2^70 a
+        # NumPy TypeError
+        ({"map": {"matrix": [[2**63, 1], [1, 1]]}}, "map.matrix",
+         f"det = {2**63 - 1}$"),
+        ({"map": {"matrix": [[2**70, 1], [1, 1]]}}, "map.matrix",
+         f"det = {2**70 - 1}$"),
     ])
     def test_bad_fields_named(self, tmp_path, overrides, field_path,
                               message):

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toruslab.dynamics import (CONE_ROUNDING, TWO_PI, ConeReport,
-                               HyperbolicToralMap, NotHyperbolic,
-                               _arc_extreme, _grid_points, torus_distance,
+                               HyperbolicToralMap, MatrixInvalid,
+                               NotHyperbolic, _arc_extreme, _grid_points,
+                               from_phases, to_phases, torus_distance,
                                unstable_growth, verify_hyperbolicity, wrap)
 from toruslab.experiments import ORBIT_SEED_POINT
 from toruslab.lyapunov import lyapunov_spectrum_qr, unstable_integral
@@ -49,12 +50,36 @@ class TestConstruction:
     @pytest.mark.parametrize("matrix, message", [
         # det 2^64 + 1 wraps to 1 in int64
         ([[2**32, -1], [1, 2**32]], "unimodular"),
-        # lattice exponent -9: orbit's lattice fill would shift by it
-        ([[2**60 + 1, 2**60], [1, 1]], "too large"),
+        # unimodular and hyperbolic, but no int64 holds 2^64 + 1
+        ([[2**64 + 1, 2**64], [1, 1]], "too large"),
     ])
     def test_huge_entries_rejected(self, matrix, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(MatrixInvalid, match=message):
             HyperbolicToralMap(matrix)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("matrix, det", [
+        # through uint64, 2^63 wrapped in int64 and gave det -2^63 - 1; 2^70
+        # raised a NumPy TypeError
+        ([[2**63, 1], [1, 1]], 2**63 - 1),
+        ([[2**70, 1], [1, 1]], 2**70 - 1),
+    ])
+    def test_oversized_entries_report_true_det(self, matrix, det):
+        with pytest.raises(MatrixInvalid, match=f"unimodular, det = {det}$"):
+            HyperbolicToralMap(matrix)
+
+    @pytest.mark.parametrize("entry", [1.5, math.nan, math.inf, "2"])
+    def test_non_integer_entry_named(self, entry):
+        with pytest.raises(MatrixInvalid,
+                           match="matrix entries must be integers"):
+            HyperbolicToralMap([[entry, 1], [1, 1]])
+
+    def test_large_unimodular_matrix_admitted(self):
+        # no lattice bounds the entries any more: orbits are exact in uint64
+        m = HyperbolicToralMap([[2**60 + 1, 2**60], [1, 1]])
+        assert m.det == 1
+        p = (0.25, 0.5)
+        assert np.array_equal(m.orbit(p, 50), reference_orbit(m, p, 50))
 
     def test_contraction_bound_enforced(self):
         # amp * |A^-1| * 2 pi |c| |k| must stay below 1/2
@@ -127,17 +152,20 @@ CARRY_POINTS = [(6.22901694889702e-06, 6.229016948897021e-06),
 
 
 class TestStepFollowsOrbit:
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("name", sorted(STEP_ORBIT_MAPS))
     def test_iterated_step_equals_orbit(self, name):
         # the basin sweep iterates step on arrays, the scalar stages read
-        # orbit; both must follow the same float orbit bit for bit
+        # orbit; both must follow the same orbit bit for bit: the uint64
+        # phases of a linear map, the floats of a nonlinear one
         m = STEP_ORBIT_MAPS[name]
         pts = np.concatenate([np.random.default_rng(11).random((5, 2)),
                               CARRY_POINTS])
         orbits = np.stack([m.orbit(p, 300) for p in pts], axis=1)
-        x = pts
+        x = to_phases(pts) if m.is_linear else pts
         for t in range(300):
-            assert np.array_equal(x, orbits[t]), t
+            got = from_phases(x) if m.is_linear else x
+            assert np.array_equal(bits(got), bits(orbits[t])), t
             x = m.step(x)
 
 
@@ -272,16 +300,32 @@ class TestDifferential:
             assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
 
+def exact_orbit(m, point, n):
+    """The true orbit of a linear map from the phases X = floor(x 2^64) of
+    the fraction x of point, X -> A X mod 2^64 in Python ints, each phase
+    written as the double in [0, 1) nearest to X 2^-64."""
+    p = wrap(np.asarray(point, dtype=float).reshape(2))
+    x, y = (math.floor(v * 2**64) for v in p.tolist())
+    (a00, a01), (a10, a11) = m.matrix.tolist()
+    rows = []
+    for _ in range(n):
+        rows.append([min(v * 2.0**-64, 1.0 - 2.0**-53) for v in (x, y)])
+        x, y = (a00 * x + a01 * y) % 2**64, (a10 * x + a11 * y) % 2**64
+    return np.array(rows)
+
+
 def reference_orbit(m, point, n):
-    """Element-by-element copy of the scalar orbit loop, a row sum that
-    % 1.0 rounds to 1.0 continued from 0.0; HyperbolicToralMap.orbit must
-    return exactly these floats."""
+    """What HyperbolicToralMap.orbit must return exactly: a linear map's
+    exact_orbit, or an element-by-element copy of the scalar loop of a
+    nonlinear one, a row sum that % 1.0 rounds to 1.0 continued from 0.0."""
+    if m.is_linear:
+        return exact_orbit(m, point, n)
     a00, a01 = float(m.matrix[0, 0]), float(m.matrix[0, 1])
     a10, a11 = float(m.matrix[1, 0]), float(m.matrix[1, 1])
     p = wrap(np.asarray(point, dtype=float).reshape(2))
     x, y = float(p[0]), float(p[1])
     terms = [(float(c[0]), float(c[1]), float(k[0]), float(k[1]))
-             for c, k in zip(m._coeffs, m._freqs)] if not m.is_linear else []
+             for c, k in zip(m._coeffs, m._freqs)]
     xs, ys = [], []
     for _ in range(n):
         xs.append(x)
@@ -291,11 +335,8 @@ def reference_orbit(m, point, n):
             s = math.sin(2.0 * math.pi * (k0 * x + k1 * y))
             px += c0 * s
             py += c1 * s
-        if terms:
-            x, y = ((a00 * x + a01 * y + m.amplitude * px) % 1.0,
-                    (a10 * x + a11 * y + m.amplitude * py) % 1.0)
-        else:
-            x, y = (a00 * x + a01 * y) % 1.0, (a10 * x + a11 * y) % 1.0
+        x, y = ((a00 * x + a01 * y + m.amplitude * px) % 1.0,
+                (a10 * x + a11 * y + m.amplitude * py) % 1.0)
         x, y = (0.0 if x == 1.0 else x), (0.0 if y == 1.0 else y)
     return np.column_stack([xs, ys])
 
@@ -312,26 +353,12 @@ ORBIT_LENGTHS = [1, 63, 64, 65, 128, 129, 4097]
 def lattice_starts(seed, uniform):
     """Six special starts (a fixed point, tiny and out-of-range coordinates,
     the smallest subnormal, a carry point), six uniform starts scaled by
-    1e-8, which reach the cat lattice late, and `uniform` uniform ones."""
+    1e-8, whose phases lie below 2^38, and `uniform` uniform ones."""
     rng = random.Random(seed)
     starts = [(0.0, 0.0), (1e-20, 0.3), (5e-324, 0.0), (-1e-17, 0.2),
               (1.25, -0.5), CARRY_POINTS[0]]
     starts += [(1e-8 * rng.random(), 1e-8 * rng.random()) for _ in range(6)]
     return starts + [(rng.random(), rng.random()) for _ in range(uniform)]
-
-
-@pytest.fixture()
-def lattice_fills(monkeypatch):
-    """Record the number of rows each _lattice_fill call writes."""
-    rows = []
-    fill = HyperbolicToralMap._lattice_fill
-
-    def record(self, out, x0, y0):
-        rows.append(len(out))
-        fill(self, out, x0, y0)
-
-    monkeypatch.setattr(HyperbolicToralMap, "_lattice_fill", record)
-    return rows
 
 
 class TestOrbit:
@@ -402,8 +429,10 @@ class TestOrbit:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("matrix", LATTICE_MAPS, ids=str)
     def test_lattice_path_equals_reference(self, matrix):
-        # from the first point on 2^-e Z^2 the orbit is filled by doubling
-        # the integer map; every prefix length must give the loop's floats
+        # a linear orbit is the integer map on the lattice 2^-64 Z^2, filled
+        # by doubling; every prefix length must give the exact orbit, for
+        # [[3, 2], [1, 1]] too, whose float orbits never reached the lattice
+        # of the former float loop
         m = HyperbolicToralMap(matrix)
         for start in lattice_starts(sum(map(sum, matrix)), 88):
             ref = bits(reference_orbit(m, start, ORBIT_LENGTHS[-1]))
@@ -420,30 +449,25 @@ class TestOrbit:
             assert np.array_equal(bits(m.orbit(start, 70_001)),
                                   bits(reference_orbit(m, start, 70_001)))
 
-    def test_lattice_exponent(self):
-        # M 2^e <= 2^53, M the largest |row sum| over [0, 1]^2
-        assert [HyperbolicToralMap(a).lattice_exponent
-                for a in LATTICE_MAPS] == [51, 51, 51, 52, 50]
+    def test_first_row_is_the_start(self, cat):
+        # a double of at least 2^-11 is a multiple of 2^-64, so its phase
+        # is exact and converts back to itself
+        rng = np.random.default_rng(3)
+        starts = np.concatenate([
+            2.0 ** -11 + (1 - 2.0 ** -11) * rng.random((200, 2)),
+            [[2.0 ** -11, 1 - 2.0 ** -53], [0.5, 0.75], [1.25, -0.5]]])
+        for p in starts:
+            assert np.array_equal(bits(cat.orbit(p, 3)[0]), bits(wrap(p)))
 
-    def test_seed_point_takes_lattice_path(self, cat, lattice_fills):
-        # the fast path must not switch off unseen: the cat orbit from the
-        # experiments' seed is on the lattice after one block of the loop
-        cat.orbit(ORBIT_SEED_POINT, 10_000)
-        assert lattice_fills == [10_000 - 64]
-
-    def test_late_and_never_entering_starts(self, cat, lattice_fills):
-        # the smallest subnormal grows onto the cat lattice at step 781;
-        # under [[1, -1], [-1, 2]] it is a fixed point off the lattice, so
-        # the loop runs to the end
-        subnormal = (5e-324, 0.0)
-        o = cat.orbit(subnormal, 2000)
-        assert lattice_fills == [2000 - 832]
-        assert np.array_equal(bits(o), bits(reference_orbit(cat, subnormal,
-                                                             2000)))
-        m = HyperbolicToralMap([[1, -1], [-1, 2]])
-        o = m.orbit(subnormal, 2000)
-        assert lattice_fills == [2000 - 832]
-        assert np.array_equal(bits(o), bits(np.tile(subnormal, (2000, 1))))
+    def test_small_starts_move_below_2_64(self, cat):
+        # floor(x 2^64) moves a coordinate below 2^-11 by less than 2^-64:
+        # the smallest subnormal goes to the fixed point 0
+        rng = np.random.default_rng(4)
+        small = 2.0 ** -11 * rng.random((200, 2)) ** 8
+        first = np.array([cat.orbit(p, 2)[0] for p in small])
+        assert np.all(first <= small) and np.all(small - first < 2.0 ** -64)
+        o = cat.orbit((5e-324, 0.0), 2000)
+        assert not o.any()
 
     def test_rational_float_orbit_matches_exact(self, cat):
         q = 7
