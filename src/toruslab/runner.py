@@ -117,11 +117,11 @@ def stage_errors(record: dict) -> list[str]:
 
 
 def _grid_period(cfg: ExperimentConfig) -> int | None:
-    """Common period of the basin grid's float orbits, if the sweep reaches it.
+    """Common period of the basin grid's orbits, if the sweep reaches it.
 
     Cell centers of an un-jittered G-grid lie on (1/2G)Z^2.  For G a power
-    of two they are dyadic, float arithmetic on them is exact, and a linear
-    map returns every one of them after the order of A mod 2G.
+    of two their uint64 phases are multiples of 2^64/(2G), and a linear
+    map's true orbits from them all return after the order of A mod 2G.
     """
     g = cfg.grid.resolution
     if cfg.grid.jitter or not cfg.map.is_linear or g & (g - 1):

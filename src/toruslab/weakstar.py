@@ -24,14 +24,21 @@ once per family sorts the frequencies: one whose negative came earlier is the
 conjugate of that row, filled from it only when the values are read; one on
 an axis is a table row; any other is one complex product, 8 per point at
 K=33 instead of 16.  Mode values are kept as complex (F, N) arrays, one row
-per frequency and contiguous in the points.  Transposed to (N, F) and viewed
-as float64, each point's row reads cos, sin, cos, sin, ... in the family's
-mode order, so its first K-1 entries are the trig modes for odd and even K
-alike.  `phi_values`, the blocked `weighted_sum` behind `moments` and the
-basin kernel's running sums share this evaluator.  Every buffer it writes
-lives in a workspace from `zero_sums`, which `accumulate` and
-`sum_distances` reuse at every step and the basin kernel across chunks
-(`reset`); a workspace belongs to one thread.
+per frequency and contiguous in the points; the real and imaginary parts of
+row j are trig modes 2j+1 and 2j+2, the cos and sin of frequency j.
+`phi_values`, the blocked `weighted_sum` behind `moments` and the basin
+kernel's running sums share this evaluator.  Every buffer it writes lives in
+a workspace from `zero_sums`, which `accumulate` and `sum_distances` reuse
+at every step and the basin kernel across chunks (`reset`); a workspace
+belongs to one thread.
+
+A distance row is formed in that same layout, with no BLAS: the deviations
+|u/(2n) + 1/2 - m_i| of the live sums, scaled by the weight of their row's
+cos, a power of two and so exactly, fill one contiguous block, a row per
+frequency (`_deviations`); `_weighted_sum` adds the rows in halves and then
+each sin at half weight onto its cos.  Every pass is elementwise, so a
+point's distance is the same bits at any live count, one point included,
+and in any column.
 
 The basin kernel drops start points that can never again be in a basin.
 Every phi_i, i >= 1, lies in [0, 1], so after n of N steps each mean trig
@@ -55,8 +62,6 @@ DEFAULT_TRUNCATION = 33
 ATOM_MERGE_TOL = 1e-12
 BOUND_MODES = 8
 _PHI_ROWS = 1 << 13
-# BLAS gemv kernels take rows in blocks and round a short tail differently
-_GEMV_BLOCK = 16
 
 
 def _unit_circle(turns) -> np.ndarray:
@@ -157,6 +162,7 @@ class TestFunctionFamily:
             else:
                 self._products.append((j, a, b))
         self.weights = 2.0 ** -np.arange(self.truncation)
+        self._bound_modes = min(BOUND_MODES, self.truncation - 1)
 
     def __eq__(self, other):
         return (isinstance(other, TestFunctionFamily)
@@ -206,17 +212,6 @@ class TestFunctionFamily:
         for j, partner in self._conj:
             np.conjugate(sums[partner], out=sums[j])
 
-    def _trig_modes(self, ws: "_Workspace", n: int) -> np.ndarray:
-        """The first n points' mode sums as (n, K-1) floats in mode order:
-        the conjugate rows are filled and the sums transposed into the
-        workspace's (N, F) buffer, a row of which, viewed as float64, reads
-        cos, sin, cos, sin, ..."""
-        sums = ws.sums[:, :n]
-        self._fill_conjugates(sums)
-        trans = ws.trans[:n]
-        np.copyto(trans, sums.T)
-        return trans.view(np.float64)[:, :self.truncation - 1]
-
     def phi_values(self, points) -> np.ndarray:
         """phi_i at each point, shape (N, K)."""
         p = np.atleast_2d(np.asarray(points, dtype=float))
@@ -227,10 +222,15 @@ class TestFunctionFamily:
         ws = self.zero_sums(min(len(p), _PHI_ROWS))
         for i in range(0, len(p), _PHI_ROWS):
             rows = p[i:i + _PHI_ROWS]
-            ws.sums[...] = 0.0
+            sums = ws.sums[:, :len(rows)]
+            sums[...] = 0.0
             self._add_modes(to_phases(rows), ws)
+            self._fill_conjugates(sums)
+            # modes 1, 3, 5, .. are the cos of the rows, 2, 4, .. the sin
             block = out[i:i + _PHI_ROWS, 1:]
-            np.multiply(self._trig_modes(ws, len(rows)), 0.5, out=block)
+            np.multiply(sums.real.T, 0.5, out=block[:, 0::2])
+            np.multiply(sums.imag.T[:, :block.shape[1] // 2], 0.5,
+                        out=block[:, 1::2])
             block += 0.5
         return out
 
@@ -278,45 +278,61 @@ class TestFunctionFamily:
     def sum_distances(self, sums: "_Workspace", n: int,
                       target) -> np.ndarray:
         """dist* from the mean over n accumulated steps to the target moment
-        values, one per live point of the workspace `sums`.  Mean phi_0 is
-        exactly 1 and a mean trig mode is 1/2 + (1/2n) times the summed cos
-        or sin.  The result is a view of the workspace's distance vector,
-        overwritten by the next call.
+        values, one per live point of the workspace `sums`, as a new array.
+        Mean phi_0 is exactly 1 and a mean trig mode is 1/2 + (1/2n) times
+        the summed cos or sin.  The conjugate rows are filled first; the
+        terms are formed in the sums' own layout and added in an order fixed
+        by K alone (`_deviations`, `_weighted_sum`), so a point's distance is
+        the same bits at any live count and in any column."""
+        self._fill_conjugates(sums.sums[:, :sums.live])
+        dev = self._deviations(sums, self.truncation - 1, 0.5 / n, target)
+        return self._weighted_sum(dev, target)
 
-        The row is formed over the live count rounded up to _GEMV_BLOCK
-        (the columns past it hold zeros or the sums of dropped points), so
-        the BLAS kernel takes every live row in a full block and a point's
-        distance is the same at any live count and chunk size."""
+    def _deviations(self, sums: "_Workspace", modes: int, scale: float,
+                    target) -> np.ndarray:
+        """w_j |u scale + 1/2 - m_i| for the trig modes i = 1..modes, u the
+        cos or sin sum of row j of the live sums and w_j = 2^-(2j+1) the
+        weight of its cos, as a contiguous float (R, 2 live) block at the
+        start of the workspace's deviation buffer, R = ceil(modes/2), with
+        each point's cos and sin side by side.  w_j is a power of two, so
+        it scales exactly.  A sin past the last mode is 0."""
         t = np.asarray(target, dtype=float)
-        m = sums.live
-        rows = _padded(m)
-        dev = self._trig_modes(sums, rows)
-        dev *= 0.5 / n
-        dev += 0.5
-        dev -= t[1:]
+        r, m = (modes + 1) // 2, sums.live
+        w = self.weights[1::2][:r, None]
+        off = np.zeros((r, 1), dtype=complex)
+        off.view(np.float64).reshape(-1)[:modes] = 0.5 - t[1:modes + 1]
+        off *= w
+        dev = sums.dev[:2 * r * m].reshape(r, 2 * m)
+        np.multiply(sums.sums[:r, :m].view(np.float64), scale * w, out=dev)
+        dev.view(complex)[...] += off
         np.abs(dev, out=dev)
-        np.matmul(dev, self.weights[1:], out=sums.dist[:rows])
-        dist = sums.dist[:m]
-        dist += self.weights[0] * abs(1.0 - t[0])
-        return dist
+        if modes % 2:
+            dev[-1, 1::2] = 0.0
+        return dev
 
-    def _bound_terms(self, target):
-        """What `box_bound` needs of the target: the offsets 1/2 - m_i and
-        weights w_i of the first BOUND_MODES trig modes as (2R, 1) and (2R,)
-        arrays in the order of the float view of R mode-sum rows (a slot
-        past the family's last mode has weight 0), and w_0 |1 - m_0|."""
-        t = np.asarray(target, dtype=float)
-        b = min(BOUND_MODES, self.truncation - 1)
-        off = np.zeros(b + b % 2)
-        w = np.zeros(b + b % 2)
-        off[:b] = 0.5 - t[1:b + 1]
-        w[:b] = self.weights[1:b + 1]
-        return off[:, None], w, self.weights[0] * abs(1.0 - t[0])
+    def _weighted_sum(self, dev: np.ndarray, target) -> np.ndarray:
+        """w_0 |1 - m_0| plus the weighted sum of a `_deviations` block, as
+        a new array of one value per point.  The last rows are added onto
+        the first in halves, and then each point's sin, at half the weight
+        of its cos, onto the cos.  Each pass is elementwise, so the order of
+        a point's additions depends on the row count alone, never on the
+        live count or on where the point lies."""
+        r = len(dev)
+        while r > 1:
+            h = r // 2
+            dev[:h] += dev[r - h:r]
+            r -= h
+        cos, sin = dev[:1, 0::2], dev[:1, 1::2]
+        sin *= 0.5
+        cos += sin
+        base = self.weights[0] * abs(1.0 - float(target[0]))
+        return np.add.reduce(cos, axis=0, initial=base)
 
     def box_bound(self, sums: "_Workspace", n: int, horizon: int,
                   target) -> np.ndarray:
         """A lower bound, per live point of the workspace, on the distance
-        after any n' in (n, horizon] steps, given the sums after n.
+        after any n' in (n, horizon] steps, given the sums after n, as a
+        new array.
 
         phi_i lies in [0, 1], so the mean of mode i after n' steps lies in
         [S/n', (S + n' - n)/n'], S the phi-sum after n; these boxes grow
@@ -325,36 +341,25 @@ class TestFunctionFamily:
         The bound is w_0 |1 - m_0| plus the weighted distance from the
         target to that box over the first BOUND_MODES modes.  Those are the
         cos and sin of the first rows of the sums, which are never conjugate
-        rows, so the bound reads the running sums as they stand.
-
-        The work is done in the transposed-sums and mode buffers, which the
-        kernel has touched already, so no fresh pages are faulted in; the
-        result is a view of the mode buffer, overwritten by the next
-        `accumulate` or `box_bound`."""
-        off, w, base = self._bound_terms(target)
-        m = sums.live
-        rows = sums.sums[:len(off) // 2, :m]
-        box = sums.trans.view(np.float64).reshape(-1)[:len(off) * m]
-        box = box.reshape(len(off), m)
-        np.multiply(rows.real, 0.5 / horizon, out=box[0::2])
-        np.multiply(rows.imag, 0.5 / horizon, out=box[1::2])
-        box += off
-        np.abs(box, out=box)
-        box -= (horizon - n) / (2 * horizon)
-        np.maximum(box, 0.0, out=box)
-        bound = sums.mode.view(np.float64)[:m]
-        np.matmul(w, box, out=bound)
-        bound += base
-        return bound
+        rows, so the bound reads the running sums as they stand."""
+        dev = self._deviations(sums, self._bound_modes, 0.5 / horizon,
+                               target)
+        # each row of the block is weighted, so is its half-width
+        half = (horizon - n) / (2 * horizon)
+        dev -= half * self.weights[1::2][:len(dev), None]
+        np.maximum(dev, 0.0, out=dev)
+        return self._weighted_sum(dev, target)
 
     def box_bound_ceiling(self, ns, horizon: int, target) -> np.ndarray:
         """The largest value `box_bound` can take at each row n of `ns` (a
         number or a sequence): |u| <= n puts each box center at most n/(2N)
         from 1/2."""
-        off, w, base = self._bound_terms(target)
+        t = np.asarray(target, dtype=float)
+        b = self._bound_modes
         n = np.asarray(ns, dtype=float)[..., None]
-        reach = np.abs(off[:, 0]) + (2 * n - horizon) / (2 * horizon)
-        return base + np.maximum(reach, 0.0) @ w
+        reach = np.abs(0.5 - t[1:b + 1]) + (2 * n - horizon) / (2 * horizon)
+        return (self.weights[0] * abs(1.0 - t[0])
+                + (np.maximum(reach, 0.0) * self.weights[1:b + 1]).sum(-1))
 
     def compact(self, sums: "_Workspace", live: np.ndarray) -> np.ndarray:
         """Keep the live points where the mask `live` (one entry per live
@@ -378,37 +383,30 @@ class TestFunctionFamily:
         return m
 
 
-def _padded(npoints: int) -> int:
-    return -(-npoints // _GEMV_BLOCK) * _GEMV_BLOCK
-
-
 class _Workspace:
     """Buffers of the mode kernel for up to N points: the complex (F, N)
     running sums, the power table (2 kmax + 1, 2, N), one mode row, the
-    character evaluator's uint64 (2, N) index buffer, the (N, F) transposed
-    sums and the distance vector.  The sums, the transposed sums and the
-    distances have N rounded up to _GEMV_BLOCK points (see
-    `sum_distances`).  The first `live` points are the ones `sum_distances`
-    and `box_bound` read; `compact` lowers it and `reset` sets it.  Built by
-    `TestFunctionFamily.zero_sums`.
+    character evaluator's uint64 (2, N) index buffer and the float
+    deviation buffer of 2F N entries that `sum_distances` and `box_bound`
+    fill.  The first `live` points are the ones those two read; `compact`
+    lowers it and `reset` sets it.  Built by `TestFunctionFamily.zero_sums`.
     """
 
-    __slots__ = ("sums", "power", "mode", "index", "trans", "dist", "live")
+    __slots__ = ("sums", "power", "mode", "index", "dev", "live")
 
     def __init__(self, nfreq: int, kmax: int, npoints: int):
-        self.sums = np.zeros((nfreq, _padded(npoints)), dtype=complex)
+        self.sums = np.zeros((nfreq, npoints), dtype=complex)
         self.power = np.empty((2 * kmax + 1, 2, npoints), dtype=complex)
         self.power[kmax] = 1.0
         self.mode = np.empty(npoints, dtype=complex)
         self.index = np.empty((2, npoints), dtype=np.uint64)
-        self.trans = np.empty((_padded(npoints), nfreq), dtype=complex)
-        self.dist = np.empty(_padded(npoints))
+        self.dev = np.empty(2 * nfreq * npoints)
         self.live = npoints
 
     def reset(self, npoints: int) -> None:
         """Make the first npoints points live with zero sums, for a new set
-        of points; the columns up to the next _GEMV_BLOCK are zeroed too."""
-        self.sums[:, :_padded(npoints)] = 0.0
+        of points."""
+        self.sums[:, :npoints] = 0.0
         self.live = npoints
 
 

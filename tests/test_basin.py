@@ -503,6 +503,16 @@ class TestHitCountsPinned:
             [114, 68, 92, 65, 54, 43, 37, 30, 31],
             [33, 18, 11, 7, 3, 3, 2, 1, 1]]
 
+    def test_cat_lebesgue(self, cat, family, leb_target):
+        # after n = 18 the box bound prunes 12 of the 64^2 * 24 point-steps
+        result = curve_sweep(cat, leb_target, [0.05, 0.03, 0.02],
+                             [6, 12, 18, 24], self.GRID, family)
+        assert [c.hits.tolist() for c in result.curves] == [
+            [185, 809, 1349, 1810],
+            [20, 157, 346, 539],
+            [1, 23, 101, 151]]
+        assert result.point_steps == self.GRID.size * 24 - 12
+
     def test_perturbed_empirical_orbit(self, family):
         target = moments(OrbitMeasure(PERTURBED, (0.1234, 0.5678), 5000),
                          family)

@@ -321,16 +321,22 @@ class TestBoxBound:
     @pytest.mark.parametrize("truncation", [1, 2, 8, 17, 33, 34])
     def test_compacted_distances_bit_identical(self, cat, truncation, rng):
         # each live point keeps its distance to the last bit at any live
-        # count and in any column, however the BLAS kernel blocks the rows
+        # count, down to a one-point workspace, and in any column
         family, target = _bound_target(truncation, "dirac", cat)
         pts = rng.random((1003, 2))
         full, part = family.zero_sums(len(pts)), family.zero_sums(len(pts))
+        alone = [family.zero_sums(1) for _ in pts]
         idx = np.arange(len(pts))
         for n in range(1, 13):
             family.accumulate(pts, full)
             family.accumulate(pts[idx], part)
-            want = family.sum_distances(full, n, target)[idx]
-            assert np.array_equal(family.sum_distances(part, n, target), want)
+            want = family.sum_distances(full, n, target)
+            assert np.array_equal(family.sum_distances(part, n, target),
+                                  want[idx])
+            for p, ws in zip(pts, alone):
+                family.accumulate(p[None], ws)
+            one = [family.sum_distances(ws, n, target)[0] for ws in alone]
+            assert np.array_equal(one, want)
             live = rng.random(len(idx)) < 0.8
             idx = idx[family.compact(part, live)]
             assert part.live == len(idx)
