@@ -28,7 +28,9 @@ def main():
     ap.add_argument("--grid", type=_int_at_least(1), default=2048)
     ap.add_argument("--epsilons", type=float, nargs="+",
                     default=[0.2, 0.1, 0.05, 0.025])
-    ap.add_argument("--threads", type=_int_at_least(1), default=None)
+    ap.add_argument("--threads", type=_int_at_least(1), default=None,
+                    help="worker processes for the basin sweep, at least 1 "
+                         "(default: $TORUSLAB_THREADS, else the CPU count)")
     ap.add_argument("--out", default="records")
     args = ap.parse_args()
 

@@ -17,7 +17,9 @@ from toruslab.runner import run
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--grid", type=_int_at_least(1), default=512)
-    ap.add_argument("--threads", type=_int_at_least(1), default=None)
+    ap.add_argument("--threads", type=_int_at_least(1), default=None,
+                    help="worker processes for the basin sweep, at least 1 "
+                         "(default: $TORUSLAB_THREADS, else the CPU count)")
     ap.add_argument("--out", default="records")
     args = ap.parse_args()
 

@@ -18,13 +18,25 @@ evaluator and a power table with no trig call per frequency; at K=33 that is
 axis rows are table rows (see `weakstar`).  Weak* distances are formed only
 at the requested n.
 
-A sweep makes one workspace per worker (`TestFunctionFamily.zero_sums`):
-the complex (F, N) running mode sums and every buffer a step writes.  Each
-chunk takes a free one for its whole run, resets it and reuses it at every
-step.  The workspaces are made in the calling thread, so their memory comes
-from its malloc arena, not from arenas of the short-lived worker threads
-that keep what they held.  CHUNK start points keep a workspace within a few
-MB, so it stays in cache; it is a fixed constant, not a setting.
+A sweep splits its chunks into shares, one per worker process: share w
+takes every k-th chunk from the w-th, k = min(workers, chunks).  Share 0
+runs in the calling process; every other share runs in a child forked
+before share 0 starts, which sends its (hits, point-steps) back through a
+pipe and always leaves by `os._exit` (`_run_shares`).  A chunk-step is a
+few dozen small NumPy calls, and threads, which hand the interpreter lock
+over at every call, scaled only 1.1-1.3x on two CPUs; processes do not
+share it.  Each share makes one workspace (`TestFunctionFamily.zero_sums`):
+the complex (F, N) running mode sums and every buffer a step writes, reset
+and reused by every chunk of the share.  CHUNK start points keep a
+workspace within a few MB, so it stays in cache; it is a fixed constant,
+not a setting.  Where `os.fork` is missing, one share runs in the caller.
+
+A child runs only NumPy elementwise kernels, `pickle` and `os.write`.
+Forking a process that runs other threads is safe for that much, but
+Python 3.12 and later warn about it with a DeprecationWarning.  A spawned
+worker would start a fresh interpreter and import the package at every
+sweep: 0.24-0.26 s on a 2-vCPU Xeon, about what a whole two-worker sweep
+of a 512 x 512 grid takes.
 
 Pruning: a start point that can never again be a hit is dropped, and the
 chunk is compacted so that later steps touch only live points.  Every
@@ -44,7 +56,7 @@ sweep reports the point-steps it actually stepped.
 
 Work is split into fixed-size chunks of start points that are independent of
 the worker count; hit counters are integers merged by addition, so counts are
-bit-identical for any thread count.
+bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -52,8 +64,9 @@ from __future__ import annotations
 import math
 import numbers
 import os
-import queue
-from concurrent.futures import ThreadPoolExecutor
+import pickle
+import signal
+import traceback
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -79,6 +92,10 @@ class Verdict(str, Enum):
     INCONCLUSIVE = "inconclusive"
 
 
+class WorkerDied(RuntimeError):
+    """A sweep's worker process ended without sending its result."""
+
+
 def default_threads() -> int:
     """Worker count from $TORUSLAB_THREADS (a positive integer), else the
     number of CPUs this process may run on (its affinity mask, where the
@@ -98,12 +115,19 @@ def default_threads() -> int:
     return os.cpu_count() or 1
 
 
+def _check_integer(name: str, value, least: int) -> None:
+    """value must be an integer, not a bool, and at least least; the error
+    names it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+
+
 def check_threads(threads: int | None) -> None:
     """A worker count must be None (the default) or a positive integer."""
-    if threads is not None and not (isinstance(threads, numbers.Integral)
-                                    and threads >= 1):
-        raise ValueError(f"threads must be a positive integer, got "
-                         f"{threads!r}")
+    if threads is not None:
+        _check_integer("threads", threads, 1)
 
 
 @dataclass(frozen=True)
@@ -119,10 +143,8 @@ class SampleGrid:
     seed: int = 0
 
     def __post_init__(self):
-        if self.resolution < 1:
-            raise ValueError("resolution must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        _check_integer("resolution", self.resolution, 1)
+        _check_integer("seed", self.seed, 0)
 
     @property
     def size(self) -> int:
@@ -164,13 +186,14 @@ class RateEstimate:
 
 @dataclass
 class SweepResult:
-    """One grid traversal: a curve per epsilon and the point-steps stepped,
-    after pruning.  `epsilon_sweep` adds the rate estimates, or the reason
-    an epsilon has none."""
+    """One grid traversal: a curve per epsilon, the point-steps stepped,
+    after pruning, and the worker processes it ran in.  `epsilon_sweep`
+    adds the rate estimates, or the reason an epsilon has none."""
     estimates: list[RateEstimate] = field(default_factory=list)
     errors: dict[float, str] = field(default_factory=dict)
     curves: list[BasinCurve] = field(default_factory=list)
     point_steps: int = 0
+    workers: int = 1
 
 
 def _accumulate_hits(map: HyperbolicToralMap, points: np.ndarray,
@@ -248,34 +271,101 @@ def curve_sweep(map: HyperbolicToralMap, target: MomentVector,
 
     spans = [(i, min(i + CHUNK, grid.size))
              for i in range(0, grid.size, CHUNK)]
+    k = min(workers, len(spans)) if hasattr(os, "fork") else 1
 
-    # one workspace per worker, taken by a chunk for its whole run, so no
-    # two chunks share one at a time
-    spare = queue.SimpleQueue()
-    for _ in range(min(workers, len(spans))):
-        spare.put(family.zero_sums(min(CHUNK, grid.size)))
+    def share(w):
+        # one workspace, reset and reused by every chunk of the share
+        ws = family.zero_sums(min(CHUNK, grid.size))
+        return [_accumulate_hits(map, grid.chunk(a, b, offsets), tvals,
+                                 epsilons, n_values, family, ws)
+                for a, b in spans[w::k]]
 
-    def work(span):
-        ws = spare.get()
-        try:
-            pts = grid.chunk(span[0], span[1], offsets)
-            return _accumulate_hits(map, pts, tvals, epsilons, n_values,
-                                    family, ws)
-        finally:
-            spare.put(ws)
-
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(work, spans))
-    else:
-        parts = [work(s) for s in spans]
+    parts = [p for part in _run_shares(share, k) for p in part]
     hits = np.sum([h for h, _ in parts], axis=0)
 
     ns = np.array(n_values)
     curves = [BasinCurve(epsilon=eps, ns=ns, hits=hits[ei].copy(),
                          samples=grid.size)
               for ei, eps in enumerate(epsilons)]
-    return SweepResult(curves=curves, point_steps=sum(s for _, s in parts))
+    return SweepResult(curves=curves, point_steps=sum(s for _, s in parts),
+                       workers=k)
+
+
+class _ChildTraceback(Exception):
+    """The traceback of an exception raised in a worker process."""
+
+
+def _share_child(share, w: int, fd: int) -> None:
+    """In a forked child: pickle share(w), or the exception it raised, to
+    the pipe fd and leave through os._exit, so the child never returns into
+    the caller's stack, runs no atexit handler and flushes no inherited
+    stdio buffer."""
+    status = 1
+    try:
+        try:
+            payload = pickle.dumps((True, share(w)))
+        except BaseException as exc:
+            tb = traceback.format_exc()
+            try:
+                payload = pickle.dumps((False, (exc, tb)))
+                pickle.loads(payload)
+            except Exception:
+                payload = pickle.dumps((False, (RuntimeError(
+                    f"{type(exc).__qualname__}: {exc}"), tb)))
+        view = memoryview(payload)
+        while view:
+            view = view[os.write(fd, view):]
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_shares(share, k: int) -> list:
+    """[share(0), ..., share(k - 1)]: share 0 in this process, every other
+    share in a child forked before share 0 starts.  A child's exception is
+    raised here with its type and message; a child that sends no result
+    raises WorkerDied.  Every child is reaped, and killed first if this
+    process raises."""
+    children = []                 # (pid, read end of its pipe), not reaped
+    try:
+        for w in range(1, k):
+            r, wfd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(wfd)
+                raise
+            if pid == 0:
+                os.close(r)
+                _share_child(share, w, wfd)
+            os.close(wfd)
+            children.append((pid, r))
+        results = [share(0)]
+        while children:
+            pid, r = children[0]
+            with open(r, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            os.close(r)
+            if not data or status != 0:
+                how = (f"signal {os.WTERMSIG(status)}"
+                       if os.WIFSIGNALED(status) else
+                       f"exit status {os.waitstatus_to_exitcode(status)}")
+                raise WorkerDied(f"basin worker process {pid} ended with no "
+                                 f"result ({how})")
+            ok, value = pickle.loads(data)
+            if not ok:
+                exc, tb = value
+                raise exc from _ChildTraceback(tb)
+            results.append(value)
+        return results
+    finally:
+        for pid, r in children:
+            os.close(r)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def basin_membership(map: HyperbolicToralMap, point, target: MomentVector,

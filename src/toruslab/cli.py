@@ -6,9 +6,10 @@ Subcommands:
   verify-map <config.json>   certified cone verification only
   acceptance                 run the registered acceptance suite
 
-Exit codes: 0 success, 2 verdict/tolerance failure, 1 error.  Thread count
-comes from --threads, else the config's `threads` field (`run` only), else
-the TORUSLAB_THREADS environment variable, else the CPU count.
+Exit codes: 0 success, 2 verdict/tolerance failure, 1 error.  The number of
+worker processes a basin sweep may use comes from --threads, else the
+config's `threads` field (`run` only), else the TORUSLAB_THREADS environment
+variable, else the CPU count.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ def _int_at_least(minimum: int):
 
 def _add_threads_flag(p: argparse.ArgumentParser):
     p.add_argument("--threads", type=_int_at_least(1), default=None,
-                   help=f"worker threads, at least 1 (overrides a config's "
-                        f"threads and ${THREADS_ENV_VAR})")
+                   help=f"worker processes for the basin sweep, at least 1 "
+                        f"(overrides a config's threads and "
+                        f"${THREADS_ENV_VAR})")
 
 
 class _Parser(argparse.ArgumentParser):

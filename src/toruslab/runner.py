@@ -3,7 +3,9 @@
 A run produces one JSON record plus CSV sidecars (curves and rates).  Stages
 are isolated: a failure inside one stage is recorded under its name and the
 remaining stages still run.  Identical configs reproduce identical integer
-counts for any thread count.
+counts for any worker count; `env.threads` is the worker count asked for,
+and `env.workers`, stamped when a basin sweep ran, the worker processes the
+sweep used (at most one per chunk).
 """
 
 from __future__ import annotations
@@ -89,7 +91,8 @@ def run(cfg: ExperimentConfig, threads: int | None = None) -> dict:
                 f"{cfg.grid.resolution}x{cfg.grid.resolution} grid is exactly "
                 f"periodic with period {period}, and n reaches "
                 f"{cfg.basin['n_values'][-1]}")
-        _run_stage(stages, "basin", _run_basin, cfg, target_mv, nthreads)
+        _run_stage(stages, "basin", _run_basin, cfg, target_mv, nthreads,
+                   record["env"])
     if cfg.entropy is not None:
         _run_stage(stages, "entropy", _run_entropy, cfg, components)
     if cfg.lyapunov.get("enabled"):
@@ -135,11 +138,13 @@ def _grid_period(cfg: ExperimentConfig) -> int | None:
     return None
 
 
-def _run_basin(cfg: ExperimentConfig, target_mv, nthreads: int) -> dict:
+def _run_basin(cfg: ExperimentConfig, target_mv, nthreads: int,
+               env: dict) -> dict:
     b = cfg.basin
     sweep = basin_mod.epsilon_sweep(
         cfg.map, target_mv, b["epsilons"], b["n_values"], cfg.grid,
         cfg.family, b["window"], b["min_hits"], threads=nthreads)
+    env["workers"] = sweep.workers
     out = {
         "samples": cfg.grid.size,
         "point_steps": sweep.point_steps,

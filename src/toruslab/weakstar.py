@@ -30,7 +30,8 @@ row j are trig modes 2j+1 and 2j+2, the cos and sin of frequency j.
 kernel's running sums share this evaluator.  Every buffer it writes lives in
 a workspace from `zero_sums`, which `accumulate` and `sum_distances` reuse
 at every step and the basin kernel across chunks (`reset`); a workspace
-belongs to one thread.
+belongs to one thread at a time, and each basin worker process makes its
+own.
 
 A distance row is formed in that same layout, with no BLAS: the deviations
 |u/(2n) + 1/2 - m_i| of the live sums, scaled by the weight of their row's
@@ -263,8 +264,8 @@ class TestFunctionFamily:
         """A workspace for `accumulate` and `sum_distances` on up to npoints
         points: zeroed complex (F, npoints) running sums, one row per
         frequency, plus every buffer the kernel writes.  One workspace
-        serves one thread; nothing in it is shared.  `reset` readies it for
-        the next set of points."""
+        serves one thread at a time; nothing in it is shared.  `reset`
+        readies it for the next set of points."""
         return _Workspace(self._nfreq, self._kmax, npoints)
 
     def accumulate(self, points, sums: "_Workspace") -> None:

@@ -1,6 +1,8 @@
 import math
 import os
+import signal
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -8,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toruslab import basin
 from toruslab.basin import (CHUNK, THREADS_ENV_VAR, InsufficientData,
-                            BasinCurve, SampleGrid, Verdict, _accumulate_hits,
-                            basin_membership, curve_sweep, default_threads,
-                            epsilon_sweep, pesin_defect, rate_estimate,
-                            rate_residual, weak_pseudo_physical_verdict)
+                            BasinCurve, SampleGrid, Verdict, WorkerDied,
+                            _accumulate_hits, basin_membership, curve_sweep,
+                            default_threads, epsilon_sweep, pesin_defect,
+                            rate_estimate, rate_residual,
+                            weak_pseudo_physical_verdict)
 from toruslab.dynamics import TWO_PI, HyperbolicToralMap
 from toruslab.weakstar import (LEBESGUE, DiscreteMeasure, OrbitMeasure,
                                TestFunctionFamily, _enumerate_frequencies,
@@ -290,6 +294,23 @@ class TestGrid:
         assert np.allclose(pts[0], [0.125, 0.125])
         assert np.allclose(pts[-1], [0.875, 0.875])
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"resolution": 2.5}, "resolution must be an integer, got 2.5"),
+        ({"resolution": 64.0}, "resolution must be an integer, got 64.0"),
+        ({"resolution": True}, "resolution must be an integer, got True"),
+        ({"resolution": 0}, "resolution must be >= 1, got 0"),
+        ({"resolution": 8, "seed": False}, "seed must be an integer"),
+        ({"resolution": 8, "seed": 1.0}, "seed must be an integer"),
+        ({"resolution": 8, "seed": -1}, "seed must be >= 0, got -1"),
+    ])
+    def test_bad_sizes_named(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SampleGrid(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        g = SampleGrid(resolution=np.int64(4), seed=np.uint8(2))
+        assert g.size == 16
+
 
 class TestDefaultThreads:
     def test_env_value_used(self, monkeypatch):
@@ -323,7 +344,7 @@ class TestDefaultThreads:
         monkeypatch.setattr(os, "cpu_count", lambda: 5)
         assert default_threads() == 5
 
-    @pytest.mark.parametrize("threads", [0, -2, 1.5])
+    @pytest.mark.parametrize("threads", [0, -2, 1.5, True, False])
     def test_bad_threads_named(self, cat, family, leb_target, threads):
         with pytest.raises(ValueError, match="threads"):
             curve_sweep(cat, leb_target, [0.2], [5],
@@ -487,6 +508,118 @@ class TestPruning:
         assert a.point_steps == b.point_steps
         # pruned, but never below the first row's work
         assert grid.size * ns[0] < a.point_steps < grid.size * ns[-1]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+class TestWorkerProcesses:
+    """Shares of a sweep run in forked children; four chunks on three
+    workers give share 0 (this process) chunks 0 and 3, and one child each
+    chunks 1 and 2."""
+
+    GRID = SampleGrid(resolution=math.isqrt(3 * CHUNK) + 1, jitter=True,
+                      seed=4)
+
+    def _sweep(self, cat, family, target):
+        assert -(-self.GRID.size // CHUNK) == 4
+        return curve_sweep(cat, target, [0.3, 0.1], [2, 5], self.GRID,
+                           family, threads=3)
+
+    @pytest.fixture(autouse=True)
+    def _time_bound(self):
+        # a hung sweep fails its test instead of hanging the run
+        def expire(signum, frame):
+            raise TimeoutError("sweep still running after 120 s")
+        old = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(120)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+
+    def _before_chunks(self, monkeypatch, act):
+        """Call act(chunk index) before each chunk; the fork inherits the
+        patched module global."""
+        real = basin._accumulate_hits
+        offsets = self.GRID._offsets()
+        firsts = [self.GRID.chunk(i * CHUNK, i * CHUNK + 1, offsets)[0]
+                  for i in range(4)]
+
+        def patched(map, points, *args):
+            act(next(i for i, f in enumerate(firsts)
+                     if np.array_equal(points[0], f)))
+            return real(map, points, *args)
+        monkeypatch.setattr(basin, "_accumulate_hits", patched)
+
+    @staticmethod
+    def _assert_no_child():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_counts_and_no_child_left(self, cat, family, dirac_target):
+        res = self._sweep(cat, family, dirac_target)
+        assert res.workers == 3
+        self._assert_no_child()
+        one = curve_sweep(cat, dirac_target, [0.3, 0.1], [2, 5], self.GRID,
+                          family, threads=1)
+        assert one.workers == 1 and one.point_steps == res.point_steps
+        for a, b in zip(one.curves, res.curves):
+            assert np.array_equal(a.hits, b.hits)
+
+    def test_workers_capped_by_chunks(self, cat, family, dirac_target):
+        res = curve_sweep(cat, dirac_target, [0.3], [2],
+                          SampleGrid(resolution=16), family, threads=4)
+        assert res.workers == 1
+
+    def test_child_exception_reraised(self, cat, family, dirac_target,
+                                      monkeypatch):
+        def act(i):
+            if i == 1:
+                raise LookupError(f"chunk 1 failed in process "
+                                  f"{os.getpid()}")
+        self._before_chunks(monkeypatch, act)
+        with pytest.raises(LookupError, match="chunk 1 failed") as info:
+            self._sweep(cat, family, dirac_target)
+        assert f"process {os.getpid()}" not in str(info.value)
+        self._assert_no_child()
+
+    def test_killed_child_named(self, cat, family, dirac_target,
+                                monkeypatch):
+        def act(i):
+            if i == 1:
+                os.kill(os.getpid(), signal.SIGKILL)
+        self._before_chunks(monkeypatch, act)
+        with pytest.raises(WorkerDied, match=r"process \d+ ended with no "
+                           rf"result \(signal {int(signal.SIGKILL)}\)"):
+            self._sweep(cat, family, dirac_target)
+        self._assert_no_child()
+
+    def test_caller_error_kills_children(self, cat, family, dirac_target,
+                                         monkeypatch):
+        caller = os.getpid()
+
+        def act(i):
+            if os.getpid() != caller:
+                time.sleep(60)
+            elif i == 0:
+                raise KeyError("share 0 failed")
+        self._before_chunks(monkeypatch, act)
+        t0 = time.perf_counter()
+        with pytest.raises(KeyError, match="share 0 failed"):
+            self._sweep(cat, family, dirac_target)
+        assert time.perf_counter() - t0 < 30
+        self._assert_no_child()
+
+    def test_no_duplicated_output(self, cat, family, dirac_target, capfd,
+                                  monkeypatch):
+        # text left in a buffered stdout at the fork must be written once:
+        # a child that exited normally would flush its copy too
+        out = os.fdopen(os.dup(1), "w", buffering=1 << 16)
+        monkeypatch.setattr(sys, "stdout", out)
+        print("before the sweep", end="")
+        self._sweep(cat, family, dirac_target)
+        out.close()
+        assert capfd.readouterr().out.count("before the sweep") == 1
 
 
 class TestHitCountsPinned:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from toruslab import markov as markov_mod
-from toruslab.basin import SampleGrid
+from toruslab.basin import CHUNK, SampleGrid
 from toruslab.cli import main
 from toruslab.config import (ConfigInvalid, config_hash,
                              moment_vector_for_target, parse_config,
@@ -455,7 +455,7 @@ class TestRunner:
                 == rec["stages"]["basin"]["curves"])
         assert rec2["config_hash"] == rec["config_hash"]
 
-    @pytest.mark.parametrize("threads", [0, -1])
+    @pytest.mark.parametrize("threads", [0, -1, True, False])
     def test_bad_threads_named(self, tmp_path, threads):
         cfg = parse_config(minimal_config(tmp_path))
         with pytest.raises(ValueError, match="threads"):
@@ -495,6 +495,17 @@ class TestRunner:
                             "output_dir": str(tmp_path)})
         assert (run(cfg, threads=2)["stages"]["basin"]
                 == dirac_record["stages"]["basin"])
+
+    def test_workers_stamped(self, record, dirac_record, tmp_path):
+        # the processes the basin sweep ran in: at most one per chunk
+        assert record[0]["env"]["workers"] == 1
+        assert dirac_record["env"]["workers"] == 1
+        cfg = parse_config({**dirac_record["config"],
+                            "output_dir": str(tmp_path)})
+        rec = run(cfg, threads=3)
+        assert rec["env"]["threads"] == 3
+        assert rec["stages"]["basin"]["samples"] == 2 * CHUNK
+        assert rec["env"]["workers"] == 2
 
     def test_rate_residual_names_its_epsilon(self, dirac_record):
         # the residual is measured at the smallest eps of the sweep
