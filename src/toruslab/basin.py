@@ -16,20 +16,20 @@ Each step adds e^(2 pi i k.x) for the family's frequencies, from one table
 evaluator and a power table with no trig call per frequency; at K=33 that is
 8 complex products, since conjugate rows are filled from their partners and
 axis rows are table rows (see `weakstar`).  Weak* distances are formed only
-at the requested n.
+at the requested n, and only for points the screen below passes.
 
-A sweep splits its chunks into shares, one per worker process: share w
-takes every k-th chunk from the w-th, k = min(workers, chunks).  Share 0
-runs in the calling process; every other share runs in a child forked
-before share 0 starts, which sends its (hits, point-steps) back through a
-pipe and always leaves by `os._exit` (`_run_shares`).  A chunk-step is a
-few dozen small NumPy calls, and threads, which hand the interpreter lock
-over at every call, scaled only 1.1-1.3x on two CPUs; processes do not
-share it.  Each share makes one workspace (`TestFunctionFamily.zero_sums`):
-the complex (F, N) running mode sums and every buffer a step writes, reset
-and reused by every chunk of the share.  CHUNK start points keep a
-workspace within a few MB, so it stays in cache; it is a fixed constant,
-not a setting.  Where `os.fork` is missing, one share runs in the caller.
+A sweep splits its chunks into shares, one per worker process: share w takes
+every k-th chunk from the w-th, k = min(workers, chunks).  Share 0 runs in
+the calling process; every other share runs in a child forked before share 0
+starts, which sends its (hits, point-steps, distance points) back through a
+pipe and always leaves by `os._exit` (`_run_shares`).  A chunk-step is a few
+dozen small NumPy calls, and threads, which hand the interpreter lock over
+at every call, scaled only 1.1-1.3x on two CPUs; processes do not share it.
+Each share makes one workspace (`TestFunctionFamily.zero_sums`): the complex
+(F, N) running mode sums and every buffer a step writes, reset and reused by
+every chunk of the share.  CHUNK start points keep a workspace within a few
+MB, so it stays in cache; it is a fixed constant, not a setting.  Where
+`os.fork` is missing, one share runs in the caller.
 
 A child runs only NumPy elementwise kernels, `pickle` and `os.write`.
 Forking a process that runs other threads is safe for that much, but
@@ -43,16 +43,25 @@ chunk is compacted so that later steps touch only live points.  Every
 phi_i, i >= 1, lies in [0, 1], so after n steps with phi-sum S_i the mean at
 a later n' lies in [S_i/n', (S_i + n' - n)/n'].  These boxes are nested and
 grow with n', so the box at the last requested n, N, bounds every remaining
-row at once: it is centered at 1/2 + u_i/(2N), u_i the cos or sin sum, with
-half-width (N - n)/(2N), and the weighted distance from the target to it
-over the first `weakstar.BOUND_MODES` modes is a lower bound on the distance
-at every later row (`TestFunctionFamily.box_bound`).  After each requested
-row but the last, a point whose bound is at least max(eps) + PRUNE_SLACK is
-dropped; the slack covers the float reduction order of a distance against
-its bound.  A row where even the largest possible bound stays below that
-limit (`box_bound_ceiling`) skips the bound.  Distances of live points are
-bit for bit those of the unpruned kernel, so hit counts do not change; the
-sweep reports the point-steps it actually stepped.
+row at once, row n included: it is centered at 1/2 + u_i/(2N), u_i the cos
+or sin sum, with half-width (N - n)/(2N), and the weighted distance from the
+target to it over the first `weakstar.BOUND_MODES` modes is a lower bound on
+the distance at every row from n on (`TestFunctionFamily.box_bound`).  At
+each requested row but the last, a point whose bound is at least
+max(eps) + PRUNE_SLACK is dropped before the row's distances; the slack
+covers the float reduction order of a distance against its bound.  A row
+where even the largest possible bound stays below that limit
+(`box_bound_ceiling`) skips the bound.
+
+Screening: at horizon n the box is the mean itself, so `box_bound(ws, n,
+n)` is the distance over the bound's modes alone, at most the full distance
+and at least the prune bound.  Each row screens its live points with it and
+forms full distances only for those below the same limit
+(`sum_distances` with their columns); on a Dirac target most rows pass a
+few percent of the points.  Distances of listed points are bit for bit
+those of the unpruned kernel, so hit counts do not change; the sweep
+reports the point-steps it actually stepped and the full distances it
+formed.
 
 Work is split into fixed-size chunks of start points that are independent of
 the worker count; hit counters are integers merged by addition, so counts are
@@ -187,28 +196,33 @@ class RateEstimate:
 @dataclass
 class SweepResult:
     """One grid traversal: a curve per epsilon, the point-steps stepped,
-    after pruning, and the worker processes it ran in.  `epsilon_sweep`
-    adds the rate estimates, or the reason an epsilon has none."""
+    after pruning, the full distances formed, after screening, and the
+    worker processes it ran in.  `epsilon_sweep` adds the rate estimates,
+    or the reason an epsilon has none."""
     estimates: list[RateEstimate] = field(default_factory=list)
     errors: dict[float, str] = field(default_factory=dict)
     curves: list[BasinCurve] = field(default_factory=list)
     point_steps: int = 0
+    distance_points: int = 0
     workers: int = 1
 
 
 def _accumulate_hits(map: HyperbolicToralMap, points: np.ndarray,
                      target: np.ndarray, epsilons: Sequence[float],
                      n_values: Sequence[int], family: TestFunctionFamily,
-                     ws=None) -> tuple[np.ndarray, int]:
-    """Hit counts for one chunk, shape (n_eps, n_rows), and the point-steps
-    it took, in the workspace ws (a fresh one if None).
+                     ws=None) -> tuple[np.ndarray, int, int]:
+    """Hit counts for one chunk, shape (n_eps, n_rows), the point-steps it
+    took and the full distances it formed, in the workspace ws (a fresh one
+    if None).
 
     A linear map steps the points' uint64 phases, kept as (2, N) rows seen
     as (N, 2), the layout `step` keeps and `accumulate` reads row by row; a
-    nonlinear map steps the float points.  After each requested
-    row but the last, a point whose box bound reaches the largest eps plus
-    PRUNE_SLACK is dead and compacted away; when no point can reach it
-    (`box_bound_ceiling`) the bound is not formed."""
+    nonlinear map steps the float points.  At each requested row but the
+    last, a point whose box bound reaches the largest eps plus PRUNE_SLACK
+    is dead and compacted away; when no point can reach it
+    (`box_bound_ceiling`) the bound is not formed.  The live points are
+    then screened by their distance over the bound's modes, the box bound
+    at horizon n, and only those below that limit get a full distance."""
     hits = np.zeros((len(epsilons), len(n_values)), dtype=np.int64)
     if ws is None:
         ws = family.zero_sums(len(points))
@@ -220,25 +234,29 @@ def _accumulate_hits(map: HyperbolicToralMap, points: np.ndarray,
     row = 0
     n_max = n_values[-1]
     bounded = family.box_bound_ceiling(n_values[:-1], n_max, target) >= limit
-    steps = 0
+    steps = formed = 0
     for n in range(1, n_max + 1):
         family.accumulate(x, ws)
         steps += len(x)
         if n == n_values[row]:
-            dist = family.sum_distances(ws, n, target)
-            for ei, eps in enumerate(epsilons):
-                hits[ei, row] = int(np.count_nonzero(dist < eps))
-            row += 1
-            if row == len(n_values):
-                break
-            if bounded[row - 1]:
+            if n < n_max and bounded[row]:
                 live = family.box_bound(ws, n, n_max, target) < limit
                 if not live.all():
                     x = x.T[:, family.compact(ws, live)].T
                     if not len(x):
                         break
+            near = np.flatnonzero(family.box_bound(ws, n, n, target)
+                                  < limit)
+            if len(near):
+                dist = family.sum_distances(ws, n, target, near)
+                formed += len(near)
+                for ei, eps in enumerate(epsilons):
+                    hits[ei, row] = int(np.count_nonzero(dist < eps))
+            row += 1
+            if row == len(n_values):
+                break
         x = map.step(x)
-    return hits, steps
+    return hits, steps, formed
 
 
 def _check_epsilon(eps: float) -> None:
@@ -255,10 +273,10 @@ def curve_sweep(map: HyperbolicToralMap, target: MomentVector,
     if target.truncation != family.truncation:
         raise ValueError("target moments and family disagree on truncation")
     n_values = list(n_values)
+    for n in n_values:
+        _check_integer("n_values", n, 1)
     if not n_values or any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise ValueError("n_values must be non-empty and strictly increasing")
-    if n_values[0] < 1:
-        raise ValueError("n_values must be >= 1")
     epsilons = [float(e) for e in epsilons]
     if not epsilons:
         raise ValueError("epsilons must be non-empty")
@@ -281,13 +299,15 @@ def curve_sweep(map: HyperbolicToralMap, target: MomentVector,
                 for a, b in spans[w::k]]
 
     parts = [p for part in _run_shares(share, k) for p in part]
-    hits = np.sum([h for h, _ in parts], axis=0)
+    hits = np.sum([h for h, _, _ in parts], axis=0)
 
     ns = np.array(n_values)
     curves = [BasinCurve(epsilon=eps, ns=ns, hits=hits[ei].copy(),
                          samples=grid.size)
               for ei, eps in enumerate(epsilons)]
-    return SweepResult(curves=curves, point_steps=sum(s for _, s in parts),
+    return SweepResult(curves=curves,
+                       point_steps=sum(s for _, s, _ in parts),
+                       distance_points=sum(d for _, _, d in parts),
                        workers=k)
 
 
@@ -373,12 +393,11 @@ def basin_membership(map: HyperbolicToralMap, point, target: MomentVector,
                      family: TestFunctionFamily) -> bool:
     """Is dist*(sigma_n(point), target) < epsilon?  Streaming accumulation,
     the empirical measure is never materialized."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_integer("n", n, 1)
     _check_epsilon(epsilon)
     pts = np.asarray(point, dtype=float).reshape(1, 2)
-    hits, _ = _accumulate_hits(map, pts, target.values, [epsilon], [n],
-                               family)
+    hits, _, _ = _accumulate_hits(map, pts, target.values, [epsilon], [n],
+                                  family)
     return bool(hits[0, 0])
 
 

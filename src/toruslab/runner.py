@@ -148,6 +148,7 @@ def _run_basin(cfg: ExperimentConfig, target_mv, nthreads: int,
     out = {
         "samples": cfg.grid.size,
         "point_steps": sweep.point_steps,
+        "distance_points": sweep.distance_points,
         "curves": [
             {
                 "epsilon": c.epsilon,

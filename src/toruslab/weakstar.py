@@ -39,14 +39,20 @@ cos, a power of two and so exactly, fill one contiguous block, a row per
 frequency (`_deviations`); `_weighted_sum` adds the rows in halves and then
 each sin at half weight onto its cos.  Every pass is elementwise, so a
 point's distance is the same bits at any live count, one point included,
-and in any column.
+and in any column.  `sum_distances` given a list of live columns gathers
+them into a C-order block at the start of the deviation buffer and forms
+their deviations over it in place, so their distances are those of the
+full row.
 
-The basin kernel drops start points that can never again be in a basin.
-Every phi_i, i >= 1, lies in [0, 1], so after n of N steps each mean trig
-mode lies in a box of half-width (N - n)/(2N) about 1/2 + u/(2N), u the cos
-or sin sum; `box_bound` is the weighted distance from the target to that box
-over the first BOUND_MODES modes, `compact` moves the live points into the
-first `live` columns of the workspace, and `sum_distances` reads only those.
+The basin kernel drops start points that can never again be in a basin,
+and forms full distances only for points that can hit.  Every phi_i,
+i >= 1, lies in [0, 1], so after n of N steps each mean trig mode lies in a
+box of half-width (N - n)/(2N) about 1/2 + u/(2N), u the cos or sin sum;
+`box_bound` is the weighted distance from the target to that box over the
+first BOUND_MODES modes, `compact` moves the live points into the first
+`live` columns of the workspace, and `sum_distances` reads only those.  At
+N = n the box is the mean and `box_bound` the distance over those modes
+alone, a lower bound on the full distance: the kernel's screen.
 """
 
 from __future__ import annotations
@@ -276,35 +282,48 @@ class TestFunctionFamily:
         p = np.asarray(points)
         self._add_modes(p if p.dtype == np.uint64 else to_phases(p), sums)
 
-    def sum_distances(self, sums: "_Workspace", n: int,
-                      target) -> np.ndarray:
+    def sum_distances(self, sums: "_Workspace", n: int, target,
+                      columns=None) -> np.ndarray:
         """dist* from the mean over n accumulated steps to the target moment
-        values, one per live point of the workspace `sums`, as a new array.
-        Mean phi_0 is exactly 1 and a mean trig mode is 1/2 + (1/2n) times
-        the summed cos or sin.  The conjugate rows are filled first; the
-        terms are formed in the sums' own layout and added in an order fixed
-        by K alone (`_deviations`, `_weighted_sum`), so a point's distance is
-        the same bits at any live count and in any column."""
-        self._fill_conjugates(sums.sums[:, :sums.live])
-        dev = self._deviations(sums, self.truncation - 1, 0.5 / n, target)
+        values, one per live point of the workspace `sums`, or, given an
+        index array `columns` into the live points, one per listed point, as
+        a new array.  Mean phi_0 is exactly 1 and a mean trig mode is
+        1/2 + (1/2n) times the summed cos or sin.  Listed columns are
+        gathered into a C-order block at the start of the deviation buffer,
+        and the deviations are formed over it in place.  The conjugate rows
+        are filled first; the terms are formed in the sums' own layout and
+        added in an order fixed by K alone (`_deviations`, `_weighted_sum`),
+        so a point's distance is the same bits at any live count, in any
+        column and listed or not."""
+        block = sums.sums[:, :sums.live]
+        if columns is not None:
+            block = sums.dev[:2 * self._nfreq * len(columns)].view(
+                complex).reshape(self._nfreq, len(columns))
+            np.take(sums.sums, columns, axis=1, out=block, mode="clip")
+        self._fill_conjugates(block)
+        dev = self._deviations(block, sums.dev, self.truncation - 1,
+                               0.5 / n, target)
         return self._weighted_sum(dev, target)
 
-    def _deviations(self, sums: "_Workspace", modes: int, scale: float,
-                    target) -> np.ndarray:
+    def _deviations(self, sums: np.ndarray, out: np.ndarray, modes: int,
+                    scale: float, target) -> np.ndarray:
         """w_j |u scale + 1/2 - m_i| for the trig modes i = 1..modes, u the
-        cos or sin sum of row j of the live sums and w_j = 2^-(2j+1) the
-        weight of its cos, as a contiguous float (R, 2 live) block at the
-        start of the workspace's deviation buffer, R = ceil(modes/2), with
-        each point's cos and sin side by side.  w_j is a power of two, so
-        it scales exactly.  A sin past the last mode is 0."""
+        cos or sin sum of row j of the complex (F, m) mode sums and
+        w_j = 2^-(2j+1) the weight of its cos, as a contiguous float
+        (R, 2m) block at the start of the float buffer out, R =
+        ceil(modes/2), with each point's cos and sin side by side.  The
+        sums may be that same block of out, C-ordered; every pass is
+        elementwise, so the deviations then overwrite them in place.  w_j
+        is a power of two, so it scales exactly.  A sin past the last mode
+        is 0."""
         t = np.asarray(target, dtype=float)
-        r, m = (modes + 1) // 2, sums.live
+        r, m = (modes + 1) // 2, sums.shape[1]
         w = self.weights[1::2][:r, None]
         off = np.zeros((r, 1), dtype=complex)
         off.view(np.float64).reshape(-1)[:modes] = 0.5 - t[1:modes + 1]
         off *= w
-        dev = sums.dev[:2 * r * m].reshape(r, 2 * m)
-        np.multiply(sums.sums[:r, :m].view(np.float64), scale * w, out=dev)
+        dev = out[:2 * r * m].reshape(r, 2 * m)
+        np.multiply(sums[:r].view(np.float64), scale * w, out=dev)
         dev.view(complex)[...] += off
         np.abs(dev, out=dev)
         if modes % 2:
@@ -332,7 +351,7 @@ class TestFunctionFamily:
     def box_bound(self, sums: "_Workspace", n: int, horizon: int,
                   target) -> np.ndarray:
         """A lower bound, per live point of the workspace, on the distance
-        after any n' in (n, horizon] steps, given the sums after n, as a
+        after any n' in [n, horizon] steps, given the sums after n, as a
         new array.
 
         phi_i lies in [0, 1], so the mean of mode i after n' steps lies in
@@ -340,15 +359,19 @@ class TestFunctionFamily:
         with n', and the one at n' = horizon is centered at 1/2 + u/(2N),
         u the cos or sin sum, with half-width (N - n)/(2N), N = horizon.
         The bound is w_0 |1 - m_0| plus the weighted distance from the
-        target to that box over the first BOUND_MODES modes.  Those are the
-        cos and sin of the first rows of the sums, which are never conjugate
-        rows, so the bound reads the running sums as they stand."""
-        dev = self._deviations(sums, self._bound_modes, 0.5 / horizon,
-                               target)
-        # each row of the block is weighted, so is its half-width
-        half = (horizon - n) / (2 * horizon)
-        dev -= half * self.weights[1::2][:len(dev), None]
-        np.maximum(dev, 0.0, out=dev)
+        target to that box over the first BOUND_MODES modes.  At horizon n
+        the box is the mean itself, and the bound is the distance over
+        those modes: every term of a distance is nonnegative, so it is at
+        most the distance at n.  The modes are the cos and sin of the first
+        rows of the sums, which are never conjugate rows, so the bound
+        reads the running sums as they stand."""
+        dev = self._deviations(sums.sums[:, :sums.live], sums.dev,
+                               self._bound_modes, 0.5 / horizon, target)
+        if horizon > n:
+            # each row of the block is weighted, so is its half-width
+            half = (horizon - n) / (2 * horizon)
+            dev -= half * self.weights[1::2][:len(dev), None]
+            np.maximum(dev, 0.0, out=dev)
         return self._weighted_sum(dev, target)
 
     def box_bound_ceiling(self, ns, horizon: int, target) -> np.ndarray:
@@ -389,8 +412,9 @@ class _Workspace:
     running sums, the power table (2 kmax + 1, 2, N), one mode row, the
     character evaluator's uint64 (2, N) index buffer and the float
     deviation buffer of 2F N entries that `sum_distances` and `box_bound`
-    fill.  The first `live` points are the ones those two read; `compact`
-    lowers it and `reset` sets it.  Built by `TestFunctionFamily.zero_sums`.
+    fill, which also holds the columns `sum_distances` gathers.  The first
+    `live` points are the ones those two read; `compact` lowers it and
+    `reset` sets it.  Built by `TestFunctionFamily.zero_sums`.
     """
 
     __slots__ = ("sums", "power", "mode", "index", "dev", "live")

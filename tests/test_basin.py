@@ -48,6 +48,16 @@ class TestMembership:
     def test_lebesgue_long_orbit(self, cat, family, leb_target):
         assert basin_membership(cat, (0.3, 0.7), leb_target, 0.1, 500, family)
 
+    @pytest.mark.parametrize("n, message", [
+        (2.5, "n must be an integer, got 2.5"),
+        (2.0, "n must be an integer, got 2.0"),
+        (True, "n must be an integer, got True"),
+        (0, "n must be >= 1, got 0"),
+    ])
+    def test_bad_n_named(self, cat, family, leb_target, n, message):
+        with pytest.raises(ValueError, match=message):
+            basin_membership(cat, (0.3, 0.7), leb_target, 0.1, n, family)
+
     def test_matches_materialized_route(self, cat, family, leb_target, rng):
         # independent oracle: build sigma_n explicitly and compare distances
         for _ in range(10):
@@ -146,9 +156,10 @@ class TestCurves:
                 results = [f.result(timeout=120) for f in futures]
         finally:
             sys.setswitchinterval(interval)
-        for i, (hits, steps) in enumerate(results):
-            want_hits, want_steps = serial[i % len(chunks)]
+        for i, (hits, steps, formed) in enumerate(results):
+            want_hits, want_steps, want_formed = serial[i % len(chunks)]
             assert np.array_equal(hits, want_hits) and steps == want_steps
+            assert formed == want_formed
 
     def test_jitter_deterministic(self, cat, family, leb_target):
         grid = SampleGrid(resolution=64, jitter=True, seed=99)
@@ -160,6 +171,15 @@ class TestCurves:
         with pytest.raises(ValueError):
             curve_sweep(cat, leb_target, [0.2], [5, 5],
                         SampleGrid(resolution=16), family)
+        for ns, message in [([2.0, 4.0], "n_values must be an integer, "
+                             "got 2.0"),
+                            ([2, 4.5], "n_values must be an integer, got 4.5"),
+                            ([True, 3], "n_values must be an integer, "
+                             "got True"),
+                            ([0, 3], "n_values must be >= 1, got 0")]:
+            with pytest.raises(ValueError, match=message):
+                curve_sweep(cat, leb_target, [0.2], ns,
+                            SampleGrid(resolution=16), family)
 
     @pytest.mark.parametrize("epsilons, message", [
         ([], "non-empty"),
@@ -457,7 +477,8 @@ class TestKernelReference:
         epsilons = [0.3, 0.1, 0.05, 0.03]
         ns = [1, 3, 8, 20, 40]
         ref = _ref_accumulate_hits(map, pts, target, epsilons, ns, family)
-        new, _ = _accumulate_hits(map, pts, target, epsilons, ns, family)
+        new, _, _ = _accumulate_hits(map, pts, target, epsilons, ns,
+                                     family)
         assert np.array_equal(new, ref)
         if truncation >= 8:
             assert np.any((ref > 0) & (ref < grid.size))
@@ -490,24 +511,52 @@ class TestPruning:
         map = cat if map_name == "cat" else PERTURBED
         family, target = self._target(truncation, kind)
         pts = self.GRID.chunk(0, self.GRID.size, self.GRID._offsets())
-        new, steps = _accumulate_hits(map, pts, target, epsilons, self.NS,
-                                      family)
+        new, steps, formed = _accumulate_hits(map, pts, target, epsilons,
+                                              self.NS, family)
         ref = _ref_accumulate_hits(map, pts, target, epsilons, self.NS,
                                    family)
         assert np.array_equal(new, ref)
         # no point was accumulated past the second-to-last row
         assert steps <= len(pts) * self.NS[-2]
         assert not new[:, -1].any()
+        if kind == "unnormalized":
+            # every bound is at least 0.02, so the first row's bound kills
+            # every point before its screen
+            assert steps == len(pts) * self.NS[0] and formed == 0
 
     def test_point_steps_any_thread_count(self, cat, family, dirac_target):
         grid = SampleGrid(resolution=math.isqrt(5 * CHUNK // 2) + 1,
                           jitter=True, seed=3)
         ns = list(range(4, 13))
-        a, b = (curve_sweep(cat, dirac_target, [0.2, 0.1], ns, grid, family,
-                            threads=t) for t in (1, 2))
-        assert a.point_steps == b.point_steps
+        a, b, c = (curve_sweep(cat, dirac_target, [0.2, 0.1], ns, grid,
+                               family, threads=t) for t in (1, 2, 3))
+        assert a.point_steps == b.point_steps == c.point_steps
+        assert a.distance_points == b.distance_points == c.distance_points
         # pruned, but never below the first row's work
         assert grid.size * ns[0] < a.point_steps < grid.size * ns[-1]
+        # screened: every hit at the largest eps got a full distance, and
+        # far fewer points than the live point-rows did
+        assert (a.curves[0].hits.sum() <= a.distance_points
+                < a.point_steps // 4)
+
+    @pytest.mark.parametrize("map_name", ["cat", "perturbed"])
+    def test_row_with_no_candidates(self, cat, family, leb_target,
+                                    map_name):
+        # no one-point empirical measure is within 0.05 of Lebesgue on the
+        # bound's modes, so row n = 1 screens every point out; the bound is
+        # skipped there, so all of them stay live for the later rows
+        map = cat if map_name == "cat" else PERTURBED
+        pts = self.GRID.chunk(0, self.GRID.size, self.GRID._offsets())
+        epsilons, ns = [0.05, 0.03], [1, 6, 12, 24]
+        new, steps, formed = _accumulate_hits(map, pts, leb_target.values,
+                                              epsilons, [1], family)
+        assert formed == 0 and not new.any()
+        new, steps, formed = _accumulate_hits(map, pts, leb_target.values,
+                                              epsilons, ns, family)
+        assert np.array_equal(new, _ref_accumulate_hits(
+            map, pts, leb_target.values, epsilons, ns, family))
+        assert not new[:, 0].any() and new[0, 1:].all()
+        assert steps == len(pts) * ns[-1] and 0 < formed
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
@@ -630,11 +679,13 @@ class TestHitCountsPinned:
     GRID = SampleGrid(resolution=64, jitter=True, seed=1)
 
     def test_cat_dirac(self, cat, family, dirac_target):
-        curves = curve_sweep(cat, dirac_target, [0.2, 0.1],
-                             list(range(4, 13)), self.GRID, family).curves
-        assert [c.hits.tolist() for c in curves] == [
+        result = curve_sweep(cat, dirac_target, [0.2, 0.1],
+                             list(range(4, 13)), self.GRID, family)
+        assert [c.hits.tolist() for c in result.curves] == [
             [114, 68, 92, 65, 54, 43, 37, 30, 31],
             [33, 18, 11, 7, 3, 3, 2, 1, 1]]
+        # the box bound's pruning, recorded before the screen was added
+        assert result.point_steps == 32146
 
     def test_cat_lebesgue(self, cat, family, leb_target):
         # after n = 18 the box bound prunes 12 of the 64^2 * 24 point-steps
@@ -690,6 +741,6 @@ class TestTrueOrbitHits:
         members = [basin_membership(cat, p, leb_target, eps, n, family)
                    for p in pts]
         assert members == (exact < eps).tolist()
-        hits, _ = _accumulate_hits(cat, pts, leb_target.values, [eps], [n],
-                                   family)
+        hits, _, _ = _accumulate_hits(cat, pts, leb_target.values, [eps],
+                                      [n], family)
         assert hits[0, 0] == np.count_nonzero(exact < eps) == 117

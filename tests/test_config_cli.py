@@ -491,6 +491,9 @@ class TestRunner:
         st = dirac_record["stages"]["basin"]
         assert isinstance(st["point_steps"], int)
         assert st["samples"] * 4 < st["point_steps"] < st["samples"] * 10
+        # full distances formed, only for points the screen passes
+        assert isinstance(st["distance_points"], int)
+        assert 0 < st["distance_points"] < st["point_steps"]
         cfg = parse_config({**dirac_record["config"],
                             "output_dir": str(tmp_path)})
         assert (run(cfg, threads=2)["stages"]["basin"]

@@ -281,6 +281,8 @@ def _bound_target(truncation, kind, map):
     family = TestFunctionFamily(truncation)
     if kind == "orbit":
         values = moments(OrbitMeasure(map, (0.1, 0.2), 500), family).values
+    elif kind == "lebesgue":
+        values = moments(LEBESGUE, family).values
     else:
         values = moments(DiscreteMeasure.dirac((0.0, 0.0)), family).values
     # unnormalized: m_0 = 0.98, off the probability simplex
@@ -316,6 +318,47 @@ class TestBoxBound:
                 # the row's own distance too: its box holds the mean at n
                 for bound in bounds:
                     assert np.all(bound <= dist + 1e-12)
+            x = cat.step(x)
+
+    # K = 1 and 2 clip the bound's modes to none and one
+    @pytest.mark.parametrize("truncation", [1, 2, 8, 17, 33, 34])
+    @pytest.mark.parametrize("kind", ["lebesgue", "dirac", "unnormalized"])
+    @pytest.mark.parametrize("live", [1, 7, 300])
+    def test_bound_below_screen_below_distance(self, cat, truncation, kind,
+                                               live):
+        # the basin kernel's row: the prune bound at the last row N, then
+        # the screen (the bound at horizon n), then distances of the points
+        # the screen passes
+        family, target = _bound_target(truncation, kind, cat)
+        # the family of the bound's modes alone: its sums rows, weights and
+        # order of additions are the screen's
+        head = TestFunctionFamily(1 + family._bound_modes)
+        rng = np.random.default_rng([truncation, live])
+        x = np.concatenate([[[0.0, 0.0]], rng.random((live + 4, 2))])
+        ws = family.zero_sums(len(x))
+        family.accumulate(x, ws)
+        keep = np.zeros(len(x), dtype=bool)
+        keep[rng.choice(len(x), live, replace=False)] = True
+        x = x[family.compact(ws, keep)]
+        hws = head.zero_sums(live)
+        head.accumulate(x, hws)
+        horizon = 12
+        for n in range(1, horizon + 1):
+            if n > 1:
+                family.accumulate(x, ws)
+                head.accumulate(x, hws)
+            dist = family.sum_distances(ws, n, target)
+            screen = family.box_bound(ws, n, n, target)
+            bound = family.box_bound(ws, n, horizon, target)
+            assert np.array_equal(
+                screen, head.sum_distances(hws, n, target[:head.truncation]))
+            # within rounding, far below the kernel's PRUNE_SLACK
+            assert np.all(bound <= screen + 1e-12)
+            assert np.all(screen <= dist + 1e-12)
+            # distances of listed columns are the full row's, bit for bit
+            cols = np.flatnonzero(rng.random(live) < 0.5)
+            assert np.array_equal(
+                family.sum_distances(ws, n, target, cols), dist[cols])
             x = cat.step(x)
 
     @pytest.mark.parametrize("truncation", [1, 2, 8, 17, 33, 34])
