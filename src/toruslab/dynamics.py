@@ -16,11 +16,11 @@ compute with no mask and no rounding (Percival & Vivaldi, Physica D 25,
 1987).  So a linear map's orbit is the true orbit of floor(x 2^64) 2^-64,
 which is x itself for coordinates of at least 2^-11 (a double there is a
 multiple of 2^-64) and moves a smaller one by less than 2^-64.  `step`
-takes such phases as well as floats, and `orbit` fills the phases by
-doubling, X[L:L+c] = (A^L mod 2^64) X[0:c], before it converts them to the
-nearest doubles in [0, 1) (from_phases).  A nonlinear map keeps the float
-arithmetic of `step` and one scalar loop in `orbit`, which follow the same
-float orbit bit for bit.
+takes such phases as well as floats; `orbit_phases` fills an orbit's
+phases by doubling, X[L:L+c] = (A^L mod 2^64) X[0:c], and `orbit` converts
+them to the nearest doubles in [0, 1) (from_phases).  A nonlinear map keeps
+the float arithmetic of `step` and one scalar loop in `orbit`, which follow
+the same float orbit bit for bit.
 
 The unstable direction u has one implementation, unstable_warmup, and the
 expansion |Df u| one, unstable_growth, whose log is the psi of lyapunov's
@@ -412,10 +412,8 @@ class HyperbolicToralMap:
     def orbit(self, point, n: int) -> np.ndarray:
         """[p, f(p), ..., f^(n-1)(p)] for a single point, shape (n, 2).
 
-        A linear map's orbit is the true orbit of the phases X_0 =
-        to_phases(p): X_j = A^j X_0 mod 2^64, filled by doubling in a uint64
-        view of the output, X[L:L+c] = (A^L mod 2^64) X[0:c], with A^L
-        squared in Python ints, and converted in place by `from_phases`.
+        A linear map's orbit is `from_phases` of `orbit_phases(p, n)`,
+        converted in place through a float view of the phases' memory.
 
         A nonlinear map runs one scalar loop, `step`'s products and sums in
         the same order.  A sum in (-2^-54, 0) rounds to 1.0 under `% 1.0`;
@@ -424,11 +422,11 @@ class HyperbolicToralMap:
         """
         if n < 1:
             raise ValueError("orbit length must be >= 1")
+        if self.is_linear:
+            phases = self.orbit_phases(point, n)
+            return from_phases(phases, out=phases.view(np.float64))
         p = np.asarray(point, dtype=float).reshape(2)
         out = np.empty((n, 2))
-        if self.is_linear:
-            self._phase_fill(out.view(np.uint64), to_phases(p))
-            return from_phases(out.view(np.uint64), out=out)
         # the interleaved x, y doubles of out, which the loop stores unboxed
         buf = memoryview(out).cast("B").cast("d")
         (a00, a01), (a10, a11) = self._rows
@@ -456,17 +454,25 @@ class HyperbolicToralMap:
             y = 0.0 if y == 1.0 else y
         return out
 
-    def _phase_fill(self, lat, start) -> None:
-        """Write the phase orbit of `start` into the uint64 array lat, shape
-        (m, 2), in place, by doubling: the products and sums wrap mod 2^64,
+    def orbit_phases(self, point, n: int) -> np.ndarray:
+        """uint64 phases of a linear map's orbit of a single point, shape
+        (n, 2): the true orbit X_j = A^j X_0 mod 2^64 of X_0 =
+        to_phases(p).
+
+        It is filled by doubling, X[L:L+c] = (A^L mod 2^64) X[0:c], with
+        A^L squared in Python ints; the products and sums wrap mod 2^64,
         which is the map mod 1, and every NumPy pass takes at most
         _ORBIT_ROWS rows."""
-        lat[0] = start
-        m = len(lat)
+        if not self.is_linear:
+            raise ValueError("phases step a linear map only")
+        if n < 1:
+            raise ValueError("orbit length must be >= 1")
+        lat = np.empty((n, 2), dtype=np.uint64)
+        lat[0] = to_phases(np.asarray(point, dtype=float).reshape(2))
         (b00, b01), (b10, b11) = self._words
         filled = 1
-        while filled < m:
-            count = min(filled, m - filled)
+        while filled < n:
+            count = min(filled, n - filled)
             for s in range(0, count, _ORBIT_ROWS):
                 src = lat[s:min(s + _ORBIT_ROWS, count)]
                 dst = lat[filled + s:filled + s + len(src)]
@@ -480,6 +486,7 @@ class HyperbolicToralMap:
                                   (b00 * b01 + b01 * b11) & _WORD,
                                   (b10 * b00 + b11 * b10) & _WORD,
                                   (b10 * b01 + b11 * b11) & _WORD)
+        return lat
 
     def __repr__(self):
         return (f"HyperbolicToralMap({self.matrix.tolist()}, "

@@ -30,15 +30,25 @@ _CELL_MARGIN = 1e-9, meets exactly one listed piece translate and lies inside
 it, so the table gives the symbol the piece scan `_locate_chunk` would give.
 Points in unlabelled cells (about 5% of the square), outside [0,1)^2 or not
 finite go to the scan, the one exact point-in-piece test, so the lowest-index
-tie-break and LocationFailure are the scan's.
+tie-break and LocationFailure are the scan's.  `locate` also takes a linear
+map's uint64 phases (`dynamics.to_phases`): the cell of a phase pair is the
+top 7 bits of each phase, and only the phases in unlabelled cells are
+converted (`from_phases`) and scanned.  That gives the symbol of the
+converted point: a phase just below c 2^57 may round up to the double
+c/128, the edge of the next cell, but that edge lies in the closed box of
+the phase's own cell, and the scan gives every point of a labelled cell's
+closed box its label; so the next cell, if labelled, carries the same one.
 
 `entropy_tables` walks and locates a cylinder source (orbit measure, grid or
 atoms) once and reduces its symbols to tables of sorted int64 base-k word
-codes with int64 counts, every table over one start set.  It builds the
-deepest codes with one multiply-add per depth, sorts them once, and takes
-every shallower table as a marginal.  That is exact because cylinder tables
-built from a common start set are shift-consistent: marginalizing a depth-n
-table over its last symbol reproduces the depth-(n-1) table.  Words are
+codes with int64 counts, every table over one start set.  A linear map's
+source is walked as uint64 phases, a true orbit, and never as floats: an
+orbit measure's `phases`, and a grid's or atoms' phases stepped by `step`.
+It builds the deepest codes with one multiply-add per depth, in int32 when
+k^depth fits, sorts them once, and takes every shallower table as a
+marginal.  That is exact because cylinder tables built from a common start
+set are shift-consistent: marginalizing a depth-n table over its last
+symbol reproduces the depth-(n-1) table.  Words are
 decoded to tuples only on request (`CylinderTable.words`).
 """
 
@@ -50,7 +60,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from toruslab.dynamics import HyperbolicToralMap, wrap
+from toruslab.dynamics import HyperbolicToralMap, from_phases, to_phases, wrap
 from toruslab.weakstar import DiscreteMeasure, OrbitMeasure
 from toruslab.basin import SampleGrid
 
@@ -65,8 +75,10 @@ DIAMETER_GATE = 0.6
 ADEQUACY_FACTOR = 10
 _LOCATE_CHUNK = 1 << 20
 # side of the cell table over [0,1)^2 that `locate` reads before scanning; a
-# power of two, so the cell index of a point is exact
-_CELLS = 128
+# power of two, so the cell index of a point is exact and that of a uint64
+# phase is its top _CELL_BITS bits
+_CELL_BITS = 7
+_CELLS = 1 << _CELL_BITS
 # a cell is labelled only if its frame box, widened by this much, meets one
 # listed translate and lies inside it
 _CELL_MARGIN = 1e-9
@@ -400,9 +412,12 @@ def locate(partition: MarkovPartition, points) -> np.ndarray | int:
     A point in [0,1)^2 whose cell of the partition's cell table is labelled
     takes that label, which is the symbol the scan would give it; every
     other point (an unlabelled cell, outside [0,1)^2, not finite) is
-    scanned by `_locate_chunk`, the one exact test.
+    scanned by `_locate_chunk`, the one exact test.  uint64 phases X
+    (`to_phases`) are located as the points from_phases(X).
     """
-    pts = np.asarray(points, dtype=float)
+    pts = np.asarray(points)
+    if pts.dtype != np.uint64:
+        pts = np.asarray(pts, dtype=float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
     out = np.full(len(pts), -1, dtype=np.int8)
@@ -416,6 +431,16 @@ def locate(partition: MarkovPartition, points) -> np.ndarray | int:
 
 def _locate_cells(partition: MarkovPartition, pts: np.ndarray) -> np.ndarray:
     """`locate` on one chunk: cell-table labels, the scan for the rest."""
+    if pts.dtype == np.uint64:
+        # the top _CELL_BITS bits of X0 above those of X1: a * _CELLS + b
+        cell = pts[:, 0] >> (64 - 2 * _CELL_BITS)
+        cell &= (_CELLS - 1) << _CELL_BITS
+        cell |= pts[:, 1] >> (64 - _CELL_BITS)
+        sym = partition._cells[cell.view(np.int64)]
+        scan = np.flatnonzero(sym < 0)
+        if len(scan):
+            sym[scan] = _locate_chunk(partition, from_phases(pts[scan]))
+        return sym
     x, y = pts[:, 0], pts[:, 1]
     inside = (x >= 0.0) & (x < 1.0) & (y >= 0.0) & (y < 1.0)
     # x * _CELLS is exact, so the truncation is the cell of x
@@ -502,8 +527,9 @@ def entropy_tables(map: HyperbolicToralMap, partition: MarkovPartition,
     starts: for an orbit measure of length L, starts 0..L-max(depths); for a
     grid or atom source, every start, stepped max(depths) - 1 times.  The
     deepest table is sorted from codes built with one multiply-add per
-    depth; each shallower table is a marginal of the one below it, which is
-    exact because the starts are shared.
+    depth, in int32 when every code k^depth - 1 fits and int64 otherwise;
+    each shallower table is a marginal of the one below it, which is exact
+    because the starts are shared.
     """
     depths = sorted(set(int(d) for d in depths))
     if depths[0] < 1:
@@ -514,12 +540,13 @@ def entropy_tables(map: HyperbolicToralMap, partition: MarkovPartition,
     rows = iter(_symbol_rows(map, partition, source, depths[-1]))
     # a long orbit is not kept alive through the sort
     del source
-    codes = next(rows).astype(np.int64)
+    fits = k ** depths[-1] - 1 <= np.iinfo(np.int32).max
+    codes = next(rows).astype(np.int32 if fits else np.int64)
     for row in rows:
         codes *= k
         codes += row
     vals, cnts = np.unique(codes, return_counts=True)
-    table = CylinderTable(depths[-1], k, vals,
+    table = CylinderTable(depths[-1], k, vals.astype(np.int64, copy=False),
                           cnts.astype(np.int64, copy=False))
     out = {table.depth: table}
     while table.depth > depths[0]:
@@ -532,13 +559,16 @@ def _symbol_rows(map: HyperbolicToralMap, partition: MarkovPartition,
                  source: CylinderSource, depth: int):
     """First `depth` partition symbols of every start of a source: row j
     holds symbol j of each start.  An orbit measure is located once as a
-    stream; grid and atom sources are stepped depth - 1 times."""
+    stream, from its phases while it holds them; grid and atom sources
+    are stepped depth - 1 times, a linear map's as uint64 phases."""
     if isinstance(source, OrbitMeasure):
         if source.map is not map:
             raise ValueError("orbit measure was built for another map")
         if len(source) < depth:
             raise ValueError("orbit shorter than requested depth")
-        stream = locate(partition, source.atoms)
+        # phases locate as the atoms they convert to
+        stream = locate(partition, source.atoms if source.phases is None
+                        else source.phases)
         n_starts = len(stream) - depth + 1
         return [stream[j:j + n_starts] for j in range(depth)]
     if isinstance(source, SampleGrid):
@@ -553,7 +583,7 @@ def _symbol_rows(map: HyperbolicToralMap, partition: MarkovPartition,
     else:
         raise TypeError(f"unsupported source {type(source).__name__}")
     rows = np.empty((depth, len(starts)), dtype=np.int8)
-    x = starts
+    x = to_phases(starts) if map.is_linear else starts
     for j in range(depth):
         rows[j] = locate(partition, x)
         if j + 1 < depth:

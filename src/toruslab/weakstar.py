@@ -62,7 +62,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from toruslab.dynamics import TWO_PI, HyperbolicToralMap, to_phases, wrap
+from toruslab.dynamics import (TWO_PI, HyperbolicToralMap, from_phases,
+                               to_phases, wrap)
 
 FAMILY_VERSION = "fourier-maxnorm-lex-v1"
 DEFAULT_TRUNCATION = 33
@@ -519,20 +520,36 @@ class OrbitMeasure:
     `atoms` holds the L orbit points in orbit order and is never coalesced,
     so every stage can read the measure as a stream: moments in row blocks,
     the unstable integral as one Birkhoff pass, cylinder words from one
-    located symbol sequence.  The orbit is generated once, by `map.orbit`,
-    when the measure is built; `map` is kept because only along its orbits
-    is the point order meaningful.
+    located symbol sequence.  The orbit is generated once, when the measure
+    is built; `map` is kept because only along its orbits is the point
+    order meaningful.  On a linear map the orbit is kept as its uint64
+    `phases` (`map.orbit_phases`) until `atoms` is first read, which
+    converts them in place, bit for bit `map.orbit(point, L)`, and sets
+    `phases` to None: a stage that reads only the phases never builds the
+    float orbit, and the measure holds one orbit array either way.  On a
+    nonlinear map `phases` is None.
     """
 
     def __init__(self, map: HyperbolicToralMap, point, length: int):
         if length < 1:
             raise ValueError("orbit length must be >= 1")
         self.map = map
-        self.atoms = map.orbit(point, length)
         self.weights = np.broadcast_to(1.0 / length, (length,))
+        if map.is_linear:
+            self.phases, self._atoms = map.orbit_phases(point, length), None
+        else:
+            self.phases, self._atoms = None, map.orbit(point, length)
+
+    @property
+    def atoms(self) -> np.ndarray:
+        if self.phases is not None:
+            self._atoms = from_phases(self.phases,
+                                      out=self.phases.view(np.float64))
+            self.phases = None
+        return self._atoms
 
     def __len__(self):
-        return len(self.atoms)
+        return len(self.weights)
 
     def __repr__(self):
         return f"OrbitMeasure({len(self)} points)"

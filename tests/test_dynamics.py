@@ -162,11 +162,22 @@ class TestStepFollowsOrbit:
         pts = np.concatenate([np.random.default_rng(11).random((5, 2)),
                               CARRY_POINTS])
         orbits = np.stack([m.orbit(p, 300) for p in pts], axis=1)
+        if m.is_linear:
+            phases = np.stack([m.orbit_phases(p, 300) for p in pts], axis=1)
         x = to_phases(pts) if m.is_linear else pts
         for t in range(300):
             got = from_phases(x) if m.is_linear else x
             assert np.array_equal(bits(got), bits(orbits[t])), t
+            if m.is_linear:
+                assert np.array_equal(x, phases[t]), t
             x = m.step(x)
+
+    def test_orbit_phases_linear_only(self):
+        m = STEP_ORBIT_MAPS["cat-sin-y"]
+        with pytest.raises(ValueError, match="linear map only"):
+            m.orbit_phases((0.2, 0.3), 5)
+        with pytest.raises(ValueError, match="linear map only"):
+            m.step(to_phases(np.array([0.2, 0.3])))
 
 
 def reference_inverse(m, p):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from toruslab.basin import SampleGrid
-from toruslab.dynamics import wrap
+from toruslab.dynamics import from_phases, to_phases, wrap
 from toruslab.markov import (_CELLS, _locate_chunk, ConstructionInvalid,
                              CylinderTable, InsufficientSamples,
                              LocationFailure, cylinder_count_rate,
@@ -273,6 +273,27 @@ class TestCellTable:
             assert np.array_equal(_locate_chunk(partition, pts),
                                   cells[labelled])
 
+    def test_phases_locate_as_their_doubles(self, partition, cat):
+        # uint64 phases are located by the top bits of each phase; a phase
+        # just below c 2^57 rounds up to the double c/128, the edge of the
+        # next cell, and must still get that double's symbol
+        below = np.array([(c << 57) - d for c in range(1, _CELLS + 1)
+                          for d in (1, 1 << 10)], dtype=np.uint64)
+        assert np.all(from_phases(below[::2]) == np.minimum(
+            np.arange(1, _CELLS + 1) / _CELLS, 1.0 - 2.0 ** -53))
+        other = np.random.default_rng(9).integers(
+            0, 2 ** 64, len(below), dtype=np.uint64, endpoint=False)
+        edges = np.concatenate([np.column_stack([below, other]),
+                                np.column_stack([other, below])])
+        orbit = cat.orbit_phases(SEED_POINT, 100_000)
+        for phases in (edges, orbit):
+            got = locate(partition, phases)
+            assert np.array_equal(got, locate(partition,
+                                              from_phases(phases)))
+            assert np.array_equal(got, _locate_chunk(partition,
+                                                     from_phases(phases)))
+        assert locate(partition, orbit[7]) == got[7]
+
 
 class TestItinerary:
     def test_fixed_point_constant(self, cat, partition):
@@ -312,7 +333,8 @@ def make_table(depth, counts, k=5):
 def reference_tables(m, partition, source, depths):
     """{depth: {word: count}} from the element-wise base-k code and tuple
     decode loop, in code order; independent of CylinderTable and of the
-    cell table of `locate` (symbols come from the piece scan)."""
+    cell table of `locate` (symbols come from the piece scan).  A linear
+    map's grid or atoms walk the true orbits of their phases."""
     k, top = partition.k, max(depths)
     if isinstance(source, OrbitMeasure):
         sym = _locate_chunk(partition, m.orbit(source.atoms[0], len(source)))
@@ -321,9 +343,11 @@ def reference_tables(m, partition, source, depths):
     else:
         x = (source.chunk(0, source.size) if isinstance(source, SampleGrid)
              else source.atoms)
+        x = to_phases(x) if m.is_linear else x
         rows = []
         for j in range(top):
-            rows.append(_locate_chunk(partition, x))
+            rows.append(_locate_chunk(partition,
+                                      from_phases(x) if m.is_linear else x))
             x = m.step(x)
     out = {}
     for d in depths:
@@ -390,7 +414,10 @@ class TestCylinderTables:
     def test_words_match_reference_decoder(self, cat, partition,
                                            make_source):
         source = make_source(cat)
-        for depths in (list(range(1, 9)), [2, 5, 9], [7]):
+        # the first call locates an orbit's phases; the reference reads its
+        # atoms, which converts them, and later calls locate those.  Codes
+        # are int32 up to depth 13 (5^13 < 2^31) and int64 beyond
+        for depths in (list(range(1, 9)), [2, 5, 9], [7], [13], [13, 14]):
             tables = entropy_tables(cat, partition, source, depths)
             ref = reference_tables(cat, partition, source, depths)
             assert sorted(tables) == depths

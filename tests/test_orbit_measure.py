@@ -12,8 +12,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from toruslab import markov
 from toruslab.config import parse_config
-from toruslab.dynamics import HyperbolicToralMap, unstable_warmup
+from toruslab.dynamics import (HyperbolicToralMap, from_phases,
+                               unstable_warmup)
 from toruslab.lyapunov import unstable_integral
 from toruslab.markov import entropy_tables
 from toruslab.runner import run
@@ -24,6 +26,7 @@ PERTURBED_SPEC = {"matrix": [[2, 1], [1, 1]], "amplitude": 0.005,
                   "perturbation": [{"coeff": [1.0, 0.0], "freq": [0, 1]}]}
 PERTURBED = HyperbolicToralMap([[2, 1], [1, 1]], 0.005,
                                [((1.0, 0.0), (0, 1))])
+CAT = HyperbolicToralMap([[2, 1], [1, 1]])
 POINT = (0.2137214321, 0.5721347123)
 
 
@@ -33,14 +36,44 @@ def orbit_2000():
 
 
 class TestOrbitMeasure:
-    def test_atoms_are_the_orbit_in_order(self, orbit_2000):
-        assert np.array_equal(orbit_2000.atoms, PERTURBED.orbit(POINT, 2000))
-        assert len(orbit_2000) == 2000
-        assert np.all(orbit_2000.weights == 1.0 / 2000)
+    @pytest.mark.parametrize("map", [PERTURBED, CAT],
+                             ids=["perturbed", "cat"])
+    def test_atoms_are_the_orbit_in_order(self, map):
+        # a cat orbit is kept as phases, its atoms converted in place on
+        # first read
+        mu = OrbitMeasure(map, POINT, 2000)
+        phases = mu.phases
+        assert len(mu) == 2000
+        assert (phases is None) == (not map.is_linear)
+        assert mu.atoms.tobytes() == map.orbit(POINT, 2000).tobytes()
+        assert mu.atoms is mu.atoms and mu.phases is None
+        if phases is not None:
+            assert np.shares_memory(mu.atoms, phases)
+        assert np.all(mu.weights == 1.0 / 2000)
 
     def test_bad_length_rejected(self):
         with pytest.raises(ValueError, match=">= 1"):
             OrbitMeasure(PERTURBED, POINT, 0)
+
+    def test_tables_build_no_float_orbit(self, partition, monkeypatch):
+        # a cat orbit is generated and located as uint64 phases: only the
+        # points of unlabelled cells, about 5%, are converted to doubles
+        def no_orbit(*args):
+            raise AssertionError("float orbit built")
+
+        converted = []
+
+        def counted(phases, out=None):
+            converted.append(len(phases))
+            return from_phases(phases, out)
+
+        monkeypatch.setattr(HyperbolicToralMap, "orbit", no_orbit)
+        monkeypatch.setattr(OrbitMeasure, "atoms", property(no_orbit))
+        monkeypatch.setattr(markov, "from_phases", counted)
+        mu = OrbitMeasure(CAT, POINT, 100_000)
+        tables = entropy_tables(CAT, partition, mu, [1, 6])
+        assert tables[6].total == 100_000 - 6 + 1
+        assert 0 < sum(converted) < 0.1 * len(mu)
 
     def test_other_map_rejected(self, orbit_2000, cat, partition):
         with pytest.raises(ValueError, match="another map"):
