@@ -30,7 +30,7 @@ def main():
                     default=[0.2, 0.1, 0.05, 0.025])
     ap.add_argument("--threads", type=_int_at_least(1), default=None,
                     help="worker processes for the basin sweep, at least 1 "
-                         "(default: $TORUSLAB_THREADS, else the CPU count)")
+                         "(default: the CPUs this process may run on)")
     ap.add_argument("--out", default="records")
     args = ap.parse_args()
 

@@ -12,62 +12,3 @@ check is the rate identity
 
 evaluated at desk scale by deterministic grid sweeps.
 """
-
-from toruslab.dynamics import (
-    HyperbolicToralMap,
-    ConeReport,
-    IterationDivergence,
-    NotHyperbolic,
-    torus_distance,
-    verify_hyperbolicity,
-    wrap,
-)
-from toruslab.weakstar import (
-    LEBESGUE,
-    DiscreteMeasure,
-    FamilyMismatch,
-    LebesgueMeasure,
-    MomentVector,
-    OrbitMeasure,
-    TestFunctionFamily,
-    invariance_defect,
-    moments,
-    weak_star_distance,
-)
-from toruslab.lyapunov import (
-    DegenerateCocycle,
-    LyapunovSpectrum,
-    lyapunov_spectrum_qr,
-    unstable_integral,
-)
-from toruslab.basin import (
-    BasinCurve,
-    InsufficientData,
-    RateEstimate,
-    SampleGrid,
-    Verdict,
-    basin_membership,
-    curve_sweep,
-    epsilon_sweep,
-    pesin_defect,
-    rate_estimate,
-    rate_residual,
-    weak_pseudo_physical_verdict,
-)
-from toruslab.markov import (
-    ConstructionInvalid,
-    CylinderTable,
-    InsufficientSamples,
-    LocationFailure,
-    MarkovPartition,
-    cat_map_partition,
-    cylinder_count_rate,
-    entropy_count_bound_check,
-    entropy_rate_estimate,
-    entropy_tables,
-    locate,
-    partition_entropy,
-    weighted_merge,
-)
-
-__version__ = "0.1.0"

@@ -88,7 +88,8 @@ from toruslab.weakstar import MomentVector, TestFunctionFamily
 CHUNK = 1 << 13
 # covers the float reduction order of a distance against its box bound
 PRUNE_SLACK = 1e-9
-THREADS_ENV_VAR = "TORUSLAB_THREADS"
+# rows with fewer hits are censored from a rate regression
+MIN_HITS = 30
 
 
 class InsufficientData(RuntimeError):
@@ -106,19 +107,8 @@ class WorkerDied(RuntimeError):
 
 
 def default_threads() -> int:
-    """Worker count from $TORUSLAB_THREADS (a positive integer), else the
-    number of CPUs this process may run on (its affinity mask, where the
-    platform has one), else the CPU count."""
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            n = 0
-        if n < 1:
-            raise ValueError(f"{THREADS_ENV_VAR}={env!r} is not a positive "
-                             "integer")
-        return n
+    """Worker count: the number of CPUs this process may run on (its
+    affinity mask, where the platform has one), else the CPU count."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -402,7 +392,7 @@ def basin_membership(map: HyperbolicToralMap, point, target: MomentVector,
 
 
 def rate_estimate(curve: BasinCurve, window: tuple[int, int],
-                  min_hits: int = 30) -> RateEstimate:
+                  min_hits: int = MIN_HITS) -> RateEstimate:
     """Regress log(hits/samples) on n over uncensored rows inside window."""
     lo, hi = window
     in_win = (curve.ns >= lo) & (curve.ns <= hi)
@@ -431,7 +421,7 @@ def rate_estimate(curve: BasinCurve, window: tuple[int, int],
 def epsilon_sweep(map: HyperbolicToralMap, target: MomentVector,
                   epsilons: Sequence[float], n_values: Sequence[int],
                   grid: SampleGrid, family: TestFunctionFamily,
-                  window: tuple[int, int], min_hits: int = 30,
+                  window: tuple[int, int], min_hits: int = MIN_HITS,
                   threads: int | None = None) -> SweepResult:
     """Rate estimates for a strictly decreasing epsilon list.
 

@@ -7,9 +7,8 @@ Subcommands:
   acceptance                 run the registered acceptance suite
 
 Exit codes: 0 success, 2 verdict/tolerance failure, 1 error.  The number of
-worker processes a basin sweep may use comes from --threads, else the
-config's `threads` field (`run` only), else the TORUSLAB_THREADS environment
-variable, else the CPU count.
+worker processes a basin sweep may use comes from --threads, else the CPUs
+the process may run on (its affinity mask, as `taskset` sets it).
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import json
 import sys
 from dataclasses import asdict
 
-from toruslab.basin import THREADS_ENV_VAR
 from toruslab.config import ConfigInvalid, load_config
 from toruslab.dynamics import NotHyperbolic, verify_hyperbolicity
 
@@ -40,9 +38,8 @@ def _int_at_least(minimum: int):
 
 def _add_threads_flag(p: argparse.ArgumentParser):
     p.add_argument("--threads", type=_int_at_least(1), default=None,
-                   help=f"worker processes for the basin sweep, at least 1 "
-                        f"(overrides a config's threads and "
-                        f"${THREADS_ENV_VAR})")
+                   help="worker processes for the basin sweep, at least 1 "
+                        "(default: the CPUs this process may run on)")
 
 
 class _Parser(argparse.ArgumentParser):

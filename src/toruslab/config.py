@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from toruslab.basin import SampleGrid, Verdict
+from toruslab.basin import MIN_HITS, SampleGrid, Verdict
 from toruslab.dynamics import (HyperbolicToralMap, MatrixInvalid,
                                torus_distance)
+from toruslab.lyapunov import DEFAULT_QUAD_GRID, DEFAULT_WARMUP
 from toruslab.weakstar import (DEFAULT_TRUNCATION, LEBESGUE, DiscreteMeasure,
                                MomentVector, OrbitMeasure, TestFunctionFamily,
                                moments)
@@ -67,7 +68,6 @@ class ExperimentConfig:
     lyapunov: dict
     expect: dict
     output_dir: str
-    threads: int | None
     verify_grid: int
 
     @property
@@ -296,7 +296,7 @@ def _parse_label(value) -> str:
 def parse_config(raw: dict) -> ExperimentConfig:
     _object(raw, "$", ("label", "map", "family", "grid", "target", "basin",
                        "entropy", "lyapunov", "expect", "output_dir",
-                       "threads", "verify_grid"))
+                       "verify_grid"))
     label = _parse_label(raw.get("label", "experiment"))
 
     mspec = _object(_require(raw, "map", "$"), "map",
@@ -363,7 +363,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             "epsilons": eps,
             "n_values": ns,
             "window": tuple(win),
-            "min_hits": _at_least(basin.get("min_hits", 30), 1,
+            "min_hits": _at_least(basin.get("min_hits", MIN_HITS), 1,
                                   "basin.min_hits"),
             "verdict_tol": _number_at_least(basin.get("verdict_tol", 0.01),
                                             0.0, "basin.verdict_tol"),
@@ -421,8 +421,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     lyap = _object(raw.get("lyapunov", {}), "lyapunov",
                    ("warmup", "quad_grid", "qr_steps", "qr_point"))
     lyapunov = {
-        "warmup": _at_least(lyap.get("warmup", 60), 1, "lyapunov.warmup"),
-        "quad_grid": _at_least(lyap.get("quad_grid", 512), 1,
+        "warmup": _at_least(lyap.get("warmup", DEFAULT_WARMUP), 1,
+                            "lyapunov.warmup"),
+        "quad_grid": _at_least(lyap.get("quad_grid", DEFAULT_QUAD_GRID), 1,
                                "lyapunov.quad_grid"),
         "qr_steps": _at_least(lyap.get("qr_steps", 10000), 100,
                               "lyapunov.qr_steps"),
@@ -431,9 +432,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         "enabled": bool(lyap) or basin is not None,
     }
 
-    threads = raw.get("threads")
-    if threads is not None:
-        threads = _at_least(threads, 1, "threads")
     return ExperimentConfig(
         label=label,
         raw=raw,
@@ -446,7 +444,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         lyapunov=lyapunov,
         expect=_parse_expect(raw.get("expect", {})),
         output_dir=_string(raw.get("output_dir", "records"), "output_dir"),
-        threads=threads,
         verify_grid=_at_least(raw.get("verify_grid", 64), 16, "verify_grid"),
     )
 

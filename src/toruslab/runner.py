@@ -25,7 +25,6 @@ import numpy as np
 from toruslab import basin as basin_mod
 from toruslab import lyapunov as lyap_mod
 from toruslab import markov as markov_mod
-from toruslab.basin import default_threads
 from toruslab.config import (ExperimentConfig, TargetSpec, mixture_moments,
                              target_components, target_measure)
 from toruslab.dynamics import NotHyperbolic, verify_hyperbolicity
@@ -43,8 +42,7 @@ def run(cfg: ExperimentConfig, threads: int | None = None) -> dict:
     """Execute all configured stages; returns the record (also written to
     disk under cfg.output_dir)."""
     basin_mod.check_threads(threads)
-    nthreads = threads if threads is not None else (
-        cfg.threads if cfg.threads is not None else default_threads())
+    nthreads = threads if threads is not None else basin_mod.default_threads()
     record: dict = {
         "schema": "toruslab-record-v1",
         "label": cfg.label,
@@ -183,10 +181,10 @@ def _run_basin(cfg: ExperimentConfig, target_mv, nthreads: int,
 
 
 def _run_entropy(cfg: ExperimentConfig, components: list) -> dict:
-    part = markov_mod.cat_map_partition()
     if not np.array_equal(cfg.map.matrix, np.array(markov_mod.CAT_MATRIX)):
         raise ValueError("the Markov partition is built for the cat matrix "
                          "[[2,1],[1,1]]")
+    part = markov_mod.cat_map_partition()
     depths = cfg.entropy["depths"]
     bc = cfg.entropy.get("bound_check")
     # one walk and one sort serve the entropy tables and the bound table,

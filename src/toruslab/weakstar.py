@@ -26,12 +26,12 @@ an axis is a table row; any other is one complex product, 8 per point at
 K=33 instead of 16.  Mode values are kept as complex (F, N) arrays, one row
 per frequency and contiguous in the points; the real and imaginary parts of
 row j are trig modes 2j+1 and 2j+2, the cos and sin of frequency j.
-`phi_values`, the blocked `weighted_sum` behind `moments` and the basin
-kernel's running sums share this evaluator.  Every buffer it writes lives in
-a workspace from `zero_sums`, which `accumulate` and `sum_distances` reuse
-at every step and the basin kernel across chunks (`reset`); a workspace
-belongs to one thread at a time, and each basin worker process makes its
-own.
+The blocked `weighted_sum` behind `moments` and `invariance_defect` and
+the basin kernel's running sums share this evaluator.  Every buffer it
+writes lives in a workspace from `zero_sums`, which `accumulate` and
+`sum_distances` reuse at every step and the basin kernel across chunks
+(`reset`); a workspace belongs to one thread at a time, and each basin
+worker process makes its own.
 
 A distance row is formed in that same layout, with no BLAS: the deviations
 |u/(2n) + 1/2 - m_i| of the live sums, scaled by the weight of their row's
@@ -219,28 +219,6 @@ class TestFunctionFamily:
         sign-symmetric, so the row equals the sum of its own products."""
         for j, partner in self._conj:
             np.conjugate(sums[partner], out=sums[j])
-
-    def phi_values(self, points) -> np.ndarray:
-        """phi_i at each point, shape (N, K)."""
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.empty((p.shape[0], self.truncation))
-        out[:, 0] = 1.0
-        # row blocks keep the complex temporaries cache-sized on long atom
-        # lists; the output is the only array of full length
-        ws = self.zero_sums(min(len(p), _PHI_ROWS))
-        for i in range(0, len(p), _PHI_ROWS):
-            rows = p[i:i + _PHI_ROWS]
-            sums = ws.sums[:, :len(rows)]
-            sums[...] = 0.0
-            self._add_modes(to_phases(rows), ws)
-            self._fill_conjugates(sums)
-            # modes 1, 3, 5, .. are the cos of the rows, 2, 4, .. the sin
-            block = out[i:i + _PHI_ROWS, 1:]
-            np.multiply(sums.real.T, 0.5, out=block[:, 0::2])
-            np.multiply(sums.imag.T[:, :block.shape[1] // 2], 0.5,
-                        out=block[:, 1::2])
-            block += 0.5
-        return out
 
     def weighted_sum(self, points, weights) -> np.ndarray:
         """sum_i w_i phi(x_i) over the N points, shape (K,).
@@ -585,9 +563,11 @@ def invariance_defect(map: HyperbolicToralMap, point, n: int,
     The pushforward of the empirical measure of x is the empirical measure of
     f(x), so both moment vectors are sums over one orbit x_0..x_n.  They
     differ only in the endpoint terms, (phi(x_0) - phi(x_n))/n, which bounds
-    the result by 2/n; only those two points are evaluated.
+    the result by 2/n; only those two points are evaluated, each as a
+    one-point `weighted_sum`.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    first, last = family.phi_values(map.orbit(point, n + 1)[[0, n]])
+    first, last = (family.weighted_sum(p, [1.0])
+                   for p in map.orbit(point, n + 1)[[0, n], None])
     return float(np.abs(first - last) / n @ family.weights)

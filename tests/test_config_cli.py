@@ -92,8 +92,10 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("overrides, field_path, message", [
         ({"verify_grid": 8}, "verify_grid", ">= 16"),
-        ({"threads": 0}, "threads", ">= 1"),
-        ({"threads": -2}, "threads", ">= 1"),
+        # the worker count is not a config field: --threads or the
+        # affinity mask set it, and it cannot enter the config hash
+        ({"threads": 0}, "threads", "unknown field"),
+        ({"threads": -2}, "threads", "unknown field"),
         ({"grid": {"resolution": 0}}, "grid", "resolution must be >= 1"),
         ({"entropy": {"source": {"kind": "grid", "resolution": 0}}},
          "entropy.source", "resolution must be >= 1"),
@@ -185,7 +187,7 @@ class TestConfigValidation:
         ({"basin": {"epsilons": [0.2], "n_values": [10, 20],
                     "verdict_tol": True}}, "basin.verdict_tol", "number"),
         ({"lyapunov": {"warmup": True}}, "lyapunov.warmup", "integer"),
-        ({"threads": 1.5}, "threads", "integer"),
+        ({"threads": 1.5}, "threads", "unknown field"),
         ({"grid": {"resolution": 2.7}}, "grid",
          "resolution must be an integer"),
         ({"grid": {"resolution": 64, "seed": "1"}}, "grid",
@@ -589,6 +591,20 @@ class TestRunner:
         assert shipped == scanned
         assert "margin" in shipped["bound_check"]
 
+    def test_non_cat_entropy_fails_before_partition(self, tmp_path,
+                                                    monkeypatch):
+        # the matrix is checked before the partition is built
+        def build():
+            raise AssertionError("partition built for a non-cat map")
+        monkeypatch.setattr(markov_mod, "cat_map_partition", build)
+        cfg = parse_config(minimal_config(
+            tmp_path, label="ent-noncat", basin=None,
+            map={"matrix": [[3, 2], [1, 1]]},
+            entropy={"source": {"kind": "orbit", "point": [0.2, 0.5],
+                                "length": 1000}}))
+        error = run(cfg, threads=1)["stages"]["entropy"]["error"]
+        assert "cat matrix" in error
+
     def test_entropy_stage_takes_one_start_set(self, tmp_path, monkeypatch):
         # one entropy_tables call per entropy stage; with the bound depth
         # above every entropy depth, all tables count starts 0..L-n of the
@@ -685,12 +701,9 @@ class TestReport:
 
 
 class TestCli:
-    def _run(self, *args, env=None):
-        e = dict(os.environ)
-        if env:
-            e.update(env)
+    def _run(self, *args):
         return subprocess.run([sys.executable, "-m", "toruslab.cli", *args],
-                              capture_output=True, text=True, env=e)
+                              capture_output=True, text=True)
 
     def test_run_and_exit_codes(self, tmp_path):
         cfg = minimal_config(tmp_path, expect={"verdict":
@@ -758,11 +771,3 @@ class TestCli:
         assert info.value.code == 0
         assert "usage: toruslab" in capsys.readouterr().out
 
-    def test_threads_env_var(self, tmp_path):
-        cfg = minimal_config(tmp_path, label="envthreads")
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        r = self._run("run", str(path), env={"TORUSLAB_THREADS": "2"})
-        assert r.returncode == 0
-        rec = json.load(open(tmp_path / "envthreads.json"))
-        assert rec["env"]["threads"] == 2

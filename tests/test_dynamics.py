@@ -401,7 +401,9 @@ class TestOrbit:
     def test_shift_property(self, cat, p, n):
         o = cat.orbit(np.array(p), n)
         o2 = cat.orbit(cat.step(np.array(p)), n - 1)
-        assert np.allclose(o[1:], o2)
+        # on the torus: from (1/3, 1/3) the true orbit reaches 1 - 2^-53
+        # where the float step wraps 1.0 to 0
+        assert np.all(torus_distance(o[1:], o2) <= 1e-8)
 
     @pytest.mark.parametrize("k", range(1, 21))
     def test_rational_points_periodic(self, cat, k):

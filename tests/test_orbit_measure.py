@@ -14,13 +14,14 @@ import pytest
 
 from toruslab import markov
 from toruslab.config import parse_config
-from toruslab.dynamics import (HyperbolicToralMap, from_phases,
+from toruslab.dynamics import (TWO_PI, HyperbolicToralMap, from_phases,
                                unstable_warmup)
 from toruslab.lyapunov import unstable_integral
 from toruslab.markov import entropy_tables
 from toruslab.runner import run
 from toruslab.weakstar import (DiscreteMeasure, OrbitMeasure,
-                               TestFunctionFamily, moments)
+                               TestFunctionFamily, _enumerate_frequencies,
+                               moments)
 
 PERTURBED_SPEC = {"matrix": [[2, 1], [1, 1]], "amplitude": 0.005,
                   "perturbation": [{"coeff": [1.0, 0.0], "freq": [0, 1]}]}
@@ -92,8 +93,14 @@ class TestStreamedEqualsAtoms:
         # 25 row blocks against correctly rounded column sums of phi; the
         # former single (N, K) product was 7.2e-13 off in m_0 here
         mu = OrbitMeasure(PERTURBED, POINT, 200_000)
-        phi = family.phi_values(mu.atoms)
-        exact = np.array([math.fsum(col) for col in phi.T]) / len(mu)
+        # phi_0 = 1, then (1 + cos)/2 and (1 + sin)/2 of each frequency,
+        # each column from a trig call
+        sums = [float(len(mu))]
+        for k in _enumerate_frequencies(family.truncation // 2):
+            turn = TWO_PI * (mu.atoms @ k.astype(float))
+            sums += [math.fsum((1 + np.cos(turn)) / 2),
+                     math.fsum((1 + np.sin(turn)) / 2)]
+        exact = np.array(sums[:family.truncation]) / len(mu)
         assert np.max(np.abs(moments(mu, family).values - exact)) <= 1e-15
 
     def test_unstable_integral(self, orbit_2000):
