@@ -6,14 +6,14 @@ import pytest
 
 from toruslab.dynamics import (HyperbolicToralMap, _grid_points,
                                unstable_growth, unstable_warmup)
-from toruslab.lyapunov import (DegenerateCocycle, lyapunov_spectrum_qr,
-                               unstable_integral)
+from toruslab.lyapunov import (BLOCK, DegenerateCocycle, _cocycle,
+                               lyapunov_spectrum_qr, unstable_integral)
 from toruslab.weakstar import LEBESGUE, DiscreteMeasure, OrbitMeasure
 
 LOG_CAT = math.log((3.0 + math.sqrt(5.0)) / 2.0)
 LOG_GOLDEN = math.log((1.0 + math.sqrt(5.0)) / 2.0)
-PERTURBED = HyperbolicToralMap([[2, 1], [1, 1]], 0.005,
-                               [((1.0, 0.0), (0, 1))])
+PERTURBED_ARGS = ([[2, 1], [1, 1]], 0.005, [((1.0, 0.0), (0, 1))])
+PERTURBED = HyperbolicToralMap(*PERTURBED_ARGS)
 
 
 def direction(map, point, warmup_n=60):
@@ -207,14 +207,58 @@ class TestPsiContinuity:
 SEED_VECTOR = np.array([1.0, 0.6180339887498949])
 
 
-def reference_qr(map, point, n, warmup):
-    """Gram-Schmidt QR, one Df per step, products on Python floats."""
+def per_point_jacobians(map, point, length):
+    """Df at the first `length` orbit points as nested Python floats, one Df
+    call and one step per point."""
     x = np.asarray(point, dtype=float).reshape(2)
+    jacs = []
+    for _ in range(length):
+        jacs.append(map.differential(x).tolist())
+        x = map.step(x)
+    return jacs
+
+
+def push(jacs, u0, u1, total=0.0):
+    """u <- D u / |D u| through the 2x2 matrices in turn, adding each
+    log |D u| to total; returns (total, u0, u1)."""
+    for (d00, d01), (d10, d11) in jacs:
+        w0, w1 = d00 * u0 + d01 * u1, d10 * u0 + d11 * u1
+        r = math.hypot(w0, w1)
+        if r < 1e-300:
+            raise DegenerateCocycle("first column vanished")
+        total += math.log(r)
+        u0, u1 = w0 / r, w1 / r
+    return total, u0, u1
+
+
+def block_growth(jacs, u, skip):
+    """Sum of log |Df u| after the first `skip` matrices, in the block
+    order of the pass: the skipped steps one at a time, then one push per
+    product D_{bB+B-1} ... D_{bB} of BLOCK matrices, multiplied left to
+    right, then the last (len - skip) % BLOCK steps one at a time."""
+    _, u0, u1 = push(jacs[:skip], *u)
+    body = jacs[skip:]
+    nb = len(body) // BLOCK
+    products = []
+    for b in range(nb):
+        (p00, p01), (p10, p11) = body[b * BLOCK]
+        for (d00, d01), (d10, d11) in body[b * BLOCK + 1:(b + 1) * BLOCK]:
+            p00, p01, p10, p11 = (d00 * p00 + d01 * p10,
+                                  d00 * p01 + d01 * p11,
+                                  d10 * p00 + d11 * p10,
+                                  d10 * p01 + d11 * p11)
+        products.append(((p00, p01), (p10, p11)))
+    return push(products + body[nb * BLOCK:], u0, u1)[0]
+
+
+def reference_qr(map, point, n, warmup, jacs=None):
+    """Gram-Schmidt QR, one Df per step, products on Python floats."""
+    if jacs is None:
+        jacs = per_point_jacobians(map, point, warmup + n)
     q10, q11, q20, q21 = 1.0, 0.0, 0.0, 1.0
     log_r11 = 0.0
     log_r22 = 0.0
-    for i in range(warmup + n):
-        (d00, d01), (d10, d11) = map.differential(x).tolist()
+    for i, ((d00, d01), (d10, d11)) in enumerate(jacs):
         a0, a1 = d00 * q10 + d01 * q11, d10 * q10 + d11 * q11
         b0, b1 = d00 * q20 + d01 * q21, d10 * q20 + d11 * q21
         r11 = math.hypot(a0, a1)
@@ -230,7 +274,6 @@ def reference_qr(map, point, n, warmup):
         if i >= warmup:
             log_r11 += math.log(r11)
             log_r22 += math.log(r22)
-        x = map.step(x)
     return log_r11 / n, log_r22 / n
 
 
@@ -248,19 +291,13 @@ def reference_warmup(map, points, warmup_n):
     return v
 
 
-def reference_birkhoff(map, point, n, warmup_n=60):
-    x = np.asarray(point, dtype=float).reshape(2)
+def reference_birkhoff(map, point, n, warmup_n=60, jacs=None):
+    """Per-step Birkhoff average of log |Df u| from the warmed-up u."""
+    if jacs is None:
+        jacs = per_point_jacobians(map, point, n)
     # the pass reads only |Df u|, so the sign of u does not matter
-    u0, u1 = direction(map, x, warmup_n).tolist()
-    total = 0.0
-    for _ in range(n):
-        (d00, d01), (d10, d11) = map.differential(x).tolist()
-        w0, w1 = d00 * u0 + d01 * u1, d10 * u0 + d11 * u1
-        r = math.hypot(w0, w1)
-        total += math.log(r)
-        u0, u1 = w0 / r, w1 / r
-        x = map.step(x)
-    return total / n
+    u0, u1 = direction(map, point, warmup_n).tolist()
+    return push(jacs, u0, u1)[0] / n
 
 
 def reference_lebesgue_integral(map, grid_resolution, warmup_n=60):
@@ -302,6 +339,13 @@ MAPS = {"cat": HyperbolicToralMap([[2, 1], [1, 1]]),
                                         ((0.2, 0.5), (1, -1))])}
 
 
+# The per-step references sum one log |Df u| per step, the pass one per block
+# of BLOCK steps, so they round apart.  Over the cases below the pass is
+# within 2.7e-14 (relative) of the per-step chi_plus and Birkhoff average;
+# the gap grows with n as the per-step sum drifts (4.9e-13 at n = 5*10^4).
+PER_STEP_GAP = 1e-13
+
+
 class TestScalarPassReference:
     @pytest.mark.parametrize("name", sorted(MAPS))
     @pytest.mark.parametrize("warmup", [0, 64])
@@ -312,8 +356,11 @@ class TestScalarPassReference:
         extra = rng.random((1 if n == 10_000 else 8, 2))
         for p in [(0.2, 0.7)] + [tuple(q) for q in extra]:
             spec = lyapunov_spectrum_qr(m, p, n, warmup=warmup)
-            chi_plus, chi_minus = reference_qr(m, p, n, warmup)
-            assert spec.chi_plus == chi_plus, p
+            jacs = per_point_jacobians(m, p, warmup + n)
+            assert spec.chi_plus == block_growth(jacs, (1.0, 0.0),
+                                                 warmup) / n, p
+            chi_plus, chi_minus = reference_qr(m, p, n, warmup, jacs)
+            assert abs(spec.chi_plus - chi_plus) <= PER_STEP_GAP * chi_plus
             assert spec.chi_plus > 0 > spec.chi_minus, p
             # chi_minus comes from log |det Df|, not from the second column
             assert abs(spec.chi_minus - chi_minus) < 1e-13, p
@@ -324,8 +371,12 @@ class TestScalarPassReference:
         m = MAPS[name]
         extra = np.random.default_rng(n).random((6, 2))
         for p in [(0.271, 0.653)] + [tuple(q) for q in extra]:
-            assert unstable_integral(m, OrbitMeasure(m, p, n)) \
-                == reference_birkhoff(m, p, n), p
+            avg = unstable_integral(m, OrbitMeasure(m, p, n))
+            jacs = per_point_jacobians(m, p, n)
+            u = direction(m, p).tolist()
+            assert avg == block_growth(jacs, u, 0) / n, p
+            per_step = reference_birkhoff(m, p, n, jacs=jacs)
+            assert abs(avg - per_step) <= PER_STEP_GAP * per_step, p
 
     @pytest.mark.parametrize("matrix", [[[2, 1], [1, 1]], [[1, 1], [1, 0]],
                                         [[3, 2], [1, 1]]])
@@ -386,3 +437,107 @@ class TestScalarPassReference:
             lyapunov_spectrum_qr(m, (0.2, 0.7), 100)
         with pytest.raises(DegenerateCocycle, match=message):
             reference_qr(m, (0.2, 0.7), 100, 64)
+
+
+class SingularStep:
+    """The cat map's Df at every orbit step but one, where it is `singular`;
+    the orbit's points are their own step indices."""
+
+    def __init__(self, index, singular):
+        self.index = index
+        self.singular = np.asarray(singular, dtype=float)
+
+    def orbit(self, point, n):
+        return np.column_stack([np.arange(n, dtype=float), np.zeros(n)])
+
+    def step(self, points):
+        return np.asarray(points, dtype=float) + (1.0, 0.0)
+
+    def differential(self, points):
+        points = np.asarray(points, dtype=float)
+        out = np.broadcast_to(np.array([[2.0, 1.0], [1.0, 1.0]]),
+                              points.shape[:-1] + (2, 2)).copy()
+        out[points[..., 0] == self.index] = self.singular
+        return out
+
+
+class TestBlockCocycle:
+    @pytest.mark.parametrize("matrix", [[[2, 1], [1, 1]], [[1, 1], [1, 0]],
+                                        [[3, 2], [1, 1]]])
+    def test_linear_exact_over_a_million_steps(self, matrix):
+        # a per-step sum adds the same log lambda 10^6 times and drifts by
+        # up to 2.3e-11; one rounding per block of 16 steps stays below 6e-13
+        m = HyperbolicToralMap(matrix)
+        log_lam = math.log(abs(m.lam_u))
+        p = (0.2137, 0.5721)
+        assert abs(unstable_integral(m, OrbitMeasure(m, p, 10**6))
+                   - log_lam) < 1e-12
+        assert abs(lyapunov_spectrum_qr(m, p, 10**6).chi_plus
+                   - log_lam) < 1e-12
+
+    @pytest.mark.parametrize("name", ["perturbed", "two-term"])
+    @pytest.mark.parametrize("skip", [0, 5, 64])
+    @pytest.mark.parametrize("n", [1, 7, 15, 16, 17, 35])
+    def test_short_orbits(self, name, n, skip):
+        # no block, one block with or without a tail, a tail alone
+        m = MAPS[name]
+        p = (0.271, 0.653)
+        u = (0.6, 0.8)
+        growth, log_det = _cocycle(m, m.orbit(p, skip + n), u, skip)
+        jacs = per_point_jacobians(m, p, skip + n)
+        assert growth == block_growth(jacs, u, skip)
+        assert abs(log_det - sum(math.log(abs(d00 * d11 - d01 * d10))
+                                 for (d00, d01), (d10, d11) in jacs[skip:])
+                   ) < 1e-14
+
+    def test_no_full_jacobian_array(self):
+        # Df comes in strided batches of L // BLOCK points, never all L
+        m = HyperbolicToralMap(*PERTURBED_ARGS)
+        sizes = []
+        differential = m.differential
+
+        def recorded(points):
+            sizes.append(len(points))
+            return differential(points)
+
+        m.differential = recorded
+        lyapunov_spectrum_qr(m, (0.2, 0.7), 10_000)
+        assert sizes == [64] + [10_000 // BLOCK] * BLOCK + [0]
+        sizes.clear()
+        unstable_integral(m, OrbitMeasure(m, (0.2, 0.7), 5000))
+        assert max(sizes) == 5000 // BLOCK
+
+    def test_all_zero_jacobian_without_warmup(self):
+        # the block product is zero, so the first column vanishes before
+        # the determinant is read
+        m = ConstantJacobian([[0.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(DegenerateCocycle, match="first column"):
+            lyapunov_spectrum_qr(m, (0.2, 0.7), 100, warmup=0)
+        with pytest.raises(DegenerateCocycle, match="first column"):
+            reference_qr(m, (0.2, 0.7), 100, 0)
+
+    @pytest.mark.parametrize("singular, message", [
+        ([[0.0, 0.0], [0.0, 0.0]], "first column"),
+        ([[1.0, 0.0], [0.0, 0.0]], "second column"),
+    ])
+    # n = 100 after a warmup of 64: the warmup, the middle of the third
+    # block, the first and the last step of the four-step tail
+    @pytest.mark.parametrize("index", [10, 64 + 2 * BLOCK + 7, 160, 163])
+    def test_singular_step(self, singular, message, index):
+        m = SingularStep(index, singular)
+        with pytest.raises(DegenerateCocycle, match=message):
+            lyapunov_spectrum_qr(m, (0.0, 0.0), 100)
+        with pytest.raises(DegenerateCocycle, match=message):
+            reference_qr(m, (0.0, 0.0), 100, 64)
+
+    def test_largest_entries_stay_finite(self):
+        # eigenvalue 2^64 (1 - 2^-54): a block product of 16 is just below
+        # the largest double
+        big = 2.0 ** 63
+        m = ConstantJacobian([[big, big], [big, big - 2.0 ** 11]])
+        spec = lyapunov_spectrum_qr(m, (0.2, 0.7), 100)
+        assert math.isfinite(spec.chi_plus) and math.isfinite(spec.chi_minus)
+        jacs = per_point_jacobians(m, (0.2, 0.7), 164)
+        _, u0, u1 = push(jacs[:64], 1.0, 0.0)
+        per_step = push(jacs[64:], u0, u1)[0] / 100
+        assert abs(spec.chi_plus - per_step) <= 1e-13 * per_step
