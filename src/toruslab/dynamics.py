@@ -18,9 +18,16 @@ which is x itself for coordinates of at least 2^-11 (a double there is a
 multiple of 2^-64) and moves a smaller one by less than 2^-64.  `step`
 takes such phases as well as floats; `orbit_phases` fills an orbit's
 phases by doubling, X[L:L+c] = (A^L mod 2^64) X[0:c], and `orbit` converts
-them to the nearest doubles in [0, 1) (from_phases).  A nonlinear map keeps
-the float arithmetic of `step` and one scalar loop in `orbit`, which follow
-the same float orbit bit for bit.
+them to the nearest doubles in [0, 1) (from_phases).
+
+A nonlinear map keeps float arithmetic.  Its series psi is written once, at
+construction, as Python source (_series_source): each term's sine and
+each component's sum, in one fixed order, with every product by a
+coefficient, frequency or matrix entry of 0 or +-1 left out.  That source
+is compiled into the array series that `step` and `step_inverse` call, the
+scalar forward loop of `orbit` and the scalar inverse step that
+`unstable_warmup` runs for one point, so all of them follow one float
+orbit bit for bit.
 
 The unstable direction u has one implementation, unstable_warmup, and the
 expansion |Df u| one, unstable_growth, whose log is the psi of lyapunov's
@@ -40,6 +47,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import textwrap
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -52,6 +60,8 @@ TWO_PI = 2.0 * math.pi
 # iterations are far more than the ~40 needed for 1e-12
 INVERSE_TOL = 1e-12
 INVERSE_MAX_ITER = 100
+_STALLED = (f"inverse iteration stalled above {INVERSE_TOL} after "
+            f"{INVERSE_MAX_ITER} iterations")
 
 # rows per NumPy pass of a linear orbit's fill and conversion: NumPy copies
 # an operand that overlaps its output, so whole-orbit passes would double
@@ -153,6 +163,109 @@ def _combine(c0: float, u, c1: float, v):
     return c0 * u + c1 * v
 
 
+def _product(c: float, v: str) -> str:
+    """Source of c v, the product by 1 left out: 1 v = v exactly.  The
+    constant is its repr, which reads back as the same double."""
+    return v if c == 1.0 else f"{c!r} * {v}"
+
+
+def _combination(c0: float, u: str, c1: float, v: str) -> str:
+    """Source of c0 u + c1 v, rounded as `_combine` rounds it, a term with
+    a coefficient of 0 left out.  0 u is a zero for finite u, and adding a
+    zero to a sum changes at most the sign of a zero sum."""
+    if c0 == 0.0 or c1 == 0.0:
+        c, w = (c1, v) if c0 == 0.0 else (c0, u)
+        return "0.0" if c == 0.0 else f"-{w}" if c == -1.0 else _product(c, w)
+    if c1 == 1.0 or c1 == -1.0:
+        w = f"-{u}" if c0 == -1.0 else _product(c0, u)
+        return f"{w} {'+' if c1 == 1.0 else '-'} {v}"
+    if c0 == 1.0 or c0 == -1.0:
+        return f"{_product(c1, v)} {'+' if c0 == 1.0 else '-'} {u}"
+    return f"{_product(c0, u)} + {_product(c1, v)}"
+
+
+def _series_source(terms, amp: float, rows, inv_rows) -> str:
+    """Python source of psi and of the map's scalar loops.
+
+    psi(x, y) = sum_m (c_m0, c_m1) sin(2 pi (k_m0 x + k_m1 y)): term m sets
+    s_m, and each component sums its terms' c s_m from 0.0 in the order of
+    the terms.  A component with no nonzero coefficient is the constant
+    0.0, and its amp psi term is left out of the map.  Every other left-out
+    product is by 0 or +-1 (_combination, _product) and changes at most the
+    sign of a zero: a sine's phase or a sine of 0 enters a sum that starts
+    at +0.0, which absorbs it, and a coordinate of the map ends in `% 1.0`
+    or `wrap`, which take -0 to +0.  So for finite points every callable
+    compiled from this source returns the plain series' and map's values
+    bit for bit.
+
+    It defines, with `sin` bound by the caller:
+    - series(x, y) -> (px, py), on arrays with NumPy's sin;
+    - forward(buf, start, stop, x, y): x, y and their images under the map
+      stored into the flat doubles buf[start:stop], one point per pair;
+      a coordinate that `% 1.0` rounds to 1.0 is stored as 1.0;
+    - inverse(x, y): one inverse step of the point by the contracting lift
+      q <- A^-1 ((x, y) - amp psi(q)), stopped at the first iterate whose
+      step |q_next - q|_inf is below INVERSE_TOL and wrapped, or
+      IterationDivergence after INVERSE_MAX_ITER iterates.
+    """
+    def psi(x, y):
+        lines, sums = [], ["0.0", "0.0"]
+        for m, (c0, c1, k0, k1) in enumerate(terms):
+            if c0 == 0.0 and c1 == 0.0:
+                continue
+            phase = _combination(k0, x, k1, y)
+            if " " in phase:
+                phase = f"({phase})"
+            lines.append(f"s{m} = sin({TWO_PI!r} * {phase})")
+            for i, c in enumerate((c0, c1)):
+                if c == -1.0:
+                    sums[i] += f" - s{m}"
+                elif c != 0.0:
+                    sums[i] += f" + {_product(c, f's{m}')}"
+        names = [None if t == "0.0" else n for n, t in zip(("px", "py"), sums)]
+        lines += [f"{n} = {t}" for n, t in zip(names, sums) if n]
+        return "\n".join(lines), names
+
+    (b00, b01), (b10, b11) = inv_rows
+    text, (px, py) = psi("x", "y")
+    body, loop = textwrap.indent(text, "    "), textwrap.indent(text, " " * 8)
+    lift = textwrap.indent(psi("q0", "q1")[0], " " * 8)
+    fx, fy = (_combination(a0, "x", a1, "y")
+              + ("" if p is None else f" + {_product(amp, p)}")
+              for (a0, a1), p in zip(rows, (px, py)))
+    # the residual (x, y) - amp psi(q) of the lift, named rx, ry
+    residual = "".join(f"\n        r{c} = {c} - {_product(amp, p)}"
+                       for c, p in (("x", px), ("y", py)) if p)
+    rx, ry = ("x" if px is None else "rx"), ("y" if py is None else "ry")
+    return f"""\
+def series(x, y):
+{body}
+    return {px or 0.0}, {py or 0.0}
+
+
+def forward(buf, start, stop, x, y):
+    for i in range(start, stop, 2):
+        buf[i] = x
+        buf[i + 1] = y
+{loop}
+        x, y = ({fx}) % 1.0, ({fy}) % 1.0
+
+
+def inverse(x, y):
+    q0 = {_combination(b00, "x", b01, "y")}
+    q1 = {_combination(b10, "x", b11, "y")}
+    for _ in range({INVERSE_MAX_ITER}):
+{lift}{residual}
+        n0 = {_combination(b00, rx, b01, ry)}
+        n1 = {_combination(b10, rx, b11, ry)}
+        if abs(n0 - q0) < {INVERSE_TOL!r} and abs(n1 - q1) < {INVERSE_TOL!r}:
+            x, y = n0 % 1.0, n1 % 1.0
+            return 0.0 if x == 1.0 else x, 0.0 if y == 1.0 else y
+        q0, q1 = n0, n1
+    raise IterationDivergence(_STALLED)
+"""
+
+
 def torus_distance(p, q):
     """Euclidean distance on the torus, minimized over integer translates."""
     d = np.abs(np.asarray(p, dtype=float) - np.asarray(q, dtype=float))
@@ -245,6 +358,7 @@ class HyperbolicToralMap:
         self._rows = tuple(map(tuple, A.astype(float).tolist()))
         self._inv_rows = tuple(map(tuple,
                                    self.matrix_inv.astype(float).tolist()))
+        self._float_matrix = A.astype(float)
 
         # Lip(psi) <= sum 2 pi |c_k| |k|
         self.lipschitz_bound = float(
@@ -272,6 +386,18 @@ class HyperbolicToralMap:
         self.v_u = vu if vu[np.argmax(np.abs(vu))] > 0 else -vu
         self.v_s = vs if vs[np.argmax(np.abs(vs))] > 0 else -vs
 
+        if not self.is_linear:
+            # psi and the scalar loops, compiled once (_series_source)
+            code = compile(_series_source(self._terms, amplitude, self._rows,
+                                          self._inv_rows), "<series>", "exec")
+            scalar = {"sin": math.sin, "IterationDivergence":
+                      IterationDivergence, "_STALLED": _STALLED}
+            array = {"sin": np.sin}
+            exec(code, scalar)
+            exec(code, array)
+            self._series = array["series"]
+            self._forward, self._inverse = scalar["forward"], scalar["inverse"]
+
     @property
     def is_linear(self) -> bool:
         return self.amplitude == 0.0 or len(self._coeffs) == 0
@@ -285,55 +411,34 @@ class HyperbolicToralMap:
         term by term from zero, the order of the einsum it replaced
         ("...m,mi,mj->...ij"), so the result is that einsum's bit for bit.
         The cheaper-looking amp_m * (c_mi * k_mj) rounds differently.
+        amp_m = 2 pi cos(2 pi (k_m0 x + k_m1 y)), the phase summed element
+        by element: a matrix product would not give each point the same
+        bits in every batch, since OpenBLAS uses fused multiply-adds in
+        some product shapes and not in others.
         """
         p = np.asarray(points, dtype=float)
         out = np.zeros(p.shape[:-1] + (2, 2))
-        if self.is_linear:
-            return out
-        phases = TWO_PI * (p @ self._freqs.T.astype(float))
-        amps = TWO_PI * np.cos(phases)
-        for m, (c0, c1, k0, k1) in enumerate(self._terms):
+        x, y = p[..., 0], p[..., 1]
+        for c0, c1, k0, k1 in self._terms:
+            amp_m = TWO_PI * np.cos(TWO_PI * (k0 * x + k1 * y))
             for i, c in enumerate((c0, c1)):
-                ac = amps[..., m] * c
+                ac = amp_m * c
                 for j, k in enumerate((k0, k1)):
                     out[..., i, j] += ac * k
         return out
 
     # -- operations --------------------------------------------------------
 
-    def _series(self, x, y):
-        """The two components of psi at the points (x, y), summed term by
-        term in the order of `orbit`'s scalar loop.
-
-        A product with a frequency or coefficient of 0 or 1 is skipped.
-        For finite points that is exact up to the sign of a zero, and the
-        sums start at +0, which absorbs it, so the result is the full
-        series' bit for bit.  A term such as (1, 0) sin(2 pi y) costs three
-        NumPy calls instead of nine."""
-        px = py = 0.0
-        for c0, c1, k0, k1 in self._terms:
-            if k0 == 0.0:
-                phase = y if k1 == 1.0 else k1 * y
-            elif k1 == 0.0:
-                phase = x if k0 == 1.0 else k0 * x
-            else:
-                phase = k0 * x + k1 * y
-            s = np.sin(TWO_PI * phase)
-            if c0 != 0.0:
-                px = px + (s if c0 == 1.0 else c0 * s)
-            if c1 != 0.0:
-                py = py + (s if c1 == 1.0 else c1 * s)
-        return px, py
-
     def step(self, points):
         """One forward iterate, canonical representative.
 
-        Float points: element-wise products and sums in the order of
-        `orbit`'s scalar loop, so iterating `step` from a point follows a
-        nonlinear map's `orbit` bit for bit.  uint64 phases (`to_phases`) of
-        a linear map: X -> A X mod 2^64 in wrapping arithmetic, exact, with
-        the layout of the input kept; iterated from to_phases(p), they are
-        the phases of `orbit(p, n)`.
+        Float points: A x by element-wise products and sums, plus amp times
+        the compiled series, in the order of `orbit`'s scalar loop, so
+        iterating `step` from a point follows a nonlinear map's `orbit` bit
+        for bit.  uint64 phases (`to_phases`) of a linear map: X -> A X mod
+        2^64 in wrapping arithmetic, exact, with the layout of the input
+        kept; iterated from to_phases(p), they are the phases of
+        `orbit(p, n)`.
         """
         p = np.asarray(points)
         if p.dtype == np.uint64:
@@ -363,11 +468,13 @@ class HyperbolicToralMap:
     def step_inverse(self, points):
         """Inverse iterate via the contracting lift q <- A^-1 (p - amp psi(q)).
 
-        A^-1 is applied by element-wise products and sums (`_combine`), and
-        each point stops at the first iterate where its own step
-        |q_next - q|_inf falls below INVERSE_TOL, so a point's inverse does
-        not depend on its batch: a batch gives what a loop over its points
-        gives, bit for bit.
+        A^-1 is applied by element-wise products and sums (`_combine`), psi
+        is the compiled series, and each point stops at the first iterate
+        where its own step |q_next - q|_inf falls below INVERSE_TOL, so a
+        point's inverse does not depend on its batch: a batch gives what a
+        loop over its points gives, bit for bit, and so does the map's
+        compiled scalar inverse step (_series_source), which
+        `unstable_warmup` runs for one point.
         (A BLAS product would not: OpenBLAS rounds a one-row product without
         the fused multiply-adds of a larger one.)
         """
@@ -396,18 +503,17 @@ class HyperbolicToralMap:
                 todo, x, y = todo[keep], x[keep], y[keep]
                 n0, n1 = n0[keep], n1[keep]
             q0, q1 = n0, n1
-        raise IterationDivergence(
-            f"inverse iteration stalled above {INVERSE_TOL} after "
-            f"{INVERSE_MAX_ITER} iterations")
+        raise IterationDivergence(_STALLED)
 
     def differential(self, points):
-        """Df at each point, shape (..., 2, 2); exact analytic derivative."""
+        """Df at each point, shape (..., 2, 2); exact analytic derivative.
+
+        On a linear map Df is A everywhere, and the result is a read-only
+        broadcast of A, with no per-point copy."""
         p = np.asarray(points, dtype=float)
-        base = np.broadcast_to(self.matrix.astype(float),
-                               p.shape[:-1] + (2, 2)).copy()
-        if not self.is_linear:
-            base += self.amplitude * self._dpsi(p)
-        return base
+        if self.is_linear:
+            return np.broadcast_to(self._float_matrix, p.shape[:-1] + (2, 2))
+        return self._float_matrix + self.amplitude * self._dpsi(p)
 
     def orbit(self, point, n: int) -> np.ndarray:
         """[p, f(p), ..., f^(n-1)(p)] for a single point, shape (n, 2).
@@ -415,44 +521,31 @@ class HyperbolicToralMap:
         A linear map's orbit is `from_phases` of `orbit_phases(p, n)`,
         converted in place through a float view of the phases' memory.
 
-        A nonlinear map runs one scalar loop, `step`'s products and sums in
-        the same order.  A sum in (-2^-54, 0) rounds to 1.0 under `% 1.0`;
-        as in `wrap` and `step` it goes on as 0.0: a stored 1.0 is looked
-        for once the loop ends, and the loop runs again from its row.
+        A nonlinear map runs its compiled scalar loop (_series_source),
+        `step`'s products and sums in the same order.  A sum in (-2^-54, 0)
+        rounds to 1.0 under `% 1.0`; as in `wrap` and `step` it goes on as
+        0.0: a stored 1.0 is looked for once the loop ends, and the loop
+        runs again from its row.
         """
         if n < 1:
             raise ValueError("orbit length must be >= 1")
         if self.is_linear:
             phases = self.orbit_phases(point, n)
             return from_phases(phases, out=phases.view(np.float64))
-        p = np.asarray(point, dtype=float).reshape(2)
+        x, y = wrap(np.asarray(point, dtype=float).reshape(2)).tolist()
         out = np.empty((n, 2))
         # the interleaved x, y doubles of out, which the loop stores unboxed
         buf = memoryview(out).cast("B").cast("d")
-        (a00, a01), (a10, a11) = self._rows
-        amp, sin, terms = self.amplitude, math.sin, self._terms
-        p = wrap(p)
-        x, y = float(p[0]), float(p[1])
         row = 0
-        while row < n:
-            for i in range(2 * row, 2 * n, 2):
-                buf[i] = x
-                buf[i + 1] = y
-                px = py = 0.0
-                for c0, c1, k0, k1 in terms:
-                    s = sin(TWO_PI * (k0 * x + k1 * y))
-                    px += c0 * s
-                    py += c1 * s
-                x, y = ((a00 * x + a01 * y + amp * px) % 1.0,
-                        (a10 * x + a11 * y + amp * py) % 1.0)
+        while True:
+            self._forward(buf, 2 * row, 2 * n, x, y)
             ones = np.flatnonzero(out[row:] == 1.0)
             if not len(ones):
-                break
+                return out
             row += int(ones[0]) // 2
             x, y = buf[2 * row], buf[2 * row + 1]
             x = 0.0 if x == 1.0 else x
             y = 0.0 if y == 1.0 else y
-        return out
 
     def orbit_phases(self, point, n: int) -> np.ndarray:
         """uint64 phases of a linear map's orbit of a single point, shape
@@ -559,23 +652,42 @@ def unstable_warmup(map: HyperbolicToralMap, points,
     A fixed seed vector is pushed forward by Df along the last warmup_n
     steps of the backward orbit that ends at each point, renormalized after
     every step; alignment is exponential with rate (lam_s/lam_u)^2 per step.
-    For a linear map Df is A at every point, so the vectors do not depend on
-    the point: they are computed once, for the first point, with no inverse
-    steps, and broadcast.  The result is a read-only array.
+
+    One vector is pushed on plain floats, through the Jacobians of its whole
+    path from one `differential` call.  That serves a linear map, where Df
+    is A at every point, so the vector does not depend on the point and is
+    computed once, with no inverse steps, and broadcast; and a single point
+    of a nonlinear map, whose backward orbit comes from the map's compiled
+    scalar inverse step.  Since `step_inverse`, `differential` and the push
+    give each point the same bits in every batch, that vector is the row of
+    a batched call bit for bit.  A point that is not finite takes the batch
+    path, whose NumPy sine gives NaN where the scalar one raises.  The
+    result is a read-only array.
     """
     if warmup_n < 1:
         raise ValueError(f"warmup_n must be >= 1, got {warmup_n}")
     points = np.asarray(points, dtype=float)
-    if map.is_linear:
-        start = points[:1]
-        path = [start] * warmup_n
-    else:
-        start = back = points
-        path = []
-        for _ in range(warmup_n):
-            back = map.step_inverse(back)
-            path.append(back)
-    v0, v1 = (np.full(len(start), c) for c in _seed_vector(map))
+    v0, v1 = _seed_vector(map).tolist()
+    if map.is_linear or len(points) == 1 and np.isfinite(points).all():
+        if map.is_linear:
+            path = np.zeros((warmup_n, 2))
+        else:
+            x, y = points[0].tolist()
+            path = []
+            for _ in range(warmup_n):
+                x, y = map._inverse(x, y)
+                path.append((x, y))
+        jacobians = map.differential(path[::-1]).reshape(-1, 4).tolist()
+        for d00, d01, d10, d11 in jacobians:
+            w0, w1 = d00 * v0 + d01 * v1, d10 * v0 + d11 * v1
+            r = math.sqrt(w0 * w0 + w1 * w1)
+            v0, v1 = w0 / r, w1 / r
+        return np.broadcast_to(np.array([v0, v1]), points.shape)
+    back, path = points, []
+    for _ in range(warmup_n):
+        back = map.step_inverse(back)
+        path.append(back)
+    v0, v1 = np.full(len(points), v0), np.full(len(points), v1)
     for q in reversed(path):
         v0, v1 = _normalize(*_matvec(map.differential(q), v0, v1))
     return np.broadcast_to(np.column_stack([v0, v1]), points.shape)

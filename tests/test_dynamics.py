@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toruslab.dynamics import (CONE_ROUNDING, TWO_PI, ConeReport,
-                               HyperbolicToralMap, MatrixInvalid,
-                               NotHyperbolic, _arc_extreme, _grid_points,
-                               from_phases, to_phases, torus_distance,
-                               unstable_growth, verify_hyperbolicity, wrap)
+                               HyperbolicToralMap, IterationDivergence,
+                               MatrixInvalid, NotHyperbolic, _arc_extreme,
+                               _grid_points, from_phases, to_phases,
+                               torus_distance, unstable_growth,
+                               unstable_warmup, verify_hyperbolicity, wrap)
 from toruslab.experiments import ORBIT_SEED_POINT
 from toruslab.lyapunov import lyapunov_spectrum_qr, unstable_integral
 from toruslab.weakstar import OrbitMeasure
@@ -144,6 +145,39 @@ STEP_ORBIT_MAPS = {
                                           [((1.0, 0.0), (0, 1))]),
 }
 
+
+def psi_k_terms(k_max):
+    """psi_K = sum_{k <= K} (2 pi 2^k k^2)^-1 sin(2 pi 2^k y) e_x, a C^1
+    family whose derivative loses its Hoelder exponent as K grows."""
+    return [((1.0 / (TWO_PI * 2**k * k * k), 0.0), (0, 2**k))
+            for k in range(1, k_max + 1)]
+
+
+# multi-term maps on which the compiled series leaves many products out:
+# coefficients 0 and +-1, frequencies with a zero or -1 component, matrices
+# with +-1, 0 and negative entries.  Each has a component made of one term
+# with a negative coefficient on a frequency (0, 1) or (1, 0), whose product
+# is -0 where that phase is 0: only the series' +0.0 start makes it +0.
+COMPILED_MAPS = {
+    "1-1-12-mixed": HyperbolicToralMap(
+        [[1, -1], [-1, 2]], 0.003,
+        [((-1.0, 0.5), (1, 0)), ((0.0, -1.0), (0, 1)),
+         ((0.7, 1.0), (3, -1)), ((1.0, 0.0), (-1, -1))]),
+    "3211-mixed": HyperbolicToralMap(
+        [[3, 2], [1, 1]], 0.003,
+        [((0.5, 0.0), (2, 0)), ((-0.3, 0.0), (1, -2)),
+         ((1.0, -1.0), (0, 1))]),
+    "0111-mixed": HyperbolicToralMap(
+        [[0, 1], [1, 1]], 0.005,
+        [((1.0, -0.5), (1, 1)), ((0.25, 0.0), (-2, 3))]),
+    "cat-psi-4": HyperbolicToralMap([[2, 1], [1, 1]], 0.02, psi_k_terms(4)),
+}
+STEP_ORBIT_MAPS.update(COMPILED_MAPS)
+
+# starts on the lines where a phase of the maps above is 0 or 1/2
+ZERO_PHASE_POINTS = [(0.0, 0.0), (0.0, 0.3), (0.6, 0.0), (0.5, 0.5),
+                     (0.25, 0.75), (0.0, 0.5)]
+
 # starts whose orbits under [[1, -1], [-1, 2]], without and with the sine
 # term, reach a row sum in (-2^-54, 0), which % 1.0 rounds to 1.0: the loop
 # must go on from 0.0, as step does
@@ -222,7 +256,8 @@ class TestInverse:
         assert torus_distance(q, np.array(p)) <= 1e-10
 
     @pytest.mark.parametrize("name", ["cat-sin-y", "3211-sin-y",
-                                      "three-terms", "axis-terms"])
+                                      "three-terms", "axis-terms",
+                                      *COMPILED_MAPS])
     def test_matches_allocating_series(self, name):
         m = STEP_ORBIT_MAPS[name]
         pts = np.random.default_rng(5).random((2000, 2))
@@ -231,7 +266,8 @@ class TestInverse:
             assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
     @pytest.mark.parametrize("name", ["cat-sin-y", "3211-sin-y",
-                                      "three-terms", "axis-terms"])
+                                      "three-terms", "axis-terms",
+                                      *COMPILED_MAPS])
     def test_batch_equals_point_loop(self, name):
         # each point stops at its own tolerance step, so neither its inverse
         # nor its warmed-up growth depends on the batch it is stepped in
@@ -252,7 +288,92 @@ class TestInverse:
         assert float(np.max(torus_distance(back, pts))) <= 1e-10
 
 
+def plain_series(m, x, y):
+    """psi at the points (x, y) with every product and sum written out, each
+    component summed from 0.0 in the order of the terms."""
+    px = py = 0.0
+    for (c0, c1), (k0, k1) in zip(m._coeffs.tolist(), m._freqs.tolist()):
+        s = np.sin(TWO_PI * (k0 * x + k1 * y))
+        px = px + c0 * s
+        py = py + c1 * s
+    return px, py
+
+
+def compiled_starts(seed):
+    """300 uniform points after the zero-phase and carry starts."""
+    return np.concatenate([ZERO_PHASE_POINTS, CARRY_POINTS,
+                           np.random.default_rng(seed).random((300, 2))])
+
+
+class TestCompiledSeries:
+    """The series compiled at construction leaves products by 0 and +-1
+    out; every callable compiled from it must give the plain arithmetic's
+    bits."""
+
+    @pytest.mark.parametrize("name", sorted(COMPILED_MAPS))
+    def test_series_equals_plain_sum(self, name):
+        # bits, not values: a sum that did not start at +0.0 would give -0
+        # at the zero-phase starts
+        m = COMPILED_MAPS[name]
+        pts = compiled_starts(1)
+        x, y = pts[:, 0], pts[:, 1]
+        for got, ref in zip(m._series(x, y), plain_series(m, x, y)):
+            got, ref = (np.broadcast_to(v, x.shape) for v in (got, ref))
+            assert np.array_equal(bits(got), bits(ref))
+
+    @pytest.mark.parametrize("name", sorted(COMPILED_MAPS))
+    def test_orbit_equals_reference_loop(self, name):
+        m = COMPILED_MAPS[name]
+        for p in compiled_starts(2)[:20]:
+            assert np.array_equal(bits(m.orbit(p, 2000)),
+                                  bits(reference_orbit(m, p, 2000))), p
+
+    @pytest.mark.parametrize("name", sorted(COMPILED_MAPS))
+    def test_scalar_inverse_equals_step_inverse(self, name):
+        m = COMPILED_MAPS[name]
+        q = compiled_starts(3)
+        points = q.tolist()
+        for _ in range(3):
+            q = m.step_inverse(q)
+            points = [m._inverse(x, y) for x, y in points]
+            assert np.array_equal(bits(np.array(points)), bits(q))
+
+    @pytest.mark.parametrize("name", sorted(COMPILED_MAPS))
+    def test_one_point_warmup_is_its_batch_row(self, name):
+        m = COMPILED_MAPS[name]
+        pts = compiled_starts(4)
+        batch = unstable_warmup(m, pts, 60)
+        rows = np.array([unstable_warmup(m, p[None], 60)[0] for p in pts])
+        assert np.array_equal(bits(rows), bits(batch))
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_scalar_inverse_raises_as_step_inverse(self):
+        m = COMPILED_MAPS["3211-mixed"]
+        with pytest.raises(IterationDivergence) as batch:
+            m.step_inverse(np.array([[0.2, 0.3], [math.nan, 0.1]]))
+        with pytest.raises(IterationDivergence) as scalar:
+            m._inverse(math.nan, 0.1)
+        assert str(scalar.value) == str(batch.value)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(IterationDivergence):
+                unstable_warmup(m, np.array([[bad, 0.1]]), 5)
+
+
 class TestDifferential:
+    @pytest.mark.parametrize("name", sorted(COMPILED_MAPS))
+    def test_differential_rows_batch_independent(self, name):
+        # the phases of Dpsi are summed element by element: a matrix
+        # product rounded 3 x + y differently for one row and for many
+        m = COMPILED_MAPS[name]
+        pts = compiled_starts(5)
+        rows = np.array([m.differential(p[None])[0] for p in pts])
+        assert np.array_equal(bits(m.differential(pts)), bits(rows))
+
+    def test_linear_is_read_only_broadcast(self, cat, rng):
+        D = cat.differential(rng.random((7, 3, 2)))
+        assert D.shape == (7, 3, 2, 2) and not D.flags.writeable
+        assert np.array_equal(D, np.broadcast_to(cat.matrix, D.shape))
+
     def test_linear_is_matrix(self, cat, rng):
         pts = rng.random((5, 2))
         D = cat.differential(pts)
@@ -290,7 +411,10 @@ class TestDifferential:
     def test_dpsi_equals_einsum(self):
         # the former three-operand einsum, bit for bit, over seeded random
         # multi-term maps; coefficients are mostly non-unit, with some 0 and
-        # +-1 entries, and some frequencies have a zero component
+        # +-1 entries, and some frequencies have a zero component.  The
+        # phases k0 x + k1 y are summed element by element, as `_dpsi` sums
+        # them: a matrix product rounds them differently in different
+        # batch shapes (test_differential_rows_batch_independent)
         rng = np.random.default_rng(2026)
         for _ in range(100):
             terms = []
@@ -303,7 +427,8 @@ class TestDifferential:
                 terms.append((c, k))
             m = HyperbolicToralMap([[2, 1], [1, 1]], 1e-4, terms)
             pts = rng.random((3, 70, 2))
-            phases = TWO_PI * (pts @ m._freqs.T.astype(float))
+            k0, k1 = m._freqs.T.astype(float)
+            phases = TWO_PI * (pts[..., :1] * k0 + pts[..., 1:] * k1)
             ref = np.einsum("...m,mi,mj->...ij", TWO_PI * np.cos(phases),
                             m._coeffs, m._freqs.astype(float))
             got = m._dpsi(pts)
