@@ -16,9 +16,9 @@ compute with no mask and no rounding (Percival & Vivaldi, Physica D 25,
 1987).  So a linear map's orbit is the true orbit of floor(x 2^64) 2^-64,
 which is x itself for coordinates of at least 2^-11 (a double there is a
 multiple of 2^-64) and moves a smaller one by less than 2^-64.  `step`
-takes such phases as well as floats; `orbit_phases` fills an orbit's
-phases by doubling, X[L:L+c] = (A^L mod 2^64) X[0:c], and `orbit` converts
-them to the nearest doubles in [0, 1) (from_phases).
+takes such phases as well as floats; `phase_blocks` yields an orbit's
+phases in blocks of ORBIT_BLOCK rows, `orbit_phases` has it fill one array,
+and `orbit` converts that to the nearest doubles in [0, 1) (from_phases).
 
 A nonlinear map keeps float arithmetic.  Its series psi is written once, at
 construction, as Python source (_series_source): each term's sine and
@@ -67,6 +67,8 @@ _STALLED = (f"inverse iteration stalled above {INVERSE_TOL} after "
 # an operand that overlaps its output, so whole-orbit passes would double
 # the orbit's memory
 _ORBIT_ROWS = 1 << 13
+# rows per block of a linear orbit's phase stream (phase_blocks)
+ORBIT_BLOCK = 1 << 16
 _WORD = (1 << 64) - 1
 # the largest double below 1
 _BELOW_ONE = 1.0 - 2.0 ** -53
@@ -145,6 +147,31 @@ def from_phases(phases, out=None) -> np.ndarray:
         o += f
         np.minimum(o, _BELOW_ONE, out=o)
     return out
+
+
+def _phase_pass(words, src, dst, spare):
+    """dst = W src mod 2^64, row by row, for the word matrix W = ((w00, w01),
+    (w10, w11)) of Python ints below 2^64: passes of at most _ORBIT_ROWS
+    rows, each product through `spare`."""
+    (w00, w01), (w10, w11) = words
+    for s in range(0, len(src), _ORBIT_ROWS):
+        x, y = src[s:s + _ORBIT_ROWS, 0], src[s:s + _ORBIT_ROWS, 1]
+        d, t = dst[s:s + _ORBIT_ROWS], spare[:len(x)]
+        np.multiply(x, w00, out=d[:, 0])
+        np.multiply(y, w01, out=t)
+        d[:, 0] += t
+        np.multiply(x, w10, out=d[:, 1])
+        np.multiply(y, w11, out=t)
+        d[:, 1] += t
+
+
+def _square_words(words):
+    """W^2 mod 2^64 of a word matrix, in Python ints."""
+    (w00, w01), (w10, w11) = words
+    return (((w00 * w00 + w01 * w10) & _WORD,
+             (w00 * w01 + w01 * w11) & _WORD),
+            ((w10 * w00 + w11 * w10) & _WORD,
+             (w10 * w01 + w11 * w11) & _WORD))
 
 
 def _combine(c0: float, u, c1: float, v):
@@ -519,7 +546,8 @@ class HyperbolicToralMap:
         """[p, f(p), ..., f^(n-1)(p)] for a single point, shape (n, 2).
 
         A linear map's orbit is `from_phases` of `orbit_phases(p, n)`,
-        converted in place through a float view of the phases' memory.
+        converted in place through a float view of the phases' memory; p
+        may be given as its uint64 phases.
 
         A nonlinear map runs its compiled scalar loop (_series_source),
         `step`'s products and sums in the same order.  A sum in (-2^-54, 0)
@@ -550,36 +578,56 @@ class HyperbolicToralMap:
     def orbit_phases(self, point, n: int) -> np.ndarray:
         """uint64 phases of a linear map's orbit of a single point, shape
         (n, 2): the true orbit X_j = A^j X_0 mod 2^64 of X_0 =
-        to_phases(p).
+        to_phases(p), or of X_0 = p when p is given as uint64 phases.
 
-        It is filled by doubling, X[L:L+c] = (A^L mod 2^64) X[0:c], with
-        A^L squared in Python ints; the products and sums wrap mod 2^64,
-        which is the map mod 1, and every NumPy pass takes at most
-        _ORBIT_ROWS rows."""
+        The output is filled in place by `phase_blocks`."""
+        lat = np.empty((max(n, 0), 2), dtype=np.uint64)
+        for _ in self.phase_blocks(point, n, out=lat):
+            pass
+        return lat
+
+    def phase_blocks(self, point, n: int, out=None):
+        """Yield a linear map's orbit phases (`orbit_phases`) in blocks of
+        ORBIT_BLOCK rows, the last one shorter.
+
+        The first block is filled by doubling, X[L:L+c] = (A^L mod 2^64)
+        X[0:c], which leaves A^B in hand at B = ORBIT_BLOCK; each later
+        block is A^B times the block before it.  The powers are squared in
+        Python ints, the products and sums wrap mod 2^64, which is the map
+        mod 1, and every NumPy pass takes at most _ORBIT_ROWS rows through
+        one spare row, so a block makes no temporary of its own size.
+        With out, an (n, 2) uint64 array, block i is written to and yielded
+        as out[i B:(i + 1) B]; without it the blocks take turns in two
+        buffers, so a block is overwritten once the generator has moved two
+        blocks past it."""
         if not self.is_linear:
             raise ValueError("phases step a linear map only")
         if n < 1:
             raise ValueError("orbit length must be >= 1")
-        lat = np.empty((n, 2), dtype=np.uint64)
-        lat[0] = to_phases(np.asarray(point, dtype=float).reshape(2))
-        (b00, b01), (b10, b11) = self._words
+        p = np.asarray(point)
+        start = (p.reshape(2) if p.dtype == np.uint64
+                 else to_phases(np.asarray(p, dtype=float).reshape(2)))
+        rows = min(n, ORBIT_BLOCK)
+        bufs = np.empty((2, rows, 2), dtype=np.uint64) if out is None else None
+        spare = np.empty(min(rows, _ORBIT_ROWS), dtype=np.uint64)
+        cur = out[:rows] if bufs is None else bufs[0]
+        cur[0] = start
+        words = self._words
         filled = 1
-        while filled < n:
-            count = min(filled, n - filled)
-            for s in range(0, count, _ORBIT_ROWS):
-                src = lat[s:min(s + _ORBIT_ROWS, count)]
-                dst = lat[filled + s:filled + s + len(src)]
-                x, y = src[:, 0], src[:, 1]
-                np.multiply(x, b00, out=dst[:, 0])
-                dst[:, 0] += y * b01
-                np.multiply(x, b10, out=dst[:, 1])
-                dst[:, 1] += y * b11
+        while filled < rows:
+            count = min(filled, rows - filled)
+            _phase_pass(words, cur[:count], cur[filled:filled + count],
+                        spare)
             filled += count
-            b00, b01, b10, b11 = ((b00 * b00 + b01 * b10) & _WORD,
-                                  (b00 * b01 + b01 * b11) & _WORD,
-                                  (b10 * b00 + b11 * b10) & _WORD,
-                                  (b10 * b01 + b11 * b11) & _WORD)
-        return lat
+            words = _square_words(words)
+        yield cur
+        for s in range(ORBIT_BLOCK, n, ORBIT_BLOCK):
+            count = min(ORBIT_BLOCK, n - s)
+            nxt = (out[s:s + count] if bufs is None
+                   else bufs[s // ORBIT_BLOCK % 2, :count])
+            _phase_pass(words, cur[:count], nxt, spare)
+            cur = nxt
+            yield cur
 
     def __repr__(self):
         return (f"HyperbolicToralMap({self.matrix.tolist()}, "

@@ -43,9 +43,10 @@ closed box its label; so the next cell, if labelled, carries the same one.
 atoms) once and reduces its symbols to tables of sorted int64 base-k word
 codes with int64 counts, every table over one start set.  A linear map's
 source is walked as uint64 phases, a true orbit, and never as floats: an
-orbit measure's `phases`, and a grid's or atoms' phases stepped by `step`.
-It builds the deepest codes with one multiply-add per depth, in int32 when
-k^depth fits, sorts them once, and takes every shallower table as a
+orbit measure's phase blocks, streamed and never held whole, and a grid's
+or atoms' phases stepped by `step`.  It builds the deepest codes with one
+multiply-add per depth, in int32 when k^depth fits, sorts them once in
+place, counts runs of equal codes, and takes every shallower table as a
 marginal.  That is exact because cylinder tables built from a common start
 set are shift-consistent: marginalizing a depth-n table over its last
 symbol reproduces the depth-(n-1) table.  Words are
@@ -60,7 +61,8 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from toruslab.dynamics import HyperbolicToralMap, from_phases, to_phases, wrap
+from toruslab.dynamics import (ORBIT_BLOCK, HyperbolicToralMap, from_phases,
+                               to_phases, wrap)
 from toruslab.weakstar import DiscreteMeasure, OrbitMeasure
 from toruslab.basin import SampleGrid
 
@@ -73,7 +75,8 @@ LOCATE_TOL = 1e-12
 # five-rectangle net tops out at 0.588
 DIAMETER_GATE = 0.6
 ADEQUACY_FACTOR = 10
-_LOCATE_CHUNK = 1 << 20
+# rows per `_locate_cells` call: one block of an orbit measure's stream
+_LOCATE_CHUNK = ORBIT_BLOCK
 # side of the cell table over [0,1)^2 that `locate` reads before scanning; a
 # power of two, so the cell index of a point is exact and that of a uint64
 # phase is its top _CELL_BITS bits
@@ -211,35 +214,35 @@ class MarkovPartition:
 
         Raises if any image fails to cross a rectangle as one full-width
         unstable stripe (the property that makes words countable by matrix
-        powers).
+        powers).  Every (image i, piece j, lattice vector) overlap is formed
+        at once; the error is that of the first failing pair in (i, j)
+        order, a partial crossing before a crossing count.
         """
         lam = self.expansion
-        M = np.zeros((self.k, self.k), dtype=np.int64)
-        for i, (x0, x1, e0, e1) in enumerate(self.boxes):
-            ix0, ix1 = lam * x0, lam * x1
-            ie0, ie1 = e0 / lam, e1 / lam
-            for j, (y0, y1, f0, f1) in enumerate(self.boxes):
-                crossings = 0
-                for gvec in self._lattice:
-                    ox0 = max(ix0, y0 + gvec[0])
-                    ox1 = min(ix1, y1 + gvec[0])
-                    oy0 = max(ie0, f0 + gvec[1])
-                    oy1 = min(ie1, f1 + gvec[1])
-                    if ox1 - ox0 < 1e-12 or oy1 - oy0 < 1e-12:
-                        continue
-                    crossings += 1
-                    full_u = (abs(ox0 - (y0 + gvec[0])) < 1e-9
-                              and abs(ox1 - (y1 + gvec[0])) < 1e-9)
-                    full_s = (abs(oy0 - ie0) < 1e-9 and abs(oy1 - ie1) < 1e-9)
-                    if not (full_u and full_s):
-                        raise ConstructionInvalid(
-                            f"image of piece {i} crosses piece {j} partially")
-                if crossings > 1:
-                    raise ConstructionInvalid(
-                        f"image of piece {i} crosses piece {j} "
-                        f"{crossings} times")
-                M[i, j] = 1 if crossings else 0
-        return M
+        b = np.array(self.boxes)
+        # image i on axis 0, piece j's lattice translates on axes 1 and 2
+        ix0, ix1, ie0, ie1 = (v[:, None, None] for v in
+                              (lam * b[:, 0], lam * b[:, 1],
+                               b[:, 2] / lam, b[:, 3] / lam))
+        y0, y1, f0, f1 = (b[:, c, None] + self._lattice[:, c // 2]
+                          for c in range(4))
+        ox0, ox1 = np.maximum(ix0, y0), np.minimum(ix1, y1)
+        oy0, oy1 = np.maximum(ie0, f0), np.minimum(ie1, f1)
+        cross = (ox1 - ox0 >= 1e-12) & (oy1 - oy0 >= 1e-12)
+        full = ((abs(ox0 - y0) < 1e-9) & (abs(ox1 - y1) < 1e-9)
+                & (abs(oy0 - ie0) < 1e-9) & (abs(oy1 - ie1) < 1e-9))
+        partial = (cross & ~full).any(axis=2)
+        crossings = np.count_nonzero(cross, axis=2)
+        bad = np.argwhere(partial | (crossings > 1))
+        if len(bad):
+            i, j = bad[0]
+            if partial[i, j]:
+                raise ConstructionInvalid(
+                    f"image of piece {i} crosses piece {j} partially")
+            raise ConstructionInvalid(
+                f"image of piece {i} crosses piece {j} "
+                f"{crossings[i, j]} times")
+        return (crossings > 0).astype(np.int64)
 
     def _torus_diameter(self, box, samples: int = 401) -> float:
         du = box[1] - box[0]
@@ -506,15 +509,25 @@ class CylinderTable:
     def marginal(self) -> "CylinderTable":
         """Drop the last symbol: the exact depth-(n-1) table for the same
         start set."""
-        codes, counts = _sum_runs(self.codes // self.k, self.counts)
-        return CylinderTable(self.depth - 1, self.k, codes, counts)
+        codes = self.codes // self.k
+        starts = _run_starts(codes)
+        # the undeduplicated codes are freed before the counts are summed
+        codes = codes[starts]
+        return CylinderTable(self.depth - 1, self.k, codes,
+                             np.add.reduceat(self.counts, starts))
+
+
+def _run_starts(codes: np.ndarray) -> np.ndarray:
+    """Index of the first code of each run of equal codes, codes sorted."""
+    edge = np.empty(len(codes), dtype=bool)
+    edge[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=edge[1:])
+    return np.flatnonzero(edge)
 
 
 def _sum_runs(codes: np.ndarray, counts: np.ndarray):
     """Sorted codes with repeats -> (unique codes, summed counts)."""
-    if len(codes) == 0:
-        return codes, counts
-    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+    starts = _run_starts(codes)
     return codes[starts], np.add.reduceat(counts, starts)
 
 
@@ -526,10 +539,12 @@ def entropy_tables(map: HyperbolicToralMap, partition: MarkovPartition,
     The source is walked and located once, and every table counts the same
     starts: for an orbit measure of length L, starts 0..L-max(depths); for a
     grid or atom source, every start, stepped max(depths) - 1 times.  The
-    deepest table is sorted from codes built with one multiply-add per
-    depth, in int32 when every code k^depth - 1 fits and int64 otherwise;
-    each shallower table is a marginal of the one below it, which is exact
-    because the starts are shared.
+    deepest table's codes are built with one multiply-add per depth, in
+    int32 when every code k^depth - 1 fits and int64 otherwise; the symbols
+    are dropped, and neither they nor a long orbit passed inline are kept
+    alive through the sort, which sorts the codes in place and counts runs
+    of equal codes.  Each shallower table is a marginal of the one below
+    it, which is exact because the starts are shared.
     """
     depths = sorted(set(int(d) for d in depths))
     if depths[0] < 1:
@@ -537,17 +552,22 @@ def entropy_tables(map: HyperbolicToralMap, partition: MarkovPartition,
     k = partition.k
     if k ** depths[-1] > np.iinfo(np.int64).max:
         raise ValueError(f"depth {depths[-1]} overflows int64 word codes")
-    rows = iter(_symbol_rows(map, partition, source, depths[-1]))
-    # a long orbit is not kept alive through the sort
+    rows = _symbol_rows(map, partition, source, depths[-1])
     del source
     fits = k ** depths[-1] - 1 <= np.iinfo(np.int32).max
-    codes = next(rows).astype(np.int32 if fits else np.int64)
-    for row in rows:
+    codes = rows[0].astype(np.int32 if fits else np.int64)
+    for j in range(1, depths[-1]):
         codes *= k
-        codes += row
-    vals, cnts = np.unique(codes, return_counts=True)
-    table = CylinderTable(depths[-1], k, vals.astype(np.int64, copy=False),
-                          cnts.astype(np.int64, copy=False))
+        codes += rows[j]
+    del rows
+    codes.sort()
+    starts = _run_starts(codes)
+    vals, n_starts = codes[starts].astype(np.int64, copy=False), len(codes)
+    # each array is freed once used, as the marginals follow
+    del codes
+    counts = np.diff(starts, append=n_starts)
+    del starts
+    table = CylinderTable(depths[-1], k, vals, counts)
     out = {table.depth: table}
     while table.depth > depths[0]:
         table = table.marginal()
@@ -558,17 +578,22 @@ def entropy_tables(map: HyperbolicToralMap, partition: MarkovPartition,
 def _symbol_rows(map: HyperbolicToralMap, partition: MarkovPartition,
                  source: CylinderSource, depth: int):
     """First `depth` partition symbols of every start of a source: row j
-    holds symbol j of each start.  An orbit measure is located once as a
-    stream, from its phases while it holds them; grid and atom sources
-    are stepped depth - 1 times, a linear map's as uint64 phases."""
+    holds symbol j of each start.  An orbit measure is located block by
+    block (`OrbitMeasure.blocks`: uint64 phases while it holds no atoms)
+    into one int8 stream, whose shifted views are the rows, so no orbit
+    array is built; grid and atom sources are stepped depth - 1 times, a
+    linear map's as uint64 phases."""
     if isinstance(source, OrbitMeasure):
         if source.map is not map:
             raise ValueError("orbit measure was built for another map")
         if len(source) < depth:
             raise ValueError("orbit shorter than requested depth")
         # phases locate as the atoms they convert to
-        stream = locate(partition, source.atoms if source.phases is None
-                        else source.phases)
+        stream = np.empty(len(source), dtype=np.int8)
+        s = 0
+        for block in source.blocks():
+            stream[s:s + len(block)] = locate(partition, block)
+            s += len(block)
         n_starts = len(stream) - depth + 1
         return [stream[j:j + n_starts] for j in range(depth)]
     if isinstance(source, SampleGrid):

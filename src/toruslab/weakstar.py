@@ -62,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from toruslab.dynamics import (TWO_PI, HyperbolicToralMap, from_phases,
+from toruslab.dynamics import (ORBIT_BLOCK, TWO_PI, HyperbolicToralMap,
                                to_phases, wrap)
 
 FAMILY_VERSION = "fourier-maxnorm-lex-v1"
@@ -498,14 +498,14 @@ class OrbitMeasure:
     `atoms` holds the L orbit points in orbit order and is never coalesced,
     so every stage can read the measure as a stream: moments in row blocks,
     the unstable integral as one Birkhoff pass, cylinder words from one
-    located symbol sequence.  The orbit is generated once, when the measure
-    is built; `map` is kept because only along its orbits is the point
-    order meaningful.  On a linear map the orbit is kept as its uint64
-    `phases` (`map.orbit_phases`) until `atoms` is first read, which
-    converts them in place, bit for bit `map.orbit(point, L)`, and sets
-    `phases` to None: a stage that reads only the phases never builds the
-    float orbit, and the measure holds one orbit array either way.  On a
-    nonlinear map `phases` is None.
+    located symbol sequence.  `map` is kept because only along its orbits
+    is the point order meaningful.  On a nonlinear map the orbit is
+    generated when the measure is built.  On a linear map the measure
+    keeps only the start's uint64 phases (`to_phases`, at construction)
+    and the length: `atoms` is built on first read, bit for bit
+    `map.orbit(point, L)`, and `blocks` yields the orbit's phases from
+    `map.phase_blocks` until then, so a stage that reads the orbit as
+    blocks never holds it whole.
     """
 
     def __init__(self, map: HyperbolicToralMap, point, length: int):
@@ -514,17 +514,26 @@ class OrbitMeasure:
         self.map = map
         self.weights = np.broadcast_to(1.0 / length, (length,))
         if map.is_linear:
-            self.phases, self._atoms = map.orbit_phases(point, length), None
+            self._start = to_phases(np.asarray(point, dtype=float).reshape(2))
+            self._atoms = None
         else:
-            self.phases, self._atoms = None, map.orbit(point, length)
+            self._atoms = map.orbit(point, length)
 
     @property
     def atoms(self) -> np.ndarray:
-        if self.phases is not None:
-            self._atoms = from_phases(self.phases,
-                                      out=self.phases.view(np.float64))
-            self.phases = None
+        if self._atoms is None:
+            self._atoms = self.map.orbit(self._start, len(self))
         return self._atoms
+
+    def blocks(self):
+        """The orbit in order as blocks of ORBIT_BLOCK rows: uint64 phases
+        from `map.phase_blocks` while `atoms` has not been built, row
+        blocks of `atoms` once it has.  A phase block is overwritten two
+        blocks on, so read each before the next."""
+        if self._atoms is None:
+            return self.map.phase_blocks(self._start, len(self))
+        return (self._atoms[s:s + ORBIT_BLOCK]
+                for s in range(0, len(self), ORBIT_BLOCK))
 
     def __len__(self):
         return len(self.weights)

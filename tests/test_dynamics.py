@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toruslab.dynamics import (CONE_ROUNDING, TWO_PI, ConeReport,
+from toruslab.dynamics import (CONE_ROUNDING, ORBIT_BLOCK, TWO_PI, ConeReport,
                                HyperbolicToralMap, IterationDivergence,
                                MatrixInvalid, NotHyperbolic, _arc_extreme,
                                _grid_points, from_phases, to_phases,
@@ -205,6 +205,36 @@ class TestStepFollowsOrbit:
             if m.is_linear:
                 assert np.array_equal(x, phases[t]), t
             x = m.step(x)
+
+    @pytest.mark.parametrize("n", [1, 1000, 3 * ORBIT_BLOCK,
+                                   3 * ORBIT_BLOCK + 17])
+    @pytest.mark.parametrize("matrix", [[[2, 1], [1, 1]], [[3, 2], [1, 1]]],
+                             ids=str)
+    def test_phase_blocks_join_to_the_orbit(self, matrix, n):
+        # the stream's blocks, copied as they come, are orbit_phases, from
+        # a float start or its phases, and each phase is step of the one
+        # before it
+        m = HyperbolicToralMap(matrix)
+        blocks = [b.copy() for b in m.phase_blocks(ORBIT_SEED_POINT, n)]
+        assert [len(b) for b in blocks] == [
+            min(ORBIT_BLOCK, n - s) for s in range(0, n, ORBIT_BLOCK)]
+        joined = np.concatenate(blocks)
+        start = to_phases(np.array(ORBIT_SEED_POINT))
+        assert np.array_equal(joined[0], start)
+        assert np.array_equal(joined, m.orbit_phases(ORBIT_SEED_POINT, n))
+        assert np.array_equal(joined, m.orbit_phases(start, n))
+        assert np.array_equal(m.step(joined[:-1]), joined[1:])
+
+    def test_phase_stream_peak_memory(self, cat):
+        # a walk holds two blocks and one scratch row, whatever its length
+        tracemalloc.start()
+        try:
+            for _ in cat.phase_blocks(ORBIT_SEED_POINT, 1_000_000):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 2 * ORBIT_BLOCK * 16, peak
 
     def test_orbit_phases_linear_only(self):
         m = STEP_ORBIT_MAPS["cat-sin-y"]

@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+from toruslab import markov
 from toruslab.basin import SampleGrid
 from toruslab.dynamics import from_phases, to_phases, wrap
 from toruslab.markov import (_CELLS, _locate_chunk, ConstructionInvalid,
@@ -61,6 +62,47 @@ def brute_boundary_defect(partition, samples_per_edge):
             worst = max(worst, float(
                 brute_nearest_wall(partition, img, False).max()))
     return worst
+
+
+def doctored(partition, piece, side, shift, squeeze):
+    """A shallow copy whose box `piece` has side `side` moved by `shift`
+    and both stable extents scaled by `squeeze`."""
+    bad = copy.copy(partition)
+    box = list(partition.boxes[piece])
+    box[side] += shift
+    box[2] *= squeeze
+    box[3] *= squeeze
+    bad.boxes = [tuple(box) if i == piece else b
+                 for i, b in enumerate(partition.boxes)]
+    return bad
+
+
+def brute_transition(partition):
+    """Admissibility matrix from the pair-by-pair loop over every lattice
+    translate, or the message of the first failing pair in (i, j) order:
+    a partial crossing as soon as it is met, else a count above one."""
+    lam = partition.expansion
+    M = np.zeros((partition.k, partition.k), dtype=np.int64)
+    for i, (x0, x1, e0, e1) in enumerate(partition.boxes):
+        ix0, ix1, ie0, ie1 = lam * x0, lam * x1, e0 / lam, e1 / lam
+        for j, (y0, y1, f0, f1) in enumerate(partition.boxes):
+            crossings = 0
+            for g in partition._lattice:
+                ox0, ox1 = max(ix0, y0 + g[0]), min(ix1, y1 + g[0])
+                oy0, oy1 = max(ie0, f0 + g[1]), min(ie1, f1 + g[1])
+                if ox1 - ox0 < 1e-12 or oy1 - oy0 < 1e-12:
+                    continue
+                crossings += 1
+                if not (abs(ox0 - (y0 + g[0])) < 1e-9
+                        and abs(ox1 - (y1 + g[0])) < 1e-9
+                        and abs(oy0 - ie0) < 1e-9
+                        and abs(oy1 - ie1) < 1e-9):
+                    return f"image of piece {i} crosses piece {j} partially"
+            if crossings > 1:
+                return (f"image of piece {i} crosses piece {j} "
+                        f"{crossings} times")
+            M[i, j] = 1 if crossings else 0
+    return M
 
 
 def fib(n):
@@ -168,6 +210,47 @@ class TestConstruction:
                            match=rf"defect [12]\.618e-03 in the image of "
                                  rf"piece {piece} wall {name}$"):
             bad.validate_markov_boundary(1000)
+
+    @pytest.mark.parametrize("piece, side, shift, squeeze, message", [
+        # a pair with a partial crossing and several crossings: partial
+        (0, 3, 1e-3, 1.0, "image of piece 0 crosses piece 0 partially"),
+        (1, 0, -1e-3, 1.0, "image of piece 1 crosses piece 1 partially"),
+        # two full crossings of (0, 0) come before later partial ones
+        (0, 3, 0.5, 1.0, "image of piece 0 crosses piece 0 2 times"),
+        (0, 1, 2.0, 0.1, "image of piece 0 crosses piece 1 3 times"),
+    ])
+    def test_transition_error_names_the_first_pair(self, partition, piece,
+                                                   side, shift, squeeze,
+                                                   message):
+        bad = doctored(partition, piece, side, shift, squeeze)
+        with pytest.raises(ConstructionInvalid, match=rf"^{message}$"):
+            bad._transition_matrix()
+
+    def test_transition_matches_pair_loop(self, partition):
+        # the same matrix, or the same first error, as the scalar loop over
+        # pairs and lattice translates, on the true boxes and on boxes with
+        # one side moved and, optionally, the stable extents squeezed
+        cases = [doctored(partition, piece, side, shift, squeeze)
+                 for piece in range(5) for side in range(4)
+                 for shift in (-1.5, -1e-3, 1e-3, 0.5, 2.0)
+                 for squeeze in (1.0, 0.1)]
+        outcomes = set()
+        for part in [partition] + cases:
+            expected = brute_transition(part)
+            try:
+                got = part._transition_matrix()
+            except ConstructionInvalid as exc:
+                got = str(exc)
+            if isinstance(expected, str):
+                assert got == expected
+                outcomes.add(expected.split()[-1])
+            else:
+                assert got.dtype == np.int64
+                assert np.array_equal(got, expected)
+                outcomes.add("M")
+        assert np.array_equal(brute_transition(partition),
+                              partition.transition)
+        assert outcomes == {"M", "partially", "times"}
 
     def test_alphabet_matches_pieces(self, partition):
         assert partition.k == len(partition.boxes) == 5
@@ -453,24 +536,39 @@ class TestCylinderTables:
             assert np.array_equal(tables[n].counts, alone.counts)
 
     def test_source_released_before_sort(self, cat, partition, monkeypatch):
-        # an orbit passed inline is freed once located, before its codes are
-        # sorted, and the codes are sorted once for every depth
-        refs, alive = [], []
-        unique = np.unique
+        # an orbit passed inline, streamed or held as atoms, is freed once
+        # located, before its codes are sorted; the codes are sorted once
+        # for every depth, in place, and only the marginals' runs are
+        # found after that
+        refs, seen = [], []
+        run_starts = markov._run_starts
 
-        def spy(*args, **kwargs):
-            alive.append(refs[0]() is not None)
-            return unique(*args, **kwargs)
+        def spy(codes):
+            seen.append((refs[-1]() is not None, len(codes),
+                         bool(np.all(np.diff(codes) >= 0))))
+            return run_starts(codes)
 
-        def orbit():
+        def no_unique(*args, **kwargs):
+            raise AssertionError("np.unique called")
+
+        def orbit(read_atoms):
             mu = OrbitMeasure(cat, SEED_POINT, 1_000)
+            if read_atoms:
+                mu.atoms
             refs.append(weakref.ref(mu))
             return mu
 
-        monkeypatch.setattr(np, "unique", spy)
-        tables = entropy_tables(cat, partition, orbit(), [2, 5])
-        assert alive == [False]
-        assert tables[2].total == tables[5].total == 1_000 - 5 + 1
+        monkeypatch.setattr(markov, "_run_starts", spy)
+        monkeypatch.setattr(np, "unique", no_unique)
+        starts = 1_000 - 5 + 1
+        for read_atoms in (False, True):
+            seen.clear()
+            tables = entropy_tables(cat, partition, orbit(read_atoms), [2, 5])
+            assert seen[0] == (False, starts, True)
+            # depths 4, 3 and 2 marginalize the unique codes above them
+            assert len(seen) == 4 and seen[1][1] == len(tables[5].codes)
+            assert all(ok and n < starts for _, n, ok in seen[1:])
+            assert tables[2].total == tables[5].total == starts
 
     def test_code_overflow_rejected(self, cat, partition):
         with pytest.raises(ValueError, match="int64"):

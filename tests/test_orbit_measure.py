@@ -14,8 +14,8 @@ import pytest
 
 from toruslab import markov
 from toruslab.config import parse_config
-from toruslab.dynamics import (TWO_PI, HyperbolicToralMap, from_phases,
-                               unstable_warmup)
+from toruslab.dynamics import (ORBIT_BLOCK, TWO_PI, HyperbolicToralMap,
+                               from_phases, unstable_warmup)
 from toruslab.lyapunov import unstable_integral
 from toruslab.markov import entropy_tables
 from toruslab.runner import run
@@ -39,17 +39,24 @@ def orbit_2000():
 class TestOrbitMeasure:
     @pytest.mark.parametrize("map", [PERTURBED, CAT],
                              ids=["perturbed", "cat"])
-    def test_atoms_are_the_orbit_in_order(self, map):
-        # a cat orbit is kept as phases, its atoms converted in place on
-        # first read
+    def test_atoms_are_the_orbit_in_order(self, map, monkeypatch):
+        # a cat orbit is built on the first read of atoms, a perturbed one
+        # with the measure; either is built once
+        calls = []
+        orbit = HyperbolicToralMap.orbit
+
+        def counted(self, point, n):
+            calls.append(n)
+            return orbit(self, point, n)
+
+        monkeypatch.setattr(HyperbolicToralMap, "orbit", counted)
         mu = OrbitMeasure(map, POINT, 2000)
-        phases = mu.phases
         assert len(mu) == 2000
-        assert (phases is None) == (not map.is_linear)
-        assert mu.atoms.tobytes() == map.orbit(POINT, 2000).tobytes()
-        assert mu.atoms is mu.atoms and mu.phases is None
-        if phases is not None:
-            assert np.shares_memory(mu.atoms, phases)
+        assert calls == ([] if map.is_linear else [2000])
+        atoms = mu.atoms
+        assert mu.atoms is atoms and calls == [2000]
+        monkeypatch.undo()
+        assert atoms.tobytes() == map.orbit(POINT, 2000).tobytes()
         assert np.all(mu.weights == 1.0 / 2000)
 
     def test_bad_length_rejected(self):
@@ -131,6 +138,58 @@ class TestStreamedEqualsAtoms:
             assert np.array_equal(streamed[d].codes, stepped[d].codes)
             assert np.array_equal(streamed[d].counts, stepped[d].counts)
             assert streamed[d].total == 2000 - 8 + 1
+
+
+def float_orbit_tables(map, partition, length, depths):
+    """{depth: (codes, counts)} of the float orbit map.orbit(POINT, length),
+    located in one call, with int64 codes and np.unique's counts."""
+    sym = markov.locate(partition, map.orbit(POINT, length))
+    n_starts = length - max(depths) + 1
+    out = {}
+    for d in depths:
+        codes = np.zeros(n_starts, dtype=np.int64)
+        for j in range(d):
+            codes = codes * partition.k + sym[j:j + n_starts]
+        vals, cnts = np.unique(codes, return_counts=True)
+        out[d] = (vals, cnts.astype(np.int64))
+    return out
+
+
+class TestStreamedTables:
+    # a cat orbit measure streams its phases through locate in blocks of
+    # ORBIT_BLOCK rows; lengths below one block, of whole blocks, with a
+    # short last block, and of a single start
+    @pytest.mark.parametrize("length", [1000, 3 * ORBIT_BLOCK,
+                                        3 * ORBIT_BLOCK + 17, 13])
+    def test_stream_atoms_and_float_orbit_agree(self, partition, length):
+        depths = list(range(1, 14))
+        streamed = entropy_tables(CAT, partition,
+                                  OrbitMeasure(CAT, POINT, length), depths)
+        read = OrbitMeasure(CAT, POINT, length)
+        read.atoms
+        from_atoms = entropy_tables(CAT, partition, read, depths)
+        floats = float_orbit_tables(CAT, partition, length, depths)
+        for d in depths:
+            t, a = streamed[d], from_atoms[d]
+            assert t.total == length - 13 + 1
+            assert t.codes.dtype == a.codes.dtype == np.int64
+            assert t.counts.dtype == a.counts.dtype == np.int64
+            for codes, counts in ((a.codes, a.counts), floats[d]):
+                assert np.array_equal(t.codes, codes)
+                assert np.array_equal(t.counts, counts)
+
+    def test_stream_peak_memory(self, partition):
+        # the orbit is never held: a 4*10^6-point stream's tables, orbit
+        # built inside the window, peak below 3/4 of its 16-byte phases
+        length = 4_000_000
+        tracemalloc.start()
+        try:
+            entropy_tables(CAT, partition, OrbitMeasure(CAT, POINT, length),
+                           range(1, 14))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * 16 * length, peak
 
 
 @pytest.mark.parametrize("measure", [
