@@ -27,30 +27,32 @@ its result equals the all-translates loop exactly.
 `locate` reads most points' symbols from a table over a 128 x 128 grid of
 cells of [0,1)^2.  A cell carries a symbol only when its frame box, widened by
 _CELL_MARGIN = 1e-9, meets exactly one listed piece translate and lies inside
-it, so the table gives the symbol the piece scan `_locate_chunk` would give.
-Points in unlabelled cells (about 5% of the square), outside [0,1)^2 or not
-finite go to the scan, the one exact point-in-piece test, so the lowest-index
-tie-break and LocationFailure are the scan's.  `locate` also takes a linear
-map's uint64 phases (`dynamics.to_phases`): the cell of a phase pair is the
-top 7 bits of each phase, and only the phases in unlabelled cells are
-converted (`from_phases`) and scanned.  That gives the symbol of the
-converted point: a phase just below c 2^57 may round up to the double
-c/128, the edge of the next cell, but that edge lies in the closed box of
-the phase's own cell, and the scan gives every point of a labelled cell's
-closed box its label; so the next cell, if labelled, carries the same one.
+it; every cell also keeps its candidates, the translates that meet its
+widened box.  A point of an unlabelled cell (about 5% of the square) goes to
+the exact test `_locate_chunk` with its cell's candidates, which hold every
+translate that can claim it, and a point outside [0,1)^2 or not finite with
+every translate, so each symbol, the lowest-index tie-break and
+LocationFailure are those of the test against every translate.  `locate`
+also takes a linear map's uint64 phases (`dynamics.to_phases`): the cell of
+a phase pair is the top 7 bits of each phase, and only the phases in
+unlabelled cells are converted (`from_phases`) and tested.  A phase just
+below c 2^57 may round up to the double c/128, the edge of the next cell,
+but that edge lies in the closed box of the phase's own cell, for which its
+label and candidates hold.
 
 `entropy_tables` walks and locates a cylinder source (orbit measure, grid or
 atoms) once and reduces its symbols to tables of sorted int64 base-k word
 codes with int64 counts, every table over one start set.  A linear map's
 source is walked as uint64 phases, a true orbit, and never as floats: an
 orbit measure's phase blocks, streamed and never held whole, and a grid's
-or atoms' phases stepped by `step`.  It builds the deepest codes with one
-multiply-add per depth, in int32 when k^depth fits, sorts them once in
-place, counts runs of equal codes, and takes every shallower table as a
-marginal.  That is exact because cylinder tables built from a common start
-set are shift-consistent: marginalizing a depth-n table over its last
-symbol reproduces the depth-(n-1) table.  Words are
-decoded to tuples only on request (`CylinderTable.words`).
+or atoms' phases stepped by `step`.  The deepest codes are built block by
+block as the source is located, two symbols per multiply-add, so no symbol
+sequence is held whole; they are sorted once in place, each run of equal
+codes is counted, and every shallower table is a marginal.  That is exact
+because cylinder tables built from a common start set are
+shift-consistent: marginalizing a depth-n table over its last symbol
+reproduces the depth-(n-1) table.  Words are decoded to tuples only on
+request (`CylinderTable.words`).
 """
 
 from __future__ import annotations
@@ -138,7 +140,19 @@ class MarkovPartition:
         self._piece_offsets = self._compute_offsets()
         self.transition = self._transition_matrix()
         self.max_diameter = max(self._torus_diameter(b) for b in self.boxes)
-        self._cells = self._cell_table()
+        # every listed translate, grouped by piece, as (xi0, xi1, eta0, eta1)
+        piece = np.concatenate([np.full(len(o), j)
+                                for j, o in enumerate(self._piece_offsets)])
+        boxes = (np.array(self.boxes)[piece]
+                 + np.concatenate(self._piece_offsets)[:, [0, 0, 1, 1]])
+        self._cells, self._candidates = self._cell_table(piece, boxes)
+        # the exact test's piece and LOCATE_TOL-widened box per translate,
+        # one row per box side, then a translate that claims no point, which
+        # pads the candidate lists
+        self._piece = np.append(piece, -1).astype(np.int8)
+        widen = np.array([-LOCATE_TOL, LOCATE_TOL, -LOCATE_TOL, LOCATE_TOL])
+        self._bounds = np.column_stack([(boxes + widen).T,
+                                        [np.inf, -np.inf, np.inf, -np.inf]])
         self._validate()
 
     # -- geometry helpers ----------------------------------------------------
@@ -174,16 +188,22 @@ class MarkovPartition:
             out.append(np.array(keep))
         return out
 
-    def _cell_table(self) -> np.ndarray:
-        """Flat int8 table over the _CELLS x _CELLS grid of [0,1)^2, cell
-        (a, b) at a*_CELLS + b: the symbol the scan gives every point of the
-        cell, or -1 where the cell is not safely inside one piece.
+    def _cell_table(self, piece: np.ndarray, boxes: np.ndarray):
+        """Labels and candidate translates of the _CELLS x _CELLS grid of
+        [0,1)^2, cell (a, b) at a*_CELLS + b, for the listed translates
+        `boxes` of pieces `piece`.
 
-        A cell is labelled when its bounding box in frame coordinates (from
-        its corners), widened by _CELL_MARGIN, meets exactly one listed
-        translate and lies inside it.  The margin dwarfs LOCATE_TOL and the
-        rounding of `to_frame`, so the scan claims every point of a labelled
-        cell for that translate's piece and for no other translate.
+        The int8 labels hold the symbol the exact test gives every point of
+        the cell, or -1 where the cell is not safely inside one piece: a
+        cell is labelled when its bounding box in frame coordinates (from
+        its corners), widened by _CELL_MARGIN, meets exactly one translate
+        and lies inside it.  The int8 candidates hold, in column c, the
+        translates that meet the widened box of cell c, in translate order,
+        padded with len(piece), the translate that claims no point.  The
+        margin dwarfs LOCATE_TOL and the rounding of `to_frame`, so a
+        translate that claims a point of a cell is among the cell's
+        candidates, and the one translate of a labelled cell claims all of
+        its points.
         """
         ticks = np.arange(_CELLS + 1) / _CELLS
         corners = self.to_frame(np.stack(np.meshgrid(ticks, ticks,
@@ -193,21 +213,27 @@ class MarkovPartition:
         # one contiguous row per frame axis
         lo_u, lo_s = quad.min(axis=0).reshape(-1, 2).T.copy() - _CELL_MARGIN
         hi_u, hi_s = quad.max(axis=0).reshape(-1, 2).T.copy() + _CELL_MARGIN
-        # every listed translate as (xi0, xi1, eta0, eta1), with its piece
-        piece = np.concatenate([np.full(len(o), j)
-                                for j, o in enumerate(self._piece_offsets)])
-        off = np.concatenate(self._piece_offsets)
-        x0, x1, e0, e1 = (np.array(self.boxes)[piece] + off[:, [0, 0, 1, 1]]).T
+        del corners, quad
+        x0, x1, e0, e1 = boxes.T
         # meets[t, c]: translate t meets the widened box of cell c
         meets = lo_u <= x1[:, None]
         meets &= hi_u >= x0[:, None]
         meets &= lo_s <= e1[:, None]
         meets &= hi_s >= e0[:, None]
+        count = np.count_nonzero(meets, axis=0)
+        # the meeting pairs by cell, then translate; a pair's slot is its
+        # rank among its cell's pairs
+        cell, trans = np.nonzero(meets.T)
+        slot = np.arange(len(cell)) - np.repeat(np.cumsum(count) - count,
+                                                count)
+        candidates = np.full((count.max(), len(count)), len(piece),
+                             dtype=np.int8)
+        candidates[slot, cell] = trans
         t = meets.argmax(axis=0)
-        ok = ((np.count_nonzero(meets, axis=0) == 1)
+        ok = ((count == 1)
               & (lo_u >= x0[t]) & (hi_u <= x1[t])
               & (lo_s >= e0[t]) & (hi_s <= e1[t]))
-        return np.where(ok, piece[t], -1).astype(np.int8)
+        return np.where(ok, piece[t], -1).astype(np.int8), candidates
 
     def _transition_matrix(self) -> np.ndarray:
         """Pair admissibility from exact interval geometry of the images.
@@ -413,10 +439,11 @@ def locate(partition: MarkovPartition, points) -> np.ndarray | int:
     point is unclaimed.
 
     A point in [0,1)^2 whose cell of the partition's cell table is labelled
-    takes that label, which is the symbol the scan would give it; every
-    other point (an unlabelled cell, outside [0,1)^2, not finite) is
-    scanned by `_locate_chunk`, the one exact test.  uint64 phases X
-    (`to_phases`) are located as the points from_phases(X).
+    takes that label, which is the symbol the exact test would give it; a
+    point of an unlabelled cell goes to the exact test `_locate_chunk` with
+    its cell's candidate translates, and a point outside [0,1)^2 or not
+    finite with every translate.  uint64 phases X (`to_phases`) are
+    located as the points from_phases(X).
     """
     pts = np.asarray(points)
     if pts.dtype != np.uint64:
@@ -433,16 +460,20 @@ def locate(partition: MarkovPartition, points) -> np.ndarray | int:
 
 
 def _locate_cells(partition: MarkovPartition, pts: np.ndarray) -> np.ndarray:
-    """`locate` on one chunk: cell-table labels, the scan for the rest."""
+    """`locate` on one chunk: cell-table labels, the exact test for the
+    rest."""
     if pts.dtype == np.uint64:
         # the top _CELL_BITS bits of X0 above those of X1: a * _CELLS + b
         cell = pts[:, 0] >> (64 - 2 * _CELL_BITS)
         cell &= (_CELLS - 1) << _CELL_BITS
         cell |= pts[:, 1] >> (64 - _CELL_BITS)
-        sym = partition._cells[cell.view(np.int64)]
+        cell = cell.view(np.int64)
+        sym = partition._cells[cell]
         scan = np.flatnonzero(sym < 0)
         if len(scan):
-            sym[scan] = _locate_chunk(partition, from_phases(pts[scan]))
+            sym[scan] = _locate_chunk(
+                partition, from_phases(pts[scan]),
+                np.take(partition._candidates, cell[scan], axis=1))
         return sym
     x, y = pts[:, 0], pts[:, 1]
     inside = (x >= 0.0) & (x < 1.0) & (y >= 0.0) & (y < 1.0)
@@ -453,30 +484,39 @@ def _locate_cells(partition: MarkovPartition, pts: np.ndarray) -> np.ndarray:
     sym[~inside] = -1
     scan = np.flatnonzero(sym < 0)
     if len(scan):
-        sym[scan] = _locate_chunk(partition, pts[scan])
+        # a chunk with a point outside [0,1)^2 or not finite tests all its
+        # scanned points against every translate: the same symbols, and one
+        # LocationFailure naming the chunk's first unclaimed point
+        cand = (np.take(partition._candidates, cell[scan], axis=1)
+                if inside.all() else None)
+        sym[scan] = _locate_chunk(partition, pts[scan], cand)
     return sym
 
 
-def _locate_chunk(partition: MarkovPartition, pts: np.ndarray) -> np.ndarray:
-    xe = partition.to_frame(pts)
+def _locate_chunk(partition: MarkovPartition, pts: np.ndarray,
+                  cand: np.ndarray | None = None) -> np.ndarray:
+    """The one exact point-in-piece test: point i takes the piece of the
+    first translate in cand[:, i] (every listed translate when cand is
+    None) whose closed box widened by LOCATE_TOL holds it.  Translates are
+    listed by piece, so that is the lowest claiming piece index.  Raises
+    LocationFailure naming the first point no tested translate claims.
+    """
+    if cand is None:
+        cand = np.arange(len(partition._piece) - 1)[:, None]
+    u, s = partition.to_frame(pts).T
+    lo_u, hi_u, lo_s, hi_s = np.take(partition._bounds, cand, axis=1)
+    hit = u >= lo_u
+    hit &= u <= hi_u
+    hit &= s >= lo_s
+    hit &= s <= hi_s
+    piece = np.take(partition._piece, cand)
     sym = np.full(len(pts), -1, dtype=np.int8)
-    for idx, (x0, x1, e0, e1) in enumerate(partition.boxes):
-        todo = sym < 0
-        if not np.any(todo):
-            break
-        xi = xe[todo, 0]
-        eta = xe[todo, 1]
-        hit = np.zeros(len(xi), dtype=bool)
-        for gvec in partition._piece_offsets[idx]:
-            hit |= ((xi >= x0 + gvec[0] - LOCATE_TOL)
-                    & (xi <= x1 + gvec[0] + LOCATE_TOL)
-                    & (eta >= e0 + gvec[1] - LOCATE_TOL)
-                    & (eta <= e1 + gvec[1] + LOCATE_TOL))
-        target = np.flatnonzero(todo)[hit]
-        sym[target] = idx
+    # written last to first, so the first translate that holds a point wins
+    for j in reversed(range(len(cand))):
+        np.copyto(sym, piece[j], where=hit[j])
     if np.any(sym < 0):
-        bad = pts[sym < 0][0]
-        raise LocationFailure(f"no piece claims point {bad.tolist()}")
+        raise LocationFailure(
+            f"no piece claims point {pts[sym < 0][0].tolist()}")
     return sym
 
 
@@ -509,26 +549,33 @@ class CylinderTable:
     def marginal(self) -> "CylinderTable":
         """Drop the last symbol: the exact depth-(n-1) table for the same
         start set."""
-        codes = self.codes // self.k
-        starts = _run_starts(codes)
-        # the undeduplicated codes are freed before the counts are summed
-        codes = codes[starts]
-        return CylinderTable(self.depth - 1, self.k, codes,
-                             np.add.reduceat(self.counts, starts))
+        codes, counts = _sum_runs(self.codes, self.counts, self.k)
+        return CylinderTable(self.depth - 1, self.k, codes, counts)
 
 
-def _run_starts(codes: np.ndarray) -> np.ndarray:
-    """Index of the first code of each run of equal codes, codes sorted."""
+def _run_ends(codes: np.ndarray) -> np.ndarray:
+    """Index of the last code of each run of equal codes, codes sorted."""
     edge = np.empty(len(codes), dtype=bool)
-    edge[:1] = True
-    np.not_equal(codes[1:], codes[:-1], out=edge[1:])
+    edge[-1:] = True
+    np.not_equal(codes[:-1], codes[1:], out=edge[:-1])
     return np.flatnonzero(edge)
 
 
-def _sum_runs(codes: np.ndarray, counts: np.ndarray):
-    """Sorted codes with repeats -> (unique codes, summed counts)."""
-    starts = _run_starts(codes)
-    return codes[starts], np.add.reduceat(counts, starts)
+def _sum_runs(codes: np.ndarray, counts: np.ndarray, k: int = 1):
+    """Sorted int64 codes and their int64 counts -> (each distinct value of
+    codes // k, its summed count): the running count total at the end of
+    its run less that at the end of the run before.  The quotients' array
+    holds the running total once their runs are found."""
+    scratch = codes // k
+    last = _run_ends(scratch)
+    np.cumsum(counts, out=scratch)
+    through = scratch[last]
+    del scratch
+    sums = np.ediff1d(through, to_begin=through[:1])
+    del through
+    values = codes[last]
+    values //= k
+    return values, sums
 
 
 def entropy_tables(map: HyperbolicToralMap, partition: MarkovPartition,
@@ -539,63 +586,68 @@ def entropy_tables(map: HyperbolicToralMap, partition: MarkovPartition,
     The source is walked and located once, and every table counts the same
     starts: for an orbit measure of length L, starts 0..L-max(depths); for a
     grid or atom source, every start, stepped max(depths) - 1 times.  The
-    deepest table's codes are built with one multiply-add per depth, in
-    int32 when every code k^depth - 1 fits and int64 otherwise; the symbols
-    are dropped, and neither they nor a long orbit passed inline are kept
-    alive through the sort, which sorts the codes in place and counts runs
-    of equal codes.  Each shallower table is a marginal of the one below
-    it, which is exact because the starts are shared.
+    deepest table's codes are built as the source is located
+    (`_deepest_codes`), from int16 symbol pairs with one multiply-add per
+    two symbols.  A long orbit passed inline is not kept alive through the
+    sort, which sorts the codes in place and counts each run of equal
+    codes as the distance between run ends.  Each shallower table is a
+    marginal of the one below it, which is exact because the starts are
+    shared.
     """
     depths = sorted(set(int(d) for d in depths))
     if depths[0] < 1:
         raise ValueError("depths must be >= 1")
-    k = partition.k
-    if k ** depths[-1] > np.iinfo(np.int64).max:
-        raise ValueError(f"depth {depths[-1]} overflows int64 word codes")
-    rows = _symbol_rows(map, partition, source, depths[-1])
+    k, depth = partition.k, depths[-1]
+    if k ** depth > np.iinfo(np.int64).max:
+        raise ValueError(f"depth {depth} overflows int64 word codes")
+    codes = _deepest_codes(map, partition, source, depth)
     del source
-    fits = k ** depths[-1] - 1 <= np.iinfo(np.int32).max
-    codes = rows[0].astype(np.int32 if fits else np.int64)
-    for j in range(1, depths[-1]):
-        codes *= k
-        codes += rows[j]
-    del rows
     codes.sort()
-    starts = _run_starts(codes)
-    vals, n_starts = codes[starts].astype(np.int64, copy=False), len(codes)
+    last = _run_ends(codes)
+    values = codes[last]
     # each array is freed once used, as the marginals follow
     del codes
-    counts = np.diff(starts, append=n_starts)
-    del starts
-    table = CylinderTable(depths[-1], k, vals, counts)
-    out = {table.depth: table}
+    values = values.astype(np.int64, copy=False)
+    counts = np.ediff1d(last, to_begin=last[:1] + 1)
+    del last
+    table = CylinderTable(depth, k, values, counts)
+    out = {depth: table}
     while table.depth > depths[0]:
         table = table.marginal()
         out[table.depth] = table
     return {d: out[d] for d in depths}
 
 
-def _symbol_rows(map: HyperbolicToralMap, partition: MarkovPartition,
-                 source: CylinderSource, depth: int):
-    """First `depth` partition symbols of every start of a source: row j
-    holds symbol j of each start.  An orbit measure is located block by
-    block (`OrbitMeasure.blocks`: uint64 phases while it holds no atoms)
-    into one int8 stream, whose shifted views are the rows, so no orbit
-    array is built; grid and atom sources are stepped depth - 1 times, a
-    linear map's as uint64 phases."""
+def _deepest_codes(map: HyperbolicToralMap, partition: MarkovPartition,
+                   source: CylinderSource, depth: int) -> np.ndarray:
+    """Code of the first `depth` partition symbols of every start of a
+    source, in int32 when every code k^depth - 1 fits and int64 otherwise.
+
+    An orbit measure is located block by block (`OrbitMeasure.blocks`:
+    uint64 phases while it holds no atoms); each block, behind the last
+    depth - 1 symbols before it, gives the codes of the starts whose words
+    it completes, so no orbit array or symbol sequence is held whole.
+    Grid and atom sources are stepped depth - 1 times, a linear map's as
+    uint64 phases."""
+    k = partition.k
+    fits = k ** depth - 1 <= np.iinfo(np.int32).max
+    dtype = np.int32 if fits else np.int64
     if isinstance(source, OrbitMeasure):
         if source.map is not map:
             raise ValueError("orbit measure was built for another map")
         if len(source) < depth:
             raise ValueError("orbit shorter than requested depth")
-        # phases locate as the atoms they convert to
-        stream = np.empty(len(source), dtype=np.int8)
+        codes = np.empty(len(source) - depth + 1, dtype=dtype)
+        tail = np.empty(0, dtype=np.int8)
         s = 0
         for block in source.blocks():
-            stream[s:s + len(block)] = locate(partition, block)
-            s += len(block)
-        n_starts = len(stream) - depth + 1
-        return [stream[j:j + n_starts] for j in range(depth)]
+            # phases locate as the atoms they convert to
+            sym = np.concatenate([tail, locate(partition, block)])
+            n = max(len(sym) - depth + 1, 0)
+            _word_codes(sym, 1, depth, k, codes[s:s + n])
+            s += n
+            tail = sym[n:]
+        return codes
     if isinstance(source, SampleGrid):
         starts = source.chunk(0, source.size,
                               source._offsets() if source.jitter else None)
@@ -607,13 +659,33 @@ def _symbol_rows(map: HyperbolicToralMap, partition: MarkovPartition,
         starts = source.atoms
     else:
         raise TypeError(f"unsupported source {type(source).__name__}")
-    rows = np.empty((depth, len(starts)), dtype=np.int8)
+    rows = np.empty((len(starts), depth), dtype=np.int8)
     x = to_phases(starts) if map.is_linear else starts
     for j in range(depth):
-        rows[j] = locate(partition, x)
+        rows[:, j] = locate(partition, x)
         if j + 1 < depth:
             x = map.step(x)
-    return rows
+    codes = np.empty(len(starts), dtype=dtype)
+    _word_codes(rows.reshape(-1), depth, depth, k, codes)
+    return codes
+
+
+def _word_codes(sym: np.ndarray, stride: int, depth: int, k: int,
+                out: np.ndarray):
+    """out[i] = the base-k code of the word sym[i * stride:][:depth], built
+    from int16 symbol pairs s k + s' with one multiply-add per two
+    symbols; an odd depth starts from symbol 0 alone."""
+    n = len(out)
+    pairs = sym.astype(np.int16)
+    pairs *= k
+    pairs[:-1] += sym[1:]
+    if depth % 2:
+        np.floor_divide(pairs[::stride][:n], k, out=out)
+    else:
+        out[:] = pairs[::stride][:n]
+    for j in range(2 - depth % 2, depth - 1, 2):
+        out *= k * k
+        out += pairs[j::stride][:n]
 
 
 def weighted_merge(tables: Sequence[CylinderTable],

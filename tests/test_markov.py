@@ -1,6 +1,7 @@
 import copy
 import math
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -273,7 +274,7 @@ class TestLocate:
         syms = locate(partition, pts)
         fractions = np.bincount(syms, minlength=5) / len(pts)
         assert np.all(np.abs(fractions - np.array(partition.areas)) < 3e-3)
-        # the cell table gives the scan's symbol for every point
+        # the cell table gives the exact test's symbol for every point
         assert np.array_equal(syms, _locate_chunk(partition, pts))
 
     def test_vectorized_matches_scalar(self, partition, rng):
@@ -305,8 +306,8 @@ def wall_points(partition, offsets, along=257):
 
 
 class TestCellTable:
-    """`locate` reads labelled cells from a table and scans the rest; every
-    result must be the scan's."""
+    """`locate` reads labelled cells from a table and tests the rest; every
+    result must be that of the exact test against every translate."""
 
     def test_wall_neighbourhoods_match_scan(self, partition):
         offsets = [0.0] + [s * d for d in (1e-13, 1e-12, 1e-10, 1e-9)
@@ -378,6 +379,134 @@ class TestCellTable:
         assert locate(partition, orbit[7]) == got[7]
 
 
+def listed_translates(partition):
+    """Every listed piece translate in translate order: (piece, box)."""
+    return [(j, (x0 + gx, x1 + gx, e0 + gy, e1 + gy))
+            for j, ((x0, x1, e0, e1), offs) in enumerate(
+                zip(partition.boxes, partition._piece_offsets))
+            for gx, gy in offs]
+
+
+def piece_loop(partition, pts):
+    """Symbols from the loop over pieces in index order and each piece's
+    listed translates, with the LOCATE_TOL-widened walls written out; -1
+    where no piece claims a point."""
+    xe = partition.to_frame(pts)
+    sym = np.full(len(pts), -1)
+    tol = markov.LOCATE_TOL
+    for j, (x0, x1, e0, e1) in enumerate(partition.boxes):
+        for gx, gy in partition._piece_offsets[j]:
+            hit = ((xe[:, 0] >= x0 + gx - tol) & (xe[:, 0] <= x1 + gx + tol)
+                   & (xe[:, 1] >= e0 + gy - tol)
+                   & (xe[:, 1] <= e1 + gy + tol))
+            sym[(sym < 0) & hit] = j
+    return sym
+
+
+def unlabelled_cells(partition):
+    return np.flatnonzero(partition._cells < 0)
+
+
+class TestCandidates:
+    """A point of an unlabelled cell is tested against its cell's candidate
+    translates only; every result must be that of the test against every
+    translate."""
+
+    def test_candidates_hold_every_claiming_translate(self, partition):
+        # a translate whose LOCATE_TOL box meets the frame box of a cell
+        # (its corners' hull, plus rounding) is among the cell's candidates
+        cand = partition._candidates
+        translates = listed_translates(partition)
+        assert cand.shape == (4, _CELLS * _CELLS)
+        real = cand < len(translates)
+        assert np.all(real[0])
+        # each column: distinct translates in increasing order, then padding
+        assert np.all(real[:-1] | ~real[1:])
+        assert np.all(np.where(real[1:], np.diff(cand, axis=0) > 0, True))
+        counts = np.bincount(np.count_nonzero(real, axis=0)
+                             [unlabelled_cells(partition)])
+        assert counts.tolist() == [0, 0, 758, 8, 8]
+        a, b = np.divmod(np.arange(_CELLS * _CELLS), _CELLS)
+        corners = [partition.to_frame(np.column_stack([(a + da) / _CELLS,
+                                                       (b + db) / _CELLS]))
+                   for da in (0, 1) for db in (0, 1)]
+        lo = np.min(corners, axis=0) - 1e-14
+        hi = np.max(corners, axis=0) + 1e-14
+        tol = markov.LOCATE_TOL
+        for t, (_, (x0, x1, e0, e1)) in enumerate(translates):
+            meets = ((lo[:, 0] <= x1 + tol) & (hi[:, 0] >= x0 - tol)
+                     & (lo[:, 1] <= e1 + tol) & (hi[:, 1] >= e0 - tol))
+            assert np.all(np.any(cand[:, meets] == t, axis=0)), t
+
+    def test_unlabelled_cells_match_exact_test(self, partition):
+        # random points of every unlabelled cell, as floats and as phases
+        # whose top bits name the cell
+        rng = np.random.default_rng(20261022)
+        cells = np.repeat(unlabelled_cells(partition), 16)
+        a, b = np.divmod(cells, _CELLS)
+        pts = np.column_stack([(a + rng.random(len(a))) / _CELLS,
+                               (b + rng.random(len(b))) / _CELLS])
+        low = rng.integers(0, 2 ** 57, (len(cells), 2), dtype=np.uint64)
+        phases = (np.column_stack([a, b]).astype(np.uint64) << 57) | low
+        assert np.array_equal((pts * _CELLS).astype(int),
+                              np.column_stack([a, b]))
+        assert np.array_equal(locate(partition, pts),
+                              _locate_chunk(partition, pts))
+        assert np.array_equal(locate(partition, phases),
+                              _locate_chunk(partition, from_phases(phases)))
+
+    def test_candidate_walls_match_exact_test(self, partition):
+        # 0, 1e-13 and 2e-12 either side of every wall of every translate,
+        # as floats and as the phases of those floats
+        offsets = [0.0] + [s * d for d in (1e-13, 2e-12) for s in (1, -1)]
+        pts = wall_points(partition, offsets)
+        cell = ((pts[:, 0] * _CELLS).astype(int) * _CELLS
+                + (pts[:, 1] * _CELLS).astype(int))
+        assert np.mean(partition._cells[cell] < 0) > 0.5
+        phases = to_phases(pts)
+        assert np.array_equal(locate(partition, pts),
+                              _locate_chunk(partition, pts))
+        assert np.array_equal(locate(partition, phases),
+                              _locate_chunk(partition, from_phases(phases)))
+
+    def test_exact_test_matches_piece_loop(self, partition):
+        # the tolerance and the lowest-index tie-break, against the loop
+        # over pieces: a point within LOCATE_TOL outside a wall is claimed
+        offsets = [s * d for d in (1e-13, 5e-13, 2e-12) for s in (1, -1)]
+        pts = np.concatenate([wall_points(partition, [0.0] + offsets, 33),
+                              np.random.default_rng(5).random((20_000, 2))])
+        expect = piece_loop(partition, pts)
+        assert np.array_equal(_locate_chunk(partition, pts), expect)
+        assert np.array_equal(locate(partition, pts), expect)
+
+    @pytest.mark.parametrize("as_phases", [False, True])
+    def test_doctored_candidates_raise_scan_message(self, partition,
+                                                    as_phases):
+        # a cell whose candidates lack the translates that claim a point of
+        # it: the point is named as the test against every translate names
+        # an unclaimed point
+        cell = unlabelled_cells(partition)[100]
+        a, b = divmod(int(cell), _CELLS)
+        pts = np.array([[0.5, 0.5], [(a + 0.3) / _CELLS, (b + 0.6) / _CELLS],
+                        [(a + 0.7) / _CELLS, (b + 0.2) / _CELLS]])
+        if as_phases:
+            pts = to_phases(pts)
+        named = from_phases(pts[1]) if as_phases else pts[1]
+        claimed = _locate_chunk(partition, named[None])[0]
+        piece = [j for j, _ in listed_translates(partition)]
+        keep = [t for t in partition._candidates[:, cell]
+                if t < len(piece) and piece[t] != claimed]
+        bad = copy.copy(partition)
+        bad._candidates = partition._candidates.copy()
+        bad._candidates[:, cell] = len(piece)
+        bad._candidates[:len(keep), cell] = keep
+        assert locate(partition, pts).tolist()[1] == claimed
+        with pytest.raises(LocationFailure) as located:
+            locate(bad, pts)
+        assert str(located.value) == \
+            f"no piece claims point {named.tolist()}"
+
+
 class TestItinerary:
     def test_fixed_point_constant(self, cat, partition):
         assert locate(partition, cat.orbit((0.0, 0.0), 6)).tolist() == [0] * 6
@@ -416,8 +545,9 @@ def make_table(depth, counts, k=5):
 def reference_tables(m, partition, source, depths):
     """{depth: {word: count}} from the element-wise base-k code and tuple
     decode loop, in code order; independent of CylinderTable and of the
-    cell table of `locate` (symbols come from the piece scan).  A linear
-    map's grid or atoms walk the true orbits of their phases."""
+    cell table of `locate` (symbols come from the exact test against every
+    translate).  A linear map's grid or atoms walk the true orbits of their
+    phases."""
     k, top = partition.k, max(depths)
     if isinstance(source, OrbitMeasure):
         sym = _locate_chunk(partition, m.orbit(source.atoms[0], len(source)))
@@ -447,6 +577,29 @@ def reference_tables(m, partition, source, depths):
             counts[tuple(reversed(word))] = c
         out[d] = counts
     return out
+
+
+def counted_words(m, partition, source, depth):
+    """Each start's first `depth` symbols as a tuple, from the exact test
+    on the orbit's atoms, or on the true orbits of a grid's phases."""
+    if isinstance(source, OrbitMeasure):
+        sym = _locate_chunk(partition, source.atoms).tolist()
+        return [tuple(sym[i:i + depth])
+                for i in range(len(sym) - depth + 1)]
+    x = to_phases(source.chunk(0, source.size))
+    rows = []
+    for _ in range(depth):
+        rows.append(_locate_chunk(partition, from_phases(x)).tolist())
+        x = m.step(x)
+    return list(zip(*rows))
+
+
+def check_table(table, expect):
+    """A table holds exactly the words and counts of a Counter, in word
+    order, as int64 codes and counts."""
+    assert table.words() == sorted(expect)
+    assert table.counts.tolist() == [expect[w] for w in sorted(expect)]
+    assert table.codes.dtype == table.counts.dtype == np.int64
 
 
 class TestCylinderTables:
@@ -500,7 +653,8 @@ class TestCylinderTables:
         # the first call locates an orbit's phases; the reference reads its
         # atoms, which converts them, and later calls locate those.  Codes
         # are int32 up to depth 13 (5^13 < 2^31) and int64 beyond
-        for depths in (list(range(1, 9)), [2, 5, 9], [7], [13], [13, 14]):
+        for depths in (list(range(1, 9)), [2, 5, 9], [1], [7], [13],
+                       [13, 14]):
             tables = entropy_tables(cat, partition, source, depths)
             ref = reference_tables(cat, partition, source, depths)
             assert sorted(tables) == depths
@@ -541,12 +695,12 @@ class TestCylinderTables:
         # for every depth, in place, and only the marginals' runs are
         # found after that
         refs, seen = [], []
-        run_starts = markov._run_starts
+        run_ends = markov._run_ends
 
         def spy(codes):
             seen.append((refs[-1]() is not None, len(codes),
                          bool(np.all(np.diff(codes) >= 0))))
-            return run_starts(codes)
+            return run_ends(codes)
 
         def no_unique(*args, **kwargs):
             raise AssertionError("np.unique called")
@@ -558,7 +712,7 @@ class TestCylinderTables:
             refs.append(weakref.ref(mu))
             return mu
 
-        monkeypatch.setattr(markov, "_run_starts", spy)
+        monkeypatch.setattr(markov, "_run_ends", spy)
         monkeypatch.setattr(np, "unique", no_unique)
         starts = 1_000 - 5 + 1
         for read_atoms in (False, True):
@@ -569,6 +723,35 @@ class TestCylinderTables:
             assert len(seen) == 4 and seen[1][1] == len(tables[5].codes)
             assert all(ok and n < starts for _, n, ok in seen[1:])
             assert tables[2].total == tables[5].total == starts
+
+    def test_chain_matches_counted_words(self, cat, partition):
+        # every table 13 -> 1 of an orbit and of a grid source, and the
+        # marginals of a weighted_merge of their depth-13 tables, against
+        # words counted one by one from the exact test's symbols
+        orbit = OrbitMeasure(cat, SEED_POINT, 20_000)
+        grid = SampleGrid(resolution=48)
+        counted = []
+        for source in (orbit, grid):
+            tables = entropy_tables(cat, partition, source, range(1, 14))
+            words = counted_words(cat, partition, source, 13)
+            for d in range(13, 0, -1):
+                expect = Counter(w[:d] for w in words)
+                check_table(tables[d], expect)
+            counted.append((tables[13], Counter(words)))
+        weights = (0.3, 0.7)
+        base = max(t.total for t, _ in counted)
+        merged = Counter()
+        for (t, words), w in zip(counted, weights):
+            for word, c in words.items():
+                merged[word] += round(c * (w * base / t.total))
+        table = weighted_merge([t for t, _ in counted], weights)
+        for d in range(13, 0, -1):
+            expect = Counter()
+            for word, c in merged.items():
+                expect[word[:d]] += c
+            check_table(table, +expect)
+            if d > 1:
+                table = table.marginal()
 
     def test_code_overflow_rejected(self, cat, partition):
         with pytest.raises(ValueError, match="int64"):

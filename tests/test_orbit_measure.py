@@ -181,6 +181,8 @@ class TestStreamedTables:
     def test_stream_peak_memory(self, partition):
         # the orbit is never held: a 4*10^6-point stream's tables, orbit
         # built inside the window, peak below 3/4 of its 16-byte phases
+        # and within 26 MiB, so neither the code build nor the run sums
+        # holds a large array beside the deepest codes
         length = 4_000_000
         tracemalloc.start()
         try:
@@ -190,6 +192,7 @@ class TestStreamedTables:
         finally:
             tracemalloc.stop()
         assert peak < 0.75 * 16 * length, peak
+        assert peak <= 26 * 2**20, peak
 
 
 @pytest.mark.parametrize("measure", [
